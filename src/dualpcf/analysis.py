@@ -14,9 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .lang import App, Arrow, DUAL, DualLit, Expr, IvLit, Lam, REAL, Var, fresh_var
+from .lang import (
+    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, REAL, Var, fresh_var,
+)
 from .machine import (
     CeilingReached, DEFAULT_BUDGET, eval_at_cost, eval_refine, Value,
 )
@@ -123,9 +125,7 @@ def _sample_related_args(ty, rng: random.Random, r):
         if rng.random() < 0.5:
             return (Lam(x, ty.src, a1), Lam(x, ty.src, a2), Lam(x, ty.src, a3))
         # translations x + c preserve the relation pointwise
-        from .lang import Const
-        mk = lambda c: Lam(x, ty.src,
-                           App(App(Const("+", ("delta",)), Var(x)), c))
+        mk = lambda c: Lam(x, ty.src, App(App(Const("+", (DUAL,)), Var(x)), c))
         return mk(a1), mk(a2), mk(a3)
     raise ValueError(f"no sampler for arguments of type {ty}")
 
@@ -195,7 +195,6 @@ class OracleGrid:
 class OracleEstimate:
     quotients: List[Tuple[Fraction, Fraction, Fraction]] = field(
         default_factory=list)  # (y, r, quotient midpoint)
-    hull: Optional[Interval] = None  # over the whole schedule
     hulls_by_radius: List[Tuple[Fraction, Interval]] = field(
         default_factory=list)
 
@@ -209,11 +208,13 @@ class OracleEstimate:
 def _std_at(f: Expr, z: Fraction, width, ceiling: int) -> Interval:
     e = App(f, DualLit(DualInterval(Interval.point(z), IV_ZERO)))
     try:
-        v, _ = eval_refine(e, width, cost_ceiling=ceiling, std_only=True)
-    except CeilingReached as c:
+        out, _ = eval_refine(e, width, cost_ceiling=ceiling, std_only=True)
+    except CeilingReached:
         raise OracleInconclusive(
             f"refinement ceiling hit evaluating at {z}") from None
-    return v.std if isinstance(v, DualInterval) else v
+    if not isinstance(out, Value):
+        raise OracleInconclusive(f"evaluation did not produce a value: {out}")
+    return out.value.std
 
 
 def finite_diff_oracle(f: Expr, x, xp, grid: OracleGrid = None) -> OracleEstimate:
@@ -221,8 +222,8 @@ def finite_diff_oracle(f: Expr, x, xp, grid: OracleGrid = None) -> OracleEstimat
 
     Evaluates difference quotients (f(y + r*xp) - f(y)) / r for r in a
     decreasing dyadic schedule and y on a symmetric grid of shrinking
-    radius around x.  The hull of all quotient intervals is an outer
-    bound for the limit-inferior/limit-superior envelope.
+    radius around x.  The hull of the quotient intervals at each radius
+    is an outer bound for the limit-inferior/limit-superior envelope.
     """
     grid = grid or OracleGrid()
     x, xp = Fraction(x), Fraction(xp)
@@ -238,7 +239,6 @@ def finite_diff_oracle(f: Expr, x, xp, grid: OracleGrid = None) -> OracleEstimat
             f1 = _std_at(f, y + r * xp, width, grid.cost_ceiling)
             q = (f1 - f0).scale(Fraction(1, 1) / r)
             est.quotients.append((y, r, q.midpoint()))
-            est.hull = q if est.hull is None else est.hull.meet(q)
             k_hull = q if k_hull is None else k_hull.meet(q)
         est.hulls_by_radius.append((r, k_hull))
     return est

@@ -13,12 +13,12 @@ import time
 from fractions import Fraction
 
 from .analysis import (
-    OracleGrid, check_L_soundness, check_monotone_refinement, relation_holds,
+    check_L_soundness, check_monotone_refinement, relation_holds,
 )
-from .corpus import CORPUS, FIRST_ORDER_FUNCTIONS, corpus_source, load_corpus, load_first_order
+from .corpus import CORPUS, FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order
 from .lang import Arrow, DUAL, REAL, ParseError, parse
 from .machine import (
-    BudgetExhausted, CeilingReached, DEFAULT_BUDGET, Undetermined, Value,
+    BudgetExhausted, CeilingReached, DEFAULT_BUDGET, Undetermined,
     eval_at_cost, eval_refine,
 )
 from .numeric import DualInterval, Interval, fmt_endpoint, in_dual
@@ -70,20 +70,16 @@ def cmd_check(args) -> int:
 def _eval_term(e, args) -> int:
     budget = _budget(args)
     t0 = time.monotonic()
-    if args.width is not None:
+    if args.width is None:
+        cost, out = args.cost, eval_at_cost(e, args.cost, budget)
+    else:
         try:
-            v, cost = eval_refine(e, Fraction(args.width),
-                                  cost_ceiling=args.ceiling, budget=budget)
+            out, cost = eval_refine(e, Fraction(args.width),
+                                    cost_ceiling=args.ceiling, budget=budget)
         except CeilingReached as c:
             print(f"ceiling reached at cost {c.cost}; best: {c.best}",
                   file=sys.stderr)
             return EXIT_BUDGET
-        print(_render(v, cost, 0, args.format))
-        if args.format == "text":
-            print(f"# cost {cost}, {time.monotonic() - t0:.2f}s",
-                  file=sys.stderr)
-        return EXIT_OK
-    out = eval_at_cost(e, args.cost, budget)
     if isinstance(out, Undetermined):
         print("undetermined:", out.reason, file=sys.stderr)
         print("undetermined")
@@ -92,7 +88,9 @@ def _eval_term(e, args) -> int:
         print(f"step budget exhausted after {out.steps} steps",
               file=sys.stderr)
         return EXIT_BUDGET
-    print(_render(out.value, args.cost, out.steps, args.format))
+    print(_render(out.value, cost, out.steps, args.format))
+    if args.width is not None and args.format == "text":
+        print(f"# cost {cost}, {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .numeric import DualInterval, Interval
@@ -163,26 +162,18 @@ class BoolLit(Expr):
         return print_expr(self)
 
 
-# int / sup carrying their (m, n) unfolding state
+# int or sup at its carrier, with its (m, n) unfolding state: m bisection
+# levels remain, and each cell is evaluated at cost n
 @dataclass(frozen=True)
-class IntAt(Expr):
+class IntSupAt(Expr):
+    kind: str  # "int" | "sup"
+    carrier: Type
     m: int
     n: int
 
     def __str__(self) -> str:
         return print_expr(self)
 
-
-@dataclass(frozen=True)
-class SupAt(Expr):
-    m: int
-    n: int
-
-    def __str__(self) -> str:
-        return print_expr(self)
-
-
-EVAL_ONLY = (CostTagged, IvLit, DualLit, BoolLit, IntAt, SupAt)
 
 # Constant names recognised by the surface language.  "In" is
 # evaluation-only; the parser rejects it.
@@ -194,19 +185,20 @@ OPERATORS = {"+", "-", "*", "/", "lt0"}
 ALL_CONSTANTS = SURFACE_CONSTANTS | OPERATORS | {"In"}
 
 
-def is_surface(e: Expr) -> bool:
-    """True iff e contains no evaluation-only form."""
-    if isinstance(e, EVAL_ONLY):
-        return False
-    if isinstance(e, Const):
-        return e.name != "In"
-    if isinstance(e, App):
-        return is_surface(e.fn) and is_surface(e.arg)
-    if isinstance(e, Lam):
-        return is_surface(e.body)
-    if isinstance(e, If):
-        return is_surface(e.cond) and is_surface(e.then) and is_surface(e.els)
-    return True
+def spine(e: Expr):
+    """Split an application into its head and its list of arguments."""
+    args = []
+    while isinstance(e, App):
+        args.append(e.arg)
+        e = e.fn
+    return e, args[::-1]
+
+
+def app_spine(head: Expr, args) -> Expr:
+    """Apply head to the arguments in order: the inverse of `spine`."""
+    for a in args:
+        head = App(head, a)
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +571,8 @@ def _pp(e: Expr, prec: int) -> str:
         return f"({s})" if prec > 3 else s
     if isinstance(e, CostTagged):
         return f"⟨{_pp(e.expr, 0)}, {e.n}⟩"
-    if isinstance(e, IntAt):
-        return f"⟨int, ({e.m},{e.n})⟩"
-    if isinstance(e, SupAt):
-        return f"⟨sup, ({e.m},{e.n})⟩"
+    if isinstance(e, IntSupAt):
+        return f"⟨{e.kind}, ({e.m},{e.n})⟩"
     if isinstance(e, IvLit):
         return str(e.iv)
     if isinstance(e, DualLit):

@@ -4,7 +4,8 @@
 evaluator that applies the reduction rules depth-first in the order fixed
 by the evaluation contexts (function position first, then operator
 arguments left to right).  `step` is the literal one-redex-at-a-time
-variant used by small conformance tests; both share the ground rules.
+variant that the conformance tests compare against.  Both use the same
+ground-rule table, int/sup combine, Y unfolding and L body.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -12,18 +13,19 @@ budget guards against divergence of the unbounded fixed point.
 """
 from __future__ import annotations
 
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .lang import (
-    App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntAt,
-    IvLit, Lam, NAT, NatLit, REAL, SupAt, Type, Var, fresh_var, subst,
+    App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
+    IvLit, Lam, NatLit, REAL, Type, Var, app_spine, fresh_var, spine, subst,
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_UNIT, IV_ZERO, Interval,
-    dual_eps, dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
+    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
 )
 from .typecheck import is_continuous_type
 
@@ -64,7 +66,8 @@ class CeilingReached(Exception):
 # -- runtime values ---------------------------------------------------------
 
 # Ground values are the literal AST nodes themselves (NatLit, BoolLit,
-# IvLit, DualLit).  The remaining values:
+# IvLit, DualLit), and int/sup values are their IntSupAt nodes.  The
+# remaining values:
 
 
 @dataclass
@@ -76,15 +79,8 @@ class Closure:
 @dataclass
 class PrimVal:
     name: str
-    carrier: Optional[str]  # "pi" | "delta" | None (dynamic)
+    carrier: Optional[Type]  # None for a fixed signature
     args: Tuple[Expr, ...]
-
-
-@dataclass
-class IntSupVal:
-    kind: str  # "int" | "sup"
-    m: Optional[int]
-    n: int
 
 
 @dataclass
@@ -143,71 +139,103 @@ def _as_dual(v) -> DualInterval:
     return in_dual(_as_iv(v))
 
 
-def _is_dualish(vals) -> bool:
-    return any(isinstance(v, DualLit) for v in vals)
+def _carrier_of(c: Const):
+    return c.targs[0] if c.targs else None
 
 
-def _carrier_of(c: Const) -> Optional[str]:
-    if not c.targs:
-        return None
-    t = c.targs[0]
-    return t if isinstance(t, str) else getattr(t, "name", None)
+def _real(op):
+    return lambda a, b: IvLit(op(_as_iv(a), _as_iv(b)))
 
 
-def apply_ground_rule(name: str, carrier: Optional[str], vals: List,
-                      overrides=None):
-    """Apply the delta-rule of a saturated first-order constant to values."""
-    if overrides and name in overrides:
-        return overrides[name](carrier, vals)
-    if name in ("+", "-", "*", "min", "max"):
-        use_dual = carrier == "delta" or (carrier is None and _is_dualish(vals))
-        if use_dual:
-            a, b = _as_dual(vals[0]), _as_dual(vals[1])
-            out = {"+": lambda: a + b, "-": lambda: a - b,
-                   "*": lambda: a * b, "min": lambda: dual_min(a, b),
-                   "max": lambda: dual_max(a, b)}[name]()
-            return DualLit(out)
-        a, b = _as_iv(vals[0]), _as_iv(vals[1])
-        out = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-               "min": lambda: iv_min(a, b), "max": lambda: iv_max(a, b)}[name]()
-        return IvLit(out)
-    if name == "/":
-        d = vals[1]
+def _dual(op):
+    return lambda a, b: DualLit(op(_as_dual(a), _as_dual(b)))
+
+
+def _div(lit, as_num):
+    def rule(a, d):
         if not isinstance(d, NatLit):
             raise StuckTerm(f"division by a non-natural: {d}")
-        if carrier == "delta" or (carrier is None and _is_dualish(vals[:1])):
-            return DualLit(_as_dual(vals[0]).div_nat(d.n))
-        return IvLit(_as_iv(vals[0]).div_nat(d.n))
-    if name == "pr":
-        if carrier == "delta" or (carrier is None and _is_dualish(vals)):
-            return DualLit(dual_pr(_as_dual(vals[0])))
-        return IvLit(iv_pr(_as_iv(vals[0])))
-    if name == "in_pi":
-        v = vals[0]
-        if not isinstance(v, NatLit):
-            raise StuckTerm(f"in_pi on {v}")
-        return IvLit(Interval.point(v.n))
-    if name == "in_delta":
-        return DualLit(in_dual(_as_iv(vals[0])))
-    if name == "succ":
-        return NatLit(vals[0].n + 1)
-    if name == "pred":
-        return NatLit(max(0, vals[0].n - 1))
-    if name == "iszero":
-        return BoolLit(vals[0].n == 0)
-    if name == "lt0":
-        iv = _as_iv(vals[0])
-        if iv.lo > 0:
-            return BoolLit(True)
-        if iv.hi < 0:
-            return BoolLit(False)
-        return BOOL_BOTTOM
-    if name == "In":
-        v = vals[0]
-        if not isinstance(v, DualLit):
-            raise StuckTerm(f"In on {v}")
-        return IvLit(v.dv.inf)
-    raise StuckTerm(f"no ground rule for constant {name!r}")
+        return lit(as_num(a).div_nat(d.n))
+    return rule
+
+
+def _in_pi(v):
+    if not isinstance(v, NatLit):
+        raise StuckTerm(f"in_pi on {v}")
+    return IvLit(Interval.point(v.n))
+
+
+def _lt0(v):
+    iv = _as_iv(v)
+    if iv.lo > 0:
+        return BoolLit(True)
+    if iv.hi < 0:
+        return BoolLit(False)
+    return BOOL_BOTTOM
+
+
+def _In(v):
+    if not isinstance(v, DualLit):
+        raise StuckTerm(f"In on {v}")
+    return IvLit(v.dv.inf)
+
+
+# The delta-rule of each saturated first-order constant, keyed by its name
+# and carrier name.  The elaborator fixes the carrier of every overloaded
+# constant, so no rule looks at its operands to pick one.
+GROUND_RULES = {
+    ("+", "pi"): _real(operator.add), ("+", "delta"): _dual(operator.add),
+    ("-", "pi"): _real(operator.sub), ("-", "delta"): _dual(operator.sub),
+    ("*", "pi"): _real(operator.mul), ("*", "delta"): _dual(operator.mul),
+    ("min", "pi"): _real(iv_min), ("min", "delta"): _dual(dual_min),
+    ("max", "pi"): _real(iv_max), ("max", "delta"): _dual(dual_max),
+    ("/", "pi"): _div(IvLit, _as_iv), ("/", "delta"): _div(DualLit, _as_dual),
+    ("pr", "pi"): lambda a: IvLit(iv_pr(_as_iv(a))),
+    ("pr", "delta"): lambda a: DualLit(dual_pr(_as_dual(a))),
+    ("in_pi", None): _in_pi,
+    ("in_delta", None): lambda a: DualLit(in_dual(_as_iv(a))),
+    ("succ", None): lambda a: NatLit(a.n + 1),
+    ("pred", None): lambda a: NatLit(max(0, a.n - 1)),
+    ("iszero", None): lambda a: BoolLit(a.n == 0),
+    ("lt0", None): _lt0,
+    ("In", None): _In,
+}
+
+
+def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
+    """Apply the delta-rule of a saturated first-order constant to values.
+
+    `carrier` is the constant's carrier type, or its name ("pi" or
+    "delta"), and None for constants with a fixed signature.  An entry
+    `overrides[name]`, called as `fn(carrier name, vals)`, replaces the
+    constant's rule wherever it fires, the int/sup combine included, in
+    both `Machine` and `step`.
+    """
+    carrier = getattr(carrier, "name", carrier)
+    if overrides and name in overrides:
+        return overrides[name](carrier, vals)
+    rule = GROUND_RULES.get((name, carrier))
+    if rule is None:
+        raise StuckTerm(f"no ground rule for constant {name!r} "
+                        f"at carrier {carrier!r}")
+    return rule(*vals)
+
+
+_TWO = NatLit(2)
+
+
+def _const_app(name: str, carrier: Type, args) -> Expr:
+    return app_spine(Const(name, (carrier,)), args)
+
+
+def intsup_combine(kind: str, carrier, lower, upper, op):
+    """The bisection rule's combine at the carrier: `l/2 + r/2` for int,
+    `max l r` for sup.  `op(name, carrier, args)` applies one constant:
+    `Machine` fires its ground rule on values, `step` builds the term."""
+    if kind == "int":
+        return op("+", carrier, [op("/", carrier, [lower, _TWO]),
+                                 op("/", carrier, [upper, _TWO])])
+    return op("max", carrier, [lower, upper])
 
 
 def bottom_expr(ty: Type) -> Expr:
@@ -221,25 +249,28 @@ def bottom_expr(ty: Type) -> Expr:
     raise StuckTerm(f"no bottom literal at type {ty}")
 
 
-def _half_ast(x: Expr) -> Expr:
-    return App(App(Const("/", ("pi",)), x), NatLit(2))
-
-
-def _shift_half_ast(x: Expr) -> Expr:
-    return _half_ast(App(App(Const("+", ("pi",)), x), NatLit(1)))
+def unfold_y(ty: Type, f: Expr, n: Optional[int]) -> Expr:
+    """The fixed-point rule: `Y f` unfolds to `f (Y f)`.  Bounded by cost
+    n, the unfolding runs at cost n - 1 and cost 0 gives bottom; n None
+    (a discrete type) unfolds without bound."""
+    if n == 0:
+        return bottom_expr(ty)
+    body = App(f, App(Const("Y", (ty,)), f))
+    return body if n is None else CostTagged(body, n - 1)
 
 
 def _rescaled(f: Expr, upper_half: bool) -> Expr:
+    """f on the lower or upper half of [0,1], stretched back to [0,1]."""
     x = fresh_var("t")
-    arg = _shift_half_ast(Var(x)) if upper_half else _half_ast(Var(x))
-    return Lam(x, REAL, App(f, arg))
+    t = _const_app("+", REAL, [Var(x), NatLit(1)]) if upper_half else Var(x)
+    return Lam(x, REAL, App(f, _const_app("/", REAL, [t, _TWO])))
 
 
 def lift_eps(ty: Type, e: Expr) -> Expr:
     """The epsilon-scaling macro at an admissible type, applied to e."""
     if ty == DUAL:
         unit = DualLit(DualInterval.of(IV_ZERO, Interval.point(1)))
-        return App(App(Const("*", ("delta",)), unit), e)
+        return App(App(Const("*", (DUAL,)), unit), e)
     if isinstance(ty, Arrow):
         x = fresh_var("e")
         return Lam(x, ty.src, lift_eps(ty.dst, App(e, Var(x))))
@@ -249,16 +280,21 @@ def lift_eps(ty: Type, e: Expr) -> Expr:
 def lift_plus(ty: Type, a: Expr, b: Expr) -> Expr:
     """The pointwise dual addition macro at an admissible type."""
     if ty == DUAL:
-        return App(App(Const("+", ("delta",)), a), b)
+        return App(App(Const("+", (DUAL,)), a), b)
     if isinstance(ty, Arrow):
         x = fresh_var("p")
         return Lam(x, ty.src, lift_plus(ty.dst, App(a, Var(x)), App(b, Var(x))))
     raise StuckTerm(f"plus macro undefined at type {ty}")
 
 
-def lifted_l_arguments(targs, points, dirs) -> List[Expr]:
-    return [lift_plus(ty, p, lift_eps(ty, d))
-            for ty, p, d in zip(targs, points, dirs)]
+def l_body(targs, args) -> Expr:
+    """The derivative operator's body for `L[targs] f x1..xk d1..dk`: f
+    applied to each point plus epsilon times its direction, lifted to the
+    argument's type.  Its infinitesimal part is the derivative."""
+    k = len(targs)
+    f, points, dirs = args[0], args[1:1 + k], args[1 + k:]
+    return app_spine(f, [lift_plus(ty, p, lift_eps(ty, d))
+                         for ty, p, d in zip(targs, points, dirs)])
 
 
 # -- the recursive evaluator ------------------------------------------------
@@ -288,9 +324,6 @@ class Machine:
             return Closure(e, tag)
         if isinstance(e, Const):
             return self._const_value(e, tag)
-        if isinstance(e, (IntAt, SupAt)):
-            kind = "int" if isinstance(e, IntAt) else "sup"
-            return IntSupVal(kind, e.m, e.n)
         if isinstance(e, App):
             fv = self.evalc(e.fn, tag)
             return self.apply(fv, e.arg, tag)
@@ -306,6 +339,8 @@ class Machine:
             if not isinstance(cv, BoolLit):
                 raise StuckTerm(f"conditional on non-boolean {cv}")
             return self.evalc(e.then if cv.b else e.els, tag)
+        if isinstance(e, IntSupAt):
+            return e
         raise StuckTerm(f"cannot evaluate {e!r}")
 
     def _const_value(self, c: Const, tag: Optional[int]):
@@ -313,7 +348,8 @@ class Machine:
         if name in ("tt", "ff"):
             return BoolLit(name == "tt")
         if name in ("int", "sup"):
-            return IntSupVal(name, None, tag if tag is not None else 0)
+            n = tag if tag is not None else 0
+            return IntSupAt(name, c.targs[0], n, n)
         if name == "Y":
             ty = c.targs[0]
             if is_continuous_type(ty):
@@ -339,17 +375,10 @@ class Machine:
                 return PrimVal(fv.name, fv.carrier, args)
             vals = [self.evalc(a, tag) for a in args]
             return apply_ground_rule(fv.name, fv.carrier, vals, self.overrides)
-        if isinstance(fv, IntSupVal):
-            m = fv.m if fv.m is not None else fv.n
-            return self._reduce_intsup(fv.kind, arg, m, fv.n)
+        if isinstance(fv, IntSupAt):
+            return self._reduce_intsup(fv, arg, fv.m)
         if isinstance(fv, YVal):
-            if fv.tag is None:
-                return self.evalc(
-                    App(arg, App(Const("Y", (fv.ty,)), arg)), tag)
-            if fv.tag == 0:
-                return self.evalc(bottom_expr(fv.ty), None)
-            return self.evalc(
-                App(arg, App(Const("Y", (fv.ty,)), arg)), fv.tag - 1)
+            return self.evalc(unfold_y(fv.ty, arg, fv.tag), tag)
         if isinstance(fv, LVal):
             args = fv.args + (arg,)
             if len(args) < 1 + 2 * len(fv.targs):
@@ -357,7 +386,10 @@ class Machine:
             return self._reduce_l(fv.targs, fv.n, args)
         raise StuckTerm(f"cannot apply {fv}")
 
-    def _reduce_intsup(self, kind: str, f: Expr, m: int, n: int,
+    def _ground(self, name: str, carrier, vals: List):
+        return apply_ground_rule(name, carrier, vals, self.overrides)
+
+    def _reduce_intsup(self, node: IntSupAt, f: Expr, m: int,
                        lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)):
         # The bisection rule rescales f with wrapper lambdas; composing
         # those affine maps sends [0,1] to an explicit dyadic cell, so the
@@ -365,26 +397,15 @@ class Machine:
         # (all the arithmetic involved is exact) and the association of
         # the combining tree is preserved.
         if m == 0:
-            return self.evalc(App(f, IvLit(Interval(lo, hi))), n)
+            return self.evalc(App(f, IvLit(Interval(lo, hi))), node.n)
         self._tick()
         mid = (lo + hi) / 2
-        lv = self._reduce_intsup(kind, f, m - 1, n, lo, mid)
-        rv = self._reduce_intsup(kind, f, m - 1, n, mid, hi)
-        if kind == "int":
-            if isinstance(lv, DualLit) or isinstance(rv, DualLit):
-                return DualLit(_as_dual(lv).div_nat(2) + _as_dual(rv).div_nat(2))
-            return IvLit(_as_iv(lv).div_nat(2) + _as_iv(rv).div_nat(2))
-        if isinstance(lv, DualLit) or isinstance(rv, DualLit):
-            return DualLit(dual_max(_as_dual(lv), _as_dual(rv)))
-        return IvLit(iv_max(_as_iv(lv), _as_iv(rv)))
+        lv = self._reduce_intsup(node, f, m - 1, lo, mid)
+        rv = self._reduce_intsup(node, f, m - 1, mid, hi)
+        return intsup_combine(node.kind, node.carrier, lv, rv, self._ground)
 
     def _reduce_l(self, targs, n: int, args):
-        k = len(targs)
-        f, points, dirs = args[0], args[1:1 + k], args[1 + k:]
-        spine: Expr = f
-        for lifted in lifted_l_arguments(targs, points, dirs):
-            spine = App(spine, lifted)
-        v = self.evalc(spine, n)
+        v = self.evalc(l_body(targs, args), n)
         if not isinstance(v, DualLit):
             raise StuckTerm(f"derivative body evaluated to {v}")
         return IvLit(v.dv.inf)
@@ -392,13 +413,19 @@ class Machine:
     # -- public driver ------------------------------------------------
 
     def eval_at_cost(self, e: Expr, n: int) -> Outcome:
-        """Normalize a closed, elaborated term of ground type at cost n."""
+        """Normalize a closed, elaborated term of ground type at cost n.
+
+        A run that exhausts the step budget, or the interpreter's recursion
+        depth on a divergent term, ends in `BudgetExhausted`.  An entry of
+        `overrides` replaces its constant's rule wherever that rule fires,
+        the int/sup combine included (see `apply_ground_rule`).
+        """
         self.steps = 0
         try:
             v = self.evalc(CostTagged(e, n), None)
         except UndeterminedSignal as u:
             return Undetermined(steps=self.steps, reason=u.reason)
-        except BudgetError:
+        except (BudgetError, RecursionError):
             return BudgetExhausted(steps=self.steps)
         return Value(steps=self.steps, value=_unlit(v))
 
@@ -420,14 +447,7 @@ def eval_at_cost(e: Expr, n: int, budget: int = DEFAULT_BUDGET,
     return Machine(budget, overrides).eval_at_cost(e, n)
 
 
-def eval_dual(e: Expr, n: int, budget: int = DEFAULT_BUDGET) -> DualInterval:
-    """Evaluate a closed term of type delta (or pi, embedded) at cost n."""
-    out = eval_at_cost(e, n, budget)
-    if isinstance(out, Undetermined):
-        raise UndeterminedSignal(out.reason)
-    if isinstance(out, BudgetExhausted):
-        raise BudgetError(out.steps)
-    v = out.value
+def _dual_value(v) -> DualInterval:
     if isinstance(v, Interval):
         return in_dual(v)
     if not isinstance(v, DualInterval):
@@ -435,26 +455,39 @@ def eval_dual(e: Expr, n: int, budget: int = DEFAULT_BUDGET) -> DualInterval:
     return v
 
 
-def _widths(v: DualInterval):
-    return v.std.width, v.inf.width
+def eval_dual(e: Expr, n: int, budget: int = DEFAULT_BUDGET) -> DualInterval:
+    """Evaluate a closed term of type delta (or pi, embedded) at cost n."""
+    out = eval_at_cost(e, n, budget)
+    if isinstance(out, Undetermined):
+        raise UndeterminedSignal(out.reason)
+    if isinstance(out, BudgetExhausted):
+        raise BudgetError(out.steps)
+    return _dual_value(out.value)
 
 
 def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
                 budget: int = DEFAULT_BUDGET,
-                std_only: bool = False) -> Tuple[DualInterval, int]:
-    """Evaluate at doubling costs until both component widths reach the
-    target (or only the standard part's width, with std_only)."""
+                std_only: bool = False) -> Tuple[Outcome, int]:
+    """Evaluate at costs 1, 2, 4, ... until both component widths reach
+    the target (or only the standard part's width, with std_only).
+
+    Returns the last outcome and its cost: a `Value` holding a
+    `DualInterval`, or the `Undetermined` or `BudgetExhausted` outcome
+    that ended the chain.  Raises `CeilingReached` when the widths are
+    still too wide at the cost ceiling.
+    """
     target_width = Fraction(target_width)
-    best, best_cost = None, 0
     n = 1
     while True:
-        v = eval_dual(e, n, budget)
-        best, best_cost = v, n
-        ws, wi = _widths(v)
-        if ws <= target_width and (std_only or wi <= target_width):
-            return v, n
+        out = eval_at_cost(e, n, budget)
+        if not isinstance(out, Value):
+            return out, n
+        out.value = v = _dual_value(out.value)
+        if v.std.width <= target_width and (
+                std_only or v.inf.width <= target_width):
+            return out, n
         if n >= cost_ceiling:
-            raise CeilingReached(best, best_cost)
+            raise CeilingReached(v, n)
         n *= 2
 
 
@@ -462,13 +495,13 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
 
 
 def _is_value(e: Expr) -> bool:
-    if isinstance(e, _LITERALS) or isinstance(e, (Lam, Const, IntAt, SupAt)):
+    if isinstance(e, _LITERALS) or isinstance(e, (Lam, Const, IntSupAt)):
         return True
     if isinstance(e, CostTagged):
         return isinstance(e.expr, (Lam, Const))
     if isinstance(e, App):
         # unsaturated constant application over values
-        head, args = _strip_spine(e)
+        head, args = spine(e)
         name = _const_name(head)
         if name in _ARITY and len(args) < _ARITY[name]:
             return all(_is_value(a) for a in args)
@@ -476,14 +509,6 @@ def _is_value(e: Expr) -> bool:
             c = head.expr if isinstance(head, CostTagged) else head
             return len(args) < 1 + 2 * len(c.targs)
     return False
-
-
-def _strip_spine(e: Expr):
-    args = []
-    while isinstance(e, App):
-        args.append(e.arg)
-        e = e.fn
-    return e, list(reversed(args))
 
 
 def _const_name(head: Expr) -> Optional[str]:
@@ -502,8 +527,7 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             return inner  # de-tagging
         if isinstance(inner, Const):
             if inner.name in ("int", "sup"):
-                node = IntAt if inner.name == "int" else SupAt
-                return node(n, n)
+                return IntSupAt(inner.name, inner.targs[0], n, n)
             if inner.name == "Y":
                 if is_continuous_type(inner.targs[0]):
                     return None  # value: reduced when applied
@@ -514,11 +538,11 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
         if isinstance(inner, Lam):
             return None  # tagged closure: a value
         if isinstance(inner, App):
-            head, args = _strip_spine(inner)
+            head, args = spine(inner)
             name = _const_name(head)
             if name in _ARITY and len(args) == _ARITY[name]:
                 # cost distribution over an operator application
-                return _app_spine(head, [CostTagged(a, n) for a in args])
+                return app_spine(head, [CostTagged(a, n) for a in args])
             return App(CostTagged(inner.fn, n), inner.arg)
         if isinstance(inner, If):
             return If(CostTagged(inner.cond, n), CostTagged(inner.then, n),
@@ -528,7 +552,7 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             return CostTagged(e2, n) if e2 is not None else inner
         return None
     if isinstance(e, App):
-        head, args = _strip_spine(e)
+        head, args = spine(e)
         name = _const_name(head)
         if name in _ARITY and len(args) == _ARITY[name]:
             # reduce leftmost non-value argument, then fire the delta rule
@@ -537,7 +561,7 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
                     a2 = step(a, overrides)
                     if a2 is None:
                         raise StuckTerm(f"stuck operand {a}")
-                    return _app_spine(head, args[:i] + [a2] + args[i + 1:])
+                    return app_spine(head, args[:i] + [a2] + args[i + 1:])
             h = head.expr if isinstance(head, CostTagged) else head
             out = apply_ground_rule(name, _carrier_of(h), args, overrides)
             if out is BOOL_BOTTOM:
@@ -548,40 +572,29 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             return CostTagged(subst(lam.body, lam.var, e.arg), m)
         if isinstance(e.fn, Lam):
             return subst(e.fn.body, e.fn.var, e.arg)
-        if isinstance(e.fn, IntAt) or isinstance(e.fn, SupAt):
-            node = e.fn
-            kind = "int" if isinstance(node, IntAt) else "sup"
-            f = e.arg
+        if isinstance(e.fn, IntSupAt):
+            node, f = e.fn, e.arg
             if node.m == 0:
                 return App(CostTagged(f, node.n), IvLit(IV_UNIT))
-            lower = App(type(node)(node.m - 1, node.n), _rescaled(f, False))
-            upper = App(type(node)(node.m - 1, node.n), _rescaled(f, True))
-            if kind == "int":
-                return App(App(Const("+"), _div2(lower)), _div2(upper))
-            return App(App(Const("max"), lower), upper)
+            half = IntSupAt(node.kind, node.carrier, node.m - 1, node.n)
+            return intsup_combine(node.kind, node.carrier,
+                                  App(half, _rescaled(f, False)),
+                                  App(half, _rescaled(f, True)), _const_app)
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Const):
             c, n = e.fn.expr, e.fn.n
             if c.name == "Y" and is_continuous_type(c.targs[0]):
-                if n == 0:
-                    return bottom_expr(c.targs[0])
-                return CostTagged(App(e.arg, App(Const("Y", c.targs), e.arg)),
-                                  n - 1)
+                return unfold_y(c.targs[0], e.arg, n)
             if c.name in ("int", "sup"):
-                node = IntAt if c.name == "int" else SupAt
-                return App(node(n, n), e.arg)
+                return App(IntSupAt(c.name, c.targs[0], n, n), e.arg)
         if name == "L":
             h = head.expr if isinstance(head, CostTagged) else head
             k = len(h.targs)
             if len(args) == 1 + 2 * k and isinstance(head, CostTagged):
-                f, pts, dirs = args[0], args[1:1 + k], args[1 + k:]
-                spine: Expr = f
-                for lifted in lifted_l_arguments(h.targs, pts, dirs):
-                    spine = App(spine, lifted)
-                return App(Const("In"), CostTagged(spine, head.n))
-        if name == "Y":
-            h = head.expr if isinstance(head, CostTagged) else head
-            if isinstance(head, Const) and not is_continuous_type(h.targs[0]):
-                return App(args[0], App(head, args[0]))
+                return App(Const("In"), CostTagged(l_body(h.targs, args),
+                                                   head.n))
+        if name == "Y" and len(args) == 1 and isinstance(head, Const) \
+                and not is_continuous_type(head.targs[0]):
+            return unfold_y(head.targs[0], args[0], None)
         e2 = step(e.fn, overrides)
         if e2 is None:
             raise StuckTerm(f"stuck application head {e.fn}")
@@ -594,17 +607,6 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             raise StuckTerm(f"stuck conditional scrutinee {e.cond}")
         return If(e2, e.then, e.els, e.ty)
     return None
-
-
-def _div2(x: Expr) -> Expr:
-    return App(App(Const("/"), x), NatLit(2))
-
-
-def _app_spine(head: Expr, args) -> Expr:
-    out = head
-    for a in args:
-        out = App(out, a)
-    return out
 
 
 def run_steps(e: Expr, max_steps: int = 1000, overrides=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Optional, Union
+from typing import Union
 
 Endpoint = Union[Fraction, float]
 
@@ -282,7 +282,6 @@ class DualInterval:
 
 
 DUAL_BOTTOM = DualInterval(IV_BOTTOM, IV_BOTTOM)
-DUAL_ZERO = DualInterval(IV_ZERO, IV_ZERO)
 
 
 def dual_max(a: DualInterval, b: DualInterval) -> DualInterval:

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .lang import (
     App, Arrow, BOOL, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, Ground,
-    If, IntAt, IvLit, Lam, NAT, NatLit, REAL, SupAt, Type, Var, arrow,
-    fresh_var, uncurry,
+    If, IvLit, Lam, NAT, NatLit, REAL, Type, Var, arrow, fresh_var, spine,
+    uncurry,
 )
 
 MISMATCH = "Mismatch"
@@ -97,14 +97,6 @@ def contains_l(e: Expr) -> bool:
     if isinstance(e, CostTagged):
         return contains_l(e.expr)
     return False
-
-
-def _spine(e: Expr):
-    args = []
-    while isinstance(e, App):
-        args.append(e.arg)
-        e = e.fn
-    return e, list(reversed(args))
 
 
 def _numeric_rank(ty: Type) -> int:
@@ -217,6 +209,16 @@ class _Checker:
         raise TypeCheckError(MISMATCH,
                              f"incompatible branch types {a} and {b}")
 
+    def _carrier(self, c: Const, carrier: Type, want: Optional[Type]) -> Type:
+        """An overloaded constant's carrier: its operands' carrier, unless
+        the context wants a numeric type that can hold it."""
+        if want not in (REAL, DUAL):
+            return carrier
+        if want == REAL and carrier == DUAL:
+            raise TypeCheckError(MISMATCH, "dual operand in a real context",
+                                 c.pos)
+        return want
+
     # -- composite forms ----------------------------------------------
 
     def elab_if(self, e: If, env, want: Optional[Type]) -> Tuple[Expr, Type]:
@@ -232,7 +234,7 @@ class _Checker:
                   self.coerce(els, te, ty), ty), ty
 
     def elab_app(self, e: App, env, want: Optional[Type]) -> Tuple[Expr, Type]:
-        head, args = _spine(e)
+        head, args = spine(e)
         if isinstance(head, Const):
             name = head.name
             if name in _BINOPS and len(args) == 2:
@@ -250,22 +252,18 @@ class _Checker:
             if name == "L":
                 return self.elab_l(head, args, env)
         # generic application
-        fn, fty = self.infer_fn(e.fn, env, e.arg)
+        fn = e.fn
         if isinstance(fn, Lam) and fn.ty is None:
             # applied unannotated lambda (let-sugar): infer the argument
             arg, aty = self.infer(e.arg, env)
             body, bty = self.infer(fn.body, {**env, fn.var: aty})
             return App(Lam(fn.var, aty, body), arg), bty
+        fn, fty = self.infer(fn, env)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(MISMATCH,
                                  f"cannot apply a value of type {fty}")
         arg = self.check(e.arg, env, fty.src)
         return App(fn, arg), fty.dst
-
-    def infer_fn(self, f: Expr, env, arg: Expr) -> Tuple[Expr, Type]:
-        if isinstance(f, Lam) and f.ty is None:
-            return f, None  # handled by the caller
-        return self.infer(f, env)
 
     def _respine(self, fn_and_ty, rest, env):
         fn, fty = fn_and_ty
@@ -286,12 +284,7 @@ class _Checker:
                 raise TypeCheckError(MISMATCH,
                                      f"arithmetic on non-numeric type {t}",
                                      c.pos)
-        carrier = DUAL if DUAL in (at, bt) else REAL
-        if want in (REAL, DUAL):
-            if want == REAL and carrier == DUAL:
-                raise TypeCheckError(MISMATCH,
-                                     "dual operand in a real context", c.pos)
-            carrier = want
+        carrier = self._carrier(c, DUAL if DUAL in (at, bt) else REAL, want)
         op = Const(c.name, (carrier,), pos=c.pos)
         return App(App(op, self.coerce(ae, at, carrier)),
                    self.coerce(be, bt, carrier)), carrier
@@ -302,12 +295,7 @@ class _Checker:
         if at not in NUMERIC:
             raise TypeCheckError(MISMATCH,
                                  f"division on non-numeric type {at}", c.pos)
-        carrier = DUAL if at == DUAL else REAL
-        if want in (REAL, DUAL):
-            if want == REAL and carrier == DUAL:
-                raise TypeCheckError(MISMATCH,
-                                     "dual operand in a real context", c.pos)
-            carrier = want
+        carrier = self._carrier(c, DUAL if at == DUAL else REAL, want)
         be = self.check(b, env, NAT)
         op = Const("/", (carrier,), pos=c.pos)
         return App(App(op, self.coerce(ae, at, carrier)), be), carrier
@@ -318,12 +306,7 @@ class _Checker:
         if at not in NUMERIC:
             raise TypeCheckError(MISMATCH, f"pr on non-numeric type {at}",
                                  c.pos)
-        carrier = DUAL if at == DUAL else REAL
-        if want in (REAL, DUAL):
-            if want == REAL and carrier == DUAL:
-                raise TypeCheckError(MISMATCH,
-                                     "dual operand in a real context", c.pos)
-            carrier = want
+        carrier = self._carrier(c, DUAL if at == DUAL else REAL, want)
         return App(Const("pr", (carrier,), pos=c.pos),
                    self.coerce(ae, at, carrier)), carrier
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dualpcf.cli import main
+from dualpcf.corpus import corpus_source
 from dualpcf.numeric import Interval
 
 
@@ -75,6 +76,42 @@ class TestEval:
         code, out, _ = run(capsys, ["eval", path])
         assert code == 3
         assert "undetermined" in out
+
+    def test_width_undetermined(self, capsys, program):
+        path = program("if 0 < (int (fun t: real. t - 1/2)) then 1 else 0")
+        code, out, err = run(capsys, ["eval", path, "--width", "1/4"])
+        assert code == 3
+        assert out == "undetermined\n"
+        assert err.startswith("undetermined: ")
+
+    def test_width_budget_exhaustion(self, capsys, program):
+        path = program(corpus_source("int_id"))
+        code, out, err = run(capsys, ["eval", path, "--width", "1/64",
+                                      "--budget", "10"])
+        assert code == 2
+        assert out == ""
+        assert err == "step budget exhausted after 11 steps\n"
+
+    def test_width_json_reports_steps_at_printed_cost(self, capsys, program):
+        path = program("int (fun t: real. in_delta t)")
+        code, out, _ = run(capsys, ["eval", path, "--width", "1/100",
+                                    "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = run(capsys, ["eval", path, "--cost", str(doc["cost"]),
+                                    "--format", "json"])
+        assert code == 0
+        assert doc["steps"] > 0
+        assert doc == json.loads(out)
+
+    def test_divergent_unbounded_fixed_point(self, capsys, program):
+        # diverges by recursion depth long before the default step budget
+        path = program("(Y[nat -> nat] (fun f: nat -> nat. fun n: nat. "
+                       "succ (f n))) 0")
+        code, out, err = run(capsys, ["eval", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("step budget exhausted after ")
 
 
 class TestExamples:

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
     App, Const, CostTagged, DualLit, IvLit, parse,
 )
 from dualpcf.machine import (
     BudgetExhausted, CeilingReached, Machine, Undetermined, Value,
-    eval_at_cost, eval_dual, eval_refine, run_steps, step,
+    _unlit, eval_at_cost, eval_dual, eval_refine, run_steps, step,
 )
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
@@ -104,8 +105,8 @@ class TestCostSemantics:
 
     def test_refinement_loop(self):
         e, _ = elaborate(parse("int (fun t: real. in_delta t)"), {})
-        v, cost = eval_refine(e, Fraction(1, 100))
-        assert v.std.width <= Fraction(1, 100)
+        out, cost = eval_refine(e, Fraction(1, 100))
+        assert out.value.std.width <= Fraction(1, 100)
         assert cost <= 8
 
     def test_refinement_ceiling(self):
@@ -157,14 +158,41 @@ class TestSingleStep:
         ("(fun x: delta. x * x) (in_delta (in_pi 3))", 0),
         ("if 0 < in_pi 1 then in_pi 5 else in_pi 6", 0),
         ("Y[delta] (fun x: delta. in_delta (in_pi 1))", 2),
-    ])
+        ("Y[nu -> nu] (fun d: nu -> nu. fun n: nu. "
+         "if iszero n then 0 else succ (succ (d (pred n)))) 2", 0),
+    ] + [(name, n) for name in CORPUS for n in (0, 1, 2)])
     def test_step_agrees_with_evaluator(self, src, n):
-        e, _ = elaborate(parse(src), {})
+        # src is a corpus program's name or a program's source
+        e, _ = load_corpus(src) if src in CORPUS else elaborate(parse(src), {})
         nf, _ = run_steps(CostTagged(e, n), max_steps=100000)
         big = eval_at_cost(e, n)
         assert isinstance(big, Value)
-        got = nf.iv if isinstance(nf, IvLit) else nf.dv
-        assert got == big.value
+        assert _unlit(nf) == big.value
+
+    def test_max_override_fires_in_both_reducers(self):
+        # a `max` that keeps its left operand: sup's combine then keeps the
+        # leftmost cell, under the evaluator and the one-step reducer alike
+        left = {"max": lambda carrier, vals: vals[0]}
+        e, _ = load_corpus("sup_id")
+        for n in (1, 2):
+            big = eval_at_cost(e, n, overrides=left)
+            nf, _ = run_steps(CostTagged(e, n), max_steps=100000,
+                              overrides=left)
+            cell = DualInterval.of(Interval(0, Fraction(1, 2 ** n)))
+            assert big.value == nf.dv == cell
+            assert eval_at_cost(e, n).value != cell
+
+
+@pytest.mark.parametrize("name", [
+    name for name, entry in CORPUS.items() if entry.expected is not None])
+def test_expected_limit_in_every_enclosure(name):
+    # the `verify --suite refinement` ladder
+    entry = CORPUS[name]
+    e, _ = load_corpus(name)
+    for n in range(5 if entry.heavy else 11):
+        v = eval_at_cost(e, n).value
+        std = v.std if isinstance(v, DualInterval) else v
+        assert std.contains(entry.expected), (n, v)
 
 
 class TestBudget:
