@@ -24,8 +24,8 @@ from .lang import (
     IvLit, Lam, NatLit, REAL, Type, Var, app_spine, fresh_var, spine, subst,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_UNIT, IV_ZERO, Interval,
-    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
+    DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, Interval,
+    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
 )
 from .typecheck import is_continuous_type
 
@@ -125,11 +125,16 @@ class BudgetExhausted(Outcome):
 # -- ground rules, shared by the recursive evaluator and by `step` ----------
 
 
+def _nat_iv(n: int) -> Interval:
+    q = Fraction(n)
+    return iv_unchecked(q, q)
+
+
 def _as_iv(v) -> Interval:
     if isinstance(v, IvLit):
         return v.iv
     if isinstance(v, NatLit):
-        return Interval.point(v.n)
+        return _nat_iv(v.n)
     raise StuckTerm(f"expected a real value, found {v}")
 
 
@@ -162,7 +167,7 @@ def _div(lit, as_num):
 def _in_pi(v):
     if not isinstance(v, NatLit):
         raise StuckTerm(f"in_pi on {v}")
-    return IvLit(Interval.point(v.n))
+    return IvLit(_nat_iv(v.n))
 
 
 def _lt0(v):
@@ -269,7 +274,7 @@ def _rescaled(f: Expr, upper_half: bool) -> Expr:
 def lift_eps(ty: Type, e: Expr) -> Expr:
     """The epsilon-scaling macro at an admissible type, applied to e."""
     if ty == DUAL:
-        unit = DualLit(DualInterval.of(IV_ZERO, Interval.point(1)))
+        unit = DualLit(DualInterval(IV_ZERO, IV_ONE))
         return App(App(Const("*", (DUAL,)), unit), e)
     if isinstance(ty, Arrow):
         x = fresh_var("e")
@@ -397,7 +402,7 @@ class Machine:
         # (all the arithmetic involved is exact) and the association of
         # the combining tree is preserved.
         if m == 0:
-            return self.evalc(App(f, IvLit(Interval(lo, hi))), node.n)
+            return self.evalc(App(f, IvLit(iv_unchecked(lo, hi))), node.n)
         self._tick()
         mid = (lo + hi) / 2
         lv = self._reduce_intsup(node, f, m - 1, lo, mid)
@@ -473,14 +478,17 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
 
     Returns the last outcome and its cost: a `Value` holding a
     `DualInterval`, or the `Undetermined` or `BudgetExhausted` outcome
-    that ended the chain.  Raises `CeilingReached` when the widths are
-    still too wide at the cost ceiling.
+    that ended the chain.  A discrete result (a nat or bool) is exact and
+    has nothing to refine, so its `Value` is returned at cost 1.  Raises
+    `CeilingReached` when the widths are still too wide at the cost
+    ceiling.
     """
     target_width = Fraction(target_width)
     n = 1
     while True:
         out = eval_at_cost(e, n, budget)
-        if not isinstance(out, Value):
+        if not isinstance(out, Value) or \
+                not isinstance(out.value, (Interval, DualInterval)):
             return out, n
         out.value = v = _dual_value(out.value)
         if v.std.width <= target_width and (

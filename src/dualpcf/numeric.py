@@ -1,15 +1,21 @@
 """Exact interval and dual-interval arithmetic over extended-rational endpoints.
 
-Endpoints are `fractions.Fraction` values (always in lowest terms) or the two
-infinities `-inf` / `+inf` represented by the float infinities, which are exact.
-The only interval with an infinite endpoint is the bottom element
-``(-inf, +inf)``; intervals unbounded on exactly one side are rejected.
+Endpoints are `fractions.Fraction` values (always in lowest terms).  The
+only interval with infinite endpoints is bottom, the whole line, and there
+is exactly one bottom object, `IV_BOTTOM`, whose ends are the float
+infinities `-inf` / `+inf` (which are exact).  Intervals unbounded on
+exactly one side are rejected.
 
-All values are immutable and all operations are pure.
+Only the public constructors validate their input: `Interval(lo, hi)`,
+`Interval.point`, `Interval.parse` and `DualInterval.of`; each returns
+`IV_BOTTOM` itself for `(-inf, +inf)`.  Every result of the arithmetic is
+built by `iv_unchecked` from `Fraction` endpoints, after the operation has
+tested its operands for `IV_BOTTOM`.  Instances are immutable by
+convention: nothing assigns to them after construction, and all
+operations are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import Union
@@ -38,19 +44,6 @@ def endpoint(x) -> Endpoint:
     raise TypeError(f"not an extended rational: {x!r}")
 
 
-def ep_is_inf(e: Endpoint) -> bool:
-    # endpoints are Fractions except for the two float infinities
-    return e.__class__ is float
-
-
-def ep_mul(a: Endpoint, b: Endpoint) -> Endpoint:
-    # 0 * inf = 0: endpoint products are only enumerated under the set-image
-    # convention where a degenerate zero factor yields zero.
-    if a == 0 or b == 0:
-        return Fraction(0)
-    return a * b
-
-
 def fmt_endpoint(e: Endpoint) -> str:
     if e == inf:
         return "inf"
@@ -63,27 +56,33 @@ class InconsistentIntervals(ValueError):
     """Raised by `Interval.join` when the two intervals are disjoint."""
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+def iv_unchecked(lo: Fraction, hi: Fraction) -> "Interval":
+    """Build an interval without validation: lo <= hi must be Fractions."""
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
+
+
 class Interval:
     """A non-empty compact real interval, or the whole line as bottom."""
 
-    lo: Endpoint
-    hi: Endpoint
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if lo.__class__ is Fraction and hi.__class__ is Fraction:
-            if lo > hi:
-                raise ValueError(f"invalid interval endpoints: {lo} > {hi}")
-            return
-        object.__setattr__(self, "lo", endpoint(lo))
-        object.__setattr__(self, "hi", endpoint(hi))
-        if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval endpoints: {self.lo} > {self.hi}")
-        if ep_is_inf(self.lo) != ep_is_inf(self.hi):
-            raise ValueError("half-infinite intervals are not representable")
-        if ep_is_inf(self.lo) and self.lo == self.hi:
+    def __new__(cls, lo, hi) -> "Interval":
+        lo, hi = endpoint(lo), endpoint(hi)
+        if not lo <= hi:
+            raise ValueError(f"invalid interval endpoints: {lo} > {hi}")
+        if lo.__class__ is float or hi.__class__ is float:
+            if lo == -inf and hi == inf:
+                return IV_BOTTOM
+            if lo.__class__ is not hi.__class__:
+                raise ValueError("half-infinite intervals are not representable")
             raise ValueError("degenerate infinite interval")
+        return iv_unchecked(lo, hi)
 
     # -- constructors -------------------------------------------------
 
@@ -98,13 +97,18 @@ class Interval:
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"not an interval literal: {s!r}")
         lo, hi = s[1:-1].split(",")
-        return cls(endpoint(lo), endpoint(hi))
+        return cls(lo, hi)
+
+    def __reduce__(self):
+        # copies and pickles go through the validating constructor, so
+        # a copy of bottom is IV_BOTTOM itself
+        return (Interval, (self.lo, self.hi))
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_bottom(self) -> bool:
-        return ep_is_inf(self.lo)
+        return self is IV_BOTTOM
 
     @property
     def is_point(self) -> bool:
@@ -123,83 +127,136 @@ class Interval:
         hi_ok = self.hi == inf or other.hi < self.hi
         return lo_ok and hi_ok
 
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        if self is IV_ZERO:
+            return other
+        if other is IV_ZERO:
+            return self
+        if self is IV_BOTTOM or other is IV_BOTTOM:
+            return IV_BOTTOM
+        return iv_unchecked(self.lo + other.lo, self.hi + other.hi)
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        if self is IV_BOTTOM or self is IV_ZERO:
+            return self
+        return iv_unchecked(-self.hi, -self.lo)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
+        if other is IV_ZERO:
+            return self
+        if self is IV_BOTTOM or other is IV_BOTTOM:
+            return IV_BOTTOM
+        return iv_unchecked(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        # set image: a degenerate zero factor gives zero even against bottom
-        if self == IV_ZERO or other == IV_ZERO:
+        if self is IV_ZERO or other is IV_ZERO:
             return IV_ZERO
-        ps = [
-            ep_mul(self.lo, other.lo),
-            ep_mul(self.lo, other.hi),
-            ep_mul(self.hi, other.lo),
-            ep_mul(self.hi, other.hi),
-        ]
-        return Interval(min(ps), max(ps))
+        if self is IV_BOTTOM or other is IV_BOTTOM:
+            # set image: a point zero factor gives zero even against bottom
+            z = other if self is IV_BOTTOM else self
+            return IV_ZERO if z.lo == z.hi == 0 else IV_BOTTOM
+        # The sign cases of Hickey, Ju and van Emden (JACM 2001): each
+        # factor is >= 0, <= 0 or straddles 0; only when both straddle are
+        # all four endpoint products needed.
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a.numerator >= 0:
+            if c.numerator >= 0:
+                return iv_unchecked(a * c, b * d)
+            if d.numerator <= 0:
+                return iv_unchecked(b * c, a * d)
+            return iv_unchecked(b * c, b * d)
+        if b.numerator <= 0:
+            if c.numerator >= 0:
+                return iv_unchecked(a * d, b * c)
+            if d.numerator <= 0:
+                return iv_unchecked(b * d, a * c)
+            return iv_unchecked(a * d, a * c)
+        if c.numerator >= 0:
+            return iv_unchecked(a * d, b * d)
+        if d.numerator <= 0:
+            return iv_unchecked(b * c, a * c)
+        lo1, lo2, hi1, hi2 = a * d, b * c, a * c, b * d
+        return iv_unchecked(lo1 if lo1 <= lo2 else lo2,
+                            hi1 if hi1 >= hi2 else hi2)
 
     def div_nat(self, n: int) -> "Interval":
         if n == 0:
             return IV_BOTTOM
         if n < 0:
             raise ValueError("division only by naturals")
-        return Interval(self.lo / n, self.hi / n)
+        if self is IV_BOTTOM:
+            return IV_BOTTOM
+        return iv_unchecked(self.lo / n, self.hi / n)
 
     def scale(self, q) -> "Interval":
-        q = endpoint(q)
-        if q == 0:
-            return IV_ZERO
-        if q > 0:
-            return Interval(ep_mul(self.lo, q), ep_mul(self.hi, q))
-        return Interval(ep_mul(self.hi, q), ep_mul(self.lo, q))
+        return self * Interval.point(q)
 
     def meet(self, other: "Interval") -> "Interval":
         """Infimum in the information order: convex hull."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        if self is IV_BOTTOM or other is IV_BOTTOM:
+            return IV_BOTTOM
+        a, b = self.lo, other.lo
+        c, d = self.hi, other.hi
+        return iv_unchecked(a if a <= b else b, c if c >= d else d)
 
     def join(self, other: "Interval") -> "Interval":
         """Supremum in the information order: intersection."""
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if self is IV_BOTTOM:
+            return other
+        if other is IV_BOTTOM:
+            return self
+        a, b = self.lo, other.lo
+        c, d = self.hi, other.hi
+        lo, hi = a if a >= b else b, c if c <= d else d
         if lo > hi:
             raise InconsistentIntervals(f"{self} and {other} are disjoint")
-        return Interval(lo, hi)
+        return iv_unchecked(lo, hi)
 
     def consistent(self, other: "Interval") -> bool:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
     @property
     def width(self) -> Endpoint:
-        if self.is_bottom:
+        if self is IV_BOTTOM:
             return POS_INF
         return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
-        if self.is_bottom:
+        if self is IV_BOTTOM:
             raise ValueError("bottom interval has no midpoint")
         return (self.lo + self.hi) / 2
 
     def inflate(self, pad) -> "Interval":
+        # the pad is caller input, so the result is validated
         pad = endpoint(pad)
-        if self.is_bottom:
+        if self is IV_BOTTOM:
             return self
         return Interval(self.lo - pad, self.hi + pad)
 
     def __str__(self) -> str:
         return f"[{fmt_endpoint(self.lo)},{fmt_endpoint(self.hi)}]"
 
+    def __repr__(self) -> str:
+        return f"Interval({self.lo!r}, {self.hi!r})"
 
-IV_BOTTOM = Interval(NEG_INF, POS_INF)
+
+IV_BOTTOM = iv_unchecked(NEG_INF, POS_INF)
 IV_ZERO = Interval.point(0)
 IV_ONE = Interval.point(1)
+IV_NEG_ONE = Interval.point(-1)
 IV_UNIT = Interval(0, 1)
+IV_PM_ONE = Interval(-1, 1)
+_NEG_ONE, _ONE = IV_NEG_ONE.lo, IV_ONE.lo
 
 
 def iv_max(a: Interval, b: Interval) -> Interval:
@@ -208,9 +265,15 @@ def iv_max(a: Interval, b: Interval) -> Interval:
         return a
     if b.lo > a.hi:
         return b
-    if a.is_bottom or b.is_bottom:
+    return _max_overlapping(a, b)
+
+
+def _max_overlapping(a: Interval, b: Interval) -> Interval:
+    # max once neither interval lies wholly above the other
+    if a is IV_BOTTOM or b is IV_BOTTOM:
         return IV_BOTTOM
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+    lo, hi = a.lo if a.lo >= b.lo else b.lo, a.hi if a.hi >= b.hi else b.hi
+    return iv_unchecked(lo, hi)
 
 
 def iv_min(a: Interval, b: Interval) -> Interval:
@@ -219,21 +282,23 @@ def iv_min(a: Interval, b: Interval) -> Interval:
 
 def iv_pr(a: Interval) -> Interval:
     """Clamp onto [-1,1]; standard-part restriction of dual pr."""
-    if a.hi < -1:
-        return Interval.point(-1)
-    if a.lo > 1:
-        return Interval.point(1)
-    if Fraction(-1) < a.lo and a.hi < 1:
+    if a.hi < _NEG_ONE:
+        return IV_NEG_ONE
+    if a.lo > _ONE:
+        return IV_ONE
+    if _NEG_ONE < a.lo and a.hi < _ONE:
         return a
-    return a.join(Interval(-1, 1))
+    return a.join(IV_PM_ONE)
 
 
-@dataclass(frozen=True)
 class DualInterval:
     """A pair of intervals: standard part and infinitesimal part."""
 
-    std: Interval
-    inf: Interval
+    __slots__ = ("std", "inf")
+
+    def __init__(self, std: Interval, inf: Interval):
+        self.std = std
+        self.inf = inf
 
     @classmethod
     def of(cls, std, inf=IV_ZERO) -> "DualInterval":
@@ -252,10 +317,18 @@ class DualInterval:
 
     @property
     def is_bottom(self) -> bool:
-        return self.std.is_bottom and self.inf.is_bottom
+        return self.std is IV_BOTTOM and self.inf is IV_BOTTOM
 
     def leq(self, other: "DualInterval") -> bool:
         return self.std.leq(other.std) and self.inf.leq(other.inf)
+
+    def __eq__(self, other):
+        if other.__class__ is not DualInterval:
+            return NotImplemented
+        return self.std == other.std and self.inf == other.inf
+
+    def __hash__(self) -> int:
+        return hash((self.std, self.inf))
 
     def __add__(self, other: "DualInterval") -> "DualInterval":
         return DualInterval(self.std + other.std, self.inf + other.inf)
@@ -280,8 +353,13 @@ class DualInterval:
     def __str__(self) -> str:
         return f"{self.std} + eps {self.inf}"
 
+    def __repr__(self) -> str:
+        return f"DualInterval({self.std!r}, {self.inf!r})"
+
 
 DUAL_BOTTOM = DualInterval(IV_BOTTOM, IV_BOTTOM)
+_DUAL_NEG_ONE = DualInterval(IV_NEG_ONE, IV_ZERO)
+_DUAL_ONE = DualInterval(IV_ONE, IV_ZERO)
 
 
 def dual_max(a: DualInterval, b: DualInterval) -> DualInterval:
@@ -290,11 +368,7 @@ def dual_max(a: DualInterval, b: DualInterval) -> DualInterval:
         return a
     if b.std.lo > a.std.hi:
         return b
-    merged_inf = a.inf.meet(b.inf)
-    if a.std.is_bottom or b.std.is_bottom:
-        return DualInterval(IV_BOTTOM, merged_inf)
-    merged_std = Interval(max(a.std.lo, b.std.lo), max(a.std.hi, b.std.hi))
-    return DualInterval(merged_std, merged_inf)
+    return DualInterval(_max_overlapping(a.std, b.std), a.inf.meet(b.inf))
 
 
 def dual_min(a: DualInterval, b: DualInterval) -> DualInterval:
@@ -304,14 +378,14 @@ def dual_min(a: DualInterval, b: DualInterval) -> DualInterval:
 
 def dual_pr(a: DualInterval) -> DualInterval:
     """Projection of a dual interval onto [-1,1] (four-case rule)."""
-    if a.std.hi < -1:
-        return DualInterval(Interval.point(-1), IV_ZERO)
-    if a.std.lo > 1:
-        return DualInterval(Interval.point(1), IV_ZERO)
-    if Fraction(-1) < a.std.lo and a.std.hi < 1:
+    if a.std.hi < _NEG_ONE:
+        return _DUAL_NEG_ONE
+    if a.std.lo > _ONE:
+        return _DUAL_ONE
+    if _NEG_ONE < a.std.lo and a.std.hi < _ONE:
         return a
     # non-empty by case analysis: std touches [-1,1] here
-    return DualInterval(a.std.join(Interval(-1, 1)), a.inf.meet(IV_ZERO))
+    return DualInterval(a.std.join(IV_PM_ONE), a.inf.meet(IV_ZERO))
 
 
 def dual_eps(a: DualInterval) -> DualInterval:

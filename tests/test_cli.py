@@ -104,6 +104,21 @@ class TestEval:
         assert doc["steps"] > 0
         assert doc == json.loads(out)
 
+    def test_width_on_discrete_program(self, capsys, program):
+        # a nat result is exact: printed at once, with the steps of cost 1
+        path = program("succ 0")
+        code, out, _ = run(capsys, ["eval", path, "--width", "1/4"])
+        assert code == 0
+        assert out == "1\n"
+        code, out, _ = run(capsys, ["eval", path, "--width", "1/4",
+                                    "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = run(capsys, ["eval", path, "--cost", "1",
+                                    "--format", "json"])
+        assert doc == json.loads(out)
+        assert doc["value"] == "1" and doc["steps"] > 0
+
     def test_divergent_unbounded_fixed_point(self, capsys, program):
         # diverges by recursion depth long before the default step budget
         path = program("(Y[nat -> nat] (fun f: nat -> nat. fun n: nat. "

@@ -1,0 +1,29 @@
+"""Bit-identity of printed enclosures against the benchmark's golden file.
+
+Every corpus program is evaluated at costs 0-4 and its printed value is
+compared with the entry recorded in `bench/golden/corpus.json`, which this
+test only reads.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from dualpcf.corpus import CORPUS, load_corpus
+from dualpcf.machine import Value, eval_at_cost
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "corpus.json"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_corpus_enclosures_match_golden(golden, name):
+    e, _ = load_corpus(name)
+    for cost in range(5):
+        out = eval_at_cost(e, cost)
+        assert isinstance(out, Value), f"{name}@{cost}: {out}"
+        assert str(out.value) == golden[f"{name}@{cost}"], f"{name}@{cost}"

@@ -1,9 +1,11 @@
 """Unit tests for exact interval and dual-interval arithmetic."""
+import copy
+import itertools
 from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, InconsistentIntervals, Interval, IV_BOTTOM,
@@ -195,3 +197,157 @@ class TestDualPr:
 
     def test_embed(self):
         assert in_dual(IV_UNIT) == DualInterval(IV_UNIT, IV_ZERO)
+
+
+# -- reference rules ---------------------------------------------------------
+#
+# The arithmetic as first written: every endpoint product formed under the
+# set-image convention 0 * inf = 0, then min/max over the four of them, and
+# every result built by the validating constructor.  The sign-case rules
+# above must give equal results, bottom exactly where the reference does.
+
+
+def ref_ep_mul(a, b):
+    if a == 0 or b == 0:
+        return Fraction(0)
+    return a * b
+
+
+def ref_mul(x, y):
+    if x == IV_ZERO or y == IV_ZERO:
+        return IV_ZERO
+    ps = [ref_ep_mul(p, q) for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+    return Interval(min(ps), max(ps))
+
+
+def ref_add(x, y):
+    return Interval(x.lo + y.lo, x.hi + y.hi)
+
+
+def ref_neg(x):
+    return Interval(-x.hi, -x.lo)
+
+
+def ref_sub(x, y):
+    return ref_add(x, ref_neg(y))
+
+
+def ref_scale(x, q):
+    if q == 0:
+        return IV_ZERO
+    if q > 0:
+        return Interval(ref_ep_mul(x.lo, q), ref_ep_mul(x.hi, q))
+    return Interval(ref_ep_mul(x.hi, q), ref_ep_mul(x.lo, q))
+
+
+def ref_meet(x, y):
+    return Interval(min(x.lo, y.lo), max(x.hi, y.hi))
+
+
+def ref_max(a, b):
+    if a.lo > b.hi:
+        return a
+    if b.lo > a.hi:
+        return b
+    if a.lo == -inf or b.lo == -inf:
+        return IV_BOTTOM
+    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def ref_dual_mul(a, b):
+    return DualInterval(ref_mul(a.std, b.std),
+                        ref_add(ref_mul(a.std, b.inf), ref_mul(b.std, a.inf)))
+
+
+def ref_dual_max(a, b):
+    if a.std.lo > b.std.hi:
+        return a
+    if b.std.lo > a.std.hi:
+        return b
+    return DualInterval(ref_max(a.std, b.std), ref_meet(a.inf, b.inf))
+
+
+def same(got, want):
+    """Equal, printed alike, and bottom only as the one bottom object."""
+    assert got == want and str(got) == str(want)
+    for g, w in ((got, want),) if isinstance(got, Interval) else \
+            ((got.std, want.std), (got.inf, want.inf)):
+        assert (g is IV_BOTTOM) == (w is IV_BOTTOM) == (w.lo == -inf)
+
+
+nonneg = st.fractions(min_value=0, max_value=100, max_denominator=1 << 10)
+nonpos = nonneg.map(lambda q: -q)
+positive = nonneg.filter(lambda q: q > 0)
+
+# One strategy per sign class of an operand: >= 0, <= 0, straddling 0,
+# the point zero (the shared IV_ZERO or a fresh one) and bottom.
+SIGN_KINDS = {
+    "nonneg": st.lists(nonneg, min_size=2, max_size=2).map(
+        lambda ab: Interval(min(ab), max(ab))),
+    "nonpos": st.lists(nonpos, min_size=2, max_size=2).map(
+        lambda ab: Interval(min(ab), max(ab))),
+    "straddle": st.tuples(positive, positive).map(
+        lambda ab: Interval(-ab[0], ab[1])),
+    "zero": st.sampled_from([IV_ZERO, Interval(0, 0)]),
+    "bottom": st.just(IV_BOTTOM),
+}
+KIND_PAIRS = list(itertools.product(SIGN_KINDS, repeat=2))
+any_kind = st.one_of(*SIGN_KINDS.values())
+
+
+def duals_of(std, inf_):
+    return st.builds(DualInterval, std, inf_)
+
+
+@pytest.mark.parametrize("kx,ky", KIND_PAIRS)
+class TestAgainstReference:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_interval_ops(self, kx, ky, data):
+        x, y = data.draw(SIGN_KINDS[kx]), data.draw(SIGN_KINDS[ky])
+        same(x * y, ref_mul(x, y))
+        same(x - y, ref_sub(x, y))
+        same(x + y, ref_add(x, y))
+        same(-x, ref_neg(x))
+        same(iv_max(x, y), ref_max(x, y))
+        if y is not IV_BOTTOM:
+            same(x.scale(y.lo), ref_scale(x, y.lo))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_dual_ops(self, kx, ky, data):
+        a = data.draw(duals_of(SIGN_KINDS[kx], any_kind))
+        b = data.draw(duals_of(SIGN_KINDS[ky], any_kind))
+        same(a * b, ref_dual_mul(a, b))
+        same(dual_max(a, b), ref_dual_max(a, b))
+
+
+class TestOneBottom:
+    def test_public_constructors_return_the_bottom_object(self):
+        assert Interval(-inf, inf) is IV_BOTTOM
+        assert Interval("-inf", "+inf") is IV_BOTTOM
+        assert Interval.parse("[-inf,inf]") is IV_BOTTOM
+        assert Interval.parse("[-inf, inf]") is IV_BOTTOM
+        assert DualInterval.parse(str(DUAL_BOTTOM)).inf is IV_BOTTOM
+        assert copy.deepcopy(IV_BOTTOM) is IV_BOTTOM
+        assert copy.copy(iv(1, 2)) == iv(1, 2)
+
+    def test_bottom_keeps_float_ends(self):
+        assert (IV_BOTTOM.lo, IV_BOTTOM.hi) == (-inf, inf)
+        assert IV_BOTTOM.width == inf and IV_BOTTOM.is_bottom
+        assert not Interval(-1, 1).is_bottom
+
+    @given(any_kind, any_kind, positive)
+    def test_no_float_endpoint_off_bottom(self, x, y, q):
+        results = [x + y, x - y, -x, x * y, x.scale(q), x.scale(-q),
+                   x.div_nat(3), x.meet(y), iv_max(x, y), iv_min(x, y),
+                   iv_pr(x), x.inflate(q)]
+        if x.consistent(y):
+            results.append(x.join(y))
+        a, b = DualInterval(x, y), DualInterval(y, x)
+        for d in (a + b, a - b, -a, a * b, a.div_nat(2), dual_max(a, b),
+                  dual_min(a, b), dual_pr(a), dual_eps(a)):
+            results += [d.std, d.inf]
+        for r in results:
+            assert r is IV_BOTTOM or (r.lo.__class__ is Fraction
+                                      and r.hi.__class__ is Fraction)
