@@ -40,7 +40,10 @@ def _budget(args) -> int:
 def _load(path: str):
     with open(path) as fh:
         src = fh.read()
-    return elaborate(parse(src), {})
+    try:
+        return elaborate(parse(src), {})
+    except RecursionError:
+        raise ParseError("program nested too deeply") from None
 
 
 def _iv_json(iv: Interval) -> dict:

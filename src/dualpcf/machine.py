@@ -1,11 +1,18 @@
 """Cost-indexed call-by-name evaluator.
 
-`eval_at_cost` normalizes a cost-tagged closed term with a recursive
-evaluator that applies the reduction rules depth-first in the order fixed
-by the evaluation contexts (function position first, then operator
-arguments left to right).  `step` is the literal one-redex-at-a-time
-variant that the conformance tests compare against.  Both use the same
-ground-rule table, int/sup combine, Y unfolding and L body.
+`Machine` is an environment machine (Sestoft, "Deriving a lazy abstract
+machine", JFP 1997).  An argument becomes a thunk, the unevaluated term
+with its environment, and a lambda value a closure over its environment
+and cost tag.  Thunks are not shared: each use of a variable forces its
+thunk afresh, at the cost tag in force where the variable occurs, which is
+the tag substitution would have given the argument there.  The machine
+applies the reduction rules depth-first in the order fixed by the
+evaluation contexts (function position first, then operator arguments
+left to right) and never substitutes.  `step` is the literal
+one-redex-at-a-time reducer that substitutes; the conformance tests
+compare the two.  Both use the same ground-rule table, int/sup combine,
+Y unfolding and L body: `Machine` instantiates the last three with
+reserved variables bound to its thunks.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -66,37 +73,49 @@ class CeilingReached(Exception):
 # -- runtime values ---------------------------------------------------------
 
 # Ground values are the literal AST nodes themselves (NatLit, BoolLit,
-# IvLit, DualLit), and int/sup values are their IntSupAt nodes.  The
-# remaining values:
+# IvLit, DualLit), and int/sup values are their IntSupAt nodes.  An
+# environment is a dict from variable names to thunks; it is copied when a
+# binder extends it, never changed in place.  The remaining values:
 
 
-@dataclass
+@dataclass(slots=True)
+class Thunk:
+    """A call-by-name argument: an unevaluated term and its environment.
+    It has no cost tag of its own: each use evaluates it at the tag in
+    force where the variable occurs, the tag `subst` would give it."""
+    expr: Expr
+    env: dict
+
+
+@dataclass(slots=True)
 class Closure:
     lam: Lam
+    env: dict
     tag: Optional[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class PrimVal:
     name: str
     carrier: Optional[Type]  # None for a fixed signature
-    args: Tuple[Expr, ...]
+    args: Tuple[Thunk, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class YVal:
     ty: Type
     tag: Optional[int]  # None: standard unbounded unfolding
 
 
-@dataclass
+@dataclass(slots=True)
 class LVal:
     targs: Tuple[Type, ...]
     n: int
-    args: Tuple[Expr, ...]
+    args: Tuple[Thunk, ...]
 
 
 BOOL_BOTTOM = object()  # result of the zero test on a zero-straddling interval
+_STRADDLING_ZERO_TEST = "zero test on a straddling interval"
 
 
 # -- outcomes ---------------------------------------------------------------
@@ -302,10 +321,18 @@ def l_body(targs, args) -> Expr:
                          for ty, p, d in zip(targs, points, dirs)])
 
 
-# -- the recursive evaluator ------------------------------------------------
+# -- the environment machine -----------------------------------------------
 
 
 _LITERALS = (NatLit, BoolLit, IvLit, DualLit)
+_VALUE_NODES = frozenset(_LITERALS + (IntSupAt,))
+_EMPTY: dict = {}
+
+# Reserved variables (%F, and %L<i> in `_reduce_l`), which neither the
+# parser nor `fresh_var` produces: the shared rule templates are
+# instantiated with them in a fresh environment that binds them to the
+# argument thunks.
+_F = Var("%F")
 
 
 class Machine:
@@ -320,33 +347,58 @@ class Machine:
             raise BudgetError(self.steps)
 
     def evalc(self, e: Expr, tag: Optional[int]):
-        while isinstance(e, CostTagged):
-            tag = e.n
-            e = e.expr
-        if isinstance(e, _LITERALS):
-            return e
-        if isinstance(e, Lam):
-            return Closure(e, tag)
-        if isinstance(e, Const):
-            return self._const_value(e, tag)
-        if isinstance(e, App):
-            fv = self.evalc(e.fn, tag)
-            return self.apply(fv, e.arg, tag)
-        if isinstance(e, If):
-            self._tick()
-            cv = self.evalc(e.cond, tag)
-            if cv is BOOL_BOTTOM:
-                if e.ty is not None and is_continuous_type(e.ty):
-                    return self.evalc(bottom_expr(e.ty), tag)
-                raise UndeterminedSignal(
-                    "conditional on a zero-straddling test at a "
-                    "non-continuous type")
-            if not isinstance(cv, BoolLit):
-                raise StuckTerm(f"conditional on non-boolean {cv}")
-            return self.evalc(e.then if cv.b else e.els, tag)
-        if isinstance(e, IntSupAt):
-            return e
-        raise StuckTerm(f"cannot evaluate {e!r}")
+        """Evaluate a closed term at cost `tag` (None: untagged)."""
+        return self._eval(e, _EMPTY, tag)
+
+    def _eval(self, e: Expr, env: dict, tag: Optional[int]):
+        # Tail positions (tags, variables, beta steps and branches) loop
+        # instead of recursing.
+        while True:
+            cls = e.__class__
+            if cls is App:
+                fv = self._eval(e.fn, env, tag)
+                arg = e.arg
+                # a variable argument passes on the thunk it is bound to,
+                # so forwarding chains do not grow with each Y unfolding
+                th = env.get(arg.name) if arg.__class__ is Var else None
+                if th is None:
+                    th = Thunk(arg, env)
+                self._tick()
+                if fv.__class__ is not Closure:
+                    return self._apply(fv, th, tag)
+                lam = fv.lam
+                env = fv.env.copy()
+                env[lam.var] = th
+                e, tag = lam.body, fv.tag
+            elif cls is Var:
+                th = env.get(e.name)
+                if th is None:
+                    raise StuckTerm(f"unbound variable {e.name}")
+                e, env = th.expr, th.env
+            elif cls is CostTagged:
+                tag = e.n
+                e = e.expr
+            elif cls in _VALUE_NODES:
+                return e
+            elif cls is Const:
+                return self._const_value(e, tag)
+            elif cls is Lam:
+                return Closure(e, env, tag)
+            elif cls is If:
+                self._tick()
+                cv = self._eval(e.cond, env, tag)
+                if cv is BOOL_BOTTOM:
+                    if e.ty is None or not is_continuous_type(e.ty):
+                        raise UndeterminedSignal(
+                            "conditional on a zero-straddling test at a "
+                            "non-continuous type")
+                    e, env = bottom_expr(e.ty), _EMPTY
+                elif cv.__class__ is BoolLit:
+                    e = e.then if cv.b else e.els
+                else:
+                    raise StuckTerm(f"conditional on non-boolean {cv}")
+            else:
+                raise StuckTerm(f"cannot evaluate {e!r}")
 
     def _const_value(self, c: Const, tag: Optional[int]):
         name = c.name
@@ -370,22 +422,21 @@ class Machine:
             return PrimVal(name, _carrier_of(c), ())
         raise StuckTerm(f"unknown constant {name!r}")
 
-    def apply(self, fv, arg: Expr, tag: Optional[int]):
-        self._tick()
-        if isinstance(fv, Closure):
-            return self.evalc(subst(fv.lam.body, fv.lam.var, arg), fv.tag)
+    def _apply(self, fv, th: Thunk, tag: Optional[int]):
+        """Apply a value other than a closure to an argument thunk; the
+        step was ticked by the caller."""
         if isinstance(fv, PrimVal):
-            args = fv.args + (arg,)
+            args = fv.args + (th,)
             if len(args) < _ARITY[fv.name]:
                 return PrimVal(fv.name, fv.carrier, args)
-            vals = [self.evalc(a, tag) for a in args]
+            vals = [self._eval(a.expr, a.env, tag) for a in args]
             return apply_ground_rule(fv.name, fv.carrier, vals, self.overrides)
         if isinstance(fv, IntSupAt):
-            return self._reduce_intsup(fv, arg, fv.m)
+            return self._reduce_intsup(fv, {_F.name: th}, fv.m)
         if isinstance(fv, YVal):
-            return self.evalc(unfold_y(fv.ty, arg, fv.tag), tag)
+            return self._eval(unfold_y(fv.ty, _F, fv.tag), {_F.name: th}, tag)
         if isinstance(fv, LVal):
-            args = fv.args + (arg,)
+            args = fv.args + (th,)
             if len(args) < 1 + 2 * len(fv.targs):
                 return LVal(fv.targs, fv.n, args)
             return self._reduce_l(fv.targs, fv.n, args)
@@ -394,23 +445,27 @@ class Machine:
     def _ground(self, name: str, carrier, vals: List):
         return apply_ground_rule(name, carrier, vals, self.overrides)
 
-    def _reduce_intsup(self, node: IntSupAt, f: Expr, m: int,
+    def _reduce_intsup(self, node: IntSupAt, env: dict, m: int,
                        lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)):
         # The bisection rule rescales f with wrapper lambdas; composing
         # those affine maps sends [0,1] to an explicit dyadic cell, so the
-        # cell endpoints are passed down directly.  Values are identical
-        # (all the arithmetic involved is exact) and the association of
-        # the combining tree is preserved.
+        # cell endpoints are passed down directly and each cell applies f,
+        # bound to %F in env, to its cell.  Values are identical (all the
+        # arithmetic involved is exact) and the association of the
+        # combining tree is preserved.
         if m == 0:
-            return self.evalc(App(f, IvLit(iv_unchecked(lo, hi))), node.n)
+            return self._eval(App(_F, IvLit(iv_unchecked(lo, hi))), env,
+                              node.n)
         self._tick()
         mid = (lo + hi) / 2
-        lv = self._reduce_intsup(node, f, m - 1, lo, mid)
-        rv = self._reduce_intsup(node, f, m - 1, mid, hi)
+        lv = self._reduce_intsup(node, env, m - 1, lo, mid)
+        rv = self._reduce_intsup(node, env, m - 1, mid, hi)
         return intsup_combine(node.kind, node.carrier, lv, rv, self._ground)
 
     def _reduce_l(self, targs, n: int, args):
-        v = self.evalc(l_body(targs, args), n)
+        xs = [Var(f"%L{i}") for i in range(len(args))]
+        env = {x.name: th for x, th in zip(xs, args)}
+        v = self._eval(l_body(targs, xs), env, n)
         if not isinstance(v, DualLit):
             raise StuckTerm(f"derivative body evaluated to {v}")
         return IvLit(v.dv.inf)
@@ -421,9 +476,10 @@ class Machine:
         """Normalize a closed, elaborated term of ground type at cost n.
 
         A run that exhausts the step budget, or the interpreter's recursion
-        depth on a divergent term, ends in `BudgetExhausted`.  An entry of
-        `overrides` replaces its constant's rule wherever that rule fires,
-        the int/sup combine included (see `apply_ground_rule`).
+        depth on a divergent term, ends in `BudgetExhausted`; a result that
+        is a zero test on a zero-straddling interval is `Undetermined`.  An
+        entry of `overrides` replaces its constant's rule wherever that
+        rule fires, the int/sup combine included (see `apply_ground_rule`).
         """
         self.steps = 0
         try:
@@ -432,6 +488,9 @@ class Machine:
             return Undetermined(steps=self.steps, reason=u.reason)
         except (BudgetError, RecursionError):
             return BudgetExhausted(steps=self.steps)
+        if v is BOOL_BOTTOM:
+            return Undetermined(steps=self.steps,
+                                reason=_STRADDLING_ZERO_TEST)
         return Value(steps=self.steps, value=_unlit(v))
 
 
@@ -573,7 +632,7 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             h = head.expr if isinstance(head, CostTagged) else head
             out = apply_ground_rule(name, _carrier_of(h), args, overrides)
             if out is BOOL_BOTTOM:
-                raise UndeterminedSignal("zero test on a straddling interval")
+                raise UndeterminedSignal(_STRADDLING_ZERO_TEST)
             return out
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Lam):
             lam, m = e.fn.expr, e.fn.n

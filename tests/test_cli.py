@@ -34,6 +34,14 @@ class TestCheck:
         assert code == 1
         assert err
 
+    def test_deeply_nested_program(self, capsys, program):
+        path = program("in_delta (" + "+".join(["1"] * 40_000) + ")")
+        for command in ("check", "eval"):
+            code, out, err = run(capsys, [command, path])
+            assert code == 1
+            assert out == ""
+            assert err == "program nested too deeply\n"
+
     def test_type_error(self, capsys, program):
         src = "if 0 < in_delta (in_pi 1) then 1 else 2"
         code, _, err = run(capsys, ["check", program(src)])
@@ -76,6 +84,15 @@ class TestEval:
         code, out, _ = run(capsys, ["eval", path])
         assert code == 3
         assert "undetermined" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--cost", "2"], ["--width", "1/4"], ["--format", "json"]])
+    def test_straddling_zero_test_as_result(self, capsys, program, flags):
+        path = program("0 < in_pi 0")
+        code, out, err = run(capsys, ["eval", path] + flags)
+        assert code == 3
+        assert out == "undetermined\n"
+        assert err == "undetermined: zero test on a straddling interval\n"
 
     def test_width_undetermined(self, capsys, program):
         path = program("if 0 < (int (fun t: real. t - 1/2)) then 1 else 0")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualpcf import machine
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
     App, Const, CostTagged, DualLit, IvLit, parse,
@@ -58,6 +59,18 @@ class TestGroundRules:
     def test_undetermined_test_at_nat_is_undetermined(self):
         out = ev("if 0 < in_pi 0 then 1 else 2")
         assert isinstance(out, Undetermined)
+
+    @pytest.mark.parametrize("src", [
+        "0 < in_pi 0",
+        "lt0 (in_pi 0)",
+        "(fun b: bool. b) (0 < in_pi 1 - in_pi 1)",
+    ])
+    def test_straddling_zero_test_as_result_is_undetermined(self, src):
+        out = ev(src, 2)
+        assert isinstance(out, Undetermined)
+        assert out.reason == "zero test on a straddling interval"
+        with pytest.raises(machine.UndeterminedSignal):
+            run_steps(CostTagged(elaborate(parse(src), {})[0], 2))
 
     def test_max_on_points(self):
         assert val("max(in_pi 2, in_pi 3)") == Interval.point(3)
@@ -169,6 +182,27 @@ class TestSingleStep:
         assert isinstance(big, Value)
         assert _unlit(nf) == big.value
 
+    @pytest.mark.parametrize("src,expected", [
+        # a binder shadowing the variable its argument mentions
+        ("(fun x: real. (fun x: real. x + x) (x + 1)) (in_pi 3)", "[8,8]"),
+        # g closes over the outer y; the callee binds y again before g runs
+        ("(fun y: real. (fun g: real -> real. (fun y: real. g y) (in_pi 100))"
+         " (fun z: real. z + y)) (in_pi 1)", "[101,101]"),
+        # a built at cost 3, forced inside the Y unfolding at cost 2
+        ("(fun a: delta. Y[delta] (fun x: delta. a))"
+         " (int (fun t: real. in_delta t))", "[3/8,5/8] + eps [0,0]"),
+        # the same, with a passed on as the point of an L application
+        ("(fun a: delta. Y[real] (fun x: real."
+         " L[delta] (fun z: delta. z * z) a 1))"
+         " (int (fun t: real. in_delta t))", "[3/4,5/4]"),
+    ], ids=["shadowed_binder", "closure_capture", "tag_in_y", "tag_in_l"])
+    def test_environments_agree_with_substitution(self, src, expected):
+        e, _ = elaborate(parse(src), {})
+        big = eval_at_cost(e, 3)
+        nf, _ = run_steps(CostTagged(e, 3), max_steps=100000)
+        assert _unlit(nf) == big.value
+        assert str(big.value) == expected
+
     def test_max_override_fires_in_both_reducers(self):
         # a `max` that keeps its left operand: sup's combine then keeps the
         # leftmost cell, under the evaluator and the one-step reducer alike
@@ -193,6 +227,24 @@ def test_expected_limit_in_every_enclosure(name):
         v = eval_at_cost(e, n).value
         std = v.std if isinstance(v, DualInterval) else v
         assert std.contains(entry.expected), (n, v)
+
+
+@pytest.mark.parametrize("name,n,steps", [
+    ("linear_functional", 10, 13_315),
+    ("nested_int_xyz", 4, 25_120),
+    ("ivp_const_field", 10, 6_147),
+])
+def test_step_counts_are_pinned(name, n, steps):
+    # the machine-independent work measure that bench results are read by
+    assert eval_at_cost(load_corpus(name)[0], n).steps == steps
+
+
+def test_machine_does_not_substitute(monkeypatch):
+    def no_subst(*args):
+        raise AssertionError("subst called by Machine")
+    monkeypatch.setattr(machine, "subst", no_subst)
+    for name in CORPUS:
+        assert isinstance(eval_at_cost(load_corpus(name)[0], 2), Value), name
 
 
 class TestBudget:
