@@ -1,7 +1,8 @@
 """Command-line driver: check, eval, verify, examples.
 
-Exit codes: 0 success, 1 parse or type error, 2 budget or refinement
-ceiling exhausted, 3 result undetermined.
+Exit codes: 0 success, 1 parse or type error (or `eval` of a program of
+function type), 2 budget or refinement ceiling exhausted, 3 result
+undetermined.
 """
 from __future__ import annotations
 
@@ -50,13 +51,15 @@ def _iv_json(iv: Interval) -> dict:
     return {"lo": fmt_endpoint(iv.lo), "hi": fmt_endpoint(iv.hi)}
 
 
-def _render(value, cost: int, steps: int, fmt: str) -> str:
+def _render(out, cost: int, fmt: str) -> str:
+    value = out.value
     dv = in_dual(value) if isinstance(value, Interval) else value
+    counts = {"cost": cost, "steps": out.steps, "shared": out.shared}
     if fmt == "json" and isinstance(dv, DualInterval):
         return json.dumps({"std": _iv_json(dv.std), "inf": _iv_json(dv.inf),
-                           "cost": cost, "steps": steps})
+                           **counts})
     if fmt == "json":
-        return json.dumps({"value": str(value), "cost": cost, "steps": steps})
+        return json.dumps({"value": str(value), **counts})
     return f"{value}"
 
 
@@ -91,7 +94,7 @@ def _eval_term(e, args) -> int:
         print(f"step budget exhausted after {out.steps} steps",
               file=sys.stderr)
         return EXIT_BUDGET
-    print(_render(out.value, cost, out.steps, args.format))
+    print(_render(out, cost, args.format))
     if args.width is not None and args.format == "text":
         print(f"# cost {cost}, {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK
@@ -99,9 +102,13 @@ def _eval_term(e, args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        e, _ = _load(args.file)
+        e, ty = _load(args.file)
     except (ParseError, TypeCheckError) as ex:
         print(ex, file=sys.stderr)
+        return EXIT_FRONTEND
+    if isinstance(ty, Arrow):
+        print(f"cannot evaluate a program of non-ground type {ty}",
+              file=sys.stderr)
         return EXIT_FRONTEND
     return _eval_term(e, args)
 

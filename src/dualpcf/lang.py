@@ -91,6 +91,11 @@ class Var(Expr):
 class App(Expr):
     fn: Expr
     arg: Expr
+    # Set by elaboration on an application under a lambda that does not
+    # mention that lambda's variable: its free variables, sorted.  The
+    # machine shares the value of such an application per cost tag.
+    free: Optional[Tuple[str, ...]] = field(default=None, compare=False,
+                                            repr=False)
 
     def __str__(self) -> str:
         return print_expr(self)

@@ -3,16 +3,28 @@
 `Machine` is an environment machine (Sestoft, "Deriving a lazy abstract
 machine", JFP 1997).  An argument becomes a thunk, the unevaluated term
 with its environment, and a lambda value a closure over its environment
-and cost tag.  Thunks are not shared: each use of a variable forces its
-thunk afresh, at the cost tag in force where the variable occurs, which is
-the tag substitution would have given the argument there.  The machine
-applies the reduction rules depth-first in the order fixed by the
-evaluation contexts (function position first, then operator arguments
-left to right) and never substitutes.  `step` is the literal
-one-redex-at-a-time reducer that substitutes; the conformance tests
-compare the two.  Both use the same ground-rule table, int/sup combine,
-Y unfolding and L body: `Machine` instantiates the last three with
-reserved variables bound to its thunks.
+and cost tag.  Each use of a variable forces its thunk at the cost tag in
+force where the variable occurs, which is the tag substitution would have
+given the argument there.  The machine applies the reduction rules
+depth-first in the order fixed by the evaluation contexts (function
+position first, then operator arguments left to right) and never
+substitutes.  `step` is the literal one-redex-at-a-time reducer that
+substitutes; the conformance tests compare the two.  Both use the same
+ground-rule table, int/sup combine, Y unfolding and L body: `Machine`
+instantiates the last three with reserved variables bound to its thunks.
+
+Work repeated across bisection cells is shared per cost tag, as the
+maximal free expressions of full laziness (Peyton Jones, Partain and
+Santos, "Let-floating", ICFP 1996).  Elaboration marks each application
+under a lambda that does not mention that lambda's variable with its free
+variables (`App.free`).  From a run's first int/sup cell on, a primitive
+forcing such an application as its argument looks it up in the run's
+table: the same cost tag and the same thunks bound to its free variables
+give the stored value, and the stored step count is replayed, so steps,
+budget exhaustion and enclosures are those of the unshared machine.
+`Outcome.shared` counts the replayed steps.  A shared application fires
+its rules once, so an `overrides` entry must be a pure function of its
+arguments.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -78,16 +90,17 @@ class CeilingReached(Exception):
 # binder extends it, never changed in place.  The remaining values:
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Thunk:
     """A call-by-name argument: an unevaluated term and its environment.
     It has no cost tag of its own: each use evaluates it at the tag in
-    force where the variable occurs, the tag `subst` would give it."""
+    force where the variable occurs, the tag `subst` would give it.
+    Thunks compare by identity, which is what the sharing table keys on."""
     expr: Expr
     env: dict
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Closure:
     lam: Lam
     env: dict
@@ -124,6 +137,7 @@ _STRADDLING_ZERO_TEST = "zero test on a straddling interval"
 @dataclass
 class Outcome:
     steps: int = 0
+    shared: int = 0  # of the steps, those replayed from shared results
 
 
 @dataclass
@@ -340,6 +354,11 @@ class Machine:
         self.budget = budget
         self.overrides = overrides
         self.steps = 0
+        self.shared = 0
+        # The sharing table of a run: id of a marked application -> (key,
+        # value, steps), one slot per node.  None until the run enters its
+        # first int/sup cell, where the repeats are.
+        self._memo = None
 
     def _tick(self):
         self.steps += 1
@@ -429,9 +448,17 @@ class Machine:
             args = fv.args + (th,)
             if len(args) < _ARITY[fv.name]:
                 return PrimVal(fv.name, fv.carrier, args)
-            vals = [self._eval(a.expr, a.env, tag) for a in args]
+            if self._memo is None:
+                vals = [self._eval(a.expr, a.env, tag) for a in args]
+            else:
+                vals = [self._eval(a.expr, a.env, tag)
+                        if a.expr.__class__ is not App or a.expr.free is None
+                        else self._force_shared(a.expr, a.env, tag)
+                        for a in args]
             return apply_ground_rule(fv.name, fv.carrier, vals, self.overrides)
         if isinstance(fv, IntSupAt):
+            if self._memo is None:
+                self._memo = {}
             return self._reduce_intsup(fv, {_F.name: th}, fv.m)
         if isinstance(fv, YVal):
             return self._eval(unfold_y(fv.ty, _F, fv.tag), {_F.name: th}, tag)
@@ -441,6 +468,29 @@ class Machine:
                 return LVal(fv.targs, fv.n, args)
             return self._reduce_l(fv.targs, fv.n, args)
         raise StuckTerm(f"cannot apply {fv}")
+
+    def _force_shared(self, e: App, env: dict, tag: Optional[int]):
+        """Evaluate a marked application, a primitive's argument, at `tag`.
+        Its value and step count depend only on the tag and the thunks
+        bound to its free variables, so a hit returns the stored value
+        and replays the stored steps."""
+        # thunks compare by identity
+        key = (tag, *[env.get(x) for x in e.free])
+        slot = self._memo.get(id(e))
+        if slot is not None and slot[0] == key:
+            steps = self.steps + slot[2]
+            if steps > self.budget:
+                # where the unshared evaluation would have stopped
+                self.shared += self.budget + 1 - self.steps
+                self.steps = self.budget + 1
+                raise BudgetError(self.steps)
+            self.shared += slot[2]
+            self.steps = steps
+            return slot[1]
+        before = self.steps
+        v = self._eval(e, env, tag)
+        self._memo[id(e)] = (key, v, self.steps - before)
+        return v
 
     def _ground(self, name: str, carrier, vals: List):
         return apply_ground_rule(name, carrier, vals, self.overrides)
@@ -481,17 +531,20 @@ class Machine:
         entry of `overrides` replaces its constant's rule wherever that
         rule fires, the int/sup combine included (see `apply_ground_rule`).
         """
-        self.steps = 0
+        self.steps = self.shared = 0
         try:
             v = self.evalc(CostTagged(e, n), None)
         except UndeterminedSignal as u:
-            return Undetermined(steps=self.steps, reason=u.reason)
+            return Undetermined(steps=self.steps, shared=self.shared,
+                                reason=u.reason)
         except (BudgetError, RecursionError):
-            return BudgetExhausted(steps=self.steps)
+            return BudgetExhausted(steps=self.steps, shared=self.shared)
+        finally:
+            self._memo = None
         if v is BOOL_BOTTOM:
-            return Undetermined(steps=self.steps,
+            return Undetermined(steps=self.steps, shared=self.shared,
                                 reason=_STRADDLING_ZERO_TEST)
-        return Value(steps=self.steps, value=_unlit(v))
+        return Value(steps=self.steps, shared=self.shared, value=_unlit(v))
 
 
 def _unlit(v):

@@ -362,9 +362,36 @@ class _Checker:
         return out, REAL
 
 
+def _mark_shared(e: Expr, x: Optional[str]) -> Tuple[Expr, frozenset]:
+    """e with each application under the lambda binding x that does not
+    mention x (a free expression, in full laziness's terms) marked with its
+    free variables, and the free variables of e."""
+    if isinstance(e, Var):
+        return e, frozenset((e.name,))
+    if isinstance(e, App):
+        fn, ffv = _mark_shared(e.fn, x)
+        arg, afv = _mark_shared(e.arg, x)
+        fv = ffv | afv
+        free = tuple(sorted(fv)) if x is not None and x not in fv else None
+        return App(fn, arg, free), fv
+    if isinstance(e, Lam):
+        body, fv = _mark_shared(e.body, e.var)
+        return Lam(e.var, e.ty, body), fv - {e.var}
+    if isinstance(e, If):
+        (cond, cfv), (then, tfv), (els, efv) = (
+            _mark_shared(b, x) for b in (e.cond, e.then, e.els))
+        return If(cond, then, els, e.ty), cfv | tfv | efv
+    if isinstance(e, CostTagged):
+        inner, fv = _mark_shared(e.expr, x)
+        return CostTagged(inner, e.n), fv
+    return e, frozenset()
+
+
 def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None) -> Tuple[Expr, Type]:
-    """Type-check a surface term, returning the coercion-elaborated term."""
-    return _Checker().infer(e, env or {})
+    """Type-check a surface term, returning the coercion-elaborated term
+    with its sharing candidates marked (see `App.free`)."""
+    out, ty = _Checker().infer(e, env or {})
+    return _mark_shared(out, None)[0], ty
 
 
 def typecheck(e: Expr) -> Type:

@@ -66,6 +66,23 @@ class TestEval:
         assert std == Interval.parse("[31/64,33/64]")
         assert doc["cost"] == 5 and doc["steps"] > 0
 
+    def test_json_reports_shared_steps(self, capsys, program):
+        path = program(corpus_source("lagrangian_action"))
+        code, out, _ = run(capsys, ["eval", path, "--cost", "2",
+                                    "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert 0 < doc["shared"] < doc["steps"]
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--width", "1/4"], ["--format", "json"]])
+    def test_function_type_program(self, capsys, program, flags):
+        path = program("fun x: real. x")
+        code, out, err = run(capsys, ["eval", path] + flags)
+        assert code == 1
+        assert out == ""
+        assert err == "cannot evaluate a program of non-ground type pi -> pi\n"
+
     def test_width_refinement(self, capsys, program):
         path = program("int (fun t: real. in_delta t)")
         code, out, _ = run(capsys, ["eval", path, "--width", "1/100"])

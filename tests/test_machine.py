@@ -9,8 +9,8 @@ from dualpcf.lang import (
     App, Const, CostTagged, DualLit, IvLit, parse,
 )
 from dualpcf.machine import (
-    BudgetExhausted, CeilingReached, Machine, Undetermined, Value,
-    _unlit, eval_at_cost, eval_dual, eval_refine, run_steps, step,
+    BudgetExhausted, CeilingReached, GROUND_RULES, Machine, Undetermined,
+    Value, _unlit, eval_at_cost, eval_dual, eval_refine, run_steps, step,
 )
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
@@ -255,3 +255,37 @@ class TestBudget:
         first = m.steps
         m.eval_at_cost(e, 0)
         assert m.steps == first
+
+
+class TestSharing:
+    # lagrangian_action's inner `int g` does not mention the outer variable,
+    # so each run evaluates it once and replays it at every outer cell
+
+    def test_inner_integral_is_evaluated_once(self):
+        e, _ = load_corpus("lagrangian_action")
+        fired = []
+        for n in range(2, 7):
+            count = 0
+
+            def mul(carrier, vals):
+                nonlocal count
+                count += carrier == "delta"
+                return GROUND_RULES[("*", carrier)](*vals)
+
+            out = eval_at_cost(e, n, overrides={"*": mul})
+            assert str(out.value) == str(eval_at_cost(e, n).value)
+            fired.append(count)
+        # unshared, the inner integral's 2^n cells run at each of the 2^n
+        # outer cells, and the count about quadruples per cost step
+        assert all(b <= 2 * a for a, b in zip(fired, fired[1:])), fired
+
+    def test_budget_stops_where_unshared_evaluation_stops(self):
+        e, _ = load_corpus("lagrangian_action")
+        full = eval_at_cost(e, 2)
+        assert isinstance(full, Value) and 0 < full.shared < full.steps
+        for b in range(full.steps):
+            out = eval_at_cost(e, 2, budget=b)
+            assert isinstance(out, BudgetExhausted), b
+            assert out.steps == b + 1 and out.shared <= out.steps, b
+        out = eval_at_cost(e, 2, budget=full.steps)
+        assert isinstance(out, Value) and out.steps == full.steps

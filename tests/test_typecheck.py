@@ -1,7 +1,7 @@
 """Type checking, coercion insertion, and derivative-operator shape rules."""
 import pytest
 
-from dualpcf.lang import Arrow, BOOL, DUAL, NAT, REAL, parse
+from dualpcf.lang import Arrow, BOOL, DUAL, NAT, NatLit, REAL, parse, subst
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
     ZERO_TEST_ON_DUAL, elaborate, is_continuous_type, is_l_admissible,
@@ -123,3 +123,23 @@ class TestDerivativeOperator:
         assert is_continuous_type(Arrow(NAT, Arrow(DUAL, REAL)))
         assert not is_continuous_type(NAT)
         assert not is_continuous_type(Arrow(DUAL, BOOL))
+
+
+class TestSharingMarks:
+    def test_application_free_of_nearest_binder_is_marked(self):
+        e, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
+        prod = e.body.body  # App(App(*, x + 1), y)
+        assert prod.free is None  # mentions y
+        assert prod.fn.free == prod.fn.arg.free == ("x",)  # under y
+
+    def test_closed_application_under_a_binder_is_marked(self):
+        e, _ = elaborate(parse("fun t: real. t + 3"))
+        assert e.body.arg.free == ()  # the cast in_pi 3
+        assert elaborate(parse("succ 0"))[0].free is None  # under no binder
+
+    def test_marks_are_invisible_to_equality_and_printing(self):
+        marked, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
+        unmarked = subst(marked, "z", NatLit(0))  # rebuilt without marks
+        assert unmarked.body.body.fn.free is None
+        assert marked == unmarked and hash(marked) == hash(unmarked)
+        assert str(marked) == str(unmarked) and repr(marked) == repr(unmarked)
