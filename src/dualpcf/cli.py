@@ -1,8 +1,8 @@
 """Command-line driver: check, eval, verify, examples.
 
 Exit codes: 0 success, 1 parse or type error (or `eval` of a program of
-function type), 2 budget or refinement ceiling exhausted, 3 result
-undetermined.
+function type, or a failed `verify` case), 2 budget or refinement ceiling
+exhausted, 3 result undetermined.
 """
 from __future__ import annotations
 

@@ -43,8 +43,9 @@ from .lang import (
     IvLit, Lam, NatLit, REAL, Type, Var, app_spine, fresh_var, spine, subst,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, Interval,
-    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
+    DUAL_BOTTOM, DualInterval, Endpoint, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
+    Interval, dual_max, dual_min, dual_pr, endpoint, in_dual, iv_max, iv_min,
+    iv_pr, iv_unchecked,
 )
 from .typecheck import is_continuous_type
 
@@ -159,7 +160,7 @@ class BudgetExhausted(Outcome):
 
 
 def _nat_iv(n: int) -> Interval:
-    q = Fraction(n)
+    q = endpoint(n)
     return iv_unchecked(q, q)
 
 
@@ -496,7 +497,7 @@ class Machine:
         return apply_ground_rule(name, carrier, vals, self.overrides)
 
     def _reduce_intsup(self, node: IntSupAt, env: dict, m: int,
-                       lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)):
+                       lo: Endpoint = IV_UNIT.lo, hi: Endpoint = IV_UNIT.hi):
         # The bisection rule rescales f with wrapper lambdas; composing
         # those affine maps sends [0,1] to an explicit dyadic cell, so the
         # cell endpoints are passed down directly and each cell applies f,

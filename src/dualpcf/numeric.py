@@ -1,46 +1,259 @@
 """Exact interval and dual-interval arithmetic over extended-rational endpoints.
 
-Endpoints are `fractions.Fraction` values (always in lowest terms).  The
-only interval with infinite endpoints is bottom, the whole line, and there
-is exactly one bottom object, `IV_BOTTOM`, whose ends are the float
+A finite endpoint is exact.  Dual PCF's `int`/`sup` bisect [0,1] into
+dyadic cells and combine with `l/2 + r/2` and `max`, so from dyadic
+literals every endpoint the machine builds is a dyadic rational.  Those are
+held as `_Dyadic` values, an odd mantissa over a power of two, whose sums,
+differences, products and halvings need no gcd.  Any other rational is a
+`fractions.Fraction` in lowest terms: dividing a dyadic by a natural that
+is not a power of two, or combining it with a `Fraction`, gives a
+`Fraction`.  Both kinds compare, hash and print as the same rationals, so
+which one an endpoint is never shows in a result.
+
+The only interval with infinite endpoints is bottom, the whole line, and
+there is exactly one bottom object, `IV_BOTTOM`, whose ends are the float
 infinities `-inf` / `+inf` (which are exact).  Intervals unbounded on
 exactly one side are rejected.
 
 Only the public constructors validate their input: `Interval(lo, hi)`,
-`Interval.point`, `Interval.parse` and `DualInterval.of`; each returns
-`IV_BOTTOM` itself for `(-inf, +inf)`.  Every result of the arithmetic is
-built by `iv_unchecked` from `Fraction` endpoints, after the operation has
-tested its operands for `IV_BOTTOM`.  Instances are immutable by
-convention: nothing assigns to them after construction, and all
-operations are pure.
+`Interval.point`, `Interval.parse` and `DualInterval.of`; each makes its
+dyadic endpoints `_Dyadic` and returns `IV_BOTTOM` itself for
+`(-inf, +inf)`.  Every result of the arithmetic is built by `iv_unchecked`
+from finite endpoints, after the operation has tested its operands for
+`IV_BOTTOM`.  Instances are immutable by convention: nothing assigns to
+them after construction, and all operations are pure.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+from numbers import Rational
 from typing import Union
 
-Endpoint = Union[Fraction, float]
+_new = object.__new__
+
+
+class _Dyadic:
+    """The rational `numerator / 2**exp`, normalised so that `exp >= 0` and
+    the numerator is odd whenever `exp > 0`: lowest terms, as for Fraction.
+
+    Closed under `+`, `-`, `*` and division by a power of two; any other
+    division, or an operation with a `Fraction` operand, gives a `Fraction`
+    (`+`, `-` and `*` build it from the integers in one step, without first
+    converting this operand).  An `int` operand is an exponent-0 dyadic.  Comparisons, `==` and `hash`
+    agree with `Fraction`, and registration as a `numbers.Rational` lets
+    `Fraction`'s own operators accept it.
+    """
+
+    __slots__ = ("numerator", "exp")
+
+    @property
+    def denominator(self) -> int:
+        return 1 << self.exp
+
+    def __add__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is Fraction:
+                d = o.denominator
+                return Fraction(self.numerator * d + (o.numerator << self.exp),
+                                d << self.exp)
+            if o.__class__ is not int:
+                return Fraction(self) + o
+            o = _dyadic(o, 0)
+        m, e, n, f = self.numerator, self.exp, o.numerator, o.exp
+        if e == f:
+            return _dyadic(m + n, e)
+        # one odd numerator plus one shifted even: already normal
+        if e > f:
+            m += n << (e - f)
+        else:
+            m = (m << (f - e)) + n
+            e = f
+        r = _new(_Dyadic)
+        r.numerator = m
+        r.exp = e
+        return r
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is Fraction:
+                d = o.denominator
+                return Fraction(self.numerator * d - (o.numerator << self.exp),
+                                d << self.exp)
+            if o.__class__ is not int:
+                return Fraction(self) - o
+            o = _dyadic(o, 0)
+        m, e, n, f = self.numerator, self.exp, o.numerator, o.exp
+        if e == f:
+            return _dyadic(m - n, e)
+        if e > f:
+            m -= n << (e - f)
+        else:
+            m = (m << (f - e)) - n
+            e = f
+        r = _new(_Dyadic)
+        r.numerator = m
+        r.exp = e
+        return r
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is Fraction:
+                return Fraction(self.numerator * o.numerator,
+                                o.denominator << self.exp)
+            if o.__class__ is not int:
+                return Fraction(self) * o
+            o = _dyadic(o, 0)
+        m, e = self.numerator * o.numerator, self.exp + o.exp
+        if e and not m & 1:
+            # an even integer factor, or zero
+            return _dyadic(m, e)
+        r = _new(_Dyadic)
+        r.numerator = m
+        r.exp = e
+        return r
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if o.__class__ is int and o > 0 and not o & (o - 1):
+            m = self.numerator
+            if not m & 1:
+                return _dyadic(m, self.exp + o.bit_length() - 1)
+            r = _new(_Dyadic)
+            r.numerator = m
+            r.exp = self.exp + o.bit_length() - 1
+            return r
+        return Fraction(self) / o
+
+    def __rtruediv__(self, o):
+        return o / Fraction(self)
+
+    def __neg__(self):
+        r = _new(_Dyadic)
+        r.numerator = -self.numerator
+        r.exp = self.exp
+        return r
+
+    def __bool__(self) -> bool:
+        return self.numerator != 0
+
+    def __eq__(self, o):
+        if o.__class__ is _Dyadic:
+            return self.numerator == o.numerator and self.exp == o.exp
+        if o.__class__ is int:
+            return self.exp == 0 and self.numerator == o
+        return Fraction(self) == o
+
+    def __hash__(self) -> int:
+        return hash(Fraction(self))
+
+    def __lt__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is not int:
+                return Fraction(self) < o
+            return self.numerator < o << self.exp
+        e, f = self.exp, o.exp
+        if e >= f:
+            return self.numerator < o.numerator << (e - f)
+        return self.numerator << (f - e) < o.numerator
+
+    def __le__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is not int:
+                return Fraction(self) <= o
+            return self.numerator <= o << self.exp
+        e, f = self.exp, o.exp
+        if e >= f:
+            return self.numerator <= o.numerator << (e - f)
+        return self.numerator << (f - e) <= o.numerator
+
+    def __gt__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is not int:
+                return Fraction(self) > o
+            return self.numerator > o << self.exp
+        e, f = self.exp, o.exp
+        if e >= f:
+            return self.numerator > o.numerator << (e - f)
+        return self.numerator << (f - e) > o.numerator
+
+    def __ge__(self, o):
+        if o.__class__ is not _Dyadic:
+            if o.__class__ is not int:
+                return Fraction(self) >= o
+            return self.numerator >= o << self.exp
+        e, f = self.exp, o.exp
+        if e >= f:
+            return self.numerator >= o.numerator << (e - f)
+        return self.numerator << (f - e) >= o.numerator
+
+    def __reduce__(self):
+        return (_dyadic, (self.numerator, self.exp))
+
+    def __str__(self) -> str:
+        if self.exp:
+            return f"{self.numerator}/{1 << self.exp}"
+        return str(self.numerator)
+
+    def __repr__(self) -> str:
+        return f"_Dyadic({self.numerator}, {self.exp})"
+
+
+Rational.register(_Dyadic)
+
+
+def _dyadic(m: int, e: int) -> _Dyadic:
+    """m / 2**e (e >= 0) in normal form."""
+    if e and not m & 1:
+        if m:
+            z = (m & -m).bit_length() - 1
+            if z > e:
+                z = e
+            m >>= z
+            e -= z
+        else:
+            e = 0
+    r = _new(_Dyadic)
+    r.numerator = m
+    r.exp = e
+    return r
+
+
+Endpoint = Union[_Dyadic, Fraction, float]
 
 NEG_INF: Endpoint = -inf
 POS_INF: Endpoint = inf
 
 
 def endpoint(x) -> Endpoint:
-    """Coerce an int, string, Fraction or +-inf into a canonical endpoint."""
-    if isinstance(x, Fraction):
+    """Coerce an int, string, rational or +-inf into a canonical endpoint:
+    a dyadic rational becomes a `_Dyadic`, any other a `Fraction`."""
+    if x.__class__ is _Dyadic:
         return x
-    if x == inf or x == -inf:
-        return x
+    if x.__class__ is int:
+        return _dyadic(x, 0)
     if isinstance(x, str):
         s = x.strip()
         if s in ("inf", "+inf"):
             return POS_INF
         if s == "-inf":
             return NEG_INF
-        return Fraction(s)
+        x = Fraction(s)
+    if isinstance(x, Fraction):
+        d = x.denominator
+        if d & (d - 1):
+            return x
+        return _dyadic(x.numerator, d.bit_length() - 1)
+    if x == inf or x == -inf:
+        return x
     if isinstance(x, int):
-        return Fraction(x)
+        return _dyadic(int(x), 0)
     raise TypeError(f"not an extended rational: {x!r}")
 
 
@@ -56,11 +269,8 @@ class InconsistentIntervals(ValueError):
     """Raised by `Interval.join` when the two intervals are disjoint."""
 
 
-_new = object.__new__
-
-
-def iv_unchecked(lo: Fraction, hi: Fraction) -> "Interval":
-    """Build an interval without validation: lo <= hi must be Fractions."""
+def iv_unchecked(lo: Endpoint, hi: Endpoint) -> "Interval":
+    """Build an interval without validation: lo <= hi must be finite."""
     iv = _new(Interval)
     iv.lo = lo
     iv.hi = hi
@@ -231,7 +441,7 @@ class Interval:
             return POS_INF
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
+    def midpoint(self) -> Endpoint:
         if self is IV_BOTTOM:
             raise ValueError("bottom interval has no midpoint")
         return (self.lo + self.hi) / 2

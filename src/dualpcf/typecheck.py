@@ -365,7 +365,8 @@ class _Checker:
 def _mark_shared(e: Expr, x: Optional[str]) -> Tuple[Expr, frozenset]:
     """e with each application under the lambda binding x that does not
     mention x (a free expression, in full laziness's terms) marked with its
-    free variables, and the free variables of e."""
+    free variables, and the free variables of e.  A node whose children and
+    mark are unchanged is returned itself, not rebuilt."""
     if isinstance(e, Var):
         return e, frozenset((e.name,))
     if isinstance(e, App):
@@ -373,17 +374,25 @@ def _mark_shared(e: Expr, x: Optional[str]) -> Tuple[Expr, frozenset]:
         arg, afv = _mark_shared(e.arg, x)
         fv = ffv | afv
         free = tuple(sorted(fv)) if x is not None and x not in fv else None
+        if fn is e.fn and arg is e.arg and free == e.free:
+            return e, fv
         return App(fn, arg, free), fv
     if isinstance(e, Lam):
         body, fv = _mark_shared(e.body, e.var)
-        return Lam(e.var, e.ty, body), fv - {e.var}
+        if body is not e.body:
+            e = Lam(e.var, e.ty, body)
+        return e, fv - {e.var}
     if isinstance(e, If):
         (cond, cfv), (then, tfv), (els, efv) = (
             _mark_shared(b, x) for b in (e.cond, e.then, e.els))
-        return If(cond, then, els, e.ty), cfv | tfv | efv
+        if cond is not e.cond or then is not e.then or els is not e.els:
+            e = If(cond, then, els, e.ty)
+        return e, cfv | tfv | efv
     if isinstance(e, CostTagged):
         inner, fv = _mark_shared(e.expr, x)
-        return CostTagged(inner, e.n), fv
+        if inner is not e.expr:
+            e = CostTagged(inner, e.n)
+        return e, fv
     return e, frozenset()
 
 

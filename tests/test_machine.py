@@ -13,7 +13,7 @@ from dualpcf.machine import (
     Value, _unlit, eval_at_cost, eval_dual, eval_refine, run_steps, step,
 )
 from dualpcf.numeric import (
-    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
+    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM, _Dyadic,
 )
 from dualpcf.typecheck import elaborate
 
@@ -245,6 +245,25 @@ def test_machine_does_not_substitute(monkeypatch):
     monkeypatch.setattr(machine, "subst", no_subst)
     for name in CORPUS:
         assert isinstance(eval_at_cost(load_corpus(name)[0], 2), Value), name
+
+
+class TestDyadicEndpoints:
+    @staticmethod
+    def endpoint_classes(v):
+        ivs = (v.std, v.inf) if isinstance(v, DualInterval) else (v,)
+        return {e.__class__ for iv in ivs for e in (iv.lo, iv.hi)}
+
+    @pytest.mark.parametrize("name,n", [("int_id", 4), ("nested_int_xyz", 3)])
+    def test_bisection_builds_dyadic_endpoints(self, name, n):
+        e, _ = load_corpus(name)
+        out = eval_at_cost(e, n)
+        assert self.endpoint_classes(out.value) == {_Dyadic}
+
+    def test_non_dyadic_coefficient_falls_back_to_fraction(self):
+        # a third of int_id's [15/32,17/32] at the same cost
+        v = val("int (fun t: real. in_delta (1 / 3 * t))", 4)
+        assert str(v) == "[5/32,17/96] + eps [0,0]"
+        assert {v.std.lo.__class__, v.std.hi.__class__} == {Fraction}
 
 
 class TestBudget:

@@ -1,6 +1,8 @@
 """Unit tests for exact interval and dual-interval arithmetic."""
 import copy
 import itertools
+import operator
+import pickle
 from fractions import Fraction
 from math import inf
 
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, InconsistentIntervals, Interval, IV_BOTTOM,
-    IV_ONE, IV_UNIT, IV_ZERO, dual_eps, dual_max, dual_min, dual_pr, in_dual,
-    iv_max, iv_min, iv_pr,
+    IV_ONE, IV_UNIT, IV_ZERO, _Dyadic, dual_eps, dual_max, dual_min, dual_pr,
+    endpoint, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
 )
 
 
@@ -22,7 +24,18 @@ def dual(slo, shi, ilo, ihi):
     return DualInterval(iv(slo, shi), iv(ilo, ihi))
 
 
-rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1 << 10)
+def rationals_in(lo, hi):
+    """Integers, dyadic rationals and other rationals in [lo, hi]: each kind
+    of endpoint takes its own path through the arithmetic."""
+    return st.one_of(
+        st.integers(lo, hi).map(Fraction),
+        st.integers(1, 12).flatmap(lambda k: st.integers(lo << k, hi << k).map(
+            lambda n: Fraction(n, 1 << k))),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=1 << 10),
+    )
+
+
+rationals = rationals_in(-100, 100)
 
 
 @st.composite
@@ -199,33 +212,42 @@ class TestDualPr:
         assert in_dual(IV_UNIT) == DualInterval(IV_UNIT, IV_ZERO)
 
 
-# -- reference rules ---------------------------------------------------------
+# -- pure-Fraction reference -------------------------------------------------
 #
-# The arithmetic as first written: every endpoint product formed under the
-# set-image convention 0 * inf = 0, then min/max over the four of them, and
-# every result built by the validating constructor.  The sign-case rules
-# above must give equal results, bottom exactly where the reference does.
+# The arithmetic as first written, on (lo, hi) pairs of Fractions with bottom
+# as (-inf, inf): every endpoint product formed under the set-image
+# convention 0 * inf = 0, then min/max over the four of them, and no fast
+# path of any kind.  The interval operations, whatever class their endpoints
+# are, must give the same rationals, printed alike, with bottom exactly
+# where the reference has it.
+
+BOT = (-inf, inf)
+EXACT = (Fraction, _Dyadic)
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def ref(x):
+    """The reference pair of an interval."""
+    if x is IV_BOTTOM:
+        return BOT
+    return tuple(Fraction(e.numerator, e.denominator) for e in (x.lo, x.hi))
 
 
 def ref_ep_mul(a, b):
-    if a == 0 or b == 0:
-        return Fraction(0)
-    return a * b
+    return F0 if a == 0 or b == 0 else a * b
 
 
 def ref_mul(x, y):
-    if x == IV_ZERO or y == IV_ZERO:
-        return IV_ZERO
-    ps = [ref_ep_mul(p, q) for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
-    return Interval(min(ps), max(ps))
+    ps = [ref_ep_mul(p, q) for p in x for q in y]
+    return min(ps), max(ps)
 
 
 def ref_add(x, y):
-    return Interval(x.lo + y.lo, x.hi + y.hi)
+    return BOT if BOT in (x, y) else (x[0] + y[0], x[1] + y[1])
 
 
 def ref_neg(x):
-    return Interval(-x.hi, -x.lo)
+    return -x[1], -x[0]
 
 
 def ref_sub(x, y):
@@ -234,48 +256,109 @@ def ref_sub(x, y):
 
 def ref_scale(x, q):
     if q == 0:
-        return IV_ZERO
+        return F0, F0
     if q > 0:
-        return Interval(ref_ep_mul(x.lo, q), ref_ep_mul(x.hi, q))
-    return Interval(ref_ep_mul(x.hi, q), ref_ep_mul(x.lo, q))
+        return ref_ep_mul(x[0], q), ref_ep_mul(x[1], q)
+    return ref_ep_mul(x[1], q), ref_ep_mul(x[0], q)
+
+
+def ref_div(x, n):
+    return BOT if n == 0 or x == BOT else (x[0] / n, x[1] / n)
 
 
 def ref_meet(x, y):
-    return Interval(min(x.lo, y.lo), max(x.hi, y.hi))
+    return min(x[0], y[0]), max(x[1], y[1])
+
+
+def ref_join(x, y):
+    """The intersection, or None when x and y are disjoint."""
+    lo, hi = max(x[0], y[0]), min(x[1], y[1])
+    return (lo, hi) if lo <= hi else None
 
 
 def ref_max(a, b):
-    if a.lo > b.hi:
+    if a[0] > b[1]:
         return a
-    if b.lo > a.hi:
+    if b[0] > a[1]:
         return b
-    if a.lo == -inf or b.lo == -inf:
-        return IV_BOTTOM
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+    return BOT if BOT in (a, b) else (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def ref_min(a, b):
+    if a[1] < b[0]:
+        return a
+    if b[1] < a[0]:
+        return b
+    return BOT if BOT in (a, b) else (min(a[0], b[0]), min(a[1], b[1]))
+
+
+def ref_pr(a):
+    if a[1] < -F1:
+        return -F1, -F1
+    if a[0] > F1:
+        return F1, F1
+    if -F1 < a[0] and a[1] < F1:
+        return a
+    return ref_join(a, (-F1, F1))
 
 
 def ref_dual_mul(a, b):
-    return DualInterval(ref_mul(a.std, b.std),
-                        ref_add(ref_mul(a.std, b.inf), ref_mul(b.std, a.inf)))
+    return (ref_mul(a[0], b[0]),
+            ref_add(ref_mul(a[0], b[1]), ref_mul(b[0], a[1])))
 
 
 def ref_dual_max(a, b):
-    if a.std.lo > b.std.hi:
+    if a[0][0] > b[0][1]:
         return a
-    if b.std.lo > a.std.hi:
+    if b[0][0] > a[0][1]:
         return b
-    return DualInterval(ref_max(a.std, b.std), ref_meet(a.inf, b.inf))
+    return ref_max(a[0], b[0]), ref_meet(a[1], b[1])
+
+
+def ref_dual_min(a, b):
+    if a[0][1] < b[0][0]:
+        return a
+    if b[0][1] < a[0][0]:
+        return b
+    return ref_min(a[0], b[0]), ref_meet(a[1], b[1])
+
+
+def ref_dual_pr(a):
+    std = a[0]
+    if std[1] < -F1:
+        return (-F1, -F1), (F0, F0)
+    if std[0] > F1:
+        return (F1, F1), (F0, F0)
+    if -F1 < std[0] and std[1] < F1:
+        return a
+    return ref_join(std, (-F1, F1)), ref_meet(a[1], (F0, F0))
 
 
 def same(got, want):
-    """Equal, printed alike, and bottom only as the one bottom object."""
+    """The interval got holds the reference pair want: bottom only as the
+    one bottom object, otherwise exact endpoints equal to want's Fractions
+    in lowest terms, printed alike."""
+    if want == BOT:
+        assert got is IV_BOTTOM
+        return
+    assert got is not IV_BOTTOM
+    assert got.lo.__class__ in EXACT and got.hi.__class__ in EXACT
+    assert (Fraction(got.lo), Fraction(got.hi)) == want
+    assert str(got) == f"[{want[0]},{want[1]}]"
+
+
+def same_dual(got, want):
+    same(got.std, want[0])
+    same(got.inf, want[1])
+
+
+def same_scalar(got, want):
     assert got == want and str(got) == str(want)
-    for g, w in ((got, want),) if isinstance(got, Interval) else \
-            ((got.std, want.std), (got.inf, want.inf)):
-        assert (g is IV_BOTTOM) == (w is IV_BOTTOM) == (w.lo == -inf)
+    if want != inf:
+        assert got.__class__ in EXACT and Fraction(got) == want
 
 
-nonneg = st.fractions(min_value=0, max_value=100, max_denominator=1 << 10)
+nonneg = rationals_in(0, 100)
 nonpos = nonneg.map(lambda q: -q)
 positive = nonneg.filter(lambda q: q > 0)
 
@@ -305,21 +388,103 @@ class TestAgainstReference:
     @given(data=st.data())
     def test_interval_ops(self, kx, ky, data):
         x, y = data.draw(SIGN_KINDS[kx]), data.draw(SIGN_KINDS[ky])
-        same(x * y, ref_mul(x, y))
-        same(x - y, ref_sub(x, y))
-        same(x + y, ref_add(x, y))
-        same(-x, ref_neg(x))
-        same(iv_max(x, y), ref_max(x, y))
+        rx, ry = ref(x), ref(y)
+        same(x * y, ref_mul(rx, ry))
+        same(x - y, ref_sub(rx, ry))
+        same(x + y, ref_add(rx, ry))
+        same(-x, ref_neg(rx))
         if y is not IV_BOTTOM:
-            same(x.scale(y.lo), ref_scale(x, y.lo))
+            same(x.scale(y.lo), ref_scale(rx, ry[0]))
+        for n in (1, 2, 3, 4, 6):
+            same(x.div_nat(n), ref_div(rx, n))
+        same(x.meet(y), ref_meet(rx, ry))
+        joined = ref_join(rx, ry)
+        if joined is None:
+            with pytest.raises(InconsistentIntervals):
+                x.join(y)
+        else:
+            same(x.join(y), joined)
+        same(iv_max(x, y), ref_max(rx, ry))
+        same(iv_min(x, y), ref_min(rx, ry))
+        same(iv_pr(x), ref_pr(rx))
+        same_scalar(x.width, rx[1] - rx[0])
+        if x is IV_BOTTOM:
+            with pytest.raises(ValueError):
+                x.midpoint()
+        else:
+            same_scalar(x.midpoint(), (rx[0] + rx[1]) / 2)
+        assert x.leq(y) == (rx[0] <= ry[0] and ry[1] <= rx[1])
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_dual_ops(self, kx, ky, data):
         a = data.draw(duals_of(SIGN_KINDS[kx], any_kind))
         b = data.draw(duals_of(SIGN_KINDS[ky], any_kind))
-        same(a * b, ref_dual_mul(a, b))
-        same(dual_max(a, b), ref_dual_max(a, b))
+        ra, rb = (ref(a.std), ref(a.inf)), (ref(b.std), ref(b.inf))
+        same_dual(a * b, ref_dual_mul(ra, rb))
+        same_dual(dual_max(a, b), ref_dual_max(ra, rb))
+        same_dual(dual_min(a, b), ref_dual_min(ra, rb))
+        same_dual(dual_pr(a), ref_dual_pr(ra))
+
+
+dyadics = st.integers(0, 12).flatmap(lambda k: st.integers(
+    -(50 << k), 50 << k).map(lambda n: Fraction(n, 1 << k)))
+finite_operands = st.one_of(
+    st.integers(-50, 50), dyadics,
+    st.fractions(min_value=-50, max_value=50, max_denominator=1 << 10))
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+               operator.gt, operator.ge)
+
+
+class TestDyadicEndpoint:
+    """The dyadic endpoint agrees with the Fraction of the same value."""
+
+    @given(dyadics, st.one_of(finite_operands, st.sampled_from([inf, -inf])))
+    def test_compares_hashes_and_prints_as_fraction(self, q, o):
+        d = endpoint(q)
+        assert d.__class__ is _Dyadic
+        assert (d.numerator, d.denominator) == (q.numerator, q.denominator)
+        assert hash(d) == hash(q) and str(d) == str(q)
+        assert bool(d) == bool(q)
+        for other in (o, endpoint(o)):
+            for op in COMPARISONS:
+                assert op(d, other) == op(q, o)
+                assert op(other, d) == op(o, q)
+
+    @given(dyadics, finite_operands)
+    def test_arithmetic_agrees_with_fraction(self, q, p):
+        d = endpoint(q)
+        for o in (p, endpoint(p)):
+            kind = Fraction if o.__class__ is Fraction else _Dyadic
+            for op in (operator.add, operator.sub, operator.mul):
+                for got, want in ((op(d, o), op(q, p)), (op(o, d), op(p, q))):
+                    assert got.__class__ is kind
+                    assert got == want and str(got) == str(want)
+                    assert hash(got) == hash(want)
+            if p and q:
+                for got, want in ((d / o, q / p), (o / d, p / q)):
+                    assert got == want and str(got) == str(want)
+        for n in (1, 2, 3, 4, 6, 8):
+            got = d / n
+            assert got.__class__ is (Fraction if n % 3 == 0 else _Dyadic)
+            assert got == q / n and str(got) == str(q / n)
+        assert (-d).__class__ is _Dyadic and -d == -q
+
+    def test_copies_round_trip(self):
+        x = Interval.parse("[1/4,3/8]")
+        assert x.lo.__class__ is _Dyadic and x.hi.__class__ is _Dyadic
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and str(y) == str(x) and y.lo.__class__ is _Dyadic
+        for e in (copy.copy(x.lo), copy.deepcopy(x.lo),
+                  pickle.loads(pickle.dumps(x.lo))):
+            assert e.__class__ is _Dyadic and e == x.lo
+
+    def test_equal_and_hash_alike_across_endpoint_classes(self):
+        x = Interval.parse("[1/4,3/8]")
+        for y in (Interval(Fraction(1, 4), Fraction(3, 8)),
+                  iv_unchecked(Fraction(1, 4), Fraction(3, 8))):
+            assert x == y and y == x and hash(x) == hash(y)
+        assert Interval.parse("[1/3,1/2]").lo.__class__ is Fraction
 
 
 class TestOneBottom:
@@ -349,5 +514,5 @@ class TestOneBottom:
                   dual_min(a, b), dual_pr(a), dual_eps(a)):
             results += [d.std, d.inf]
         for r in results:
-            assert r is IV_BOTTOM or (r.lo.__class__ is Fraction
-                                      and r.hi.__class__ is Fraction)
+            assert r is IV_BOTTOM or (r.lo.__class__ in EXACT
+                                      and r.hi.__class__ in EXACT)
