@@ -8,16 +8,20 @@ quantified premises are approximated by randomized sampling of related
 input triples, built from the witness shapes that appear in consistency
 arguments: a base interval f, its shift f + r*g, and the dual
 (f meet (f + r*g)) + eps g.
+
+The finite-difference oracle computes only what the soundness check
+reads: the hull of the difference quotients at one radius, 2^-12.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .lang import (
-    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, REAL, Var, fresh_var,
+    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, NAT, REAL, Var,
+    fresh_var,
 )
 from .machine import (
     CeilingReached, DEFAULT_BUDGET, eval_at_cost, eval_refine, Value,
@@ -124,8 +128,14 @@ def _sample_related_args(ty, rng: random.Random, r):
         x = fresh_var("s")
         if rng.random() < 0.5:
             return (Lam(x, ty.src, a1), Lam(x, ty.src, a2), Lam(x, ty.src, a3))
-        # translations x + c preserve the relation pointwise
-        mk = lambda c: Lam(x, ty.src, App(App(Const("+", (DUAL,)), Var(x)), c))
+        # translations x + c preserve the relation pointwise; x is
+        # embedded into delta first, as elaboration would
+        v = Var(x)
+        if ty.src == NAT:
+            v = App(Const("in_pi"), v)
+        if ty.src != DUAL:
+            v = App(Const("in_delta"), v)
+        mk = lambda c: Lam(x, ty.src, App(App(Const("+", (DUAL,)), v), c))
         return mk(a1), mk(a2), mk(a3)
     raise ValueError(f"no sampler for arguments of type {ty}")
 
@@ -183,32 +193,17 @@ def relation_holds(r, ty, f1: Expr, f2: Expr, f3: Expr, fuel: int = 50,
 # -- finite-difference oracle ----------------------------------------------
 
 
-@dataclass
-class OracleGrid:
-    k_schedule: Tuple[int, ...] = tuple(range(3, 13))
-    points: int = 9
-    tol: Fraction = Fraction(1, 256)
-    cost_ceiling: int = 4096
+# The oracle's one radius r, and its tolerance: each function value is
+# refined to within ORACLE_TOL * r / 4, and `check_L_soundness` pads the
+# machine's derivative enclosure by ORACLE_TOL.
+ORACLE_RADIUS = Fraction(1, 1 << 12)
+ORACLE_TOL = Fraction(1, 256)
 
 
-@dataclass
-class OracleEstimate:
-    quotients: List[Tuple[Fraction, Fraction, Fraction]] = field(
-        default_factory=list)  # (y, r, quotient midpoint)
-    hulls_by_radius: List[Tuple[Fraction, Interval]] = field(
-        default_factory=list)
-
-    @property
-    def limit_hull(self) -> Interval:
-        """Quotient hull at the smallest sampled radius: the best available
-        estimate of the derivative envelope in the limit."""
-        return self.hulls_by_radius[-1][1]
-
-
-def _std_at(f: Expr, z: Fraction, width, ceiling: int) -> Interval:
+def _std_at(f: Expr, z: Fraction, width) -> Interval:
     e = App(f, DualLit(DualInterval(Interval.point(z), IV_ZERO)))
     try:
-        out, _ = eval_refine(e, width, cost_ceiling=ceiling, std_only=True)
+        out, _ = eval_refine(e, width, std_only=True)
     except CeilingReached:
         raise OracleInconclusive(
             f"refinement ceiling hit evaluating at {z}") from None
@@ -217,45 +212,36 @@ def _std_at(f: Expr, z: Fraction, width, ceiling: int) -> Interval:
     return out.value.std
 
 
-def finite_diff_oracle(f: Expr, x, xp, grid: OracleGrid = None) -> OracleEstimate:
+def finite_diff_oracle(f: Expr, x, xp) -> Interval:
     """Outer estimate of the directional derivative of f at x along xp.
 
-    Evaluates difference quotients (f(y + r*xp) - f(y)) / r for r in a
-    decreasing dyadic schedule and y on a symmetric grid of shrinking
-    radius around x.  The hull of the quotient intervals at each radius
-    is an outer bound for the limit-inferior/limit-superior envelope.
+    The hull of the difference quotients (f(y + r*xp) - f(y)) / r at the
+    one radius r = ORACLE_RADIUS, for y on a grid of nine points spaced
+    r/4 apart and centred on x.  It bounds the limit-inferior/
+    limit-superior envelope of the quotients up to their drift across
+    the grid, which is O(r) times the curvature of f there.
     """
-    grid = grid or OracleGrid()
-    x, xp = Fraction(x), Fraction(xp)
-    est = OracleEstimate()
-    half = grid.points // 2
-    for k in grid.k_schedule:
-        r = Fraction(1, 1 << k)
-        width = grid.tol * r / 4
-        k_hull = None
-        for j in range(-half, half + 1):
-            y = x + Fraction(j, max(1, half)) * r
-            f0 = _std_at(f, y, width, grid.cost_ceiling)
-            f1 = _std_at(f, y + r * xp, width, grid.cost_ceiling)
-            q = (f1 - f0).scale(Fraction(1, 1) / r)
-            est.quotients.append((y, r, q.midpoint()))
-            k_hull = q if k_hull is None else k_hull.meet(q)
-        est.hulls_by_radius.append((r, k_hull))
-    return est
+    x, xp, r = Fraction(x), Fraction(xp), ORACLE_RADIUS
+    width = ORACLE_TOL * r / 4
+    hull = None
+    for j in range(-4, 5):
+        y = x + Fraction(j, 4) * r
+        f0 = _std_at(f, y, width)
+        f1 = _std_at(f, y + r * xp, width)
+        q = (f1 - f0).scale(1 / r)
+        hull = q if hull is None else hull.meet(q)
+    return hull
 
 
 def check_L_soundness(f: Expr, x, xp, n_schedule=(0, 1, 2),
-                      grid: OracleGrid = None,
                       budget: int = DEFAULT_BUDGET) -> Verdict:
     """The machine's infinitesimal part must cover every observed quotient.
 
     For each cost n, evaluates f(x + eps xp) and checks that the oracle's
-    quotient hull lies inside the infinitesimal part, inflated by the
-    oracle tolerance.
+    quotient hull at its one radius lies inside the infinitesimal part,
+    inflated by ORACLE_TOL.
     """
-    grid = grid or OracleGrid()
-    est = finite_diff_oracle(f, x, xp, grid)
-    hull = est.limit_hull
+    hull = finite_diff_oracle(f, x, xp)
     arg = DualLit(DualInterval(Interval.point(Fraction(x)),
                                Interval.point(Fraction(xp))))
     checked = 0
@@ -263,7 +249,7 @@ def check_L_soundness(f: Expr, x, xp, n_schedule=(0, 1, 2),
         v = _eval_ground(App(f, arg), n, budget)
         if isinstance(v, Interval):
             v = in_dual(v)
-        padded = v.inf.inflate(grid.tol)
+        padded = v.inf.inflate(ORACLE_TOL)
         if not padded.leq(hull):
             return Verdict(False, checked,
                            f"at cost {n}: machine {v.inf} does not cover "

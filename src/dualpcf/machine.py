@@ -85,10 +85,13 @@ class CeilingReached(Exception):
 
 # -- runtime values ---------------------------------------------------------
 
-# Ground values are the literal AST nodes themselves (NatLit, BoolLit,
-# IvLit, DualLit), and int/sup values are their IntSupAt nodes.  An
-# environment is a dict from variable names to thunks; it is copied when a
-# binder extends it, never changed in place.  The remaining values:
+# Ground values are numbers: an `Interval` (real), a `DualInterval`
+# (dual), an `int` (nat) or a `bool`, and `BOOL_BOTTOM` for a zero test on
+# a straddling interval.  A literal node evaluates to its payload; only
+# `step`, which rewrites terms, wraps a rule's result in a literal node
+# again.  int/sup values are their IntSupAt nodes.  An environment is a
+# dict from variable names to thunks; it is copied when a binder extends
+# it, never changed in place.  The remaining values:
 
 
 @dataclass(slots=True, eq=False)
@@ -173,6 +176,8 @@ def _as_iv(v) -> Interval:
 
 
 def _as_dual(v) -> DualInterval:
+    """The dual number of a real or dual literal node: a helper for the
+    rules passed as `overrides`, which receive literal nodes."""
     if isinstance(v, DualLit):
         return v.dv
     return in_dual(_as_iv(v))
@@ -182,77 +187,65 @@ def _carrier_of(c: Const):
     return c.targs[0] if c.targs else None
 
 
-def _real(op):
-    return lambda a, b: IvLit(op(_as_iv(a), _as_iv(b)))
-
-
-def _dual(op):
-    return lambda a, b: DualLit(op(_as_dual(a), _as_dual(b)))
-
-
-def _div(lit, as_num):
-    def rule(a, d):
-        if not isinstance(d, NatLit):
-            raise StuckTerm(f"division by a non-natural: {d}")
-        return lit(as_num(a).div_nat(d.n))
-    return rule
-
-
-def _in_pi(v):
-    if not isinstance(v, NatLit):
-        raise StuckTerm(f"in_pi on {v}")
-    return IvLit(_nat_iv(v.n))
-
-
-def _lt0(v):
-    iv = _as_iv(v)
+def _lt0(iv: Interval):
     if iv.lo > 0:
-        return BoolLit(True)
+        return True
     if iv.hi < 0:
-        return BoolLit(False)
+        return False
     return BOOL_BOTTOM
 
 
-def _In(v):
-    if not isinstance(v, DualLit):
-        raise StuckTerm(f"In on {v}")
-    return IvLit(v.dv.inf)
-
-
 # The delta-rule of each saturated first-order constant, keyed by its name
-# and carrier name.  The elaborator fixes the carrier of every overloaded
-# constant, so no rule looks at its operands to pick one.
+# and carrier name: the numeric operation itself, applied to values.  The
+# elaborator fixes the carrier of every overloaded constant and coerces
+# each operand to it, so no rule looks at its operands to pick one.
 GROUND_RULES = {
-    ("+", "pi"): _real(operator.add), ("+", "delta"): _dual(operator.add),
-    ("-", "pi"): _real(operator.sub), ("-", "delta"): _dual(operator.sub),
-    ("*", "pi"): _real(operator.mul), ("*", "delta"): _dual(operator.mul),
-    ("min", "pi"): _real(iv_min), ("min", "delta"): _dual(dual_min),
-    ("max", "pi"): _real(iv_max), ("max", "delta"): _dual(dual_max),
-    ("/", "pi"): _div(IvLit, _as_iv), ("/", "delta"): _div(DualLit, _as_dual),
-    ("pr", "pi"): lambda a: IvLit(iv_pr(_as_iv(a))),
-    ("pr", "delta"): lambda a: DualLit(dual_pr(_as_dual(a))),
-    ("in_pi", None): _in_pi,
-    ("in_delta", None): lambda a: DualLit(in_dual(_as_iv(a))),
-    ("succ", None): lambda a: NatLit(a.n + 1),
-    ("pred", None): lambda a: NatLit(max(0, a.n - 1)),
-    ("iszero", None): lambda a: BoolLit(a.n == 0),
+    ("+", "pi"): operator.add, ("+", "delta"): operator.add,
+    ("-", "pi"): operator.sub, ("-", "delta"): operator.sub,
+    ("*", "pi"): operator.mul, ("*", "delta"): operator.mul,
+    ("min", "pi"): iv_min, ("min", "delta"): dual_min,
+    ("max", "pi"): iv_max, ("max", "delta"): dual_max,
+    ("/", "pi"): Interval.div_nat, ("/", "delta"): DualInterval.div_nat,
+    ("pr", "pi"): iv_pr, ("pr", "delta"): dual_pr,
+    ("in_pi", None): _nat_iv,
+    ("in_delta", None): in_dual,
+    ("succ", None): lambda n: n + 1,
+    ("pred", None): lambda n: max(0, n - 1),
+    ("iszero", None): lambda n: n == 0,
     ("lt0", None): _lt0,
-    ("In", None): _In,
+    ("In", None): lambda d: d.inf,
 }
+
+# The payload of each literal node, and the literal node of each value.
+_PAYLOAD = {cls: operator.attrgetter(field) for cls, field in (
+    (NatLit, "n"), (BoolLit, "b"), (IvLit, "iv"), (DualLit, "dv"))}
+_LIT = {int: NatLit, bool: BoolLit, Interval: IvLit, DualInterval: DualLit}
+
+
+def _unlit(e):
+    """The value of a literal node; any other term is returned as it is."""
+    payload = _PAYLOAD.get(e.__class__)
+    return e if payload is None else payload(e)
+
+
+def _lit(v) -> Expr:
+    return _LIT[v.__class__](v)
 
 
 def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
     """Apply the delta-rule of a saturated first-order constant to values.
 
+    Rules act on values (`Interval`, `DualInterval`, `int`, `bool`) and
+    return one, or `BOOL_BOTTOM` for a zero test on a straddling interval.
     `carrier` is the constant's carrier type, or its name ("pi" or
     "delta"), and None for constants with a fixed signature.  An entry
-    `overrides[name]`, called as `fn(carrier name, vals)`, replaces the
-    constant's rule wherever it fires, the int/sup combine included, in
-    both `Machine` and `step`.
+    `overrides[name]`, called as `fn(carrier name, literal nodes)` and
+    returning a literal node, replaces the constant's rule wherever it
+    fires, the int/sup combine included, in both `Machine` and `step`.
     """
     carrier = getattr(carrier, "name", carrier)
     if overrides and name in overrides:
-        return overrides[name](carrier, vals)
+        return _unlit(overrides[name](carrier, [_lit(v) for v in vals]))
     rule = GROUND_RULES.get((name, carrier))
     if rule is None:
         raise StuckTerm(f"no ground rule for constant {name!r} "
@@ -260,20 +253,18 @@ def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
     return rule(*vals)
 
 
-_TWO = NatLit(2)
-
-
 def _const_app(name: str, carrier: Type, args) -> Expr:
     return app_spine(Const(name, (carrier,)), args)
 
 
-def intsup_combine(kind: str, carrier, lower, upper, op):
+def intsup_combine(kind: str, carrier, lower, upper, op, two):
     """The bisection rule's combine at the carrier: `l/2 + r/2` for int,
     `max l r` for sup.  `op(name, carrier, args)` applies one constant:
-    `Machine` fires its ground rule on values, `step` builds the term."""
+    `Machine` fires its ground rule on values, `step` builds the term.
+    `two` is the natural 2 in the same form: `2` or `NatLit(2)`."""
     if kind == "int":
-        return op("+", carrier, [op("/", carrier, [lower, _TWO]),
-                                 op("/", carrier, [upper, _TWO])])
+        return op("+", carrier, [op("/", carrier, [lower, two]),
+                                 op("/", carrier, [upper, two])])
     return op("max", carrier, [lower, upper])
 
 
@@ -301,8 +292,9 @@ def unfold_y(ty: Type, f: Expr, n: Optional[int]) -> Expr:
 def _rescaled(f: Expr, upper_half: bool) -> Expr:
     """f on the lower or upper half of [0,1], stretched back to [0,1]."""
     x = fresh_var("t")
-    t = _const_app("+", REAL, [Var(x), NatLit(1)]) if upper_half else Var(x)
-    return Lam(x, REAL, App(f, _const_app("/", REAL, [t, _TWO])))
+    t = _const_app("+", REAL, [Var(x), IvLit(IV_ONE)]) if upper_half \
+        else Var(x)
+    return Lam(x, REAL, App(f, _const_app("/", REAL, [t, NatLit(2)])))
 
 
 def lift_eps(ty: Type, e: Expr) -> Expr:
@@ -339,8 +331,7 @@ def l_body(targs, args) -> Expr:
 # -- the environment machine -----------------------------------------------
 
 
-_LITERALS = (NatLit, BoolLit, IvLit, DualLit)
-_VALUE_NODES = frozenset(_LITERALS + (IntSupAt,))
+_LITERALS = tuple(_PAYLOAD)
 _EMPTY: dict = {}
 
 # Reserved variables (%F, and %L<i> in `_reduce_l`), which neither the
@@ -398,8 +389,8 @@ class Machine:
             elif cls is CostTagged:
                 tag = e.n
                 e = e.expr
-            elif cls in _VALUE_NODES:
-                return e
+            elif cls in _PAYLOAD:
+                return _PAYLOAD[cls](e)
             elif cls is Const:
                 return self._const_value(e, tag)
             elif cls is Lam:
@@ -413,8 +404,8 @@ class Machine:
                             "conditional on a zero-straddling test at a "
                             "non-continuous type")
                     e, env = bottom_expr(e.ty), _EMPTY
-                elif cv.__class__ is BoolLit:
-                    e = e.then if cv.b else e.els
+                elif cv.__class__ is bool:
+                    e = e.then if cv else e.els
                 else:
                     raise StuckTerm(f"conditional on non-boolean {cv}")
             else:
@@ -423,7 +414,7 @@ class Machine:
     def _const_value(self, c: Const, tag: Optional[int]):
         name = c.name
         if name in ("tt", "ff"):
-            return BoolLit(name == "tt")
+            return name == "tt"
         if name in ("int", "sup"):
             n = tag if tag is not None else 0
             return IntSupAt(name, c.targs[0], n, n)
@@ -511,15 +502,13 @@ class Machine:
         mid = (lo + hi) / 2
         lv = self._reduce_intsup(node, env, m - 1, lo, mid)
         rv = self._reduce_intsup(node, env, m - 1, mid, hi)
-        return intsup_combine(node.kind, node.carrier, lv, rv, self._ground)
+        return intsup_combine(node.kind, node.carrier, lv, rv, self._ground,
+                              2)
 
     def _reduce_l(self, targs, n: int, args):
         xs = [Var(f"%L{i}") for i in range(len(args))]
         env = {x.name: th for x, th in zip(xs, args)}
-        v = self._eval(l_body(targs, xs), env, n)
-        if not isinstance(v, DualLit):
-            raise StuckTerm(f"derivative body evaluated to {v}")
-        return IvLit(v.dv.inf)
+        return self._eval(l_body(targs, xs), env, n).inf
 
     # -- public driver ------------------------------------------------
 
@@ -545,19 +534,7 @@ class Machine:
         if v is BOOL_BOTTOM:
             return Undetermined(steps=self.steps, shared=self.shared,
                                 reason=_STRADDLING_ZERO_TEST)
-        return Value(steps=self.steps, shared=self.shared, value=_unlit(v))
-
-
-def _unlit(v):
-    if isinstance(v, DualLit):
-        return v.dv
-    if isinstance(v, IvLit):
-        return v.iv
-    if isinstance(v, NatLit):
-        return v.n
-    if isinstance(v, BoolLit):
-        return v.b
-    return v
+        return Value(steps=self.steps, shared=self.shared, value=v)
 
 
 def eval_at_cost(e: Expr, n: int, budget: int = DEFAULT_BUDGET,
@@ -596,7 +573,7 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
     `CeilingReached` when the widths are still too wide at the cost
     ceiling.
     """
-    target_width = Fraction(target_width)
+    target_width = endpoint(Fraction(target_width))
     n = 1
     while True:
         out = eval_at_cost(e, n, budget)
@@ -684,10 +661,11 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
                         raise StuckTerm(f"stuck operand {a}")
                     return app_spine(head, args[:i] + [a2] + args[i + 1:])
             h = head.expr if isinstance(head, CostTagged) else head
-            out = apply_ground_rule(name, _carrier_of(h), args, overrides)
+            out = apply_ground_rule(name, _carrier_of(h),
+                                    [_unlit(a) for a in args], overrides)
             if out is BOOL_BOTTOM:
                 raise UndeterminedSignal(_STRADDLING_ZERO_TEST)
-            return out
+            return _lit(out)
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Lam):
             lam, m = e.fn.expr, e.fn.n
             return CostTagged(subst(lam.body, lam.var, e.arg), m)
@@ -700,7 +678,8 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             half = IntSupAt(node.kind, node.carrier, node.m - 1, node.n)
             return intsup_combine(node.kind, node.carrier,
                                   App(half, _rescaled(f, False)),
-                                  App(half, _rescaled(f, True)), _const_app)
+                                  App(half, _rescaled(f, True)), _const_app,
+                                  NatLit(2))
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Const):
             c, n = e.fn.expr, e.fn.n
             if c.name == "Y" and is_continuous_type(c.targs[0]):
@@ -721,8 +700,11 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             raise StuckTerm(f"stuck application head {e.fn}")
         return App(e2, e.arg)
     if isinstance(e, If):
-        if isinstance(e.cond, BoolLit):
-            return e.then if e.cond.b else e.els
+        cond = e.cond
+        if isinstance(cond, Const) and cond.name in ("tt", "ff"):
+            return e.then if cond.name == "tt" else e.els
+        if isinstance(cond, BoolLit):
+            return e.then if cond.b else e.els
         e2 = step(e.cond, overrides)
         if e2 is None:
             raise StuckTerm(f"stuck conditional scrutinee {e.cond}")

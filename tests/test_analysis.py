@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dualpcf.analysis import (
-    OracleGrid, check_L_soundness, check_monotone_refinement,
+    check_L_soundness, check_monotone_refinement,
     finite_diff_oracle, relation_holds, relation_holds_ground,
     sample_related_duals,
 )
@@ -84,28 +84,23 @@ class TestRelationSampling:
 
 class TestOracle:
     def test_abs_hull_is_subgradient_interval(self):
-        est = finite_diff_oracle(_fn("fun x: delta. max(x, 0 - x)"), 0, 1)
-        assert est.limit_hull == Interval(-1, 1)
+        hull = finite_diff_oracle(_fn("fun x: delta. max(x, 0 - x)"), 0, 1)
+        assert hull == Interval(-1, 1)
 
     def test_square_hull_tightens_around_derivative(self):
-        est = finite_diff_oracle(_fn("fun x: delta. x * x"), 3, 1)
-        assert est.limit_hull.contains(6)
-        assert est.limit_hull.width < Fraction(1, 256)
-        widths = [h.width for _, h in est.hulls_by_radius]
-        assert widths[-1] < widths[0]
+        hull = finite_diff_oracle(_fn("fun x: delta. x * x"), 3, 1)
+        assert hull.contains(6)
+        assert hull.width < Fraction(1, 256)
 
-    def test_quotients_recorded(self):
-        grid = OracleGrid(k_schedule=(3, 4), points=3)
-        est = finite_diff_oracle(_fn("fun x: delta. x"), 0, 1, grid)
-        assert len(est.quotients) == 6
-        assert all(q == 1 for _, _, q in est.quotients)
+    def test_identity_hull_is_exact(self):
+        assert finite_diff_oracle(_fn("fun x: delta. x"), 0, 1) == \
+            Interval(1, 1)
 
     def test_sum_of_kinks_overapproximates(self):
         # |x| - |x| is identically zero, but the dual calculus reports the
         # sum of both branch envelopes; the oracle sees the exact zero
         src = "fun x: delta. max(x, 0 - x) - max(x, 0 - x)"
-        est = finite_diff_oracle(_fn(src), 0, 1)
-        assert est.limit_hull == Interval(0, 0)
+        assert finite_diff_oracle(_fn(src), 0, 1) == Interval(0, 0)
         from dualpcf.machine import eval_dual
         from dualpcf.lang import App
         arg = DualLit(DualInterval(Interval.point(0), Interval.point(1)))
