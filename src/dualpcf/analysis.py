@@ -15,13 +15,12 @@ reads: the hull of the difference quotients at one radius, 2^-12.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .lang import (
-    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, NAT, REAL, Var,
-    fresh_var,
+    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, NAT, REAL, Struct,
+    Var, fresh_var,
 )
 from .machine import (
     CeilingReached, DEFAULT_BUDGET, eval_at_cost, eval_refine, Value,
@@ -33,11 +32,13 @@ class OracleInconclusive(Exception):
     pass
 
 
-@dataclass
-class Verdict:
-    holds: bool
-    checked: int = 0
-    detail: str = ""
+class Verdict(Struct):
+    __slots__ = _fields = ("holds", "checked", "detail")
+
+    def __init__(self, holds: bool, checked: int = 0, detail: str = ""):
+        self.holds = holds
+        self.checked = checked
+        self.detail = detail
 
     def __bool__(self) -> bool:
         return self.holds

@@ -1,5 +1,8 @@
 """Command-line driver: check, eval, verify, examples.
 
+`check` and `eval` load only the front end and the machine; `verify` and
+`examples` import the analysis and corpus modules when they run.
+
 Exit codes: 0 success, 1 parse or type error (or `eval` of a program of
 function type, or a failed `verify` case), 2 budget or refinement ceiling
 exhausted, 3 result undetermined.
@@ -13,10 +16,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .analysis import (
-    check_L_soundness, check_monotone_refinement, relation_holds,
-)
-from .corpus import CORPUS, FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order
 from .lang import Arrow, DUAL, REAL, ParseError, parse
 from .machine import (
     BudgetExhausted, CeilingReached, DEFAULT_BUDGET, Undetermined,
@@ -91,7 +90,7 @@ def _eval_term(e, args) -> int:
         print("undetermined")
         return EXIT_UNDETERMINED
     if isinstance(out, BudgetExhausted):
-        print(f"step budget exhausted after {out.steps} steps",
+        print(f"{out.reason} exhausted after {out.steps} steps",
               file=sys.stderr)
         return EXIT_BUDGET
     print(_render(out, cost, args.format))
@@ -114,6 +113,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .corpus import CORPUS, load_corpus
+
     if args.action == "list":
         for name, entry in CORPUS.items():
             flags = " ".join(f for f in
@@ -141,6 +142,13 @@ def _emit(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .analysis import (
+        check_L_soundness, check_monotone_refinement, relation_holds,
+    )
+    from .corpus import (
+        CORPUS, FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order,
+    )
+
     ok = True
     seed = args.seed
     if args.suite in ("relations", "all"):

@@ -7,7 +7,6 @@ the nesting depth of integration, so refinement sweeps cap their cost.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional, Tuple
@@ -16,13 +15,17 @@ from .lang import Expr, parse
 from .typecheck import elaborate
 
 
-@dataclass(frozen=True)
 class CorpusEntry:
-    name: str
-    description: str
-    expected: Optional[Fraction]  # known limit point, if any
-    heavy: bool = False  # nested integration: cost grows as 2^(k*n)
-    advanced: bool = False  # excluded from default sweeps
+    __slots__ = ("name", "description", "expected", "heavy", "advanced")
+
+    def __init__(self, name: str, description: str,
+                 expected: Optional[Fraction], heavy: bool = False,
+                 advanced: bool = False):
+        self.name = name
+        self.description = description
+        self.expected = expected  # known limit point, if any
+        self.heavy = heavy  # nested integration: cost grows as 2^(k*n)
+        self.advanced = advanced  # excluded from default sweeps
 
 
 CORPUS: Dict[str, CorpusEntry] = {e.name: e for e in [

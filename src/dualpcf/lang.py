@@ -7,31 +7,59 @@ interval / dual-interval literals, which the parser never produces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .numeric import DualInterval, Interval
+
+
+class Struct:
+    """Base of the syntax nodes and the machine's values: equality,
+    hashing and `repr` over the fields a class lists in `_fields`.  Its
+    other slots, such as a source position, take part in none of them."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class Type:
-    pass
+class Type(Struct):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Ground(Type):
-    name: str  # "o", "nu", "pi", "delta"
+    __slots__ = _fields = ("name",)  # "o", "nu", "pi", "delta"
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow(Type):
-    src: Type
-    dst: Type
+    __slots__ = _fields = ("src", "dst")
+
+    def __init__(self, src: Type, dst: Type):
+        self.src = src
+        self.dst = dst
 
     def __str__(self) -> str:
         s = f"({self.src})" if isinstance(self.src, Arrow) else str(self.src)
@@ -64,120 +92,119 @@ def uncurry(ty: Type) -> Tuple[Tuple[Type, ...], Type]:
 # Expressions
 
 
-class Expr:
-    pass
+class Expr(Struct):
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return print_expr(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    name: str
-    targs: Tuple[Type, ...] = ()
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    __slots__ = ("name", "targs", "pos")
+    _fields = ("name", "targs")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, name: str, targs: Tuple[Type, ...] = (),
+                 pos: Optional[Tuple[int, int]] = None):
+        self.name = name
+        self.targs = targs
+        self.pos = pos
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    __slots__ = ("name", "pos")
+    _fields = ("name",)
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, name: str, pos: Optional[Tuple[int, int]] = None):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
 class App(Expr):
-    fn: Expr
-    arg: Expr
-    # Set by elaboration on an application under a lambda that does not
-    # mention that lambda's variable: its free variables, sorted.  The
-    # machine shares the value of such an application per cost tag.
-    free: Optional[Tuple[str, ...]] = field(default=None, compare=False,
-                                            repr=False)
+    __slots__ = ("fn", "arg", "free")
+    _fields = ("fn", "arg")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, fn: Expr, arg: Expr,
+                 free: Optional[Tuple[str, ...]] = None):
+        self.fn = fn
+        self.arg = arg
+        # Set by elaboration on an application under a lambda that does
+        # not mention that lambda's variable: its free variables, sorted.
+        # The machine shares the value of such an application per cost tag.
+        self.free = free
 
 
-@dataclass(frozen=True)
 class Lam(Expr):
-    var: str
-    ty: Optional[Type]
-    body: Expr
+    __slots__ = _fields = ("var", "ty", "body")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, var: str, ty: Optional[Type], body: Expr):
+        self.var = var
+        self.ty = ty
+        self.body = body
 
 
-@dataclass(frozen=True)
 class If(Expr):
-    cond: Expr
-    then: Expr
-    els: Expr
-    ty: Optional[Type] = field(default=None, compare=False)
+    __slots__ = ("cond", "then", "els", "ty")
+    _fields = ("cond", "then", "els")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, cond: Expr, then: Expr, els: Expr,
+                 ty: Optional[Type] = None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.ty = ty
 
 
-@dataclass(frozen=True)
 class NatLit(Expr):
-    n: int
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    __slots__ = ("n", "pos")
+    _fields = ("n",)
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, n: int, pos: Optional[Tuple[int, int]] = None):
+        self.n = n
+        self.pos = pos
 
 
 # --- evaluation-only forms (never produced by the parser) ---
 
 
-@dataclass(frozen=True)
 class CostTagged(Expr):
-    expr: Expr
-    n: int
+    __slots__ = _fields = ("expr", "n")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, expr: Expr, n: int):
+        self.expr = expr
+        self.n = n
 
 
-@dataclass(frozen=True)
 class IvLit(Expr):
-    iv: Interval
+    __slots__ = _fields = ("iv",)
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, iv: Interval):
+        self.iv = iv
 
 
-@dataclass(frozen=True)
 class DualLit(Expr):
-    dv: DualInterval
+    __slots__ = _fields = ("dv",)
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, dv: DualInterval):
+        self.dv = dv
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
-    b: bool
+    __slots__ = _fields = ("b",)
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, b: bool):
+        self.b = b
 
 
 # int or sup at its carrier, with its (m, n) unfolding state: m bisection
 # levels remain, and each cell is evaluated at cost n
-@dataclass(frozen=True)
 class IntSupAt(Expr):
-    kind: str  # "int" | "sup"
-    carrier: Type
-    m: int
-    n: int
+    __slots__ = _fields = ("kind", "carrier", "m", "n")
 
-    def __str__(self) -> str:
-        return print_expr(self)
+    def __init__(self, kind: str, carrier: Type, m: int, n: int):
+        self.kind = kind  # "int" | "sup"
+        self.carrier = carrier
+        self.m = m
+        self.n = n
 
 
 # Constant names recognised by the surface language.  "In" is
@@ -295,12 +322,14 @@ TYPE_NAMES = {
 }
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _lex(src: str):

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .lang import (
     App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
-    IvLit, Lam, NatLit, REAL, Type, Var, app_spine, fresh_var, spine, subst,
+    IvLit, Lam, NatLit, REAL, Struct, Type, Var, app_spine, fresh_var, spine,
+    subst,
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, Endpoint, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
@@ -71,8 +71,8 @@ class UndeterminedSignal(Exception):
 
 
 class BudgetError(Exception):
-    def __init__(self, steps: int):
-        super().__init__(f"step budget exhausted after {steps} steps")
+    def __init__(self, steps: int, reason: str = "step budget"):
+        super().__init__(f"{reason} exhausted after {steps} steps")
         self.steps = steps
 
 
@@ -94,41 +94,60 @@ class CeilingReached(Exception):
 # it, never changed in place.  The remaining values:
 
 
-@dataclass(slots=True, eq=False)
-class Thunk:
+class Thunk(Struct):
     """A call-by-name argument: an unevaluated term and its environment.
     It has no cost tag of its own: each use evaluates it at the tag in
     force where the variable occurs, the tag `subst` would give it.
     Thunks compare by identity, which is what the sharing table keys on."""
-    expr: Expr
-    env: dict
+    __slots__ = ("expr", "env")
+    _fields = ("expr",)  # shown by repr
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, expr: Expr, env: dict):
+        self.expr = expr
+        self.env = env
 
 
-@dataclass(slots=True, eq=False)
-class Closure:
-    lam: Lam
-    env: dict
-    tag: Optional[int]
+class Closure(Struct):
+    __slots__ = ("lam", "env", "tag")
+    _fields = ("lam", "tag")  # shown by repr
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, lam: Lam, env: dict, tag: Optional[int]):
+        self.lam = lam
+        self.env = env
+        self.tag = tag
 
 
-@dataclass(slots=True)
-class PrimVal:
-    name: str
-    carrier: Optional[Type]  # None for a fixed signature
-    args: Tuple[Thunk, ...]
+class PrimVal(Struct):
+    """A first-order constant applied to fewer thunks than its arity, with
+    its rule resolved (see `Machine._const_value`)."""
+    __slots__ = ("name", "arity", "rule", "args")
+    _fields = ("name", "rule", "args")
+
+    def __init__(self, name: str, arity: int, rule, args: Tuple[Thunk, ...]):
+        self.name = name
+        self.arity = arity
+        self.rule = rule
+        self.args = args
 
 
-@dataclass(slots=True)
-class YVal:
-    ty: Type
-    tag: Optional[int]  # None: standard unbounded unfolding
+class YVal(Struct):
+    __slots__ = _fields = ("ty", "tag")
+
+    def __init__(self, ty: Type, tag: Optional[int]):
+        self.ty = ty
+        self.tag = tag  # None: standard unbounded unfolding
 
 
-@dataclass(slots=True)
-class LVal:
-    targs: Tuple[Type, ...]
-    n: int
-    args: Tuple[Thunk, ...]
+class LVal(Struct):
+    __slots__ = _fields = ("targs", "n", "args")
+
+    def __init__(self, targs: Tuple[Type, ...], n: int,
+                 args: Tuple[Thunk, ...]):
+        self.targs = targs
+        self.n = n
+        self.args = args
 
 
 BOOL_BOTTOM = object()  # result of the zero test on a zero-straddling interval
@@ -138,25 +157,45 @@ _STRADDLING_ZERO_TEST = "zero test on a straddling interval"
 # -- outcomes ---------------------------------------------------------------
 
 
-@dataclass
-class Outcome:
-    steps: int = 0
-    shared: int = 0  # of the steps, those replayed from shared results
+class Outcome(Struct):
+    """The result of a run, compared by its fields."""
+    __slots__ = _fields = ("steps", "shared")
+    __hash__ = None  # mutable: `eval_refine` sets a `Value`'s value
+
+    def __init__(self, steps: int = 0, shared: int = 0):
+        self.steps = steps
+        # of the steps, those replayed from shared results
+        self.shared = shared
 
 
-@dataclass
 class Value(Outcome):
-    value: object = None
+    __slots__ = ("value",)
+    _fields = Outcome._fields + __slots__
+
+    def __init__(self, steps: int = 0, shared: int = 0, value=None):
+        super().__init__(steps, shared)
+        self.value = value
 
 
-@dataclass
 class Undetermined(Outcome):
-    reason: str = ""
+    __slots__ = ("reason",)
+    _fields = Outcome._fields + __slots__
+
+    def __init__(self, steps: int = 0, shared: int = 0, reason: str = ""):
+        super().__init__(steps, shared)
+        self.reason = reason
 
 
-@dataclass
 class BudgetExhausted(Outcome):
-    pass
+    """A run stopped by the step budget, or by the interpreter's recursion
+    depth on a divergent term: `reason` names which ran out."""
+    __slots__ = ("reason",)
+    _fields = Outcome._fields + __slots__
+
+    def __init__(self, steps: int = 0, shared: int = 0,
+                 reason: str = "step budget"):
+        super().__init__(steps, shared)
+        self.reason = reason
 
 
 # -- ground rules, shared by the recursive evaluator and by `step` ----------
@@ -232,6 +271,12 @@ def _lit(v) -> Expr:
     return _LIT[v.__class__](v)
 
 
+def _override_rule(fn, carrier: Optional[str]):
+    """An `overrides` entry as a rule on values: `fn` takes the carrier
+    name and literal nodes, and returns a literal node."""
+    return lambda *vals: _unlit(fn(carrier, [_lit(v) for v in vals]))
+
+
 def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
     """Apply the delta-rule of a saturated first-order constant to values.
 
@@ -245,7 +290,7 @@ def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
     """
     carrier = getattr(carrier, "name", carrier)
     if overrides and name in overrides:
-        return _unlit(overrides[name](carrier, [_lit(v) for v in vals]))
+        return _override_rule(overrides[name], carrier)(*vals)
     rule = GROUND_RULES.get((name, carrier))
     if rule is None:
         raise StuckTerm(f"no ground rule for constant {name!r} "
@@ -333,6 +378,8 @@ def l_body(targs, args) -> Expr:
 
 _LITERALS = tuple(_PAYLOAD)
 _EMPTY: dict = {}
+# the constants whose value depends on the cost tag
+_COST_INDEXED = frozenset(("int", "sup", "Y", "L"))
 
 # Reserved variables (%F, and %L<i> in `_reduce_l`), which neither the
 # parser nor `fresh_var` produces: the shared rule templates are
@@ -344,7 +391,14 @@ _F = Var("%F")
 class Machine:
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None):
         self.budget = budget
-        self.overrides = overrides
+        # The rule of each (constant, carrier name), `overrides` entries
+        # wrapped once for values, and the value of each constant whose
+        # value does not depend on the cost tag, made on first use.
+        self._rules = GROUND_RULES if not overrides else {
+            key: _override_rule(overrides[key[0]], key[1])
+            if key[0] in overrides else rule
+            for key, rule in GROUND_RULES.items()}
+        self._consts = {}
         self.steps = 0
         self.shared = 0
         # The sharing table of a run: id of a marked application -> (key,
@@ -413,8 +467,12 @@ class Machine:
 
     def _const_value(self, c: Const, tag: Optional[int]):
         name = c.name
-        if name in ("tt", "ff"):
-            return name == "tt"
+        if name not in _COST_INDEXED:
+            key = (name, c.targs[0].name if c.targs else None)
+            v = self._consts.get(key)
+            if v is None:
+                v = self._consts[key] = self._resolve(*key)
+            return v
         if name in ("int", "sup"):
             n = tag if tag is not None else 0
             return IntSupAt(name, c.targs[0], n, n)
@@ -428,18 +486,24 @@ class Machine:
         if name == "L":
             if tag is None:
                 raise StuckTerm("derivative operator without a cost tag")
-            return LVal(c.targs, tag, ())
-        if name in _ARITY:
-            return PrimVal(name, _carrier_of(c), ())
-        raise StuckTerm(f"unknown constant {name!r}")
+        return LVal(c.targs, tag, ())
+
+    def _resolve(self, name: str, carrier: Optional[str]):
+        if name in ("tt", "ff"):
+            return name == "tt"
+        rule = self._rules.get((name, carrier))
+        if rule is None:
+            raise StuckTerm(f"unknown constant {name!r} at carrier "
+                            f"{carrier!r}")
+        return PrimVal(name, _ARITY[name], rule, ())
 
     def _apply(self, fv, th: Thunk, tag: Optional[int]):
         """Apply a value other than a closure to an argument thunk; the
         step was ticked by the caller."""
-        if isinstance(fv, PrimVal):
+        if fv.__class__ is PrimVal:
             args = fv.args + (th,)
-            if len(args) < _ARITY[fv.name]:
-                return PrimVal(fv.name, fv.carrier, args)
+            if len(args) < fv.arity:
+                return PrimVal(fv.name, fv.arity, fv.rule, args)
             if self._memo is None:
                 vals = [self._eval(a.expr, a.env, tag) for a in args]
             else:
@@ -447,7 +511,7 @@ class Machine:
                         if a.expr.__class__ is not App or a.expr.free is None
                         else self._force_shared(a.expr, a.env, tag)
                         for a in args]
-            return apply_ground_rule(fv.name, fv.carrier, vals, self.overrides)
+            return fv.rule(*vals)
         if isinstance(fv, IntSupAt):
             if self._memo is None:
                 self._memo = {}
@@ -484,8 +548,8 @@ class Machine:
         self._memo[id(e)] = (key, v, self.steps - before)
         return v
 
-    def _ground(self, name: str, carrier, vals: List):
-        return apply_ground_rule(name, carrier, vals, self.overrides)
+    def _ground(self, name: str, carrier: Type, vals: List):
+        return self._rules[name, carrier.name](*vals)
 
     def _reduce_intsup(self, node: IntSupAt, env: dict, m: int,
                        lo: Endpoint = IV_UNIT.lo, hi: Endpoint = IV_UNIT.hi):
@@ -516,10 +580,11 @@ class Machine:
         """Normalize a closed, elaborated term of ground type at cost n.
 
         A run that exhausts the step budget, or the interpreter's recursion
-        depth on a divergent term, ends in `BudgetExhausted`; a result that
-        is a zero test on a zero-straddling interval is `Undetermined`.  An
-        entry of `overrides` replaces its constant's rule wherever that
-        rule fires, the int/sup combine included (see `apply_ground_rule`).
+        depth on a divergent term, ends in `BudgetExhausted` with that
+        reason; a result that is a zero test on a zero-straddling interval
+        is `Undetermined`.  An entry of `overrides` replaces its constant's
+        rule wherever that rule fires, the int/sup combine included (see
+        `apply_ground_rule`).
         """
         self.steps = self.shared = 0
         try:
@@ -527,8 +592,10 @@ class Machine:
         except UndeterminedSignal as u:
             return Undetermined(steps=self.steps, shared=self.shared,
                                 reason=u.reason)
-        except (BudgetError, RecursionError):
-            return BudgetExhausted(steps=self.steps, shared=self.shared)
+        except BudgetError:
+            return BudgetExhausted(self.steps, self.shared)
+        except RecursionError:
+            return BudgetExhausted(self.steps, self.shared, "recursion depth")
         finally:
             self._memo = None
         if v is BOOL_BOTTOM:
@@ -556,7 +623,7 @@ def eval_dual(e: Expr, n: int, budget: int = DEFAULT_BUDGET) -> DualInterval:
     if isinstance(out, Undetermined):
         raise UndeterminedSignal(out.reason)
     if isinstance(out, BudgetExhausted):
-        raise BudgetError(out.steps)
+        raise BudgetError(out.steps, out.reason)
     return _dual_value(out.value)
 
 

@@ -10,7 +10,6 @@ cast ladder inserted for real-flavoured arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (
@@ -26,11 +25,13 @@ BAD_L_SHAPE = "BadLShape"
 UNBOUND_VAR = "UnboundVar"
 
 
-@dataclass
 class TypeCheckError(Exception):
-    kind: str
-    message: str
-    pos: Optional[Tuple[int, int]] = None
+    def __init__(self, kind: str, message: str,
+                 pos: Optional[Tuple[int, int]] = None):
+        super().__init__(kind, message, pos)
+        self.kind = kind
+        self.message = message
+        self.pos = pos
 
     def __str__(self) -> str:
         loc = f"{self.pos[0]}:{self.pos[1]}: " if self.pos else ""

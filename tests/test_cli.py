@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 import json
+import re
 
 import pytest
 
@@ -154,13 +155,17 @@ class TestEval:
         assert doc["value"] == "1" and doc["steps"] > 0
 
     def test_divergent_unbounded_fixed_point(self, capsys, program):
-        # diverges by recursion depth long before the default step budget
+        # diverges by recursion depth long before the default step budget,
+        # and into a small budget before the recursion depth
         path = program("(Y[nat -> nat] (fun f: nat -> nat. fun n: nat. "
                        "succ (f n))) 0")
         code, out, err = run(capsys, ["eval", path])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("step budget exhausted after ")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"recursion depth exhausted after \d+ steps\n",
+                            err)
+        code, out, err = run(capsys, ["eval", path, "--budget", "1000"])
+        assert (code, out) == (2, "")
+        assert err == "step budget exhausted after 1001 steps\n"
 
 
 class TestExamples:

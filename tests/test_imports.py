@@ -1,8 +1,12 @@
 """Static checks: no module of the package imports a name it never uses,
-and none defines a helper that nothing names."""
+and none defines a helper that nothing names; and start-up imports only
+what `check` and `eval` run."""
 import ast
 import functools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,36 @@ def dead_helpers(module: Path):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_dead_helpers(module):
     assert dead_helpers(PACKAGE / module) == []
+
+
+def imported_modules(source: str):
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_dataclasses(module):
+    # the decorator and its imports (inspect, ast, dis, tokenize) cost
+    # about 40 ms of every command's start-up
+    source = (PACKAGE / module).read_text()
+    assert "dataclasses" not in imported_modules(source)
+
+
+def test_cli_start_up_loads_only_what_eval_runs():
+    # `verify` and `examples` import the analysis and corpus modules
+    # themselves, so `check` and `eval` never load them
+    code = ("import sys; before = set(sys.modules); import dualpcf.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert "dualpcf.machine" in loaded
+    assert loaded & {"dataclasses", "inspect", "dualpcf.analysis",
+                     "dualpcf.corpus"} == set()

@@ -2,8 +2,8 @@
 import pytest
 
 from dualpcf.lang import (
-    App, Arrow, Const, DUAL, Lam, NatLit, ParseError, REAL, Var, alpha_eq,
-    free_vars, parse, print_expr, subst,
+    App, Arrow, Const, DUAL, Ground, If, Lam, NAT, NatLit, ParseError, REAL,
+    Var, alpha_eq, free_vars, parse, print_expr, subst,
 )
 
 
@@ -108,3 +108,37 @@ class TestSubstitution:
         e = parse("fun x: delta. x + x")
         assert free_vars(e) == set()
         assert free_vars(e.body) == {"x"}
+
+
+class TestNodeContract:
+    # A source position, an elaboration mark (`App.free`) and a conditional's
+    # type annotation take no part in equality, hashing or repr.
+    @pytest.mark.parametrize("a,b", [
+        (Var("x", pos=(1, 2)), Var("x")),
+        (NatLit(1, pos=(1, 1)), NatLit(1)),
+        (Const("+", (REAL,), pos=(3, 4)), Const("+", (REAL,))),
+        (App(Var("f"), Var("x"), ("f", "x")), App(Var("f"), Var("x"))),
+        (If(Var("b"), NatLit(1), NatLit(2), NAT),
+         If(Var("b"), NatLit(1), NatLit(2))),
+        (Arrow(REAL, DUAL), Arrow(REAL, DUAL)),
+        (Ground("pi"), REAL),
+    ])
+    def test_equal_nodes_hash_equal(self, a, b):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("a,b", [
+        (Var("x"), Const("x")),
+        (Var("x"), Var("y")),
+        (Arrow(REAL, DUAL), Arrow(DUAL, REAL)),
+        (Lam("x", REAL, Var("x")), Lam("x", DUAL, Var("x"))),
+    ])
+    def test_unequal_nodes(self, a, b):
+        assert a != b
+
+    @pytest.mark.parametrize("node", [
+        REAL, Arrow(REAL, DUAL), Var("x"), App(Var("f"), NatLit(1)),
+        parse("fun x: delta. if 0 < in_pi 1 then x else x"),
+    ])
+    def test_nodes_have_no_dict(self, node):
+        assert not hasattr(node, "__dict__")

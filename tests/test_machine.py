@@ -6,11 +6,12 @@ import pytest
 from dualpcf import machine
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
-    App, Const, CostTagged, DualLit, IvLit, parse,
+    App, Const, CostTagged, DualLit, IvLit, Lam, REAL, Var, parse,
 )
 from dualpcf.machine import (
-    BudgetExhausted, CeilingReached, GROUND_RULES, Machine, Undetermined,
-    Value, _unlit, eval_at_cost, eval_dual, eval_refine, run_steps, step,
+    BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
+    Undetermined, Value, _unlit, eval_at_cost, eval_dual, eval_refine,
+    run_steps, step,
 )
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM, _Dyadic,
@@ -125,6 +126,17 @@ class TestCostSemantics:
         src = "Y[nu -> nu] (fun f: nu -> nu. fun n: nu. f n) 0"
         out = ev(src, 5, budget=5000)
         assert isinstance(out, BudgetExhausted)
+        assert out.reason == "step budget"
+
+    def test_y_at_discrete_type_diverges_into_recursion_depth(self):
+        src = ("in_delta (in_pi (Y[nu -> nu] (fun f: nu -> nu. fun n: nu. "
+               "succ (f n)) 0))")
+        out = ev(src, 2)
+        assert isinstance(out, BudgetExhausted)
+        assert out.reason == "recursion depth"
+        with pytest.raises(machine.BudgetError,
+                           match="^recursion depth exhausted after "):
+            eval_dual(elaborate(parse(src), {})[0], 2)
 
     def test_y_at_discrete_type_terminates_when_productive(self):
         # recursive doubling: double(n) = if iszero n then 0 else
@@ -330,3 +342,19 @@ class TestSharing:
             assert out.steps == b + 1 and out.shared <= out.steps, b
         out = eval_at_cost(e, 2, budget=full.steps)
         assert isinstance(out, Value) and out.steps == full.steps
+
+
+def test_values_and_outcomes_compare_as_documented():
+    # thunks and closures by identity, the sharing table's key; outcomes
+    # by their fields, and they are mutable, so unhashable
+    lam, env = Lam("x", REAL, Var("x")), {}
+    th = Thunk(Var("x"), env)
+    assert th == th and th != Thunk(Var("x"), env)
+    assert Closure(lam, env, 1) != Closure(lam, env, 1)
+    assert Value(3, 1, 2) == Value(3, 1, 2)
+    assert Value(3, 1, 2) != Value(3, 0, 2)
+    assert BudgetExhausted(5) != Undetermined(5)
+    assert BudgetExhausted(5) != BudgetExhausted(5, 0, "recursion depth")
+    with pytest.raises(TypeError):
+        hash(Value())
+    assert not hasattr(Value(), "__dict__")
