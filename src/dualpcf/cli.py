@@ -3,9 +3,10 @@
 `check` and `eval` load only the front end and the machine; `verify` and
 `examples` import the analysis and corpus modules when they run.
 
-Exit codes: 0 success, 1 parse or type error (or `eval` of a program of
-function type, or a failed `verify` case), 2 budget or refinement ceiling
-exhausted, 3 result undetermined.
+Exit codes: 0 success, 1 parse or type error (or an unreadable FILE,
+`eval` of a program of function type, or a failed `verify` case), 2 budget
+or refinement ceiling exhausted, or a malformed option or `DUALPCF_BUDGET`
+(argparse's usage error), 3 result undetermined.
 """
 from __future__ import annotations
 
@@ -30,16 +31,34 @@ EXIT_BUDGET = 2
 EXIT_UNDETERMINED = 3
 
 
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("DUALPCF_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def _natural(text: str) -> int:
+    """An option's value that must be a natural number."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a natural number, got {text!r}")
+    return n
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 1/256, got {text!r}") from None
 
 
 def _load(path: str):
-    with open(path) as fh:
-        src = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            src = fh.read()
+    except OSError as ex:
+        raise ParseError(f"cannot read {path}: {ex.strerror or ex}") from None
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"cannot read {path}: {ex}") from None
     try:
         return elaborate(parse(src), {})
     except RecursionError:
@@ -73,14 +92,13 @@ def cmd_check(args) -> int:
 
 
 def _eval_term(e, args) -> int:
-    budget = _budget(args)
     t0 = time.monotonic()
     if args.width is None:
-        cost, out = args.cost, eval_at_cost(e, args.cost, budget)
+        cost, out = args.cost, eval_at_cost(e, args.cost, args.budget)
     else:
         try:
-            out, cost = eval_refine(e, Fraction(args.width),
-                                    cost_ceiling=args.ceiling, budget=budget)
+            out, cost = eval_refine(e, args.width, cost_ceiling=args.ceiling,
+                                    budget=args.budget)
         except CeilingReached as c:
             print(f"ceiling reached at cost {c.cost}; best: {c.best}",
                   file=sys.stderr)
@@ -208,13 +226,13 @@ def main(argv=None) -> int:
 
     def eval_flags(p):
         g = p.add_mutually_exclusive_group()
-        g.add_argument("--cost", type=int, default=4,
+        g.add_argument("--cost", type=_natural, default=4,
                        help="cost index for a single evaluation")
-        g.add_argument("--width", help="refine until widths reach this "
-                                       "rational target")
-        p.add_argument("--ceiling", type=int, default=4096,
+        g.add_argument("--width", type=_rational,
+                       help="refine until widths reach this rational target")
+        p.add_argument("--ceiling", type=_natural, default=4096,
                        help="cost ceiling for refinement")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_natural, default=None,
                        help="global step budget (default from "
                             "DUALPCF_BUDGET or 10^7)")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -244,6 +262,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)
+    if "budget" in vars(args) and args.budget is None:
+        env = os.environ.get("DUALPCF_BUDGET")
+        try:
+            args.budget = _natural(env) if env else DEFAULT_BUDGET
+        except argparse.ArgumentTypeError as ex:
+            ap.error(f"DUALPCF_BUDGET: {ex}")
     return args.fn(args)
 
 

@@ -11,7 +11,18 @@ position first, then operator arguments left to right) and never
 substitutes.  `step` is the literal one-redex-at-a-time reducer that
 substitutes; the conformance tests compare the two.  Both use the same
 ground-rule table, int/sup combine, Y unfolding and L body: `Machine`
-instantiates the last three with reserved variables bound to its thunks.
+fires the combine's rules on values and instantiates the last two with
+reserved variables bound to its thunks.
+
+A known call, a first-order constant applied to all its operands
+(`c a` for `c` of arity 1, `c a b` for arity 2), jumps straight to the
+rule that constant resolved to, as eval/apply does (Marlow and Peyton
+Jones, "Making a fast curry", ICFP 2004): one step per application node,
+then the operands' values at the current tag, left to right, with no
+partial value and no argument thunk.  A constant used as a value, passed
+to a function or applied to fewer operands, becomes a `PrimVal` and takes
+the generic path, which counts the same steps.  Each int/sup cell applies
+f to its cell directly, as the one step of that application.
 
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
@@ -381,10 +392,10 @@ _EMPTY: dict = {}
 # the constants whose value depends on the cost tag
 _COST_INDEXED = frozenset(("int", "sup", "Y", "L"))
 
-# Reserved variables (%F, and %L<i> in `_reduce_l`), which neither the
-# parser nor `fresh_var` produces: the shared rule templates are
-# instantiated with them in a fresh environment that binds them to the
-# argument thunks.
+# Reserved variables (%F in the Y unfolding, and %L<i> in `_reduce_l`),
+# which neither the parser nor `fresh_var` produces: the shared rule
+# templates are instantiated with them in a fresh environment that binds
+# them to the argument thunks.
 _F = Var("%F")
 
 
@@ -421,7 +432,26 @@ class Machine:
         while True:
             cls = e.__class__
             if cls is App:
-                fv = self._eval(e.fn, env, tag)
+                # A known call, a first-order constant applied to all its
+                # operands, fires its rule on the operands' values: one
+                # tick per application node, operands left to right.
+                fn = e.fn
+                if fn.__class__ is Const:
+                    if _ARITY.get(fn.name) == 1:
+                        rule = self._const_value(fn, tag).rule
+                        self._tick()
+                        return rule(self._operand(e.arg, env, tag,
+                                                  self._memo))
+                elif fn.__class__ is App:
+                    c = fn.fn
+                    if c.__class__ is Const and _ARITY.get(c.name) == 2:
+                        rule = self._const_value(c, tag).rule
+                        self._tick()
+                        self._tick()
+                        memo = self._memo
+                        a = self._operand(fn.arg, env, tag, memo)
+                        return rule(a, self._operand(e.arg, env, tag, memo))
+                fv = self._eval(fn, env, tag)
                 arg = e.arg
                 # a variable argument passes on the thunk it is bound to,
                 # so forwarding chains do not grow with each Y unfolding
@@ -497,6 +527,18 @@ class Machine:
                             f"{carrier!r}")
         return PrimVal(name, _ARITY[name], rule, ())
 
+    def _operand(self, e: Expr, env: dict, tag: Optional[int], memo):
+        """The value of a primitive's operand at `tag`.  A variable forces
+        the thunk it is bound to; with a sharing table (`memo`, read once
+        per firing), a marked application is looked up in it."""
+        if e.__class__ is Var:
+            th = env.get(e.name)
+            if th is not None:
+                e, env = th.expr, th.env
+        if memo is not None and e.__class__ is App and e.free is not None:
+            return self._force_shared(e, env, tag)
+        return self._eval(e, env, tag)
+
     def _apply(self, fv, th: Thunk, tag: Optional[int]):
         """Apply a value other than a closure to an argument thunk; the
         step was ticked by the caller."""
@@ -504,18 +546,13 @@ class Machine:
             args = fv.args + (th,)
             if len(args) < fv.arity:
                 return PrimVal(fv.name, fv.arity, fv.rule, args)
-            if self._memo is None:
-                vals = [self._eval(a.expr, a.env, tag) for a in args]
-            else:
-                vals = [self._eval(a.expr, a.env, tag)
-                        if a.expr.__class__ is not App or a.expr.free is None
-                        else self._force_shared(a.expr, a.env, tag)
-                        for a in args]
-            return fv.rule(*vals)
+            memo = self._memo
+            return fv.rule(*[self._operand(a.expr, a.env, tag, memo)
+                             for a in args])
         if isinstance(fv, IntSupAt):
             if self._memo is None:
                 self._memo = {}
-            return self._reduce_intsup(fv, {_F.name: th}, fv.m)
+            return self._reduce_intsup(fv, th, fv.m)
         if isinstance(fv, YVal):
             return self._eval(unfold_y(fv.ty, _F, fv.tag), {_F.name: th}, tag)
         if isinstance(fv, LVal):
@@ -551,21 +588,27 @@ class Machine:
     def _ground(self, name: str, carrier: Type, vals: List):
         return self._rules[name, carrier.name](*vals)
 
-    def _reduce_intsup(self, node: IntSupAt, env: dict, m: int,
+    def _reduce_intsup(self, node: IntSupAt, f: Thunk, m: int,
                        lo: Endpoint = IV_UNIT.lo, hi: Endpoint = IV_UNIT.hi):
         # The bisection rule rescales f with wrapper lambdas; composing
         # those affine maps sends [0,1] to an explicit dyadic cell, so the
-        # cell endpoints are passed down directly and each cell applies f,
-        # bound to %F in env, to its cell.  Values are identical (all the
-        # arithmetic involved is exact) and the association of the
+        # cell endpoints are passed down directly and each cell applies f
+        # to its cell, one application step.  Values are identical (all
+        # the arithmetic involved is exact) and the association of the
         # combining tree is preserved.
         if m == 0:
-            return self._eval(App(_F, IvLit(iv_unchecked(lo, hi))), env,
-                              node.n)
+            fv = self._eval(f.expr, f.env, node.n)
+            th = Thunk(IvLit(iv_unchecked(lo, hi)), _EMPTY)
+            self._tick()
+            if fv.__class__ is not Closure:
+                return self._apply(fv, th, node.n)
+            env = fv.env.copy()
+            env[fv.lam.var] = th
+            return self._eval(fv.lam.body, env, fv.tag)
         self._tick()
         mid = (lo + hi) / 2
-        lv = self._reduce_intsup(node, env, m - 1, lo, mid)
-        rv = self._reduce_intsup(node, env, m - 1, mid, hi)
+        lv = self._reduce_intsup(node, f, m - 1, lo, mid)
+        rv = self._reduce_intsup(node, f, m - 1, mid, hi)
         return intsup_combine(node.kind, node.carrier, lv, rv, self._ground,
                               2)
 
@@ -584,8 +627,10 @@ class Machine:
         reason; a result that is a zero test on a zero-straddling interval
         is `Undetermined`.  An entry of `overrides` replaces its constant's
         rule wherever that rule fires, the int/sup combine included (see
-        `apply_ground_rule`).
+        `apply_ground_rule`).  A negative cost raises `ValueError`.
         """
+        if n < 0:
+            raise ValueError(f"negative cost {n}")
         self.steps = self.shared = 0
         try:
             v = self.evalc(CostTagged(e, n), None)

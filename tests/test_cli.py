@@ -50,6 +50,66 @@ class TestCheck:
         assert "ZeroTestOnDual" in err
 
 
+class TestUnreadableFile:
+    # a FILE that cannot be read is a front-end error: one line, exit 1
+
+    @pytest.fixture(params=["missing", "directory", "not_utf8"])
+    def unreadable(self, request, tmp_path):
+        if request.param == "missing":
+            return str(tmp_path / "nope.dpcf"), "No such file or directory"
+        if request.param == "directory":
+            return str(tmp_path), "Is a directory"
+        path = tmp_path / "latin1.dpcf"
+        path.write_bytes(b"in_delta 1 # caf\xe9\n")
+        return str(path), ("'utf-8' codec can't decode byte 0xe9 in "
+                           "position 16: invalid continuation byte")
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    def test_one_line_and_exit_1(self, capsys, unreadable, command):
+        path, reason = unreadable
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert err == f"cannot read {path}: {reason}\n"
+
+
+class TestOptionValidation:
+    # a malformed option ends in argparse's usage error, exit 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--width", "abc"], ["--width", "1/0"], ["--cost", "-1"],
+        ["--cost", "abc"], ["--ceiling", "-1"], ["--budget", "-1"],
+    ], ids=["width_abc", "width_zero_denominator", "cost_negative",
+            "cost_abc", "ceiling_negative", "budget_negative"])
+    def test_malformed_option(self, capsys, program, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", program("in_pi 1")] + flags)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"error: argument {flags[0]}: " in out.err
+        assert repr(flags[1]) in out.err
+
+    def test_malformed_budget_variable(self, capsys, program, monkeypatch):
+        monkeypatch.setenv("DUALPCF_BUDGET", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", program("in_pi 1")])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith("error: DUALPCF_BUDGET: expected a natural "
+                                "number, got 'abc'\n")
+
+    def test_budget_variable_sets_the_default(self, capsys, program,
+                                              monkeypatch):
+        path = program(corpus_source("int_id"))
+        monkeypatch.setenv("DUALPCF_BUDGET", "10")
+        code, _, err = run(capsys, ["eval", path])
+        assert (code, err) == (2, "step budget exhausted after 11 steps\n")
+        code, _, _ = run(capsys, ["eval", path, "--budget", "1000"])
+        assert code == 0
+        # checking a program runs nothing, so it reads no budget
+        monkeypatch.setenv("DUALPCF_BUDGET", "abc")
+        assert run(capsys, ["check", path])[0] == 0
+
+
 class TestEval:
     def test_text_output(self, capsys, program):
         path = program("L[delta] (fun x: delta. max(x, 0 - x)) 0 1")

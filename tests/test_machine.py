@@ -204,6 +204,11 @@ class TestSingleStep:
         ("Y[delta] (fun x: delta. in_delta (in_pi 1))", 2),
         ("Y[nu -> nu] (fun d: nu -> nu. fun n: nu. "
          "if iszero n then 0 else succ (succ (d (pred n)))) 2", 0),
+        # constants passed as values take the generic path
+        ("(fun g: delta -> delta -> delta. g (in_delta 1) (in_delta 2)) max",
+         0),
+        ("(fun g: delta -> delta. g (in_delta 3)) pr", 0),
+        ("(fun h: delta -> delta. h (in_delta 1)) (max (in_delta 2))", 0),
     ] + [(name, n) for name in CORPUS for n in (0, 1, 2)])
     def test_step_agrees_with_evaluator(self, src, n):
         # src is a corpus program's name or a program's source
@@ -268,6 +273,58 @@ def test_expected_limit_in_every_enclosure(name):
 def test_step_counts_are_pinned(name, n, steps):
     # the machine-independent work measure that bench results are read by
     assert eval_at_cost(load_corpus(name)[0], n).steps == steps
+
+
+# (steps, shared) of every corpus program at cost 4
+_COUNTS_AT_COST_4 = {
+    "abs_deriv": (26, 0), "chebyshev_functional": (89, 0),
+    "linear_functional": (211, 0), "lagrangian_action": (3_300, 2_880),
+    "ivp_const_field": (99, 7), "legendre_fenchel_halfsq": (208, 45),
+    "nested_int_xyz": (25_120, 7_680), "int_id": (48, 0), "sup_id": (48, 0),
+    "cbrt_sup": (304, 75),
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_step_and_shared_counts_are_pinned_at_cost_4(name):
+    out = eval_at_cost(load_corpus(name)[0], 4)
+    assert (out.steps, out.shared) == _COUNTS_AT_COST_4[name]
+
+
+class TestKnownCalls:
+    # A first-order constant applied to all its operands fires its rule
+    # directly; passed as a value, it takes the generic path through a
+    # partial `PrimVal`, with one beta step more and the same value.
+
+    @pytest.mark.parametrize("partial,saturated", [
+        ("(fun g: delta -> delta -> delta. g (in_delta 1) (in_delta 2)) max",
+         "max (in_delta 1) (in_delta 2)"),
+        ("(fun g: delta -> delta. g (in_delta 3)) pr", "pr (in_delta 3)"),
+        ("(fun h: delta -> delta. h (in_delta 1)) (max (in_delta 2))",
+         "max (in_delta 2) (in_delta 1)"),
+    ], ids=["binary", "unary", "partial"])
+    def test_constant_as_value_takes_one_step_more(self, partial, saturated):
+        p, s = ev(partial), ev(saturated)
+        assert p.value == s.value
+        assert p.steps == s.steps + 1
+
+    def test_saturated_call_steps(self):
+        # one step per application node and one per in_delta
+        assert ev("max (in_delta 1) (in_delta 2)").steps == 6
+
+    def test_saturated_calls_apply_nothing(self, monkeypatch):
+        def no_apply(*args):
+            raise AssertionError("a saturated call reached Machine._apply")
+        src = "pr (in_delta (in_pi 2) * in_delta 3 - in_delta (1 / 3)) / 2"
+        expected = val(src)
+        monkeypatch.setattr(Machine, "_apply", no_apply)
+        assert val(src) == expected == DualInterval.of(Fraction(1, 2))
+
+
+def test_negative_cost_is_rejected():
+    e, _ = elaborate(parse("in_pi 1"), {})
+    with pytest.raises(ValueError, match="negative cost -1"):
+        eval_at_cost(e, -1)
 
 
 def test_machine_does_not_substitute(monkeypatch):
