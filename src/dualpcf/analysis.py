@@ -11,6 +11,12 @@ arguments: a base interval f, its shift f + r*g, and the dual
 
 The finite-difference oracle computes only what the soundness check
 reads: the hull of the difference quotients at one radius, 2^-12.
+
+The costs are fixed: the relation is checked on evaluations at cost
+RELATION_COST, derivative soundness at each of SOUNDNESS_COSTS.  Every
+function checked here is elaborated and applied to sampled values of its
+argument types, so at type `delta` the machine returns a `DualInterval`
+and at type `pi` an `Interval`.
 """
 from __future__ import annotations
 
@@ -22,10 +28,11 @@ from .lang import (
     App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, NAT, REAL, Struct,
     Var, fresh_var,
 )
-from .machine import (
-    CeilingReached, DEFAULT_BUDGET, eval_at_cost, eval_refine, Value,
-)
-from .numeric import DualInterval, Interval, IV_ZERO, in_dual
+from .machine import CeilingReached, eval_at_cost, eval_refine, Value
+from .numeric import DualInterval, Interval, IV_ZERO
+
+RELATION_COST = 4
+SOUNDNESS_COSTS = (0, 1, 2)
 
 
 class OracleInconclusive(Exception):
@@ -141,16 +148,15 @@ def _sample_related_args(ty, rng: random.Random, r):
     raise ValueError(f"no sampler for arguments of type {ty}")
 
 
-def _eval_ground(e: Expr, cost: int, budget: int, overrides=None):
-    out = eval_at_cost(e, cost, budget, overrides)
+def _eval_ground(e: Expr, cost: int, overrides=None):
+    out = eval_at_cost(e, cost, overrides=overrides)
     if not isinstance(out, Value):
         raise OracleInconclusive(f"evaluation did not produce a value: {out}")
     return out.value
 
 
 def relation_holds(r, ty, f1: Expr, f2: Expr, f3: Expr, fuel: int = 50,
-                   seed: int = 0, cost: int = 4,
-                   budget: int = DEFAULT_BUDGET, overrides=None) -> Verdict:
+                   seed: int = 0, overrides=None) -> Verdict:
     """Check the logical relation at ty on closed terms by sampling.
 
     At ground type this is a single direct check; at arrow types, related
@@ -161,18 +167,12 @@ def relation_holds(r, ty, f1: Expr, f2: Expr, f3: Expr, fuel: int = 50,
     r = Fraction(r)
 
     def check(ty, e1, e2, e3):
-        if ty == DUAL:
-            v1, v2, v3 = (in_dual(v) if isinstance(v, Interval) else v
-                          for v in (_eval_ground(e1, cost, budget, overrides),
-                                    _eval_ground(e2, cost, budget, overrides),
-                                    _eval_ground(e3, cost, budget, overrides)))
-            if not relation_holds_ground(r, v1, v2, v3):
-                return f"ground violation: {v1} ; {v2} ; {v3}"
-            return None
-        if ty == REAL:
-            v1, v2, v3 = (_eval_ground(e, cost, budget, overrides)
+        if ty in (DUAL, REAL):
+            v1, v2, v3 = (_eval_ground(e, RELATION_COST, overrides)
                           for e in (e1, e2, e3))
-            if not relation_holds_real(v1, v2, v3):
+            if ty == DUAL and not relation_holds_ground(r, v1, v2, v3):
+                return f"ground violation: {v1} ; {v2} ; {v3}"
+            if ty == REAL and not relation_holds_real(v1, v2, v3):
                 return f"real violation: {v1} ; {v2} ; {v3}"
             return None
         if isinstance(ty, Arrow):
@@ -234,11 +234,11 @@ def finite_diff_oracle(f: Expr, x, xp) -> Interval:
     return hull
 
 
-def check_L_soundness(f: Expr, x, xp, n_schedule=(0, 1, 2),
-                      budget: int = DEFAULT_BUDGET) -> Verdict:
+def check_L_soundness(f: Expr, x, xp) -> Verdict:
     """The machine's infinitesimal part must cover every observed quotient.
 
-    For each cost n, evaluates f(x + eps xp) and checks that the oracle's
+    For each cost n of SOUNDNESS_COSTS, evaluates f(x + eps xp), with f of
+    type `delta -> delta`, and checks that the oracle's
     quotient hull at its one radius lies inside the infinitesimal part,
     inflated by ORACLE_TOL.
     """
@@ -246,10 +246,8 @@ def check_L_soundness(f: Expr, x, xp, n_schedule=(0, 1, 2),
     arg = DualLit(DualInterval(Interval.point(Fraction(x)),
                                Interval.point(Fraction(xp))))
     checked = 0
-    for n in n_schedule:
-        v = _eval_ground(App(f, arg), n, budget)
-        if isinstance(v, Interval):
-            v = in_dual(v)
+    for n in SOUNDNESS_COSTS:
+        v = _eval_ground(App(f, arg), n)
         padded = v.inf.inflate(ORACLE_TOL)
         if not padded.leq(hull):
             return Verdict(False, checked,
@@ -263,23 +261,18 @@ def check_L_soundness(f: Expr, x, xp, n_schedule=(0, 1, 2),
 
 
 def _leq_value(a, b) -> bool:
-    if isinstance(a, DualInterval) and isinstance(b, DualInterval):
+    # one program's values at two costs have one class
+    if isinstance(a, (Interval, DualInterval)):
         return a.leq(b)
-    if isinstance(a, Interval) and isinstance(b, Interval):
-        return a.leq(b)
-    if isinstance(a, Interval):
-        return in_dual(a).leq(b)
-    if isinstance(b, Interval):
-        return a.leq(in_dual(b))
     return a == b
 
 
-def check_monotone_refinement(e: Expr, costs, budget: int = DEFAULT_BUDGET) -> Verdict:
+def check_monotone_refinement(e: Expr, costs) -> Verdict:
     """Assert that results refine (gain information) along the cost list."""
     costs = list(costs)
     prev = None
     for i, n in enumerate(costs):
-        v = _eval_ground(e, n, budget)
+        v = _eval_ground(e, n)
         if prev is not None and not _leq_value(prev, v):
             return Verdict(False, i,
                            f"cost {costs[i - 1]} gave {prev}, not refined by "

@@ -31,24 +31,34 @@ EXIT_BUDGET = 2
 EXIT_UNDETERMINED = 3
 
 
-def _natural(text: str) -> int:
-    """An option's value that must be a natural number."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a natural number, got {text!r}")
-    return n
+def _integer_from(least: int, what: str):
+    """The type of an option whose value is an integer of at least
+    `least`, named `what` in the usage error."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return n
+    return parse
 
 
-def _rational(text: str) -> Fraction:
+_natural = _integer_from(0, "a natural number")
+_positive = _integer_from(1, "a positive integer")
+
+
+def _width(text: str) -> Fraction:
+    """A target width: a non-negative rational (0 asks for exactness)."""
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or q < 0:
         raise argparse.ArgumentTypeError(
-            f"expected a rational such as 1/256, got {text!r}") from None
+            f"expected a non-negative rational such as 1/256, got {text!r}")
+    return q
 
 
 def _load(path: str):
@@ -155,10 +165,6 @@ def cmd_examples(args) -> int:
     return rc
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report))
-
-
 def cmd_verify(args) -> int:
     from .analysis import (
         check_L_soundness, check_monotone_refinement, relation_holds,
@@ -175,8 +181,8 @@ def cmd_verify(args) -> int:
             f, _ = elaborate(parse(src), {})
             v = relation_holds(Fraction(1, 8), ty, f, f, f,
                                fuel=args.fuel, seed=seed)
-            _emit({"suite": "relations", "case": name,
-                   "verdict": v.holds, "witness": v.detail})
+            print(json.dumps({"suite": "relations", "case": name,
+                              "verdict": v.holds, "witness": v.detail}))
             ok = ok and v.holds
     if args.suite in ("soundness", "all"):
         pairs = [(0, 1), (1, 1), (Fraction(-1, 2), 1), (Fraction(1, 2), -1),
@@ -185,16 +191,17 @@ def cmd_verify(args) -> int:
             f = load_first_order(name)
             for x, xp in pairs:
                 v = check_L_soundness(f, x, xp)
-                _emit({"suite": "soundness", "case": f"{name}@({x},{xp})",
-                       "verdict": v.holds, "witness": v.detail})
+                print(json.dumps({
+                    "suite": "soundness", "case": f"{name}@({x},{xp})",
+                    "verdict": v.holds, "witness": v.detail}))
                 ok = ok and v.holds
     if args.suite in ("refinement", "all"):
         for name, entry in CORPUS.items():
             e, _ = load_corpus(name)
             top = 4 if entry.heavy else 10
             v = check_monotone_refinement(e, range(top + 1))
-            _emit({"suite": "refinement", "case": name,
-                   "verdict": v.holds, "witness": v.detail})
+            print(json.dumps({"suite": "refinement", "case": name,
+                              "verdict": v.holds, "witness": v.detail}))
             ok = ok and v.holds
     print("all suites passed" if ok else "FAILURES detected", file=sys.stderr)
     return EXIT_OK if ok else EXIT_FRONTEND
@@ -228,7 +235,7 @@ def main(argv=None) -> int:
         g = p.add_mutually_exclusive_group()
         g.add_argument("--cost", type=_natural, default=4,
                        help="cost index for a single evaluation")
-        g.add_argument("--width", type=_rational,
+        g.add_argument("--width", type=_width,
                        help="refine until widths reach this rational target")
         p.add_argument("--ceiling", type=_natural, default=4096,
                        help="cost ceiling for refinement")
@@ -257,7 +264,7 @@ def main(argv=None) -> int:
     p.add_argument("--suite", default="all",
                    choices=("relations", "soundness", "refinement", "all"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=100,
+    p.add_argument("--fuel", type=_positive, default=100,
                    help="samples per relation case")
     p.set_defaults(fn=cmd_verify)
 

@@ -1,8 +1,9 @@
 """Abstract syntax, concrete grammar, parser and printer for the language.
 
 Surface programs are plain simply-typed lambda terms over the constant
-signature; the evaluator additionally uses cost-tagged terms and raw
-interval / dual-interval literals, which the parser never produces.
+signature, with natural literals and the boolean literals `tt`/`ff`
+(`NatLit`, `BoolLit`); the evaluator additionally uses cost-tagged terms
+and raw interval / dual-interval literals, which the parser never produces.
 """
 from __future__ import annotations
 
@@ -163,6 +164,13 @@ class NatLit(Expr):
         self.pos = pos
 
 
+class BoolLit(Expr):
+    __slots__ = _fields = ("b",)
+
+    def __init__(self, b: bool):
+        self.b = b
+
+
 # --- evaluation-only forms (never produced by the parser) ---
 
 
@@ -188,13 +196,6 @@ class DualLit(Expr):
         self.dv = dv
 
 
-class BoolLit(Expr):
-    __slots__ = _fields = ("b",)
-
-    def __init__(self, b: bool):
-        self.b = b
-
-
 # int or sup at its carrier, with its (m, n) unfolding state: m bisection
 # levels remain, and each cell is evaluated at cost n
 class IntSupAt(Expr):
@@ -211,7 +212,7 @@ class IntSupAt(Expr):
 # evaluation-only; the parser rejects it.
 SURFACE_CONSTANTS = {
     "min", "max", "pr", "int", "sup", "in_pi", "in_delta",
-    "Y", "L", "succ", "pred", "iszero", "tt", "ff",
+    "Y", "L", "succ", "pred", "iszero",
 }
 OPERATORS = {"+", "-", "*", "/", "lt0"}
 ALL_CONSTANTS = SURFACE_CONSTANTS | OPERATORS | {"In"}
@@ -538,6 +539,8 @@ class _Parser:
                     targs.append(self.parse_type())
                 self.expect("]")
                 return Const(name, tuple(targs), pos=(t.line, t.col))
+            if name in ("tt", "ff"):
+                return BoolLit(name == "tt")
             if name in SURFACE_CONSTANTS:
                 return Const(name, pos=(t.line, t.col))
             if name == "In":
@@ -581,7 +584,7 @@ def _pp(e: Expr, prec: int) -> str:
         return str(e.n)
     if isinstance(e, Const):
         if e.name == "lt0":
-            return "(0 <)" if prec >= 3 else "(0 <)"
+            return "(0 <)"
         return e.name + _print_ty_args(e.targs)
     if isinstance(e, Lam):
         binder = f"{e.var}: {e.ty}" if e.ty is not None else e.var

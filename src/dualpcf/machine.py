@@ -124,7 +124,7 @@ class Closure(Struct):
     _fields = ("lam", "tag")  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, lam: Lam, env: dict, tag: Optional[int]):
+    def __init__(self, lam: Lam, env: dict, tag: int):
         self.lam = lam
         self.env = env
         self.tag = tag
@@ -233,10 +233,6 @@ def _as_dual(v) -> DualInterval:
     return in_dual(_as_iv(v))
 
 
-def _carrier_of(c: Const):
-    return c.targs[0] if c.targs else None
-
-
 def _lt0(iv: Interval):
     if iv.lo > 0:
         return True
@@ -288,25 +284,30 @@ def _override_rule(fn, carrier: Optional[str]):
     return lambda *vals: _unlit(fn(carrier, [_lit(v) for v in vals]))
 
 
-def apply_ground_rule(name: str, carrier, vals: List, overrides=None):
-    """Apply the delta-rule of a saturated first-order constant to values.
+def ground_rules(overrides=None) -> dict:
+    """The delta-rule of each (constant, carrier name): `GROUND_RULES`.
 
     Rules act on values (`Interval`, `DualInterval`, `int`, `bool`) and
     return one, or `BOOL_BOTTOM` for a zero test on a straddling interval.
-    `carrier` is the constant's carrier type, or its name ("pi" or
-    "delta"), and None for constants with a fixed signature.  An entry
-    `overrides[name]`, called as `fn(carrier name, literal nodes)` and
-    returning a literal node, replaces the constant's rule wherever it
-    fires, the int/sup combine included, in both `Machine` and `step`.
+    The carrier name is "pi" or "delta", and None for constants with a
+    fixed signature.  An entry `overrides[name]`, called as
+    `fn(carrier name, literal nodes)` and returning a literal node,
+    replaces the constant's rule wherever it fires, the int/sup combine
+    included, in both `Machine` and `step`.
     """
-    carrier = getattr(carrier, "name", carrier)
-    if overrides and name in overrides:
-        return _override_rule(overrides[name], carrier)(*vals)
-    rule = GROUND_RULES.get((name, carrier))
+    if not overrides:
+        return GROUND_RULES
+    return {key: _override_rule(overrides[key[0]], key[1])
+            if key[0] in overrides else rule
+            for key, rule in GROUND_RULES.items()}
+
+
+def _rule(rules: dict, name: str, carrier: Optional[str]):
+    rule = rules.get((name, carrier))
     if rule is None:
         raise StuckTerm(f"no ground rule for constant {name!r} "
                         f"at carrier {carrier!r}")
-    return rule(*vals)
+    return rule
 
 
 def _const_app(name: str, carrier: Type, args) -> Expr:
@@ -402,13 +403,10 @@ _F = Var("%F")
 class Machine:
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None):
         self.budget = budget
-        # The rule of each (constant, carrier name), `overrides` entries
-        # wrapped once for values, and the value of each constant whose
-        # value does not depend on the cost tag, made on first use.
-        self._rules = GROUND_RULES if not overrides else {
-            key: _override_rule(overrides[key[0]], key[1])
-            if key[0] in overrides else rule
-            for key, rule in GROUND_RULES.items()}
+        # The rule of each (constant, carrier name), and the value of each
+        # constant whose value does not depend on the cost tag, made on
+        # first use.
+        self._rules = ground_rules(overrides)
         self._consts = {}
         self.steps = 0
         self.shared = 0
@@ -422,11 +420,13 @@ class Machine:
         if self.steps > self.budget:
             raise BudgetError(self.steps)
 
-    def evalc(self, e: Expr, tag: Optional[int]):
-        """Evaluate a closed term at cost `tag` (None: untagged)."""
+    def evalc(self, e: Expr, tag: int):
+        """Evaluate a closed term at cost `tag`, a natural.  Every tag the
+        run meets is one too: the tag of a `CostTagged` node, a closure's
+        tag, or the tag in force."""
         return self._eval(e, _EMPTY, tag)
 
-    def _eval(self, e: Expr, env: dict, tag: Optional[int]):
+    def _eval(self, e: Expr, env: dict, tag: int):
         # Tail positions (tags, variables, beta steps and branches) loop
         # instead of recursing.
         while True:
@@ -495,39 +495,23 @@ class Machine:
             else:
                 raise StuckTerm(f"cannot evaluate {e!r}")
 
-    def _const_value(self, c: Const, tag: Optional[int]):
+    def _const_value(self, c: Const, tag: int):
         name = c.name
         if name not in _COST_INDEXED:
             key = (name, c.targs[0].name if c.targs else None)
             v = self._consts.get(key)
             if v is None:
-                v = self._consts[key] = self._resolve(*key)
+                v = self._consts[key] = PrimVal(name, _ARITY[name],
+                                                _rule(self._rules, *key), ())
             return v
         if name in ("int", "sup"):
-            n = tag if tag is not None else 0
-            return IntSupAt(name, c.targs[0], n, n)
+            return IntSupAt(name, c.targs[0], tag, tag)
         if name == "Y":
             ty = c.targs[0]
-            if is_continuous_type(ty):
-                if tag is None:
-                    raise StuckTerm("bounded fixed point without a cost tag")
-                return YVal(ty, tag)
-            return YVal(ty, None)
-        if name == "L":
-            if tag is None:
-                raise StuckTerm("derivative operator without a cost tag")
+            return YVal(ty, tag if is_continuous_type(ty) else None)
         return LVal(c.targs, tag, ())
 
-    def _resolve(self, name: str, carrier: Optional[str]):
-        if name in ("tt", "ff"):
-            return name == "tt"
-        rule = self._rules.get((name, carrier))
-        if rule is None:
-            raise StuckTerm(f"unknown constant {name!r} at carrier "
-                            f"{carrier!r}")
-        return PrimVal(name, _ARITY[name], rule, ())
-
-    def _operand(self, e: Expr, env: dict, tag: Optional[int], memo):
+    def _operand(self, e: Expr, env: dict, tag: int, memo):
         """The value of a primitive's operand at `tag`.  A variable forces
         the thunk it is bound to; with a sharing table (`memo`, read once
         per firing), a marked application is looked up in it."""
@@ -539,7 +523,7 @@ class Machine:
             return self._force_shared(e, env, tag)
         return self._eval(e, env, tag)
 
-    def _apply(self, fv, th: Thunk, tag: Optional[int]):
+    def _apply(self, fv, th: Thunk, tag: int):
         """Apply a value other than a closure to an argument thunk; the
         step was ticked by the caller."""
         if fv.__class__ is PrimVal:
@@ -562,7 +546,7 @@ class Machine:
             return self._reduce_l(fv.targs, fv.n, args)
         raise StuckTerm(f"cannot apply {fv}")
 
-    def _force_shared(self, e: App, env: dict, tag: Optional[int]):
+    def _force_shared(self, e: App, env: dict, tag: int):
         """Evaluate a marked application, a primitive's argument, at `tag`.
         Its value and step count depend only on the tag and the thunks
         bound to its free variables, so a hit returns the stored value
@@ -627,13 +611,13 @@ class Machine:
         reason; a result that is a zero test on a zero-straddling interval
         is `Undetermined`.  An entry of `overrides` replaces its constant's
         rule wherever that rule fires, the int/sup combine included (see
-        `apply_ground_rule`).  A negative cost raises `ValueError`.
+        `ground_rules`).  A negative cost raises `ValueError`.
         """
         if n < 0:
             raise ValueError(f"negative cost {n}")
         self.steps = self.shared = 0
         try:
-            v = self.evalc(CostTagged(e, n), None)
+            v = self.evalc(e, n)
         except UndeterminedSignal as u:
             return Undetermined(steps=self.steps, shared=self.shared,
                                 reason=u.reason)
@@ -662,9 +646,9 @@ def _dual_value(v) -> DualInterval:
     return v
 
 
-def eval_dual(e: Expr, n: int, budget: int = DEFAULT_BUDGET) -> DualInterval:
+def eval_dual(e: Expr, n: int) -> DualInterval:
     """Evaluate a closed term of type delta (or pi, embedded) at cost n."""
-    out = eval_at_cost(e, n, budget)
+    out = eval_at_cost(e, n)
     if isinstance(out, Undetermined):
         raise UndeterminedSignal(out.reason)
     if isinstance(out, BudgetExhausted):
@@ -773,8 +757,11 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
                         raise StuckTerm(f"stuck operand {a}")
                     return app_spine(head, args[:i] + [a2] + args[i + 1:])
             h = head.expr if isinstance(head, CostTagged) else head
-            out = apply_ground_rule(name, _carrier_of(h),
-                                    [_unlit(a) for a in args], overrides)
+            # a hand-built term may name its carrier by a string
+            carrier = h.targs[0] if h.targs else None
+            rule = _rule(ground_rules(overrides), name,
+                         getattr(carrier, "name", carrier))
+            out = rule(*[_unlit(a) for a in args])
             if out is BOOL_BOTTOM:
                 raise UndeterminedSignal(_STRADDLING_ZERO_TEST)
             return _lit(out)
@@ -813,8 +800,6 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
         return App(e2, e.arg)
     if isinstance(e, If):
         cond = e.cond
-        if isinstance(cond, Const) and cond.name in ("tt", "ff"):
-            return e.then if cond.name == "tt" else e.els
         if isinstance(cond, BoolLit):
             return e.then if cond.b else e.els
         e2 = step(e.cond, overrides)

@@ -320,10 +320,6 @@ class Interval:
     def is_bottom(self) -> bool:
         return self is IV_BOTTOM
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, q) -> bool:
         return self.lo <= endpoint(q) <= self.hi
 
@@ -524,10 +520,6 @@ class DualInterval:
         if not inf_s:
             raise ValueError(f"not a dual literal: {s!r}")
         return cls(Interval.parse(std_s), Interval.parse(inf_s))
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.std is IV_BOTTOM and self.inf is IV_BOTTOM
 
     def leq(self, other: "DualInterval") -> bool:
         return self.std.leq(other.std) and self.inf.leq(other.inf)

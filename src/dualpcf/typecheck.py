@@ -10,12 +10,11 @@ cast ladder inserted for real-flavoured arguments.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .lang import (
-    App, Arrow, BOOL, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, Ground,
-    If, IvLit, Lam, NAT, NatLit, REAL, Type, Var, arrow, fresh_var, spine,
-    uncurry,
+    App, Arrow, BOOL, BoolLit, Const, DUAL, Expr, Ground, If, Lam, NAT,
+    NatLit, REAL, Type, Var, arrow, fresh_var, spine, uncurry,
 )
 
 MISMATCH = "Mismatch"
@@ -47,8 +46,6 @@ _FIXED_SIG: Dict[str, Type] = {
     "succ": Arrow(NAT, NAT),
     "pred": Arrow(NAT, NAT),
     "iszero": Arrow(NAT, BOOL),
-    "tt": BOOL,
-    "ff": BOOL,
     "lt0": Arrow(REAL, BOOL),
     "In": Arrow(DUAL, REAL),
 }
@@ -71,21 +68,6 @@ def is_l_admissible(ty: Type) -> bool:
             and all(isinstance(a, Ground) for a in args))
 
 
-def l_argument_direction_type(tys: List[Type]) -> List[Type]:
-    """Real-flavoured point/direction types for the derivative operator."""
-    out = []
-    for ty in tys:
-        if not is_l_admissible(ty):
-            raise TypeCheckError(BAD_L_SHAPE,
-                                 f"inadmissible derivative argument type {ty}")
-        if ty == DUAL:
-            out.append(REAL)
-        else:
-            args, _ = uncurry(ty)
-            out.append(arrow(*args, REAL))
-    return out
-
-
 def contains_l(e: Expr) -> bool:
     if isinstance(e, Const):
         return e.name == "L"
@@ -95,8 +77,6 @@ def contains_l(e: Expr) -> bool:
         return contains_l(e.body)
     if isinstance(e, If):
         return contains_l(e.cond) or contains_l(e.then) or contains_l(e.els)
-    if isinstance(e, CostTagged):
-        return contains_l(e.expr)
     return False
 
 
@@ -110,13 +90,6 @@ class _Checker:
             return e, NAT
         if isinstance(e, BoolLit):
             return e, BOOL
-        if isinstance(e, IvLit):
-            return e, REAL
-        if isinstance(e, DualLit):
-            return e, DUAL
-        if isinstance(e, CostTagged):
-            inner, ty = self.infer(e.expr, env)
-            return CostTagged(inner, e.n), ty
         if isinstance(e, Var):
             if e.name not in env:
                 raise TypeCheckError(UNBOUND_VAR, f"unbound variable {e.name!r}",
@@ -242,12 +215,10 @@ class _Checker:
                 return self.elab_binop(head, args[0], args[1], env, want)
             if name == "/" and len(args) == 2:
                 return self.elab_div(head, args[0], args[1], env, want)
-            if name == "pr" and len(args) >= 1:
-                return self._respine(self.elab_pr(head, args[0], env, want),
-                                     args[1:], env)
-            if name in ("int", "sup") and len(args) >= 1:
-                return self._respine(
-                    self.elab_intsup(head, args[0], env, want), args[1:], env)
+            if name == "pr" and len(args) == 1:
+                return self.elab_pr(head, args[0], env, want)
+            if name in ("int", "sup") and len(args) == 1:
+                return self.elab_intsup(head, args[0], env, want)
             if name == "lt0" and len(args) == 1:
                 return self.elab_lt0(head, args[0], env)
             if name == "L":
@@ -265,16 +236,6 @@ class _Checker:
                                  f"cannot apply a value of type {fty}")
         arg = self.check(e.arg, env, fty.src)
         return App(fn, arg), fty.dst
-
-    def _respine(self, fn_and_ty, rest, env):
-        fn, fty = fn_and_ty
-        for a in rest:
-            if not isinstance(fty, Arrow):
-                raise TypeCheckError(MISMATCH,
-                                     f"cannot apply a value of type {fty}")
-            fn = App(fn, self.check(a, env, fty.src))
-            fty = fty.dst
-        return fn, fty
 
     def elab_binop(self, c: Const, a: Expr, b: Expr, env,
                    want: Optional[Type]) -> Tuple[Expr, Type]:
@@ -340,7 +301,10 @@ class _Checker:
             raise TypeCheckError(BAD_L_SHAPE,
                                  "the derivative operator needs type arguments",
                                  c.pos)
-        l_argument_direction_type(tys)  # validates shapes
+        for ty in tys:
+            if not is_l_admissible(ty):
+                raise TypeCheckError(
+                    BAD_L_SHAPE, f"inadmissible derivative argument type {ty}")
         k = len(tys)
         if len(args) != 1 + 2 * k:
             raise TypeCheckError(
@@ -389,11 +353,6 @@ def _mark_shared(e: Expr, x: Optional[str]) -> Tuple[Expr, frozenset]:
         if cond is not e.cond or then is not e.then or els is not e.els:
             e = If(cond, then, els, e.ty)
         return e, cfv | tfv | efv
-    if isinstance(e, CostTagged):
-        inner, fv = _mark_shared(e.expr, x)
-        if inner is not e.expr:
-            e = CostTagged(inner, e.n)
-        return e, fv
     return e, frozenset()
 
 

@@ -10,7 +10,7 @@ from dualpcf.analysis import (
     sample_related_duals,
 )
 from dualpcf.corpus import load_corpus, load_first_order
-from dualpcf.lang import Arrow, DUAL, DualLit, parse
+from dualpcf.lang import Arrow, DUAL, DualLit, REAL, parse
 from dualpcf.machine import _as_dual
 from dualpcf.numeric import DualInterval, Interval, IV_BOTTOM, IV_ZERO
 from dualpcf.typecheck import elaborate
@@ -81,6 +81,18 @@ class TestRelationSampling:
         assert not v.holds
         assert "violation" in v.detail
 
+    def test_real_arrow_relation(self):
+        f = _fn("fun x: real. x + x")
+        v = relation_holds(Fraction(1, 8), Arrow(REAL, REAL), f, f, f,
+                           fuel=20, seed=1)
+        assert (v.holds, v.checked) == (True, 20)
+        # a third function whose results refine no hull of the other two
+        g = _fn("fun x: real. x + 1")
+        v = relation_holds(Fraction(1, 8), Arrow(REAL, REAL), f, f, g,
+                           fuel=20, seed=1)
+        assert (v.holds, v.checked) == (False, 1)
+        assert v.detail.startswith("real violation: ")
+
 
 class TestOracle:
     def test_abs_hull_is_subgradient_interval(self):
@@ -126,11 +138,11 @@ class TestSoundness:
         v = check_L_soundness(_fn("fun x: delta. x * x"), 3, 1)
         assert v.holds
         # sanity: the oracle notices when the product rule is wrong
-        from dualpcf.analysis import _eval_ground
         from dualpcf.lang import App
+        from dualpcf.machine import eval_at_cost
         arg = DualLit(DualInterval(Interval.point(3), Interval.point(1)))
-        broken = _eval_ground(App(_fn("fun x: delta. x * x"), arg), 0,
-                              10 ** 6, {"*": broken_mul})
+        broken = eval_at_cost(App(_fn("fun x: delta. x * x"), arg), 0,
+                              10 ** 6, overrides={"*": broken_mul}).value
         assert broken.inf != Interval.point(6)
 
 

@@ -88,6 +88,33 @@ class TestOptionValidation:
         assert f"error: argument {flags[0]}: " in out.err
         assert repr(flags[1]) in out.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--suite", "relations", "--fuel", "0"],
+         "argument --fuel: expected a positive integer, got '0'"),
+        (["verify", "--suite", "relations", "--fuel", "-1"],
+         "argument --fuel: expected a positive integer, got '-1'"),
+        (["eval", "PROGRAM", "--width=-1/4"],
+         "argument --width: expected a non-negative rational such as "
+         "1/256, got '-1/4'"),
+    ], ids=["fuel_zero", "fuel_negative", "width_negative"])
+    def test_out_of_range_option(self, capsys, program, argv, message):
+        # no sample is checked at fuel 0, and no enclosure has a negative
+        # width: both would run to a meaningless end
+        argv = [program("in_pi 1") if a == "PROGRAM" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"error: {message}\n")
+
+    def test_zero_width_and_negative_seed_are_legal(self, capsys, program):
+        code, out, _ = run(capsys, ["eval", program("in_pi 1"),
+                                    "--width", "0"])
+        assert (code, out) == (0, "[1,1] + eps [0,0]\n")
+        code, out, _ = run(capsys, ["verify", "--suite", "relations",
+                                    "--fuel", "1", "--seed", "-3"])
+        assert code == 0 and len(out.splitlines()) == 10
+
     def test_malformed_budget_variable(self, capsys, program, monkeypatch):
         monkeypatch.setenv("DUALPCF_BUDGET", "abc")
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """Static checks: no module of the package imports a name it never uses,
-and none defines a helper that nothing names; and start-up imports only
-what `check` and `eval` run."""
+and none defines a helper, method or property that nothing names; and
+start-up imports only what `check` and `eval` run."""
 import ast
 import functools
 import os
@@ -56,12 +56,18 @@ def name_sites():
 
 
 def dead_helpers(module: Path):
-    """Module-level functions and classes of `module` that no line other
-    than their own definition names."""
+    """Module-level functions and classes of `module`, and the methods and
+    properties of its classes other than dunders, that no line other than
+    their own definition names."""
     tree = ast.parse(module.read_text())
-    return sorted(node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not name_sites().get(node.name, set())
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defs += [(f"{cls.name}.{node.name}", node)
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)
+             and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return sorted(qualname for qualname, node in defs
+                  if not name_sites().get(node.name, set())
                   - {(module, node.lineno)})
 
 

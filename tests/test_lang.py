@@ -2,8 +2,8 @@
 import pytest
 
 from dualpcf.lang import (
-    App, Arrow, Const, DUAL, Ground, If, Lam, NAT, NatLit, ParseError, REAL,
-    Var, alpha_eq, free_vars, parse, print_expr, subst,
+    App, Arrow, BoolLit, Const, DUAL, Ground, If, Lam, NAT, NatLit,
+    ParseError, REAL, Var, alpha_eq, free_vars, parse, print_expr, subst,
 )
 
 
@@ -68,6 +68,22 @@ class TestParser:
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse("1 1)")
+
+    @pytest.mark.parametrize("src,message,line,col", [
+        ("in_pi 1 +\n  $", "unexpected character '$'", 2, 3),
+        ("(1 + 2", "expected ')', found ''", 1, 7),
+        ("let 3 = 1 in 2", "expected a name after 'let'", 1, 5),
+        ("fun x: delta.\nfun 3. x", "expected a binder, found '3'", 2, 5),
+    ], ids=["character", "close_paren", "let_name", "binder"])
+    def test_error_position(self, src, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.message, exc.value.line, exc.value.col) == \
+            (message, line, col)
+
+    def test_booleans_are_literals(self):
+        assert parse("if tt then ff else tt") == \
+            If(BoolLit(True), BoolLit(False), BoolLit(True))
 
 
 ROUND_TRIP_SOURCES = [

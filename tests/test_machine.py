@@ -201,6 +201,9 @@ class TestSingleStep:
         ("if 0 < in_pi 1 then in_pi 5 else in_pi 6", 0),
         ("iszero (pred 1)", 0),
         ("if tt then 1 else 2", 0),
+        # boolean constants are literals under both reducers
+        ("tt", 0),
+        ("if iszero 0 then tt else ff", 0),
         ("Y[delta] (fun x: delta. in_delta (in_pi 1))", 2),
         ("Y[nu -> nu] (fun d: nu -> nu. fun n: nu. "
          "if iszero n then 0 else succ (succ (d (pred n)))) 2", 0),
@@ -231,7 +234,22 @@ class TestSingleStep:
         ("(fun a: delta. Y[real] (fun x: real."
          " L[delta] (fun z: delta. z * z) a 1))"
          " (int (fun t: real. in_delta t))", "[3/4,5/4]"),
-    ], ids=["shadowed_binder", "closure_capture", "tag_in_y", "tag_in_l"])
+        # an int/sup leaf applying a constant, not a closure, to its cell
+        ("int in_delta", "[7/16,9/16] + eps [0,0]"),
+        ("sup in_delta", "[7/8,1] + eps [0,0]"),
+        # let with an inferred and an annotated binder
+        ("let x = 1 in x + x", "[2,2]"),
+        ("let f: real -> delta = fun t: real. in_delta t in int f",
+         "[7/16,9/16] + eps [0,0]"),
+        # a parenthesized binder type, and a real-valued function coerced
+        # pointwise to a dual-valued one
+        ("(fun g: (real -> delta) -> delta. g (fun t: real. in_delta t)) int",
+         "[7/16,9/16] + eps [0,0]"),
+        ("let g: real -> real = fun t: real. t in"
+         " (fun h: real -> delta. int h) g", "[7/16,9/16] + eps [0,0]"),
+    ], ids=["shadowed_binder", "closure_capture", "tag_in_y", "tag_in_l",
+            "int_leaf_constant", "sup_leaf_constant", "let_inferred",
+            "let_annotated", "parenthesized_binder_type", "arrow_coercion"])
     def test_environments_agree_with_substitution(self, src, expected):
         e, _ = elaborate(parse(src), {})
         big = eval_at_cost(e, 3)

@@ -78,6 +78,18 @@ class TestFunctions:
         with pytest.raises(TypeCheckError):
             ty_of("succ (in_pi 1)")
 
+    @pytest.mark.parametrize("src,ty", [
+        ("(fun d: delta. d) (pr 1 2)", "pi"),
+        ("int (fun t: real. in_delta t) 1", "delta"),
+    ])
+    def test_ground_result_applied(self, src, ty):
+        # pr, int and sup return a ground type, so a second argument is
+        # rejected as the application of a non-function
+        with pytest.raises(TypeCheckError) as exc:
+            ty_of(src)
+        assert exc.value.kind == MISMATCH
+        assert exc.value.message == f"cannot apply a value of type {ty}"
+
     def test_fixed_point_types(self):
         assert ty_of("Y[delta -> delta] (fun f: delta -> delta. f)") == \
             Arrow(DUAL, DUAL)
@@ -111,11 +123,17 @@ class TestDerivativeOperator:
         assert exc.value.kind == BAD_L_SHAPE
 
     def test_nested_l_rejected(self):
-        src = ("L[delta] (fun x: delta. "
-               "in_delta (L[delta] (fun y: delta. y) x 1)) 0 1")
-        with pytest.raises(TypeCheckError) as exc:
-            ty_of(src)
-        assert exc.value.kind == L_INSIDE_L_ARGUMENT
+        for src in (
+                "L[delta] (fun x: delta. "
+                "in_delta (L[delta] (fun y: delta. y) x 1)) 0 1",
+                # inside a conditional in a point argument
+                "L[delta] (fun x: delta. x) "
+                "(if tt then in_delta (L[delta] (fun y: delta. y) 0 1) "
+                "else 0) 1"):
+            with pytest.raises(TypeCheckError) as exc:
+                ty_of(src)
+            assert (exc.value.kind, exc.value.pos) == \
+                (L_INSIDE_L_ARGUMENT, (1, 1))
 
     def test_continuous_types(self):
         assert is_continuous_type(DUAL)
