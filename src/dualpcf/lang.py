@@ -165,10 +165,12 @@ class NatLit(Expr):
 
 
 class BoolLit(Expr):
-    __slots__ = _fields = ("b",)
+    __slots__ = ("b", "pos")
+    _fields = ("b",)
 
-    def __init__(self, b: bool):
+    def __init__(self, b: bool, pos: Optional[Tuple[int, int]] = None):
         self.b = b
+        self.pos = pos
 
 
 # --- evaluation-only forms (never produced by the parser) ---
@@ -333,6 +335,11 @@ class Token:
         self.col = col
 
 
+def _shown(t: Token) -> str:
+    """A token as a parse error names it."""
+    return "end of input" if t.kind == "eof" else repr(t.text)
+
+
 def _lex(src: str):
     toks = []
     pos = 0
@@ -376,7 +383,7 @@ class _Parser:
     def expect(self, text: str) -> Token:
         t = self.next()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+            raise ParseError(f"expected {text!r}, found {_shown(t)}", t.line, t.col)
         return t
 
     def error(self, msg: str):
@@ -402,7 +409,7 @@ class _Parser:
         if t.text in TYPE_NAMES:
             self.next()
             return TYPE_NAMES[t.text]
-        self.error(f"expected a type, found {t.text!r}")
+        self.error(f"expected a type, found {_shown(t)}")
 
     # -- expressions --
 
@@ -456,7 +463,8 @@ class _Parser:
             self.expect(")")
             return (name_tok.text, ty)
         if t.kind != "ident" or t.text in KEYWORDS:
-            raise ParseError(f"expected a binder, found {t.text!r}", t.line, t.col)
+            raise ParseError(f"expected a binder, found {_shown(t)}", t.line,
+                             t.col)
         ty = None
         if self.peek().text == ":":
             self.next()
@@ -540,7 +548,7 @@ class _Parser:
                 self.expect("]")
                 return Const(name, tuple(targs), pos=(t.line, t.col))
             if name in ("tt", "ff"):
-                return BoolLit(name == "tt")
+                return BoolLit(name == "tt", pos=(t.line, t.col))
             if name in SURFACE_CONSTANTS:
                 return Const(name, pos=(t.line, t.col))
             if name == "In":
@@ -551,7 +559,8 @@ class _Parser:
             if name in ALL_CONSTANTS:
                 return Const(name, pos=(t.line, t.col))
             raise ParseError(f"unbound variable {name!r}", t.line, t.col)
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise ParseError(f"expected an expression, found {_shown(t)}", t.line,
+                         t.col)
 
 
 def parse(src: str) -> Expr:

@@ -10,9 +10,13 @@ depth-first in the order fixed by the evaluation contexts (function
 position first, then operator arguments left to right) and never
 substitutes.  `step` is the literal one-redex-at-a-time reducer that
 substitutes; the conformance tests compare the two.  Both use the same
-ground-rule table, int/sup combine, Y unfolding and L body: `Machine`
-fires the combine's rules on values and instantiates the last two with
-reserved variables bound to its thunks.
+ground-rule table, Y unfolding and L body: `Machine` instantiates the
+last two with reserved variables bound to its thunks.  `step` builds the
+paper's int/sup combine, `l/2 + r/2` or `max l r`, as a term.  `Machine`
+runs a bisection's 2^m cells in one left-to-right loop and combines
+values with `(l + r)/2`, which equals `l/2 + r/2` on exact endpoints, or
+with the `max` rule; a run with `overrides` fires the rules of the
+literal combine instead, so an overridden `+`, `/` or `max` acts there.
 
 A known call, a first-order constant applied to all its operands
 (`c a` for `c` of arity 1, `c a b` for arity 2), jumps straight to the
@@ -54,7 +58,7 @@ from .lang import (
     subst,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, Endpoint, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
+    DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
     Interval, dual_max, dual_min, dual_pr, endpoint, in_dual, iv_max, iv_min,
     iv_pr, iv_unchecked,
 )
@@ -317,8 +321,10 @@ def _const_app(name: str, carrier: Type, args) -> Expr:
 def intsup_combine(kind: str, carrier, lower, upper, op, two):
     """The bisection rule's combine at the carrier: `l/2 + r/2` for int,
     `max l r` for sup.  `op(name, carrier, args)` applies one constant:
-    `Machine` fires its ground rule on values, `step` builds the term.
-    `two` is the natural 2 in the same form: `2` or `NatLit(2)`."""
+    `step` builds the term, and a `Machine` run with `overrides` fires
+    the rules on values (without them it combines int with the equal
+    `(l + r)/2`).  `two` is the natural 2 in the same form: `NatLit(2)`
+    or `2`."""
     if kind == "int":
         return op("+", carrier, [op("/", carrier, [lower, two]),
                                  op("/", carrier, [upper, two])])
@@ -536,7 +542,7 @@ class Machine:
         if isinstance(fv, IntSupAt):
             if self._memo is None:
                 self._memo = {}
-            return self._reduce_intsup(fv, th, fv.m)
+            return self._reduce_intsup(fv, th)
         if isinstance(fv, YVal):
             return self._eval(unfold_y(fv.ty, _F, fv.tag), {_F.name: th}, tag)
         if isinstance(fv, LVal):
@@ -572,29 +578,51 @@ class Machine:
     def _ground(self, name: str, carrier: Type, vals: List):
         return self._rules[name, carrier.name](*vals)
 
-    def _reduce_intsup(self, node: IntSupAt, f: Thunk, m: int,
-                       lo: Endpoint = IV_UNIT.lo, hi: Endpoint = IV_UNIT.hi):
+    def _reduce_intsup(self, node: IntSupAt, f: Thunk):
         # The bisection rule rescales f with wrapper lambdas; composing
-        # those affine maps sends [0,1] to an explicit dyadic cell, so the
-        # cell endpoints are passed down directly and each cell applies f
-        # to its cell, one application step.  Values are identical (all
-        # the arithmetic involved is exact) and the association of the
-        # combining tree is preserved.
-        if m == 0:
-            fv = self._eval(f.expr, f.env, node.n)
+        # those affine maps sends [0,1] to an explicit dyadic cell, so each
+        # of the 2^m cells applies f to its cell directly, one application
+        # step.  The cells run left to right, and `pending` holds the
+        # values of finished left subtrees, so the combining tree keeps its
+        # association.  Each internal node ticks where the rule does,
+        # before its left subtree: just before cell i, as many nodes as i
+        # has trailing zero bits (m for cell 0).
+        if self._rules is not GROUND_RULES:
+            kind, carrier, ground = node.kind, node.carrier, self._ground
+            combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
+                                                    ground, 2)
+        elif node.kind == "int":
+            # on exact values, (l + r)/2 equals the rule's l/2 + r/2
+            combine = lambda lv, rv: (lv + rv).half()
+        else:
+            combine = GROUND_RULES["max", node.carrier.name]
+        m, n, expr, fenv = node.m, node.n, f.expr, f.env
+        width = IV_UNIT.hi
+        for _ in range(m):
+            width = width.half()
+        lo = IV_UNIT.lo
+        pending = []
+        for i in range(1 << m):
+            for _ in range((i & -i).bit_length() - 1 if i else m):
+                self._tick()
+            hi = lo + width
+            fv = self._eval(expr, fenv, n)
             th = Thunk(IvLit(iv_unchecked(lo, hi)), _EMPTY)
             self._tick()
             if fv.__class__ is not Closure:
-                return self._apply(fv, th, node.n)
-            env = fv.env.copy()
-            env[fv.lam.var] = th
-            return self._eval(fv.lam.body, env, fv.tag)
-        self._tick()
-        mid = (lo + hi) / 2
-        lv = self._reduce_intsup(node, f, m - 1, lo, mid)
-        rv = self._reduce_intsup(node, f, m - 1, mid, hi)
-        return intsup_combine(node.kind, node.carrier, lv, rv, self._ground,
-                              2)
+                v = self._apply(fv, th, n)
+            else:
+                env = fv.env.copy()
+                env[fv.lam.var] = th
+                v = self._eval(fv.lam.body, env, fv.tag)
+            # cell i closes the nodes whose rightmost cell it is, as many
+            # as i has trailing one bits
+            while i & 1:
+                v = combine(pending.pop(), v)
+                i >>= 1
+            pending.append(v)
+            lo = hi
+        return pending[0]
 
     def _reduce_l(self, targs, n: int, args):
         xs = [Var(f"%L{i}") for i in range(len(args))]

@@ -1,14 +1,15 @@
 """Exact interval and dual-interval arithmetic over extended-rational endpoints.
 
 A finite endpoint is exact.  Dual PCF's `int`/`sup` bisect [0,1] into
-dyadic cells and combine with `l/2 + r/2` and `max`, so from dyadic
-literals every endpoint the machine builds is a dyadic rational.  Those are
-held as `_Dyadic` values, an odd mantissa over a power of two, whose sums,
-differences, products and halvings need no gcd.  Any other rational is a
-`fractions.Fraction` in lowest terms: dividing a dyadic by a natural that
-is not a power of two, or combining it with a `Fraction`, gives a
-`Fraction`.  Both kinds compare, hash and print as the same rationals, so
-which one an endpoint is never shows in a result.
+dyadic cells and combine with `l/2 + r/2` (the machine: `(l + r)/2`) and
+`max`, so from dyadic literals every endpoint the machine builds is a
+dyadic rational.  Those are held as `_Dyadic` values, an odd mantissa over
+a power of two, whose sums, differences, products and halvings need no
+gcd; `half()` halves an endpoint, interval or dual by raising the
+exponent.  Any other rational is a `fractions.Fraction` in lowest terms:
+dividing a dyadic by a natural that is not a power of two, or combining it
+with a `Fraction`, gives a `Fraction`.  Both kinds compare, hash and print
+as the same rationals, so which one an endpoint is never shows in a result.
 
 The only interval with infinite endpoints is bottom, the whole line, and
 there is exactly one bottom object, `IV_BOTTOM`, whose ends are the float
@@ -133,6 +134,16 @@ class _Dyadic:
 
     def __rtruediv__(self, o):
         return o / Fraction(self)
+
+    def half(self) -> "_Dyadic":
+        """self / 2: the exponent goes up by one; zero stays itself."""
+        m = self.numerator
+        if not m & 1:
+            return _dyadic(m, self.exp + 1) if m else self
+        r = _new(_Dyadic)
+        r.numerator = m
+        r.exp = self.exp + 1
+        return r
 
     def __neg__(self):
         r = _new(_Dyadic)
@@ -404,6 +415,14 @@ class Interval:
             return IV_BOTTOM
         return iv_unchecked(self.lo / n, self.hi / n)
 
+    def half(self) -> "Interval":
+        """`div_nat(2)`, halving a dyadic endpoint by its exponent."""
+        if self is IV_BOTTOM:
+            return self
+        lo, hi = self.lo, self.hi
+        return iv_unchecked(lo.half() if lo.__class__ is _Dyadic else lo / 2,
+                            hi.half() if hi.__class__ is _Dyadic else hi / 2)
+
     def scale(self, q) -> "Interval":
         return self * Interval.point(q)
 
@@ -551,6 +570,9 @@ class DualInterval:
         if n == 0:
             return DUAL_BOTTOM
         return DualInterval(self.std.div_nat(n), self.inf.div_nat(n))
+
+    def half(self) -> "DualInterval":
+        return DualInterval(self.std.half(), self.inf.half())
 
     def __str__(self) -> str:
         return f"{self.std} + eps {self.inf}"

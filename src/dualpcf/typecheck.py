@@ -37,6 +37,18 @@ class TypeCheckError(Exception):
         return f"{loc}{self.kind}: {self.message}"
 
 
+def _pos(e: Expr) -> Optional[Tuple[int, int]]:
+    """The first source position in e, left to right, which a type error
+    about e reports; None for a term built without any."""
+    if isinstance(e, App):
+        return _pos(e.fn) or _pos(e.arg)
+    if isinstance(e, Lam):
+        return _pos(e.body)
+    if isinstance(e, If):
+        return _pos(e.cond) or _pos(e.then) or _pos(e.els)
+    return getattr(e, "pos", None)
+
+
 NUMERIC = (NAT, REAL, DUAL)
 
 # fixed (non-overloaded) constant signatures
@@ -100,14 +112,15 @@ class _Checker:
         if isinstance(e, Lam):
             if e.ty is None:
                 raise TypeCheckError(MISMATCH,
-                                     f"cannot infer unannotated binder {e.var!r}")
+                                     f"cannot infer unannotated binder {e.var!r}",
+                                     _pos(e))
             body, bty = self.infer(e.body, {**env, e.var: e.ty})
             return Lam(e.var, e.ty, body), Arrow(e.ty, bty)
         if isinstance(e, If):
             return self.elab_if(e, env, None)
         if isinstance(e, App):
             return self.elab_app(e, env, None)
-        raise TypeCheckError(MISMATCH, f"cannot type {e!r}")
+        raise TypeCheckError(MISMATCH, f"cannot type {e!r}", _pos(e))
 
     def check(self, e: Expr, env: Dict[str, Type], want: Type) -> Expr:
         if isinstance(e, Lam) and isinstance(want, Arrow):
@@ -115,7 +128,8 @@ class _Checker:
             if ty != want.src:
                 raise TypeCheckError(
                     MISMATCH,
-                    f"binder {e.var!r} has type {ty}, expected {want.src}")
+                    f"binder {e.var!r} has type {ty}, expected {want.src}",
+                    _pos(e))
             body = self.check(e.body, {**env, e.var: ty}, want.dst)
             return Lam(e.var, ty, body)
         if isinstance(e, If):
@@ -140,16 +154,19 @@ class _Checker:
             return c, Arrow(Arrow(t, t), t)
         if c.name in _BINOPS:
             carrier = c.targs[0] if c.targs else DUAL
-            return Const(c.name, (carrier,)), arrow(carrier, carrier, carrier)
+            return (Const(c.name, (carrier,), pos=c.pos),
+                    arrow(carrier, carrier, carrier))
         if c.name == "/":
             carrier = c.targs[0] if c.targs else DUAL
-            return Const(c.name, (carrier,)), arrow(carrier, NAT, carrier)
+            return (Const(c.name, (carrier,), pos=c.pos),
+                    arrow(carrier, NAT, carrier))
         if c.name == "pr":
             carrier = c.targs[0] if c.targs else DUAL
-            return Const(c.name, (carrier,)), Arrow(carrier, carrier)
+            return Const(c.name, (carrier,), pos=c.pos), Arrow(carrier, carrier)
         if c.name in ("int", "sup"):
             carrier = c.targs[0] if c.targs else DUAL
-            return Const(c.name, (carrier,)), Arrow(Arrow(REAL, carrier), carrier)
+            return (Const(c.name, (carrier,), pos=c.pos),
+                    Arrow(Arrow(REAL, carrier), carrier))
         if c.name == "L":
             raise TypeCheckError(
                 BAD_L_SHAPE, "the derivative operator must be fully applied",
@@ -173,15 +190,17 @@ class _Checker:
             body = self.coerce(App(e, Var(x)), have.dst, want.dst)
             if body != App(e, Var(x)):
                 return Lam(x, have.src, body)
-        raise TypeCheckError(MISMATCH, f"expected {want}, found {have}")
+        raise TypeCheckError(MISMATCH, f"expected {want}, found {have}",
+                             _pos(e))
 
-    def _join_numeric(self, a: Type, b: Type) -> Type:
+    def _join_numeric(self, e: If, a: Type, b: Type) -> Type:
         if a in NUMERIC and b in NUMERIC:
             return a if _numeric_rank(a) >= _numeric_rank(b) else b
         if a == b:
             return a
         raise TypeCheckError(MISMATCH,
-                             f"incompatible branch types {a} and {b}")
+                             f"incompatible branch types {a} and {b}",
+                             _pos(e))
 
     def _carrier(self, c: Const, carrier: Type, want: Optional[Type]) -> Type:
         """An overloaded constant's carrier: its operands' carrier, unless
@@ -203,7 +222,7 @@ class _Checker:
             return If(cond, then, els, want), want
         then, tt = self.infer(e.then, env)
         els, te = self.infer(e.els, env)
-        ty = self._join_numeric(tt, te)
+        ty = self._join_numeric(e, tt, te)
         return If(cond, self.coerce(then, tt, ty),
                   self.coerce(els, te, ty), ty), ty
 
@@ -233,7 +252,8 @@ class _Checker:
         fn, fty = self.infer(fn, env)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(MISMATCH,
-                                 f"cannot apply a value of type {fty}")
+                                 f"cannot apply a value of type {fty}",
+                                 _pos(e.fn))
         arg = self.check(e.arg, env, fty.src)
         return App(fn, arg), fty.dst
 
@@ -304,7 +324,8 @@ class _Checker:
         for ty in tys:
             if not is_l_admissible(ty):
                 raise TypeCheckError(
-                    BAD_L_SHAPE, f"inadmissible derivative argument type {ty}")
+                    BAD_L_SHAPE, f"inadmissible derivative argument type {ty}",
+                    c.pos)
         k = len(tys)
         if len(args) != 1 + 2 * k:
             raise TypeCheckError(

@@ -49,6 +49,20 @@ class TestCheck:
         assert code == 1
         assert "ZeroTestOnDual" in err
 
+    @pytest.mark.parametrize("src,message", [
+        ("(fun d: delta. d)\n  (pr 1 2)",
+         "2:4: Mismatch: cannot apply a value of type pi"),
+        ("L[real] (fun x: real. x) 1 1",
+         "1:1: BadLShape: inadmissible derivative argument type pi"),
+        ("succ tt", "1:6: Mismatch: expected nu, found o"),
+        ("(fun f: nat -> nat. f 1)\n  pr",
+         "2:3: Mismatch: expected nu -> nu, found delta -> delta"),
+        ("(1 + 2", "1:7: expected ')', found end of input"),
+    ], ids=["generic_application", "l_admissibility", "coercion",
+            "constant_as_value", "end_of_input"])
+    def test_error_names_its_position(self, capsys, program, src, message):
+        assert run(capsys, ["check", program(src)]) == (1, "", message + "\n")
+
 
 class TestUnreadableFile:
     # a FILE that cannot be read is a front-end error: one line, exit 1

@@ -71,10 +71,15 @@ class TestParser:
 
     @pytest.mark.parametrize("src,message,line,col", [
         ("in_pi 1 +\n  $", "unexpected character '$'", 2, 3),
-        ("(1 + 2", "expected ')', found ''", 1, 7),
+        ("(1 + 2", "expected ')', found end of input", 1, 7),
         ("let 3 = 1 in 2", "expected a name after 'let'", 1, 5),
         ("fun x: delta.\nfun 3. x", "expected a binder, found '3'", 2, 5),
-    ], ids=["character", "close_paren", "let_name", "binder"])
+        ("fun", "expected a binder, found end of input", 1, 4),
+        ("fun x:", "expected a type, found end of input", 1, 7),
+        ("in_pi 1 +\n", "expected an expression, found end of input", 2, 1),
+        ("1 + )", "expected an expression, found ')'", 1, 5),
+    ], ids=["character", "close_paren", "let_name", "binder", "end_binder",
+            "end_type", "end_expression", "expression"])
     def test_error_position(self, src, message, line, col):
         with pytest.raises(ParseError) as exc:
             parse(src)

@@ -10,7 +10,7 @@ from dualpcf.lang import (
 )
 from dualpcf.machine import (
     BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
-    Undetermined, Value, _unlit, eval_at_cost, eval_dual, eval_refine,
+    Undetermined, Value, _lit, _unlit, eval_at_cost, eval_dual, eval_refine,
     run_steps, step,
 )
 from dualpcf.numeric import (
@@ -270,6 +270,26 @@ class TestSingleStep:
             assert big.value == nf.dv == cell
             assert eval_at_cost(e, n).value != cell
 
+    @pytest.mark.parametrize("name,override", [
+        # a `+` that keeps its left operand: each node keeps l/2
+        ("+", lambda vals: vals[0]),
+        # a `/` that does not divide: each node sums its halves
+        ("/", lambda vals: vals[0]),
+    ], ids=["plus", "div"])
+    def test_int_overrides_fire_in_both_reducers(self, name, override):
+        # only at the dual carrier: `step`'s rescaling wrappers also apply
+        # `+` and `/`, at pi, where `Machine` computes the cells directly
+        def fn(carrier, vals):
+            if carrier == "delta":
+                return override(vals)
+            return _lit(GROUND_RULES[name, carrier](*map(_unlit, vals)))
+        e, _ = load_corpus("int_id")
+        for n in (1, 2):
+            big = eval_at_cost(e, n, overrides={name: fn})
+            nf, _ = run_steps(CostTagged(e, n), max_steps=100000,
+                              overrides={name: fn})
+            assert big.value == nf.dv != eval_at_cost(e, n).value
+
 
 @pytest.mark.parametrize("name", [
     name for name, entry in CORPUS.items() if entry.expected is not None])
@@ -417,6 +437,25 @@ class TestSharing:
             assert out.steps == b + 1 and out.shared <= out.steps, b
         out = eval_at_cost(e, 2, budget=full.steps)
         assert isinstance(out, Value) and out.steps == full.steps
+
+    @pytest.mark.parametrize("name,steps,shared,stopped_shared", [
+        ("nested_int_xyz", 424, 96, 19_472),
+        ("cbrt_sup", 76, 15, 362),
+    ])
+    def test_budget_stops_keep_their_shared_counts(self, name, steps, shared,
+                                                   stopped_shared):
+        # the shared steps of the runs stopped at every budget below the
+        # full run's steps, summed: a bisection node that ticks earlier or
+        # later than before its left subtree moves some stop
+        e, _ = load_corpus(name)
+        full = eval_at_cost(e, 2)
+        assert (full.steps, full.shared) == (steps, shared)
+        total = 0
+        for b in range(steps):
+            out = eval_at_cost(e, 2, budget=b)
+            assert isinstance(out, BudgetExhausted) and out.steps == b + 1, b
+            total += out.shared
+        assert total == stopped_shared
 
 
 def test_values_and_outcomes_compare_as_documented():

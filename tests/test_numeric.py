@@ -352,6 +352,17 @@ def same_dual(got, want):
     same(got.inf, want[1])
 
 
+def same_half(got, want):
+    """The interval got equals want, a halving by `div_nat(2)`, down to
+    the class of each endpoint; bottom only as the one bottom object."""
+    if want is IV_BOTTOM:
+        assert got is IV_BOTTOM
+        return
+    assert got == want
+    assert (got.lo.__class__, got.hi.__class__) == \
+        (want.lo.__class__, want.hi.__class__)
+
+
 def same_scalar(got, want):
     assert got == want and str(got) == str(want)
     if want != inf:
@@ -397,6 +408,8 @@ class TestAgainstReference:
             same(x.scale(y.lo), ref_scale(rx, ry[0]))
         for n in (1, 2, 3, 4, 6):
             same(x.div_nat(n), ref_div(rx, n))
+        same_half(x.half(), x.div_nat(2))
+        same_half((x + y).half(), x.div_nat(2) + y.div_nat(2))
         same(x.meet(y), ref_meet(rx, ry))
         joined = ref_join(rx, ry)
         if joined is None:
@@ -425,6 +438,11 @@ class TestAgainstReference:
         same_dual(dual_max(a, b), ref_dual_max(ra, rb))
         same_dual(dual_min(a, b), ref_dual_min(ra, rb))
         same_dual(dual_pr(a), ref_dual_pr(ra))
+        for x in (a, DUAL_BOTTOM):
+            for got, want in ((x.half(), x.div_nat(2)), (
+                    (x + b).half(), x.div_nat(2) + b.div_nat(2))):
+                same_half(got.std, want.std)
+                same_half(got.inf, want.inf)
 
 
 dyadics = st.integers(0, 12).flatmap(lambda k: st.integers(
@@ -450,6 +468,14 @@ class TestDyadicEndpoint:
             for op in COMPARISONS:
                 assert op(d, other) == op(q, o)
                 assert op(other, d) == op(o, q)
+
+    @given(dyadics)
+    def test_half_bumps_the_exponent(self, q):
+        d = endpoint(q)
+        h = d.half()
+        assert h.__class__ is _Dyadic and h == q / 2 and str(h) == str(q / 2)
+        if not q:
+            assert h is d
 
     @given(dyadics, finite_operands)
     def test_arithmetic_agrees_with_fraction(self, q, p):
