@@ -25,11 +25,12 @@ from fractions import Fraction
 from typing import Tuple
 
 from .lang import (
-    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, NAT, REAL, Struct,
-    Var, fresh_var,
+    App, Arrow, Const, DUAL, DualLit, Expr, IvLit, Lam, REAL, Struct, Var,
+    fresh_var,
 )
 from .machine import CeilingReached, eval_at_cost, eval_refine, Value
 from .numeric import DualInterval, Interval, IV_ZERO
+from .typecheck import coerce
 
 RELATION_COST = 4
 SOUNDNESS_COSTS = (0, 1, 2)
@@ -138,11 +139,7 @@ def _sample_related_args(ty, rng: random.Random, r):
             return (Lam(x, ty.src, a1), Lam(x, ty.src, a2), Lam(x, ty.src, a3))
         # translations x + c preserve the relation pointwise; x is
         # embedded into delta first, as elaboration would
-        v = Var(x)
-        if ty.src == NAT:
-            v = App(Const("in_pi"), v)
-        if ty.src != DUAL:
-            v = App(Const("in_delta"), v)
+        v = coerce(Var(x), ty.src, DUAL)
         mk = lambda c: Lam(x, ty.src, App(App(Const("+", (DUAL,)), v), c))
         return mk(a1), mk(a2), mk(a3)
     raise ValueError(f"no sampler for arguments of type {ty}")

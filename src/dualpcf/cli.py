@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .lang import Arrow, DUAL, REAL, ParseError, parse
+from .lang import Arrow, ParseError, parse
 from .machine import (
     BudgetExhausted, CeilingReached, DEFAULT_BUDGET, Undetermined,
     eval_at_cost, eval_refine,
@@ -176,9 +176,8 @@ def cmd_verify(args) -> int:
     ok = True
     seed = args.seed
     if args.suite in ("relations", "all"):
-        rel_cases = _relation_cases()
-        for name, ty, src in rel_cases:
-            f, _ = elaborate(parse(src), {})
+        for name, src in _RELATION_CASES:
+            f, ty = elaborate(parse(src), {})
             v = relation_holds(Fraction(1, 8), ty, f, f, f,
                                fuel=args.fuel, seed=seed)
             print(json.dumps({"suite": "relations", "case": name,
@@ -207,21 +206,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FRONTEND
 
 
-def _relation_cases():
-    d = DUAL
-    dd = Arrow(d, d)
-    return [
-        ("add", Arrow(d, dd), "fun x: delta. fun y: delta. x + y"),
-        ("sub", Arrow(d, dd), "fun x: delta. fun y: delta. x - y"),
-        ("mul", Arrow(d, dd), "fun x: delta. fun y: delta. x * y"),
-        ("div2", dd, "fun x: delta. x / 2"),
-        ("max", Arrow(d, dd), "fun x: delta. fun y: delta. max(x, y)"),
-        ("min", Arrow(d, dd), "fun x: delta. fun y: delta. min(x, y)"),
-        ("pr", dd, "fun x: delta. pr x"),
-        ("in_delta", Arrow(REAL, d), "fun x: real. in_delta x"),
-        ("int", Arrow(Arrow(REAL, d), d), "fun f: real -> delta. int f"),
-        ("sup", Arrow(Arrow(REAL, d), d), "fun f: real -> delta. sup f"),
-    ]
+_RELATION_CASES = [
+    ("add", "fun x: delta. fun y: delta. x + y"),
+    ("sub", "fun x: delta. fun y: delta. x - y"),
+    ("mul", "fun x: delta. fun y: delta. x * y"),
+    ("div2", "fun x: delta. x / 2"),
+    ("max", "fun x: delta. fun y: delta. max(x, y)"),
+    ("min", "fun x: delta. fun y: delta. min(x, y)"),
+    ("pr", "fun x: delta. pr x"),
+    ("in_delta", "fun x: real. in_delta x"),
+    ("int", "fun f: real -> delta. int f"),
+    ("sup", "fun f: real -> delta. sup f"),
+]
 
 
 def main(argv=None) -> int:

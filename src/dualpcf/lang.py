@@ -210,14 +210,22 @@ class IntSupAt(Expr):
         self.n = n
 
 
-# Constant names recognised by the surface language.  "In" is
-# evaluation-only; the parser rejects it.
-SURFACE_CONSTANTS = {
-    "min", "max", "pr", "int", "sup", "in_pi", "in_delta",
-    "Y", "L", "succ", "pred", "iszero",
+# The pi or delta carrier of an overloaded constant, in its type
+CARRIER = Ground("carrier")
+_BINARY = arrow(CARRIER, CARRIER, CARRIER)
+_ON_CELLS = Arrow(Arrow(REAL, CARRIER), CARRIER)
+
+# The signature: the type of each constant but `Y` and `L`, which take
+# type arguments.  "In" is evaluation-only; the parser rejects it.
+SIGNATURES = {
+    "+": _BINARY, "-": _BINARY, "*": _BINARY, "min": _BINARY, "max": _BINARY,
+    "/": arrow(CARRIER, NAT, CARRIER), "pr": Arrow(CARRIER, CARRIER),
+    "int": _ON_CELLS, "sup": _ON_CELLS,
+    "in_pi": Arrow(NAT, REAL), "in_delta": Arrow(REAL, DUAL),
+    "succ": Arrow(NAT, NAT), "pred": Arrow(NAT, NAT),
+    "iszero": Arrow(NAT, BOOL), "lt0": Arrow(REAL, BOOL),
+    "In": Arrow(DUAL, REAL),
 }
-OPERATORS = {"+", "-", "*", "/", "lt0"}
-ALL_CONSTANTS = SURFACE_CONSTANTS | OPERATORS | {"In"}
 
 
 def spine(e: Expr):
@@ -549,15 +557,14 @@ class _Parser:
                 return Const(name, tuple(targs), pos=(t.line, t.col))
             if name in ("tt", "ff"):
                 return BoolLit(name == "tt", pos=(t.line, t.col))
-            if name in SURFACE_CONSTANTS:
-                return Const(name, pos=(t.line, t.col))
             if name == "In":
                 raise ParseError("'In' is not available in surface programs",
                                  t.line, t.col)
+            # a binder may take the zero test's name, but no other constant's
+            if name in SIGNATURES and (name != "lt0" or name not in env):
+                return Const(name, pos=(t.line, t.col))
             if name in env:
                 return Var(name, pos=(t.line, t.col))
-            if name in ALL_CONSTANTS:
-                return Const(name, pos=(t.line, t.col))
             raise ParseError(f"unbound variable {name!r}", t.line, t.col)
         raise ParseError(f"expected an expression, found {_shown(t)}", t.line,
                          t.col)
@@ -627,18 +634,3 @@ def _pp(e: Expr, prec: int) -> str:
     if isinstance(e, BoolLit):
         return "tt" if e.b else "ff"
     raise TypeError(f"cannot print {e!r}")
-
-
-def alpha_eq(a: Expr, b: Expr, env=None) -> bool:
-    """Alpha-equivalence on surface terms."""
-    env = env or {}
-    if isinstance(a, Var) and isinstance(b, Var):
-        return env.get(a.name, a.name) == b.name
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        return a.ty == b.ty and alpha_eq(a.body, b.body, {**env, a.var: b.var})
-    if isinstance(a, App) and isinstance(b, App):
-        return alpha_eq(a.fn, b.fn, env) and alpha_eq(a.arg, b.arg, env)
-    if isinstance(a, If) and isinstance(b, If):
-        return (alpha_eq(a.cond, b.cond, env) and alpha_eq(a.then, b.then, env)
-                and alpha_eq(a.els, b.els, env))
-    return a == b

@@ -54,8 +54,8 @@ from typing import List, Optional, Tuple
 
 from .lang import (
     App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
-    IvLit, Lam, NatLit, REAL, Struct, Type, Var, app_spine, fresh_var, spine,
-    subst,
+    IvLit, Lam, NatLit, REAL, SIGNATURES, Struct, Type, Var, app_spine,
+    fresh_var, spine, subst, uncurry,
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
@@ -68,11 +68,11 @@ sys.setrecursionlimit(100_000)
 
 DEFAULT_BUDGET = 10_000_000
 
-_ARITY = {
-    "+": 2, "-": 2, "*": 2, "/": 2, "min": 2, "max": 2,
-    "pr": 1, "in_pi": 1, "in_delta": 1,
-    "succ": 1, "pred": 1, "iszero": 1, "lt0": 1, "In": 1,
-}
+# the constants whose value depends on the cost tag
+_COST_INDEXED = frozenset(("int", "sup", "Y", "L"))
+# the number of operands of each first-order constant
+_ARITY = {name: len(uncurry(ty)[0]) for name, ty in SIGNATURES.items()
+          if name not in _COST_INDEXED}
 
 
 class StuckTerm(RuntimeError):
@@ -297,7 +297,11 @@ def ground_rules(overrides=None) -> dict:
     fixed signature.  An entry `overrides[name]`, called as
     `fn(carrier name, literal nodes)` and returning a literal node,
     replaces the constant's rule wherever it fires, the int/sup combine
-    included, in both `Machine` and `step`.
+    included, in both `Machine` and `step`.  Only `step` fires `+` and
+    `/` at `pi` outside the combine: its bisection rule moves each cell
+    with them (`_rescaled`), while `Machine` computes the cells directly.
+    So an override of `+` or `/` at `pi` changes the cells of an int/sup
+    under `step` alone, and the two reducers then disagree.
     """
     if not overrides:
         return GROUND_RULES
@@ -340,6 +344,15 @@ def bottom_expr(ty: Type) -> Expr:
     if isinstance(ty, Arrow):
         return Lam(fresh_var("b"), ty.src, bottom_expr(ty.dst))
     raise StuckTerm(f"no bottom literal at type {ty}")
+
+
+def straddled_if(ty: Type) -> Expr:
+    """The rule for a conditional at type ty whose zero test straddles
+    zero: bottom at a continuous type, undetermined at any other."""
+    if not is_continuous_type(ty):
+        raise UndeterminedSignal(
+            "conditional on a zero-straddling test at a non-continuous type")
+    return bottom_expr(ty)
 
 
 def unfold_y(ty: Type, f: Expr, n: Optional[int]) -> Expr:
@@ -396,8 +409,6 @@ def l_body(targs, args) -> Expr:
 
 _LITERALS = tuple(_PAYLOAD)
 _EMPTY: dict = {}
-# the constants whose value depends on the cost tag
-_COST_INDEXED = frozenset(("int", "sup", "Y", "L"))
 
 # Reserved variables (%F in the Y unfolding, and %L<i> in `_reduce_l`),
 # which neither the parser nor `fresh_var` produces: the shared rule
@@ -489,11 +500,7 @@ class Machine:
                 self._tick()
                 cv = self._eval(e.cond, env, tag)
                 if cv is BOOL_BOTTOM:
-                    if e.ty is None or not is_continuous_type(e.ty):
-                        raise UndeterminedSignal(
-                            "conditional on a zero-straddling test at a "
-                            "non-continuous type")
-                    e, env = bottom_expr(e.ty), _EMPTY
+                    e, env = straddled_if(e.ty), _EMPTY
                 elif cv.__class__ is bool:
                     e = e.then if cv else e.els
                 else:
@@ -830,7 +837,14 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
         cond = e.cond
         if isinstance(cond, BoolLit):
             return e.then if cond.b else e.els
-        e2 = step(e.cond, overrides)
+        try:
+            e2 = step(cond, overrides)
+        except UndeterminedSignal as u:
+            # only the step firing the zero test raises this reason, since
+            # a conditional in cond raises its own
+            if u.reason != _STRADDLING_ZERO_TEST:
+                raise
+            return straddled_if(e.ty)
         if e2 is None:
             raise StuckTerm(f"stuck conditional scrutinee {e.cond}")
         return If(e2, e.then, e.els, e.ty)

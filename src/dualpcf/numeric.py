@@ -338,12 +338,6 @@ class Interval:
         """Information order (reverse inclusion): self ⊑ other iff other ⊆ self."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def way_below(self, other: "Interval") -> bool:
-        """True iff other lies in the interior of self; infinite ends absorb."""
-        lo_ok = self.lo == -inf or self.lo < other.lo
-        hi_ok = self.hi == inf or other.hi < self.hi
-        return lo_ok and hi_ok
-
     def __eq__(self, other):
         if other.__class__ is not Interval:
             return NotImplemented
@@ -455,11 +449,6 @@ class Interval:
         if self is IV_BOTTOM:
             return POS_INF
         return self.hi - self.lo
-
-    def midpoint(self) -> Endpoint:
-        if self is IV_BOTTOM:
-            raise ValueError("bottom interval has no midpoint")
-        return (self.lo + self.hi) / 2
 
     def inflate(self, pad) -> "Interval":
         # the pad is caller input, so the result is validated
@@ -610,11 +599,6 @@ def dual_pr(a: DualInterval) -> DualInterval:
         return a
     # non-empty by case analysis: std touches [-1,1] here
     return DualInterval(a.std.join(IV_PM_ONE), a.inf.meet(IV_ZERO))
-
-
-def dual_eps(a: DualInterval) -> DualInterval:
-    """Multiply by the infinitesimal unit: (0 + eps 1) * a."""
-    return DualInterval(IV_ZERO, a.std)
 
 
 def in_dual(iv: Interval) -> DualInterval:

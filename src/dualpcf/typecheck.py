@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .lang import (
-    App, Arrow, BOOL, BoolLit, Const, DUAL, Expr, Ground, If, Lam, NAT,
-    NatLit, REAL, Type, Var, arrow, fresh_var, spine, uncurry,
+    App, Arrow, BOOL, BoolLit, CARRIER, Const, DUAL, Expr, Ground, If, Lam,
+    NAT, NatLit, REAL, SIGNATURES, Type, Var, arrow, fresh_var, spine,
+    uncurry,
 )
 
 MISMATCH = "Mismatch"
@@ -51,18 +52,23 @@ def _pos(e: Expr) -> Optional[Tuple[int, int]]:
 
 NUMERIC = (NAT, REAL, DUAL)
 
-# fixed (non-overloaded) constant signatures
-_FIXED_SIG: Dict[str, Type] = {
-    "in_pi": Arrow(NAT, REAL),
-    "in_delta": Arrow(REAL, DUAL),
-    "succ": Arrow(NAT, NAT),
-    "pred": Arrow(NAT, NAT),
-    "iszero": Arrow(NAT, BOOL),
-    "lt0": Arrow(REAL, BOOL),
-    "In": Arrow(DUAL, REAL),
-}
 
-_BINOPS = ("+", "-", "*", "min", "max")
+def _at(ty: Type, carrier: Optional[Type]) -> Type:
+    """ty with CARRIER replaced by carrier."""
+    if isinstance(ty, Arrow):
+        return Arrow(_at(ty.src, carrier), _at(ty.dst, carrier))
+    return carrier if ty is CARRIER else ty
+
+
+# The type of each constant at each carrier it takes, or at None if its
+# type has no carrier: made once, so elaboration only looks types up.
+_TYPES = {(name, c): _at(ty, c) for name, ty in SIGNATURES.items()
+          for c in ((REAL, DUAL) if _at(ty, REAL) != ty else (None,))}
+
+# The operand types of each overloaded constant with an operand at the
+# carrier itself, which is every one but int and sup.
+_OPERANDS = {name: uncurry(ty)[0] for name, ty in SIGNATURES.items()
+             if CARRIER in uncurry(ty)[0]}
 
 
 def is_continuous_type(ty: Type) -> bool:
@@ -94,6 +100,25 @@ def contains_l(e: Expr) -> bool:
 
 def _numeric_rank(ty: Type) -> int:
     return {NAT: 0, REAL: 1, DUAL: 2}[ty]
+
+
+def coerce(e: Expr, have: Type, want: Type) -> Expr:
+    """e, of type have, at type want: the casts `in_pi` and `in_delta`
+    inserted, pointwise under a lambda at an arrow type."""
+    if have is want or have == want:
+        return e
+    if have == NAT and want == REAL:
+        return App(Const("in_pi"), e)
+    if have == NAT and want == DUAL:
+        return App(Const("in_delta"), App(Const("in_pi"), e))
+    if have == REAL and want == DUAL:
+        return App(Const("in_delta"), e)
+    if isinstance(have, Arrow) and isinstance(want, Arrow) \
+            and have.src == want.src:
+        # have != want, so the codomains differ and the body is new
+        x = fresh_var("c")
+        return Lam(x, have.src, coerce(App(e, Var(x)), have.dst, want.dst))
+    raise TypeCheckError(MISMATCH, f"expected {want}, found {have}", _pos(e))
 
 
 class _Checker:
@@ -137,36 +162,26 @@ class _Checker:
             return out
         if isinstance(e, App):
             out, got = self.elab_app(e, env, want)
-            return self.coerce(out, got, want)
+            return coerce(out, got, want)
         out, got = self.infer(e, env)
-        return self.coerce(out, got, want)
+        return coerce(out, got, want)
 
     # -- constants ----------------------------------------------------
 
     def infer_const(self, c: Const) -> Tuple[Expr, Type]:
-        if c.name in _FIXED_SIG:
-            return c, _FIXED_SIG[c.name]
+        ty = _TYPES.get((c.name, None))
+        if ty is not None:
+            return c, ty
+        if c.name in SIGNATURES:
+            carrier = c.targs[0] if c.targs else DUAL
+            return (Const(c.name, (carrier,), pos=c.pos),
+                    _TYPES[c.name, carrier])
         if c.name == "Y":
             if len(c.targs) != 1:
                 raise TypeCheckError(MISMATCH, "Y requires one type argument",
                                      c.pos)
             t = c.targs[0]
             return c, Arrow(Arrow(t, t), t)
-        if c.name in _BINOPS:
-            carrier = c.targs[0] if c.targs else DUAL
-            return (Const(c.name, (carrier,), pos=c.pos),
-                    arrow(carrier, carrier, carrier))
-        if c.name == "/":
-            carrier = c.targs[0] if c.targs else DUAL
-            return (Const(c.name, (carrier,), pos=c.pos),
-                    arrow(carrier, NAT, carrier))
-        if c.name == "pr":
-            carrier = c.targs[0] if c.targs else DUAL
-            return Const(c.name, (carrier,), pos=c.pos), Arrow(carrier, carrier)
-        if c.name in ("int", "sup"):
-            carrier = c.targs[0] if c.targs else DUAL
-            return (Const(c.name, (carrier,), pos=c.pos),
-                    Arrow(Arrow(REAL, carrier), carrier))
         if c.name == "L":
             raise TypeCheckError(
                 BAD_L_SHAPE, "the derivative operator must be fully applied",
@@ -174,24 +189,6 @@ class _Checker:
         raise TypeCheckError(MISMATCH, f"unknown constant {c.name!r}", c.pos)
 
     # -- coercions ----------------------------------------------------
-
-    def coerce(self, e: Expr, have: Type, want: Type) -> Expr:
-        if have == want:
-            return e
-        if have == NAT and want == REAL:
-            return App(Const("in_pi"), e)
-        if have == NAT and want == DUAL:
-            return App(Const("in_delta"), App(Const("in_pi"), e))
-        if have == REAL and want == DUAL:
-            return App(Const("in_delta"), e)
-        if isinstance(have, Arrow) and isinstance(want, Arrow) \
-                and have.src == want.src:
-            x = fresh_var("c")
-            body = self.coerce(App(e, Var(x)), have.dst, want.dst)
-            if body != App(e, Var(x)):
-                return Lam(x, have.src, body)
-        raise TypeCheckError(MISMATCH, f"expected {want}, found {have}",
-                             _pos(e))
 
     def _join_numeric(self, e: If, a: Type, b: Type) -> Type:
         if a in NUMERIC and b in NUMERIC:
@@ -201,16 +198,6 @@ class _Checker:
         raise TypeCheckError(MISMATCH,
                              f"incompatible branch types {a} and {b}",
                              _pos(e))
-
-    def _carrier(self, c: Const, carrier: Type, want: Optional[Type]) -> Type:
-        """An overloaded constant's carrier: its operands' carrier, unless
-        the context wants a numeric type that can hold it."""
-        if want not in (REAL, DUAL):
-            return carrier
-        if want == REAL and carrier == DUAL:
-            raise TypeCheckError(MISMATCH, "dual operand in a real context",
-                                 c.pos)
-        return want
 
     # -- composite forms ----------------------------------------------
 
@@ -223,19 +210,16 @@ class _Checker:
         then, tt = self.infer(e.then, env)
         els, te = self.infer(e.els, env)
         ty = self._join_numeric(e, tt, te)
-        return If(cond, self.coerce(then, tt, ty),
-                  self.coerce(els, te, ty), ty), ty
+        return If(cond, coerce(then, tt, ty),
+                  coerce(els, te, ty), ty), ty
 
     def elab_app(self, e: App, env, want: Optional[Type]) -> Tuple[Expr, Type]:
         head, args = spine(e)
         if isinstance(head, Const):
             name = head.name
-            if name in _BINOPS and len(args) == 2:
-                return self.elab_binop(head, args[0], args[1], env, want)
-            if name == "/" and len(args) == 2:
-                return self.elab_div(head, args[0], args[1], env, want)
-            if name == "pr" and len(args) == 1:
-                return self.elab_pr(head, args[0], env, want)
+            operands = _OPERANDS.get(name)
+            if operands is not None and len(args) == len(operands):
+                return self.elab_overloaded(head, operands, args, env, want)
             if name in ("int", "sup") and len(args) == 1:
                 return self.elab_intsup(head, args[0], env, want)
             if name == "lt0" and len(args) == 1:
@@ -257,40 +241,32 @@ class _Checker:
         arg = self.check(e.arg, env, fty.src)
         return App(fn, arg), fty.dst
 
-    def elab_binop(self, c: Const, a: Expr, b: Expr, env,
-                   want: Optional[Type]) -> Tuple[Expr, Type]:
-        ae, at = self.infer(a, env)
-        be, bt = self.infer(b, env)
-        for t in (at, bt):
-            if t not in NUMERIC:
-                raise TypeCheckError(MISMATCH,
-                                     f"arithmetic on non-numeric type {t}",
-                                     c.pos)
-        carrier = self._carrier(c, DUAL if DUAL in (at, bt) else REAL, want)
-        op = Const(c.name, (carrier,), pos=c.pos)
-        return App(App(op, self.coerce(ae, at, carrier)),
-                   self.coerce(be, bt, carrier)), carrier
-
-    def elab_div(self, c: Const, a: Expr, b: Expr, env,
-                 want: Optional[Type]) -> Tuple[Expr, Type]:
-        ae, at = self.infer(a, env)
-        if at not in NUMERIC:
-            raise TypeCheckError(MISMATCH,
-                                 f"division on non-numeric type {at}", c.pos)
-        carrier = self._carrier(c, DUAL if at == DUAL else REAL, want)
-        be = self.check(b, env, NAT)
-        op = Const("/", (carrier,), pos=c.pos)
-        return App(App(op, self.coerce(ae, at, carrier)), be), carrier
-
-    def elab_pr(self, c: Const, a: Expr, env,
-                want: Optional[Type]) -> Tuple[Expr, Type]:
-        ae, at = self.infer(a, env)
-        if at not in NUMERIC:
-            raise TypeCheckError(MISMATCH, f"pr on non-numeric type {at}",
-                                 c.pos)
-        carrier = self._carrier(c, DUAL if at == DUAL else REAL, want)
-        return App(Const("pr", (carrier,), pos=c.pos),
-                   self.coerce(ae, at, carrier)), carrier
+    def elab_overloaded(self, c: Const, operands, args, env,
+                        want: Optional[Type]) -> Tuple[Expr, Type]:
+        """An overloaded constant applied to all its operands.  Those at
+        the carrier are inferred, must be numeric and are coerced to it;
+        the others are checked at their types.  The carrier is the one the
+        context wants, if pi or delta, and otherwise delta if an operand is
+        dual and pi if none is.  Every such constant returns its carrier."""
+        inferred = [self.infer(a, env)
+                    for a, ty in zip(args, operands) if ty is CARRIER]
+        tys = [ty for _, ty in inferred]
+        for ty in tys:
+            if ty not in NUMERIC:
+                raise TypeCheckError(
+                    MISMATCH, f"arithmetic on non-numeric type {ty}", c.pos)
+        carrier = DUAL if DUAL in tys else REAL
+        if want in (REAL, DUAL):
+            if want == REAL and carrier is DUAL:
+                raise TypeCheckError(
+                    MISMATCH, "dual operand in a real context", c.pos)
+            carrier = want
+        out: Expr = Const(c.name, (carrier,), pos=c.pos)
+        inferred = iter(inferred)
+        for a, ty in zip(args, operands):
+            out = App(out, coerce(*next(inferred), carrier) if ty is CARRIER
+                      else self.check(a, env, ty))
+        return out, carrier
 
     def elab_intsup(self, c: Const, f: Expr, env,
                     want: Optional[Type]) -> Tuple[Expr, Type]:
@@ -303,7 +279,7 @@ class _Checker:
             carrier = want
         else:
             carrier = fty.dst if fty.dst in (REAL, DUAL) else DUAL
-        fe = self.coerce(fe, fty, Arrow(REAL, carrier))
+        fe = coerce(fe, fty, Arrow(REAL, carrier))
         return App(Const(c.name, (carrier,), pos=c.pos), fe), carrier
 
     def elab_lt0(self, c: Const, a: Expr, env) -> Tuple[Expr, Type]:
@@ -312,7 +288,7 @@ class _Checker:
             raise TypeCheckError(ZERO_TEST_ON_DUAL,
                                  "the zero test cannot be applied to dual values",
                                  c.pos)
-        ae = self.coerce(ae, at, REAL)
+        ae = coerce(ae, at, REAL)
         return App(Const("lt0", pos=c.pos), ae), BOOL
 
     def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type]:
@@ -348,40 +324,32 @@ class _Checker:
         return out, REAL
 
 
-def _mark_shared(e: Expr, x: Optional[str]) -> Tuple[Expr, frozenset]:
-    """e with each application under the lambda binding x that does not
-    mention x (a free expression, in full laziness's terms) marked with its
-    free variables, and the free variables of e.  A node whose children and
-    mark are unchanged is returned itself, not rebuilt."""
+def _mark_shared(e: Expr, x: Optional[str]) -> frozenset:
+    """Mark in place each application in e under the lambda binding x that
+    does not mention x (a free expression, in full laziness's terms) with
+    its free variables, and return the free variables of e.  Elaboration
+    builds every application it returns, so no input node is marked."""
     if isinstance(e, Var):
-        return e, frozenset((e.name,))
+        return frozenset((e.name,))
     if isinstance(e, App):
-        fn, ffv = _mark_shared(e.fn, x)
-        arg, afv = _mark_shared(e.arg, x)
-        fv = ffv | afv
-        free = tuple(sorted(fv)) if x is not None and x not in fv else None
-        if fn is e.fn and arg is e.arg and free == e.free:
-            return e, fv
-        return App(fn, arg, free), fv
+        fv = _mark_shared(e.fn, x) | _mark_shared(e.arg, x)
+        if x is not None and x not in fv:
+            e.free = tuple(sorted(fv))
+        return fv
     if isinstance(e, Lam):
-        body, fv = _mark_shared(e.body, e.var)
-        if body is not e.body:
-            e = Lam(e.var, e.ty, body)
-        return e, fv - {e.var}
+        return _mark_shared(e.body, e.var) - {e.var}
     if isinstance(e, If):
-        (cond, cfv), (then, tfv), (els, efv) = (
-            _mark_shared(b, x) for b in (e.cond, e.then, e.els))
-        if cond is not e.cond or then is not e.then or els is not e.els:
-            e = If(cond, then, els, e.ty)
-        return e, cfv | tfv | efv
-    return e, frozenset()
+        return (_mark_shared(e.cond, x) | _mark_shared(e.then, x)
+                | _mark_shared(e.els, x))
+    return frozenset()
 
 
 def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None) -> Tuple[Expr, Type]:
     """Type-check a surface term, returning the coercion-elaborated term
     with its sharing candidates marked (see `App.free`)."""
     out, ty = _Checker().infer(e, env or {})
-    return _mark_shared(out, None)[0], ty
+    _mark_shared(out, None)
+    return out, ty
 
 
 def typecheck(e: Expr) -> Type:

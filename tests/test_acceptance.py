@@ -12,7 +12,7 @@ from fractions import Fraction
 from dualpcf.analysis import (
     check_L_soundness, check_monotone_refinement, relation_holds,
 )
-from dualpcf.cli import _relation_cases
+from dualpcf.cli import _RELATION_CASES
 from dualpcf.corpus import CORPUS, FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order
 from dualpcf.lang import App, Arrow, Const, DUAL, DualLit, parse
 from dualpcf.machine import eval_at_cost, eval_dual, run_steps, _as_dual
@@ -176,8 +176,8 @@ def test_criterion_09_logical_relations():
     t0 = time.monotonic()
     ok = True
     detail = ""
-    for name, ty, src in _relation_cases():
-        f = _term(src)
+    for name, src in _RELATION_CASES:
+        f, ty = elaborate(parse(src), {})
         v = relation_holds(Fraction(1, 8), ty, f, f, f, fuel=1000, seed=42)
         if not v.holds:
             ok, detail = False, f" ({name}: {v.detail})"

@@ -57,8 +57,8 @@ def name_sites():
 
 def dead_helpers(module: Path):
     """Module-level functions and classes of `module`, and the methods and
-    properties of its classes other than dunders, that no line other than
-    their own definition names."""
+    properties of its classes other than dunders, that no line outside
+    their own definition names: a helper that only calls itself is dead."""
     tree = ast.parse(module.read_text())
     defs = [(node.name, node) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
@@ -68,7 +68,8 @@ def dead_helpers(module: Path):
              and not (node.name.startswith("__") and node.name.endswith("__"))]
     return sorted(qualname for qualname, node in defs
                   if not name_sites().get(node.name, set())
-                  - {(module, node.lineno)})
+                  - {(module, i) for i in range(node.lineno,
+                                                node.end_lineno + 1)})
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

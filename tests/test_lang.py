@@ -3,7 +3,7 @@ import pytest
 
 from dualpcf.lang import (
     App, Arrow, BoolLit, Const, DUAL, Ground, If, Lam, NAT, NatLit,
-    ParseError, REAL, Var, alpha_eq, free_vars, parse, print_expr, subst,
+    ParseError, REAL, SIGNATURES, Var, free_vars, parse, print_expr, subst,
 )
 
 
@@ -89,6 +89,28 @@ class TestParser:
     def test_booleans_are_literals(self):
         assert parse("if tt then ff else tt") == \
             If(BoolLit(True), BoolLit(False), BoolLit(True))
+
+
+@pytest.mark.parametrize("name", [n for n in SIGNATURES
+                                  if n.isidentifier() and n != "In"])
+def test_binder_takes_only_the_zero_tests_name(name):
+    body = parse(f"fun {name}: real. {name}").body
+    assert body == (Var(name) if name == "lt0" else Const(name))
+
+
+def alpha_eq(a, b, env=None) -> bool:
+    """Alpha-equivalence on surface terms."""
+    env = env or {}
+    if isinstance(a, Var) and isinstance(b, Var):
+        return env.get(a.name, a.name) == b.name
+    if isinstance(a, Lam) and isinstance(b, Lam):
+        return a.ty == b.ty and alpha_eq(a.body, b.body, {**env, a.var: b.var})
+    if isinstance(a, App) and isinstance(b, App):
+        return alpha_eq(a.fn, b.fn, env) and alpha_eq(a.arg, b.arg, env)
+    if isinstance(a, If) and isinstance(b, If):
+        return (alpha_eq(a.cond, b.cond, env) and alpha_eq(a.then, b.then, env)
+                and alpha_eq(a.els, b.els, env))
+    return a == b
 
 
 ROUND_TRIP_SOURCES = [

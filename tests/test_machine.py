@@ -6,7 +6,8 @@ import pytest
 from dualpcf import machine
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
-    App, Const, CostTagged, DualLit, IvLit, Lam, REAL, Var, parse,
+    App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, REAL,
+    SIGNATURES, Var, parse, uncurry,
 )
 from dualpcf.machine import (
     BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
@@ -58,8 +59,15 @@ class TestGroundRules:
         assert val("if 0 < in_pi 0 then in_pi 1 else in_pi 2") == IV_BOTTOM
 
     def test_undetermined_test_at_nat_is_undetermined(self):
-        out = ev("if 0 < in_pi 0 then 1 else 2")
-        assert isinstance(out, Undetermined)
+        # in the second program the inner conditional, at bool, straddles
+        for src in ("if 0 < in_pi 0 then 1 else 2",
+                    "(fun x: real. if (if 0 < x then tt else ff) then x else 0)"
+                    " 0"):
+            out = ev(src)
+            assert isinstance(out, Undetermined)
+            with pytest.raises(machine.UndeterminedSignal) as exc:
+                run_steps(CostTagged(elaborate(parse(src), {})[0], 0))
+            assert exc.value.reason == out.reason
 
     @pytest.mark.parametrize("src", [
         "0 < in_pi 0",
@@ -78,21 +86,28 @@ class TestGroundRules:
         assert val("min(1, 2)") == Interval.point(1)
 
 
-# The operand kinds of the rules whose operands are not all of the
-# constant's carrier
-_OPERANDS = {"/": (None, "nat"), "in_pi": ("nat",), "in_delta": ("pi",),
-             "succ": ("nat",), "pred": ("nat",), "iszero": ("nat",),
-             "lt0": ("pi",), "In": ("delta",)}
-
-
 @pytest.mark.parametrize("name,carrier", sorted(GROUND_RULES, key=str))
 def test_ground_rule_maps_numbers_to_a_number(name, carrier):
-    sample = {"pi": Interval(1, 2), "nat": 2,
+    sample = {"pi": Interval(1, 2), "nu": 2,
               "delta": DualInterval(Interval(1, 2), Interval.point(3))}
-    kinds = _OPERANDS.get(name, (None,) * machine._ARITY[name])
-    out = GROUND_RULES[(name, carrier)](*[sample[k or carrier] for k in kinds])
+    operands, _ = uncurry(SIGNATURES[name])
+    out = GROUND_RULES[(name, carrier)](
+        *[sample[carrier if ty is CARRIER else ty.name] for ty in operands])
     assert out is machine.BOOL_BOTTOM or \
         out.__class__ in (Interval, DualInterval, int, bool)
+
+
+def _mentions_carrier(ty) -> bool:
+    if isinstance(ty, Arrow):
+        return _mentions_carrier(ty.src) or _mentions_carrier(ty.dst)
+    return ty is CARRIER
+
+
+def test_ground_rules_follow_the_signature():
+    # a rule per carrier for an overloaded constant, one for any other
+    for name, carrier in GROUND_RULES:
+        assert (carrier is not None) == _mentions_carrier(SIGNATURES[name])
+        assert carrier in (None, REAL.name, DUAL.name)
 
 
 class TestCostSemantics:
@@ -212,6 +227,10 @@ class TestSingleStep:
          0),
         ("(fun g: delta -> delta. g (in_delta 3)) pr", 0),
         ("(fun h: delta -> delta. h (in_delta 1)) (max (in_delta 2))", 0),
+        # a zero test straddling zero: the conditional at a continuous type
+        # is bottom
+        ("(fun x: real. if 0 < x then x else 0) 0", 0),
+        ("int (fun t: real. if 0 < t - 1/2 then in_delta t else 0)", 1),
     ] + [(name, n) for name in CORPUS for n in (0, 1, 2)])
     def test_step_agrees_with_evaluator(self, src, n):
         # src is a corpus program's name or a program's source

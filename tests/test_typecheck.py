@@ -1,7 +1,9 @@
 """Type checking, coercion insertion, and derivative-operator shape rules."""
 import pytest
 
-from dualpcf.lang import Arrow, BOOL, DUAL, NAT, NatLit, REAL, parse, subst
+from dualpcf.lang import (
+    App, Arrow, BOOL, DUAL, If, Lam, NAT, NatLit, REAL, parse, subst,
+)
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
     ZERO_TEST_ON_DUAL, elaborate, is_continuous_type, is_l_admissible,
@@ -143,6 +145,17 @@ class TestDerivativeOperator:
         assert not is_continuous_type(Arrow(DUAL, BOOL))
 
 
+def marks(e):
+    """The `App.free` of each application in e, in pre-order."""
+    if isinstance(e, App):
+        return [e.free] + marks(e.fn) + marks(e.arg)
+    if isinstance(e, Lam):
+        return marks(e.body)
+    if isinstance(e, If):
+        return marks(e.cond) + marks(e.then) + marks(e.els)
+    return []
+
+
 class TestSharingMarks:
     def test_application_free_of_nearest_binder_is_marked(self):
         e, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
@@ -161,3 +174,11 @@ class TestSharingMarks:
         assert unmarked.body.body.fn.free is None
         assert marked == unmarked and hash(marked) == hash(unmarked)
         assert str(marked) == str(unmarked) and repr(marked) == repr(unmarked)
+
+    def test_elaboration_marks_only_its_own_applications(self):
+        surface = parse("fun x: real. fun y: real. (x + 1) * y + succ 2")
+        first, _ = elaborate(surface)
+        second, _ = elaborate(surface)
+        assert marks(first) == marks(second)
+        assert ("x",) in marks(first) and () in marks(first)
+        assert set(marks(surface)) == {None}
