@@ -1,9 +1,12 @@
 """Generated well-typed closed `delta` terms: the environment machine and
-the literal one-step reducer agree on every one of them."""
+the literal one-step reducer agree on every one of them, and a run
+stopped by the step budget stops where the budget says."""
 from hypothesis import given, settings, strategies as st
 
 from dualpcf.lang import CostTagged, parse
-from dualpcf.machine import Value, _unlit, eval_at_cost, run_steps
+from dualpcf.machine import (
+    BudgetExhausted, Value, _unlit, eval_at_cost, run_steps,
+)
 from dualpcf.typecheck import elaborate
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
@@ -13,18 +16,49 @@ real_literals = st.builds(
 
 
 @st.composite
-def delta_terms(draw, depth=3, reals=()):
-    """A closed `delta` term but for the `real` variables in `reals`, with
-    at most `depth` nested operators.  Some constants are passed through
-    a lambda as values, so both the known-call path and the generic one
-    are generated."""
-    kinds = ["literal"] + (["variable"] if reals else [])
+def real_terms(draw, depth, reals):
+    """A `real` term over the `real` variables in `reals`.  A difference
+    of a term with itself encloses zero, so a zero test on it straddles."""
+    kinds = ["literal"] + (["variable"] * 2 if reals else [])
     if depth > 0:
-        kinds += ["arith", "extremum", "pr", "half", "intsup", "passed"]
+        kinds += ["arith", "self_difference"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        return draw(real_literals)
+    if kind == "variable":
+        return draw(st.sampled_from(reals))
+    a = draw(real_terms(depth - 1, reals))
+    if kind == "self_difference":
+        return f"({a} - {a})"
+    b = draw(real_terms(depth - 1, reals))
+    return f"({a} {draw(st.sampled_from('+-*'))} {b})"
+
+
+@st.composite
+def delta_terms(draw, depth=3, reals=(), duals=(), derivatives=True):
+    """A closed `delta` term but for the `real` variables in `reals` and
+    the `delta` variables in `duals`, with at most `depth` nested
+    operators.  Some constants are passed through a lambda as values, so
+    both the known-call path and the generic one are generated.  Beyond
+    the first-order forms: lambdas at arrow types, a variable passed on
+    as an argument, `Y` at `delta` and at `real -> delta`, conditionals
+    on zero tests, and `L` at `delta` and at `real -> delta`, whose
+    arguments hold no `L` (`derivatives` False)."""
+    kinds = (["literal"] + (["variable"] if reals else [])
+             + (["dual_variable"] * 2 if duals else []))
+    if depth > 0:
+        kinds += ["arith", "extremum", "pr", "half", "intsup", "passed",
+                  "lambda", "higher_order", "forward", "y_delta", "y_arrow",
+                  "conditional"]
+        if derivatives:
+            kinds += ["l_delta", "l_arrow"]
     kind = draw(st.sampled_from(kinds))
 
-    def sub():
-        return draw(delta_terms(depth - 1, reals))
+    def sub(reals=reals, duals=duals, derivatives=derivatives):
+        return draw(delta_terms(depth - 1, reals, duals, derivatives))
+
+    def binder(prefix):
+        return f"{prefix}{len(reals) + len(duals)}"
 
     if kind == "literal":
         lit = draw(real_literals)
@@ -33,6 +67,8 @@ def delta_terms(draw, depth=3, reals=()):
         return f"(fun g: real -> delta. g {lit}) in_delta"
     if kind == "variable":
         return f"in_delta ({draw(real_literals)} * {draw(st.sampled_from(reals))})"
+    if kind == "dual_variable":
+        return draw(st.sampled_from(duals))
     if kind == "arith":
         return f"({sub()} {draw(st.sampled_from('+-*'))} {sub()})"
     if kind == "extremum":
@@ -42,17 +78,67 @@ def delta_terms(draw, depth=3, reals=()):
     if kind == "half":
         return f"({sub()}) / 2"
     if kind == "intsup":
-        t = f"t{len(reals)}"
-        body = draw(delta_terms(depth - 1, reals + (t,)))
+        t = binder("t")
+        body = sub(reals=reals + (t,))
         return f"{draw(st.sampled_from(['int', 'sup']))} (fun {t}: real. {body})"
-    # a constant passed as a value: whole, or applied to its first operand
-    op = draw(st.sampled_from(["max", "min"]))
-    form = draw(st.sampled_from(["binary", "unary", "partial"]))
-    if form == "binary":
-        return f"(fun g: delta -> delta -> delta. g ({sub()}) ({sub()})) {op}"
-    if form == "unary":
-        return f"(fun g: delta -> delta. g ({sub()})) pr"
-    return f"(fun h: delta -> delta. h ({sub()})) ({op} ({sub()}))"
+    if kind == "passed":
+        # a constant passed as a value: whole, or applied to its first operand
+        op = draw(st.sampled_from(["max", "min"]))
+        form = draw(st.sampled_from(["binary", "unary", "partial"]))
+        if form == "binary":
+            return f"(fun g: delta -> delta -> delta. g ({sub()}) ({sub()})) {op}"
+        if form == "unary":
+            return f"(fun g: delta -> delta. g ({sub()})) pr"
+        return f"(fun h: delta -> delta. h ({sub()})) ({op} ({sub()}))"
+    if kind == "lambda":
+        y = binder("y")
+        return f"(fun {y}: delta. {sub(duals=duals + (y,))}) ({sub()})"
+    if kind == "higher_order":
+        # a function argument applied twice, and a curried one
+        y, g = binder("y"), binder("g")
+        fn = f"(fun {y}: delta. {sub(duals=duals + (y,))})"
+        if draw(st.booleans()):
+            return f"(fun {g}: delta -> delta. {g} ({g} ({sub()}))) {fn}"
+        z = binder("z")
+        curried = f"(fun {z}: delta. {fn} ({z} * {sub()}))"
+        return f"(fun {g}: delta -> delta. {g} ({sub()})) {curried}"
+    if kind == "forward":
+        # the bound variable passed on, as it is, to another lambda
+        y, z = binder("y"), binder("z")
+        inner = f"(fun {z}: delta. {sub(duals=duals + (z,))})"
+        return f"(fun {y}: delta. {inner} {y}) ({sub()})"
+    if kind == "y_delta":
+        x = binder("x")
+        return f"Y[delta] (fun {x}: delta. {sub(duals=duals + (x,))})"
+    if kind == "y_arrow":
+        f, t = binder("f"), binder("t")
+        body = sub(reals=reals + (t,))
+        arg = draw(real_terms(1, reals + (t,)))
+        op = draw(st.sampled_from(["+", "*", "max"]))
+        rec = f"{f} ({arg} / 2)"
+        unfolded = (f"max({body}, {rec})" if op == "max"
+                    else f"({body} {op} {rec})")
+        point = draw(real_terms(1, reals))
+        return (f"Y[real -> delta] (fun {f}: real -> delta. fun {t}: real. "
+                f"{unfolded}) {point}")
+    if kind == "conditional":
+        test = draw(real_terms(2, reals))
+        return f"(if 0 < {test} then {sub()} else {sub()})"
+    if kind == "l_delta":
+        y = binder("y")
+        fn = f"(fun {y}: delta. {sub(duals=duals + (y,), derivatives=False)})"
+        point, direction = sub(derivatives=False), sub(derivatives=False)
+        return f"in_delta (L[delta] {fn} ({point}) ({direction}))"
+    # l_arrow: the derivative of a functional along a function
+    g, t = binder("g"), binder("t")
+    fn = draw(st.sampled_from([
+        "int", "sup",
+        f"(fun {g}: real -> delta. {g} ({draw(real_literals)}) * "
+        f"({sub(derivatives=False)}))"]))
+    point, direction = (
+        f"(fun {t}: real. {sub(reals=reals + (t,), derivatives=False)})"
+        for _ in range(2))
+    return f"in_delta (L[real -> delta] {fn} {point} {direction})"
 
 
 @settings(max_examples=150, deadline=None)
@@ -64,3 +150,9 @@ def test_machine_agrees_with_one_step_reducer(src):
         assert isinstance(big, Value), (n, big)
         nf, _ = run_steps(CostTagged(e, n), max_steps=1_000_000)
         assert _unlit(nf) == big.value, n
+        # a budget below the run's steps stops it one step past the budget
+        for b in sorted({1, big.steps // 2, big.steps - 1}):
+            if b < big.steps:
+                out = eval_at_cost(e, n, budget=b)
+                assert isinstance(out, BudgetExhausted), (n, b, out)
+                assert out.steps == b + 1 and out.reason == "step budget"
