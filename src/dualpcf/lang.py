@@ -25,6 +25,8 @@ class Struct:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()
@@ -121,7 +123,7 @@ class Var(Expr):
 
 
 class App(Expr):
-    __slots__ = ("fn", "arg", "free")
+    __slots__ = ("fn", "arg", "free", "code")
     _fields = ("fn", "arg")
 
     def __init__(self, fn: Expr, arg: Expr,
@@ -132,15 +134,19 @@ class App(Expr):
         # not mention that lambda's variable: its free variables, sorted.
         # The machine shares the value of such an application per cost tag.
         self.free = free
+        # the machine's code of a closed application, compiled on first use
+        self.code = None
 
 
 class Lam(Expr):
-    __slots__ = _fields = ("var", "ty", "body")
+    __slots__ = ("var", "ty", "body", "code")
+    _fields = ("var", "ty", "body")
 
     def __init__(self, var: str, ty: Optional[Type], body: Expr):
         self.var = var
         self.ty = ty
         self.body = body
+        self.code = None  # as for App
 
 
 class If(Expr):

@@ -1,32 +1,45 @@
 """Cost-indexed call-by-name evaluator.
 
 `Machine` is an environment machine (Sestoft, "Deriving a lazy abstract
-machine", JFP 1997).  An argument becomes a thunk, the unevaluated term
-with its environment, and a lambda value a closure over its environment
-and cost tag.  Each use of a variable forces its thunk at the cost tag in
-force where the variable occurs, which is the tag substitution would have
-given the argument there.  The machine applies the reduction rules
-depth-first in the order fixed by the evaluation contexts (function
-position first, then operator arguments left to right) and never
-substitutes.  `step` is the literal one-redex-at-a-time reducer that
+machine", JFP 1997).  It applies the reduction rules depth-first in the
+order fixed by the evaluation contexts (function position first, then
+operator arguments left to right) and never substitutes.  An argument
+becomes a thunk, the code of the unevaluated term with its environment,
+and a lambda value a closure over its environment and cost tag.  Each use
+of a variable forces its thunk at the cost tag in force where the
+variable occurs, the tag substitution would have given the argument
+there.  `step` is the literal one-redex-at-a-time reducer that
 substitutes; the conformance tests compare the two.  Both use the same
-ground-rule table, Y unfolding and L body: `Machine` instantiates the
-last two with reserved variables bound to its thunks.  `step` builds the
-paper's int/sup combine, `l/2 + r/2` or `max l r`, as a term.  `Machine`
-runs a bisection's 2^m cells in one left-to-right loop and combines
-values with `(l + r)/2`, which equals `l/2 + r/2` on exact endpoints, or
-with the `max` rule; a run with `overrides` fires the rules of the
-literal combine instead, so an overridden `+`, `/` or `max` acts there.
+ground-rule table, Y unfolding and L body.
+
+Each elaborated node is compiled once to a closure `run(m, env, tag)`
+over its compiled children (Feeley and Lapalme, "Using closures for code
+generation", 1987), with what elaboration fixed resolved then: a variable
+is an index into a tuple environment, innermost binder first, and a
+constant holds its rule.  A beta step and the forcing of a variable in
+tail position return a tail transfer `(run, env, tag)` to a driver loop
+(Ganz, Friedman and Wand, "Trampolined style", ICFP 1999), so a
+tail-recursive loop runs in constant Python stack.  A node compiled
+outside every lambda is closed and keeps its code (`App.code`,
+`Lam.code`), so a term evaluated again is not compiled again; a run with
+`overrides` compiles against its own rules and keeps nothing.  The Y
+unfolding, the L body and the bottom of a straddled conditional are
+compiled once per type, or per type arguments and arity.
 
 A known call, a first-order constant applied to all its operands
-(`c a` for `c` of arity 1, `c a b` for arity 2), jumps straight to the
-rule that constant resolved to, as eval/apply does (Marlow and Peyton
-Jones, "Making a fast curry", ICFP 2004): one step per application node,
-then the operands' values at the current tag, left to right, with no
-partial value and no argument thunk.  A constant used as a value, passed
-to a function or applied to fewer operands, becomes a `PrimVal` and takes
-the generic path, which counts the same steps.  Each int/sup cell applies
-f to its cell directly, as the one step of that application.
+(`c a` for `c` of arity 1, `c a b` for arity 2), fires the rule that
+constant resolved to, as eval/apply does (Marlow and Peyton Jones,
+"Making a fast curry", ICFP 2004): one step per application node, then
+the operands' values at the current tag, left to right, with no partial
+value and no argument thunk.  A constant used as a value, passed to a
+function or applied to fewer operands, becomes a `PrimVal` and takes the
+generic path, which counts the same steps.  `Machine` runs a bisection's
+2^m cells in one left-to-right loop; each cell is one step that applies
+f to a value thunk holding the cell.  It combines int with `(l + r)/2`,
+which equals the rule's `l/2 + r/2` on exact endpoints, and sup with the
+`max` rule.  `step` builds the combine as a term, and a run with
+`overrides` fires its rules instead, so an overridden `+`, `/` or `max`
+acts there.
 
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
@@ -105,38 +118,42 @@ class CeilingReached(Exception):
 # a straddling interval.  A literal node evaluates to its payload; only
 # `step`, which rewrites terms, wraps a rule's result in a literal node
 # again.  int/sup values are their IntSupAt nodes.  An environment is a
-# dict from variable names to thunks; it is copied when a binder extends
-# it, never changed in place.  The remaining values:
+# tuple of thunks, innermost binder first.  The remaining values:
 
 
 class Thunk(Struct):
-    """A call-by-name argument: an unevaluated term and its environment.
-    It has no cost tag of its own: each use evaluates it at the tag in
-    force where the variable occurs, the tag `subst` would give it.
-    Thunks compare by identity, which is what the sharing table keys on."""
-    __slots__ = ("expr", "env")
-    _fields = ("expr",)  # shown by repr
+    """A call-by-name argument: the code of an unevaluated term and its
+    environment.  It has no cost tag of its own: each use runs it at the
+    tag in force where the variable occurs, the tag `subst` would give it.
+    `run` may end in a tail transfer; `op` gives the value a primitive's
+    operand needs, through the sharing table for a marked application.
+    A value thunk, an int/sup cell, holds its value as `env`, and its
+    code returns it.  Thunks compare by identity, which is what the
+    sharing table keys on."""
+    __slots__ = ("run", "op", "env")
+    _fields = ("run",)  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, expr: Expr, env: dict):
-        self.expr = expr
+    def __init__(self, run, op, env):
+        self.run = run
+        self.op = op
         self.env = env
 
 
 class Closure(Struct):
-    __slots__ = ("lam", "env", "tag")
-    _fields = ("lam", "tag")  # shown by repr
+    __slots__ = ("body", "env", "tag")
+    _fields = ("body", "tag")  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, lam: Lam, env: dict, tag: int):
-        self.lam = lam
+    def __init__(self, body, env: tuple, tag: int):
+        self.body = body  # the run of the lambda's body
         self.env = env
         self.tag = tag
 
 
 class PrimVal(Struct):
     """A first-order constant applied to fewer thunks than its arity, with
-    its rule resolved (see `Machine._const_value`)."""
+    its rule resolved."""
     __slots__ = ("name", "arity", "rule", "args")
     _fields = ("name", "rule", "args")
 
@@ -148,11 +165,13 @@ class PrimVal(Struct):
 
 
 class YVal(Struct):
-    __slots__ = _fields = ("ty", "tag")
+    __slots__ = ("ty", "tag", "unfold")
+    _fields = ("ty", "tag")
 
-    def __init__(self, ty: Type, tag: Optional[int]):
+    def __init__(self, ty: Type, tag: Optional[int], unfold: list):
         self.ty = ty
         self.tag = tag  # None: standard unbounded unfolding
+        self.unfold = unfold  # [run] of the unfolding `%F (Y %F)`
 
 
 class LVal(Struct):
@@ -404,183 +423,278 @@ def l_body(targs, args) -> Expr:
                          for ty, p, d in zip(targs, points, dirs)])
 
 
-# -- the environment machine -----------------------------------------------
+# -- the compiled environment machine --------------------------------------
 
 
 _LITERALS = tuple(_PAYLOAD)
-_EMPTY: dict = {}
+# The rule templates compiled against `GROUND_RULES`, by key (see
+# `Machine._template`)
+_TEMPLATES: dict = {}
+_F = "%F"  # the Y unfolding's reserved variable; the L body's are %L<i>
 
-# Reserved variables (%F in the Y unfolding, and %L<i> in `_reduce_l`),
-# which neither the parser nor `fresh_var` produces: the shared rule
-# templates are instantiated with them in a fresh environment that binds
-# them to the argument thunks.
-_F = Var("%F")
+
+def _drive(m, v):
+    """Continue tail transfers `(run, env, tag)` until a value results;
+    no value is a tuple."""
+    while v.__class__ is tuple:
+        run, env, tag = v
+        v = run(m, env, tag)
+    return v
+
+
+def _valued(run):
+    return lambda m, env, tag: _drive(m, run(m, env, tag))
+
+
+def _over_budget(m):
+    """The error of a run whose steps passed the budget, stopped where
+    ticking one step at a time stops it."""
+    m.steps = m.budget + 1
+    return BudgetError(m.steps)
+
+
+# the code of a value thunk, whose environment is its value
+_its_value = lambda m, value, tag: value
 
 
 class Machine:
+    __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo")
+
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None):
         self.budget = budget
-        # The rule of each (constant, carrier name), and the value of each
-        # constant whose value does not depend on the cost tag, made on
-        # first use.
+        # The rule of each (constant, carrier name), and the compiled rule
+        # templates
         self._rules = ground_rules(overrides)
-        self._consts = {}
+        self._cache = _TEMPLATES if self._rules is GROUND_RULES else {}
         self.steps = 0
         self.shared = 0
-        # The sharing table of a run: id of a marked application -> (key,
+        # The sharing table of a run: a marked application's slot -> (key,
         # value, steps), one slot per node.  None until the run enters its
         # first int/sup cell, where the repeats are.
         self._memo = None
 
-    def _tick(self):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise BudgetError(self.steps)
-
     def evalc(self, e: Expr, tag: int):
         """Evaluate a closed term at cost `tag`, a natural.  Every tag the
-        run meets is one too: the tag of a `CostTagged` node, a closure's
-        tag, or the tag in force."""
-        return self._eval(e, _EMPTY, tag)
+        run meets is one too: a closure's tag, or the tag in force."""
+        return _drive(self, self._compile(e, ())[0](self, (), tag))
 
-    def _eval(self, e: Expr, env: dict, tag: int):
-        # Tail positions (tags, variables, beta steps and branches) loop
-        # instead of recursing.
-        while True:
-            cls = e.__class__
-            if cls is App:
-                # A known call, a first-order constant applied to all its
-                # operands, fires its rule on the operands' values: one
-                # tick per application node, operands left to right.
-                fn = e.fn
-                if fn.__class__ is Const:
-                    if _ARITY.get(fn.name) == 1:
-                        rule = self._const_value(fn, tag).rule
-                        self._tick()
-                        return rule(self._operand(e.arg, env, tag,
-                                                  self._memo))
-                elif fn.__class__ is App:
-                    c = fn.fn
-                    if c.__class__ is Const and _ARITY.get(c.name) == 2:
-                        rule = self._const_value(c, tag).rule
-                        self._tick()
-                        self._tick()
-                        memo = self._memo
-                        a = self._operand(fn.arg, env, tag, memo)
-                        return rule(a, self._operand(e.arg, env, tag, memo))
-                fv = self._eval(fn, env, tag)
-                arg = e.arg
-                # a variable argument passes on the thunk it is bound to,
-                # so forwarding chains do not grow with each Y unfolding
-                th = env.get(arg.name) if arg.__class__ is Var else None
-                if th is None:
-                    th = Thunk(arg, env)
-                self._tick()
-                if fv.__class__ is not Closure:
-                    return self._apply(fv, th, tag)
-                lam = fv.lam
-                env = fv.env.copy()
-                env[lam.var] = th
-                e, tag = lam.body, fv.tag
-            elif cls is Var:
-                th = env.get(e.name)
-                if th is None:
-                    raise StuckTerm(f"unbound variable {e.name}")
-                e, env = th.expr, th.env
-            elif cls is CostTagged:
-                tag = e.n
-                e = e.expr
-            elif cls in _PAYLOAD:
-                return _PAYLOAD[cls](e)
-            elif cls is Const:
-                return self._const_value(e, tag)
-            elif cls is Lam:
-                return Closure(e, env, tag)
-            elif cls is If:
-                self._tick()
-                cv = self._eval(e.cond, env, tag)
+    # -- the compiler --------------------------------------------------
+
+    def _compile(self, e: Expr, scope: tuple):
+        """Compile e, whose free variables `scope` names innermost first, to
+        `(run, op)`: `run(m, env, tag)` returns e's value or a tail
+        transfer, and `op` the value a primitive's operand needs, through
+        the sharing table for a marked application.  An application or
+        lambda compiled in the empty scope is closed and keeps its code."""
+        cls = e.__class__
+        keep = (not scope and (cls is App or cls is Lam)
+                and self._rules is GROUND_RULES)
+        if keep and e.code is not None:
+            return e.code
+        if cls is App:
+            code = self._compile_app(e, scope)
+        elif cls is Var:
+            if e.name not in scope:
+                raise StuckTerm(f"unbound variable {e.name}")
+            i = scope.index(e.name)
+
+            def run(m, env, tag):  # forcing the thunk: a tail transfer
+                th = env[i]
+                return th.run, th.env, tag
+
+            def op(m, env, tag):
+                th = env[i]
+                return th.op(m, th.env, tag)
+
+            code = run, op
+        elif cls is If:
+            cond, then, els = [self._compile(x, scope)[0]
+                               for x in (e.cond, e.then, e.els)]
+            ty = e.ty
+
+            def run(m, env, tag):
+                m.steps += 1
+                if m.steps > m.budget:
+                    raise _over_budget(m)
+                cv = _drive(m, cond(m, env, tag))
                 if cv is BOOL_BOTTOM:
-                    e, env = straddled_if(e.ty), _EMPTY
-                elif cv.__class__ is bool:
-                    e = e.then if cv else e.els
-                else:
-                    raise StuckTerm(f"conditional on non-boolean {cv}")
+                    bottom = m._template(("bottom", ty),
+                                         lambda: straddled_if(ty))
+                    return bottom[0], (), tag
+                return (then if cv else els)(m, env, tag)
+
+            code = run, _valued(run)
+        else:
+            if cls is Lam:
+                body = self._compile(e.body, (e.var,) + scope)[0]
+                run = lambda m, env, tag: Closure(body, env, tag)
+            elif cls is Const:
+                run = self._compile_const(e)
+            elif cls in _PAYLOAD:
+                v = _PAYLOAD[cls](e)
+                run = lambda m, env, tag: v
             else:
                 raise StuckTerm(f"cannot evaluate {e!r}")
+            code = run, run
+        if keep:
+            e.code = code
+        return code
 
-    def _const_value(self, c: Const, tag: int):
+    def _rule(self, c: Const):
+        return _rule(self._rules, c.name, c.targs[0].name if c.targs else None)
+
+    def _compile_const(self, c: Const):
         name = c.name
-        if name not in _COST_INDEXED:
-            key = (name, c.targs[0].name if c.targs else None)
-            v = self._consts.get(key)
-            if v is None:
-                v = self._consts[key] = PrimVal(name, _ARITY[name],
-                                                _rule(self._rules, *key), ())
-            return v
+        if name in _ARITY:
+            pv = PrimVal(name, _ARITY[name], self._rule(c), ())
+            return lambda m, env, tag: pv
         if name in ("int", "sup"):
-            return IntSupAt(name, c.targs[0], tag, tag)
+            carrier = c.targs[0]
+            return lambda m, env, tag: IntSupAt(name, carrier, tag, tag)
         if name == "Y":
             ty = c.targs[0]
-            return YVal(ty, tag if is_continuous_type(ty) else None)
-        return LVal(c.targs, tag, ())
+            unfold = self._template(("Y", ty),
+                                    lambda: unfold_y(ty, Var(_F), None), (_F,))
+            if is_continuous_type(ty):
+                return lambda m, env, tag: YVal(ty, tag, unfold)
+            return lambda m, env, tag: YVal(ty, None, unfold)
+        targs = c.targs
+        return lambda m, env, tag: LVal(targs, tag, ())
 
-    def _operand(self, e: Expr, env: dict, tag: int, memo):
-        """The value of a primitive's operand at `tag`.  A variable forces
-        the thunk it is bound to; with a sharing table (`memo`, read once
-        per firing), a marked application is looked up in it."""
-        if e.__class__ is Var:
-            th = env.get(e.name)
-            if th is not None:
-                e, env = th.expr, th.env
-        if memo is not None and e.__class__ is App and e.free is not None:
-            return self._force_shared(e, env, tag)
-        return self._eval(e, env, tag)
+    def _compile_app(self, e: App, scope: tuple):
+        fn, arg = e.fn, e.arg
+        if fn.__class__ is Const and _ARITY.get(fn.name) == 1:
+            # a known call: one step, then the rule on the operand's value
+            rule, a_op = self._rule(fn), self._compile(arg, scope)[1]
+
+            def run(m, env, tag):
+                m.steps += 1
+                if m.steps > m.budget:
+                    raise _over_budget(m)
+                return rule(a_op(m, env, tag))
+
+            return run, self._shared(e, run, scope)
+        if fn.__class__ is App and fn.fn.__class__ is Const \
+                and _ARITY.get(fn.fn.name) == 2:
+            # two application nodes, two steps
+            rule, a_op = self._rule(fn.fn), self._compile(fn.arg, scope)[1]
+            b_run, b_op = self._compile(arg, scope)
+
+            def run(m, env, tag):
+                m.steps += 2
+                if m.steps > m.budget:
+                    raise _over_budget(m)
+                memo = m._memo
+                x = a_op(m, env, tag)
+                if memo is None and m._memo is not None:
+                    # the table began in x's run: the firing keeps to the
+                    # unshared operands it started with
+                    return rule(x, _drive(m, b_run(m, env, tag)))
+                return rule(x, b_op(m, env, tag))
+
+            return run, self._shared(e, run, scope)
+        f_run = self._compile(fn, scope)[0]
+        a_run, a_op = self._compile(arg, scope)
+        # a variable argument passes on the thunk it is bound to, so
+        # forwarding chains do not grow with each Y unfolding
+        i = scope.index(arg.name) if arg.__class__ is Var else None
+
+        def run(m, env, tag):
+            fv = f_run(m, env, tag)
+            if fv.__class__ is tuple:
+                fv = _drive(m, fv)
+            th = Thunk(a_run, a_op, env) if i is None else env[i]
+            m.steps += 1
+            if m.steps > m.budget:
+                raise _over_budget(m)
+            if fv.__class__ is Closure:  # a beta step: a tail transfer
+                return fv.body, (th,) + fv.env, fv.tag
+            return m._apply(fv, th, tag)
+
+        return run, self._shared(e, _valued(run), scope)
+
+    @staticmethod
+    def _shared(e: App, val, scope: tuple):
+        """The operand code of an application whose value `val` gives: for
+        a marked one, through the run's sharing table once the table
+        exists.  Its value and step count depend only on the tag and the
+        thunks bound to its free variables, so a hit returns the stored
+        value and replays the stored steps."""
+        if e.free is None:
+            return val
+        slot_id = object()
+        # the thunks bound to the free variables, compared by identity
+        bound = operator.itemgetter(*map(scope.index, e.free)) if e.free \
+            else lambda env: ()
+
+        def op(m, env, tag):
+            memo = m._memo
+            if memo is None:
+                return val(m, env, tag)
+            key = (tag, bound(env))
+            slot = memo.get(slot_id)
+            if slot is not None and slot[0] == key:
+                if m.steps + slot[2] > m.budget:
+                    # where the unshared evaluation would have stopped
+                    m.shared += m.budget + 1 - m.steps
+                    raise _over_budget(m)
+                m.shared += slot[2]
+                m.steps += slot[2]
+                return slot[1]
+            before = m.steps
+            v = val(m, env, tag)
+            memo[slot_id] = (key, v, m.steps - before)
+            return v
+
+        return op
+
+    def _template(self, key, make, scope: tuple = ()) -> list:
+        """`[run]` of the rule template `make()` builds, compiled once per
+        key; the list exists before its code, so the Y unfolding can hold
+        itself."""
+        cell = self._cache.get(key)
+        if cell is None:
+            e = make()
+            cell = self._cache[key] = [None]
+            cell[0] = self._compile(e, scope)[0]
+        return cell
+
+    # -- application rules ----------------------------------------------
 
     def _apply(self, fv, th: Thunk, tag: int):
         """Apply a value other than a closure to an argument thunk; the
-        step was ticked by the caller."""
-        if fv.__class__ is PrimVal:
+        step was ticked by the caller.  The result may be a tail
+        transfer."""
+        cls = fv.__class__
+        if cls is PrimVal:
             args = fv.args + (th,)
             if len(args) < fv.arity:
                 return PrimVal(fv.name, fv.arity, fv.rule, args)
-            memo = self._memo
-            return fv.rule(*[self._operand(a.expr, a.env, tag, memo)
-                             for a in args])
-        if isinstance(fv, IntSupAt):
+            # the sharing table, as it is when the rule starts to fire
+            if self._memo is None:
+                return fv.rule(*[_drive(self, a.run(self, a.env, tag))
+                                 for a in args])
+            return fv.rule(*[a.op(self, a.env, tag) for a in args])
+        if cls is IntSupAt:
             if self._memo is None:
                 self._memo = {}
             return self._reduce_intsup(fv, th)
-        if isinstance(fv, YVal):
-            return self._eval(unfold_y(fv.ty, _F, fv.tag), {_F.name: th}, tag)
-        if isinstance(fv, LVal):
-            args = fv.args + (th,)
-            if len(args) < 1 + 2 * len(fv.targs):
-                return LVal(fv.targs, fv.n, args)
-            return self._reduce_l(fv.targs, fv.n, args)
-        raise StuckTerm(f"cannot apply {fv}")
-
-    def _force_shared(self, e: App, env: dict, tag: int):
-        """Evaluate a marked application, a primitive's argument, at `tag`.
-        Its value and step count depend only on the tag and the thunks
-        bound to its free variables, so a hit returns the stored value
-        and replays the stored steps."""
-        # thunks compare by identity
-        key = (tag, *[env.get(x) for x in e.free])
-        slot = self._memo.get(id(e))
-        if slot is not None and slot[0] == key:
-            steps = self.steps + slot[2]
-            if steps > self.budget:
-                # where the unshared evaluation would have stopped
-                self.shared += self.budget + 1 - self.steps
-                self.steps = self.budget + 1
-                raise BudgetError(self.steps)
-            self.shared += slot[2]
-            self.steps = steps
-            return slot[1]
-        before = self.steps
-        v = self._eval(e, env, tag)
-        self._memo[id(e)] = (key, v, self.steps - before)
-        return v
+        if cls is YVal:
+            # unfold_y: at cost n the unfolding runs at n - 1, and cost 0
+            # gives bottom; a discrete type unfolds at the tag in force
+            n, ty = fv.tag, fv.ty
+            if n == 0:
+                return self._template(("bottom", ty),
+                                      lambda: bottom_expr(ty))[0], (), tag
+            return fv.unfold[0], (th,), tag if n is None else n - 1
+        args = fv.args + (th,)  # an LVal
+        if len(args) < 1 + 2 * len(fv.targs):
+            return LVal(fv.targs, fv.n, args)
+        xs = tuple(f"%L{i}" for i in range(len(args)))
+        body = self._template(("L", fv.targs, len(args)),
+                              lambda: l_body(fv.targs, [Var(x) for x in xs]),
+                              xs)
+        return _drive(self, body[0](self, args, fv.n)).inf
 
     def _ground(self, name: str, carrier: Type, vals: List):
         return self._rules[name, carrier.name](*vals)
@@ -603,25 +717,31 @@ class Machine:
             combine = lambda lv, rv: (lv + rv).half()
         else:
             combine = GROUND_RULES["max", node.carrier.name]
-        m, n, expr, fenv = node.m, node.n, f.expr, f.env
+        m, n, f_run, f_env = node.m, node.n, f.run, f.env
         width = IV_UNIT.hi
         for _ in range(m):
             width = width.half()
         lo = IV_UNIT.lo
         pending = []
         for i in range(1 << m):
-            for _ in range((i & -i).bit_length() - 1 if i else m):
-                self._tick()
+            self.steps += (i & -i).bit_length() - 1 if i else m
+            if self.steps > self.budget:
+                raise _over_budget(self)
             hi = lo + width
-            fv = self._eval(expr, fenv, n)
-            th = Thunk(IvLit(iv_unchecked(lo, hi)), _EMPTY)
-            self._tick()
-            if fv.__class__ is not Closure:
-                v = self._apply(fv, th, n)
+            fv = f_run(self, f_env, n)
+            if fv.__class__ is tuple:
+                fv = _drive(self, fv)
+            # the cell, bound as a value thunk
+            th = Thunk(_its_value, _its_value, iv_unchecked(lo, hi))
+            self.steps += 1
+            if self.steps > self.budget:
+                raise _over_budget(self)
+            if fv.__class__ is Closure:
+                v = fv.body(self, (th,) + fv.env, fv.tag)
             else:
-                env = fv.env.copy()
-                env[fv.lam.var] = th
-                v = self._eval(fv.lam.body, env, fv.tag)
+                v = self._apply(fv, th, n)
+            if v.__class__ is tuple:
+                v = _drive(self, v)
             # cell i closes the nodes whose rightmost cell it is, as many
             # as i has trailing one bits
             while i & 1:
@@ -630,11 +750,6 @@ class Machine:
             pending.append(v)
             lo = hi
         return pending[0]
-
-    def _reduce_l(self, targs, n: int, args):
-        xs = [Var(f"%L{i}") for i in range(len(args))]
-        env = {x.name: th for x, th in zip(xs, args)}
-        return self._eval(l_body(targs, xs), env, n).inf
 
     # -- public driver ------------------------------------------------
 

@@ -143,6 +143,14 @@ class TestCostSemantics:
         assert isinstance(out, BudgetExhausted)
         assert out.reason == "step budget"
 
+    def test_tail_recursive_loop_runs_into_the_budget(self):
+        # a tail call returns to the driver loop, so the Python stack stays
+        # flat: a machine that recursed per iteration would run out of
+        # recursion depth near 300,000 steps
+        src = "(Y[nu -> nu] (fun f: nu -> nu. fun n: nu. f (succ n))) 0"
+        assert ev(src, 0, budget=500_000) == \
+            BudgetExhausted(steps=500_001, reason="step budget")
+
     def test_y_at_discrete_type_diverges_into_recursion_depth(self):
         src = ("in_delta (in_pi (Y[nu -> nu] (fun f: nu -> nu. fun n: nu. "
                "succ (f n)) 0))")
@@ -457,6 +465,15 @@ class TestSharing:
         out = eval_at_cost(e, 2, budget=full.steps)
         assert isinstance(out, Value) and out.steps == full.steps
 
+    def test_a_firing_keeps_the_table_it_started_with(self):
+        # `x * x` is marked; the first `g` call's `+` starts before the run
+        # has a table and forces it unshared, though its left operand made
+        # one, so the second call finds nothing stored to replay
+        out = ev("(fun x: delta. (fun g: delta -> delta. g 1 + g 2)"
+                 " (fun y: delta. int (fun t: real. in_delta t) + x * x))"
+                 " (in_delta 3)", 2)
+        assert (out.steps, out.shared) == (46, 0)
+
     @pytest.mark.parametrize("name,steps,shared,stopped_shared", [
         ("nested_int_xyz", 424, 96, 19_472),
         ("cbrt_sup", 76, 15, 362),
@@ -480,10 +497,10 @@ class TestSharing:
 def test_values_and_outcomes_compare_as_documented():
     # thunks and closures by identity, the sharing table's key; outcomes
     # by their fields, and they are mutable, so unhashable
-    lam, env = Lam("x", REAL, Var("x")), {}
-    th = Thunk(Var("x"), env)
-    assert th == th and th != Thunk(Var("x"), env)
-    assert Closure(lam, env, 1) != Closure(lam, env, 1)
+    code, env = Machine()._compile(Lam("x", REAL, Var("x")), ()), ()
+    th = Thunk(code[0], code[1], env)
+    assert th == th and th != Thunk(code[0], code[1], env)
+    assert Closure(code[0], env, 1) != Closure(code[0], env, 1)
     assert Value(3, 1, 2) == Value(3, 1, 2)
     assert Value(3, 1, 2) != Value(3, 0, 2)
     assert BudgetExhausted(5) != Undetermined(5)
