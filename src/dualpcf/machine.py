@@ -17,7 +17,7 @@ over its compiled children (Feeley and Lapalme, "Using closures for code
 generation", 1987), with what elaboration fixed resolved then: a variable
 is an index into a tuple environment, innermost binder first, and a
 constant holds its rule.  A beta step and the forcing of a variable in
-tail position return a tail transfer `(run, env, tag)` to a driver loop
+tail position return a tail transfer `(run, env, tag)` to a trampoline loop
 (Ganz, Friedman and Wand, "Trampolined style", ICFP 1999), so a
 tail-recursive loop runs in constant Python stack.  A node compiled
 outside every lambda is closed and keeps its code (`App.code`,

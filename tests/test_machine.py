@@ -144,9 +144,9 @@ class TestCostSemantics:
         assert out.reason == "step budget"
 
     def test_tail_recursive_loop_runs_into_the_budget(self):
-        # a tail call returns to the driver loop, so the Python stack stays
-        # flat: a machine that recursed per iteration would run out of
-        # recursion depth near 300,000 steps
+        # a tail call returns to the trampoline loop, so the Python stack
+        # stays flat: a machine that recursed per iteration would run out
+        # of recursion depth near 300,000 steps
         src = "(Y[nu -> nu] (fun f: nu -> nu. fun n: nu. f (succ n))) 0"
         assert ev(src, 0, budget=500_000) == \
             BudgetExhausted(steps=500_001, reason="step budget")
