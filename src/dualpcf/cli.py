@@ -22,7 +22,7 @@ from .machine import (
     BudgetExhausted, CeilingReached, DEFAULT_BUDGET, Undetermined,
     eval_at_cost, eval_refine,
 )
-from .numeric import DualInterval, Interval, fmt_endpoint, in_dual
+from .numeric import DualInterval, Interval, in_dual
 from .typecheck import TypeCheckError, elaborate
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _load(path: str):
 
 
 def _iv_json(iv: Interval) -> dict:
-    return {"lo": fmt_endpoint(iv.lo), "hi": fmt_endpoint(iv.hi)}
+    return {"lo": str(iv.lo), "hi": str(iv.hi)}
 
 
 def _render(out, cost: int, fmt: str) -> str:

@@ -72,8 +72,8 @@ from .lang import (
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
-    Interval, dual_max, dual_min, dual_pr, endpoint, in_dual, iv_max, iv_min,
-    iv_pr, iv_unchecked,
+    Interval, dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
+    iv_unchecked,
 )
 from .typecheck import is_continuous_type
 
@@ -236,8 +236,7 @@ class BudgetExhausted(Outcome):
 
 
 def _nat_iv(n: int) -> Interval:
-    q = endpoint(n)
-    return iv_unchecked(q, q)
+    return iv_unchecked(n, n, 0, 1)
 
 
 def _as_iv(v) -> Interval:
@@ -257,9 +256,10 @@ def _as_dual(v) -> DualInterval:
 
 
 def _lt0(iv: Interval):
-    if iv.lo > 0:
+    # the signs of the numerators are those of the ends (bottom: -1, 1)
+    if iv.a > 0:
         return True
-    if iv.hi < 0:
+    if iv.b < 0:
         return False
     return BOOL_BOTTOM
 
@@ -718,21 +718,16 @@ class Machine:
         else:
             combine = GROUND_RULES["max", node.carrier.name]
         m, n, f_run, f_env = node.m, node.n, f.run, f.env
-        width = IV_UNIT.hi
-        for _ in range(m):
-            width = width.half()
-        lo = IV_UNIT.lo
         pending = []
         for i in range(1 << m):
             self.steps += (i & -i).bit_length() - 1 if i else m
             if self.steps > self.budget:
                 raise _over_budget(self)
-            hi = lo + width
             fv = f_run(self, f_env, n)
             if fv.__class__ is tuple:
                 fv = _drive(self, fv)
-            # the cell, bound as a value thunk
-            th = Thunk(_its_value, _its_value, iv_unchecked(lo, hi))
+            # the cell [i, i+1] / 2**m, bound as a value thunk
+            th = Thunk(_its_value, _its_value, iv_unchecked(i, i + 1, m, 1))
             self.steps += 1
             if self.steps > self.budget:
                 raise _over_budget(self)
@@ -748,7 +743,6 @@ class Machine:
                 v = combine(pending.pop(), v)
                 i >>= 1
             pending.append(v)
-            lo = hi
         return pending[0]
 
     # -- public driver ------------------------------------------------
@@ -819,7 +813,13 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
     `CeilingReached` when the widths are still too wide at the cost
     ceiling.
     """
-    target_width = endpoint(Fraction(target_width))
+    if target_width.__class__ is not Fraction:
+        target_width = Fraction(target_width)
+    p, q = target_width.numerator, target_width.denominator
+
+    def narrow(iv):  # width <= p/q, on the integers (bottom: never)
+        return (iv.b - iv.a) * q <= p * (iv.d << iv.e)
+
     n = 1
     while True:
         out = eval_at_cost(e, n, budget)
@@ -827,8 +827,7 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
                 not isinstance(out.value, (Interval, DualInterval)):
             return out, n
         out.value = v = _dual_value(out.value)
-        if v.std.width <= target_width and (
-                std_only or v.inf.width <= target_width):
+        if narrow(v.std) and (std_only or narrow(v.inf)):
             return out, n
         if n >= cost_ceiling:
             raise CeilingReached(v, n)

@@ -1,300 +1,104 @@
-"""Exact interval and dual-interval arithmetic over extended-rational endpoints.
+"""Exact interval and dual-interval arithmetic over rational endpoints.
 
-A finite endpoint is exact.  Dual PCF's `int`/`sup` bisect [0,1] into
-dyadic cells and combine with `l/2 + r/2` (the machine: `(l + r)/2`) and
-`max`, so from dyadic literals every endpoint the machine builds is a
-dyadic rational.  Those are held as `_Dyadic` values, an odd mantissa over
-a power of two, whose sums, differences, products and halvings need no
-gcd; `half()` halves an endpoint, interval or dual by raising the
-exponent.  Any other rational is a `fractions.Fraction` in lowest terms:
-dividing a dyadic by a natural that is not a power of two, or combining it
-with a `Fraction`, gives a `Fraction`.  Both kinds compare, hash and print
-as the same rationals, so which one an endpoint is never shows in a result.
+Dual PCF's `int`/`sup` bisect [0,1] into the cells `[i, i+1] / 2**m` and
+combine with `l/2 + r/2` (the machine: `(l + r)/2`) and `max`, so every
+number the machine builds is a rational whose denominator is a power of
+two times the odd part of the program's own literals (`/ 3`, `/ 5`).  A
+finite interval therefore holds two integer numerators over one shared
+denominator: its fields are `a`, `b`, `e` and `d`, with
+`lo = a / (d << e)` and `hi = b / (d << e)`, and `d` odd and at least 1.
+A sum aligns the two intervals by a shift, and scales them to the lcm of
+their odd parts only when those differ; a product multiplies numerators,
+adds the exponents and multiplies the odd parts; `half()` and
+`div_nat(2**k * q)` raise `e` by `k` and multiply `d` by `q`.  Nothing is
+reduced to lowest terms between operations, so one rational interval
+has many forms.  `lo` and `hi` are read-only exact views, each a
+`Fraction` in lowest terms; `==`, `hash` and `str` go by the rationals,
+so the form never shows in a result.
 
 The only interval with infinite endpoints is bottom, the whole line, and
-there is exactly one bottom object, `IV_BOTTOM`, whose ends are the float
-infinities `-inf` / `+inf` (which are exact).  Intervals unbounded on
-exactly one side are rejected.
+there is exactly one bottom object, `IV_BOTTOM`, whose views are the float
+infinities `-inf` / `+inf`.  It holds -1 and 1 over the denominator 0, so
+that comparing cross-multiplied numerators reads its ends as -inf and
++inf; every arithmetic operation tests for it first.  Intervals unbounded
+on exactly one side are rejected.
 
 Only the public constructors validate their input: `Interval(lo, hi)`,
-`Interval.point`, `Interval.parse` and `DualInterval.of`; each makes its
-dyadic endpoints `_Dyadic` and returns `IV_BOTTOM` itself for
-`(-inf, +inf)`.  Every result of the arithmetic is built by `iv_unchecked`
-from finite endpoints, after the operation has tested its operands for
-`IV_BOTTOM`.  Instances are immutable by convention: nothing assigns to
-them after construction, and all operations are pure.
+`Interval.point`, `Interval.parse` and `DualInterval.of`; each returns
+`IV_BOTTOM` itself for `(-inf, +inf)`.  Every result of the arithmetic is
+built by `iv_unchecked`.  Instances are immutable by convention: nothing
+assigns to them after construction, and all operations are pure.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
-from numbers import Rational
-from typing import Union
+from math import gcd, inf
 
 _new = object.__new__
 
 
-class _Dyadic:
-    """The rational `numerator / 2**exp`, normalised so that `exp >= 0` and
-    the numerator is odd whenever `exp > 0`: lowest terms, as for Fraction.
-
-    Closed under `+`, `-`, `*` and division by a power of two; any other
-    division, or an operation with a `Fraction` operand, gives a `Fraction`
-    (`+`, `-` and `*` build it from the integers in one step, without first
-    converting this operand).  An `int` operand is an exponent-0 dyadic.  Comparisons, `==` and `hash`
-    agree with `Fraction`, and registration as a `numbers.Rational` lets
-    `Fraction`'s own operators accept it.
-    """
-
-    __slots__ = ("numerator", "exp")
-
-    @property
-    def denominator(self) -> int:
-        return 1 << self.exp
-
-    def __add__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is Fraction:
-                d = o.denominator
-                return Fraction(self.numerator * d + (o.numerator << self.exp),
-                                d << self.exp)
-            if o.__class__ is not int:
-                return Fraction(self) + o
-            o = _dyadic(o, 0)
-        m, e, n, f = self.numerator, self.exp, o.numerator, o.exp
-        if e == f:
-            return _dyadic(m + n, e)
-        # one odd numerator plus one shifted even: already normal
-        if e > f:
-            m += n << (e - f)
-        else:
-            m = (m << (f - e)) + n
-            e = f
-        r = _new(_Dyadic)
-        r.numerator = m
-        r.exp = e
-        return r
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is Fraction:
-                d = o.denominator
-                return Fraction(self.numerator * d - (o.numerator << self.exp),
-                                d << self.exp)
-            if o.__class__ is not int:
-                return Fraction(self) - o
-            o = _dyadic(o, 0)
-        m, e, n, f = self.numerator, self.exp, o.numerator, o.exp
-        if e == f:
-            return _dyadic(m - n, e)
-        if e > f:
-            m -= n << (e - f)
-        else:
-            m = (m << (f - e)) - n
-            e = f
-        r = _new(_Dyadic)
-        r.numerator = m
-        r.exp = e
-        return r
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is Fraction:
-                return Fraction(self.numerator * o.numerator,
-                                o.denominator << self.exp)
-            if o.__class__ is not int:
-                return Fraction(self) * o
-            o = _dyadic(o, 0)
-        m, e = self.numerator * o.numerator, self.exp + o.exp
-        if e and not m & 1:
-            # an even integer factor, or zero
-            return _dyadic(m, e)
-        r = _new(_Dyadic)
-        r.numerator = m
-        r.exp = e
-        return r
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if o.__class__ is int and o > 0 and not o & (o - 1):
-            m = self.numerator
-            if not m & 1:
-                return _dyadic(m, self.exp + o.bit_length() - 1)
-            r = _new(_Dyadic)
-            r.numerator = m
-            r.exp = self.exp + o.bit_length() - 1
-            return r
-        return Fraction(self) / o
-
-    def __rtruediv__(self, o):
-        return o / Fraction(self)
-
-    def half(self) -> "_Dyadic":
-        """self / 2: the exponent goes up by one; zero stays itself."""
-        m = self.numerator
-        if not m & 1:
-            return _dyadic(m, self.exp + 1) if m else self
-        r = _new(_Dyadic)
-        r.numerator = m
-        r.exp = self.exp + 1
-        return r
-
-    def __neg__(self):
-        r = _new(_Dyadic)
-        r.numerator = -self.numerator
-        r.exp = self.exp
-        return r
-
-    def __bool__(self) -> bool:
-        return self.numerator != 0
-
-    def __eq__(self, o):
-        if o.__class__ is _Dyadic:
-            return self.numerator == o.numerator and self.exp == o.exp
-        if o.__class__ is int:
-            return self.exp == 0 and self.numerator == o
-        return Fraction(self) == o
-
-    def __hash__(self) -> int:
-        return hash(Fraction(self))
-
-    def __lt__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is not int:
-                return Fraction(self) < o
-            return self.numerator < o << self.exp
-        e, f = self.exp, o.exp
-        if e >= f:
-            return self.numerator < o.numerator << (e - f)
-        return self.numerator << (f - e) < o.numerator
-
-    def __le__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is not int:
-                return Fraction(self) <= o
-            return self.numerator <= o << self.exp
-        e, f = self.exp, o.exp
-        if e >= f:
-            return self.numerator <= o.numerator << (e - f)
-        return self.numerator << (f - e) <= o.numerator
-
-    def __gt__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is not int:
-                return Fraction(self) > o
-            return self.numerator > o << self.exp
-        e, f = self.exp, o.exp
-        if e >= f:
-            return self.numerator > o.numerator << (e - f)
-        return self.numerator << (f - e) > o.numerator
-
-    def __ge__(self, o):
-        if o.__class__ is not _Dyadic:
-            if o.__class__ is not int:
-                return Fraction(self) >= o
-            return self.numerator >= o << self.exp
-        e, f = self.exp, o.exp
-        if e >= f:
-            return self.numerator >= o.numerator << (e - f)
-        return self.numerator << (f - e) >= o.numerator
-
-    def __reduce__(self):
-        return (_dyadic, (self.numerator, self.exp))
-
-    def __str__(self) -> str:
-        if self.exp:
-            return f"{self.numerator}/{1 << self.exp}"
-        return str(self.numerator)
-
-    def __repr__(self) -> str:
-        return f"_Dyadic({self.numerator}, {self.exp})"
-
-
-Rational.register(_Dyadic)
-
-
-def _dyadic(m: int, e: int) -> _Dyadic:
-    """m / 2**e (e >= 0) in normal form."""
-    if e and not m & 1:
-        if m:
-            z = (m & -m).bit_length() - 1
-            if z > e:
-                z = e
-            m >>= z
-            e -= z
-        else:
-            e = 0
-    r = _new(_Dyadic)
-    r.numerator = m
-    r.exp = e
-    return r
-
-
-Endpoint = Union[_Dyadic, Fraction, float]
-
-NEG_INF: Endpoint = -inf
-POS_INF: Endpoint = inf
-
-
-def endpoint(x) -> Endpoint:
-    """Coerce an int, string, rational or +-inf into a canonical endpoint:
-    a dyadic rational becomes a `_Dyadic`, any other a `Fraction`."""
-    if x.__class__ is _Dyadic:
+def _rational(x):
+    """An int or a Fraction as it is, a string as the rational or +-inf it
+    spells, and a float only if it is +-inf."""
+    if x.__class__ is int or x.__class__ is Fraction:
         return x
-    if x.__class__ is int:
-        return _dyadic(x, 0)
     if isinstance(x, str):
         s = x.strip()
         if s in ("inf", "+inf"):
-            return POS_INF
+            return inf
         if s == "-inf":
-            return NEG_INF
-        x = Fraction(s)
-    if isinstance(x, Fraction):
-        d = x.denominator
-        if d & (d - 1):
-            return x
-        return _dyadic(x.numerator, d.bit_length() - 1)
-    if x == inf or x == -inf:
+            return -inf
+        return Fraction(s)
+    if x == inf or x == -inf or isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return _dyadic(int(x), 0)
     raise TypeError(f"not an extended rational: {x!r}")
-
-
-def fmt_endpoint(e: Endpoint) -> str:
-    if e == inf:
-        return "inf"
-    if e == -inf:
-        return "-inf"
-    return str(e)
 
 
 class InconsistentIntervals(ValueError):
     """Raised by `Interval.join` when the two intervals are disjoint."""
 
 
-def iv_unchecked(lo: Endpoint, hi: Endpoint) -> "Interval":
-    """Build an interval without validation: lo <= hi must be finite."""
+def iv_unchecked(a: int, b: int, e: int, d: int) -> "Interval":
+    """The interval [a, b] / (d << e), without validation: a <= b, e >= 0
+    and d odd and at least 1."""
     iv = _new(Interval)
-    iv.lo = lo
-    iv.hi = hi
+    iv.a = a
+    iv.b = b
+    iv.e = e
+    iv.d = d
     return iv
+
+
+def _point(q) -> "Interval":
+    # an int or a Fraction; its denominator split into d << e
+    den = q.denominator
+    e = (den & -den).bit_length() - 1
+    return iv_unchecked(q.numerator, q.numerator, e, den >> e)
+
+
+def _align(x: "Interval", y: "Interval"):
+    """The numerators of two finite intervals over one denominator d << e:
+    `(x.a, x.b, y.a, y.b, e, d)`."""
+    a, b, e, d = x.a, x.b, x.e, x.d
+    c, f, g, h = y.a, y.b, y.e, y.d
+    if d != h:
+        l = d // gcd(d, h) * h
+        s, t = l // d, l // h
+        a, b, c, f, d = a * s, b * s, c * t, f * t, l
+    if e < g:
+        a, b, e = a << (g - e), b << (g - e), g
+    elif g < e:
+        c, f = c << (e - g), f << (e - g)
+    return a, b, c, f, e, d
 
 
 class Interval:
     """A non-empty compact real interval, or the whole line as bottom."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("a", "b", "e", "d")
 
     def __new__(cls, lo, hi) -> "Interval":
-        lo, hi = endpoint(lo), endpoint(hi)
+        lo, hi = _rational(lo), _rational(hi)
         if not lo <= hi:
             raise ValueError(f"invalid interval endpoints: {lo} > {hi}")
         if lo.__class__ is float or hi.__class__ is float:
@@ -303,14 +107,15 @@ class Interval:
             if lo.__class__ is not hi.__class__:
                 raise ValueError("half-infinite intervals are not representable")
             raise ValueError("degenerate infinite interval")
-        return iv_unchecked(lo, hi)
+        a, _, b, _, e, d = _align(_point(lo), _point(hi))
+        return iv_unchecked(a, b, e, d)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def point(cls, q) -> "Interval":
-        q = endpoint(q)
-        return cls(q, q)
+        q = _rational(q)
+        return _point(q) if q.__class__ is not float else cls(q, q)
 
     @classmethod
     def parse(cls, s: str) -> "Interval":
@@ -325,6 +130,22 @@ class Interval:
         # a copy of bottom is IV_BOTTOM itself
         return (Interval, (self.lo, self.hi))
 
+    # -- exact views --------------------------------------------------
+
+    @property
+    def lo(self):
+        """The lower end: a Fraction in lowest terms, or -inf on bottom."""
+        return Fraction(self.a, self.d << self.e) if self.d else -inf
+
+    @property
+    def hi(self):
+        """The upper end: a Fraction in lowest terms, or +inf on bottom."""
+        return Fraction(self.b, self.d << self.e) if self.d else inf
+
+    @property
+    def width(self):
+        return Fraction(self.b - self.a, self.d << self.e) if self.d else inf
+
     # -- predicates ---------------------------------------------------
 
     @property
@@ -332,19 +153,28 @@ class Interval:
         return self is IV_BOTTOM
 
     def contains(self, q) -> bool:
-        return self.lo <= endpoint(q) <= self.hi
+        return self.lo <= _rational(q) <= self.hi
 
     def leq(self, other: "Interval") -> bool:
         """Information order (reverse inclusion): self ⊑ other iff other ⊆ self."""
-        return self.lo <= other.lo and other.hi <= self.hi
+        m, n = self.d << self.e, other.d << other.e
+        return self.a * n <= other.a * m and other.b * m <= self.b * n
+
+    def consistent(self, other: "Interval") -> bool:
+        m, n = self.d << self.e, other.d << other.e
+        return self.a * n <= other.b * m and other.a * m <= self.b * n
 
     def __eq__(self, other):
         if other.__class__ is not Interval:
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        m, n = self.d << self.e, other.d << other.e
+        return self.a * n == other.a * m and self.b * n == other.b * m
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        # the form in lowest terms, which equal intervals share
+        m = self.d << self.e
+        g = gcd(self.a, self.b, m)
+        return hash((self.a // g, self.b // g, m // g))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -355,19 +185,21 @@ class Interval:
             return self
         if self is IV_BOTTOM or other is IV_BOTTOM:
             return IV_BOTTOM
-        return iv_unchecked(self.lo + other.lo, self.hi + other.hi)
+        a, b, c, f, e, d = _align(self, other)
+        return iv_unchecked(a + c, b + f, e, d)
 
     def __neg__(self) -> "Interval":
         if self is IV_BOTTOM or self is IV_ZERO:
             return self
-        return iv_unchecked(-self.hi, -self.lo)
+        return iv_unchecked(-self.b, -self.a, self.e, self.d)
 
     def __sub__(self, other: "Interval") -> "Interval":
         if other is IV_ZERO:
             return self
         if self is IV_BOTTOM or other is IV_BOTTOM:
             return IV_BOTTOM
-        return iv_unchecked(self.lo - other.hi, self.hi - other.lo)
+        a, b, c, f, e, d = _align(self, other)
+        return iv_unchecked(a - f, b - c, e, d)
 
     def __mul__(self, other: "Interval") -> "Interval":
         if self is IV_ZERO or other is IV_ZERO:
@@ -375,30 +207,31 @@ class Interval:
         if self is IV_BOTTOM or other is IV_BOTTOM:
             # set image: a point zero factor gives zero even against bottom
             z = other if self is IV_BOTTOM else self
-            return IV_ZERO if z.lo == z.hi == 0 else IV_BOTTOM
-        # The sign cases of Hickey, Ju and van Emden (JACM 2001): each
-        # factor is >= 0, <= 0 or straddles 0; only when both straddle are
-        # all four endpoint products needed.
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a.numerator >= 0:
-            if c.numerator >= 0:
-                return iv_unchecked(a * c, b * d)
-            if d.numerator <= 0:
-                return iv_unchecked(b * c, a * d)
-            return iv_unchecked(b * c, b * d)
-        if b.numerator <= 0:
-            if c.numerator >= 0:
-                return iv_unchecked(a * d, b * c)
-            if d.numerator <= 0:
-                return iv_unchecked(b * d, a * c)
-            return iv_unchecked(a * d, a * c)
-        if c.numerator >= 0:
-            return iv_unchecked(a * d, b * d)
-        if d.numerator <= 0:
-            return iv_unchecked(b * c, a * c)
-        lo1, lo2, hi1, hi2 = a * d, b * c, a * c, b * d
+            return IV_ZERO if z.a == z.b == 0 else IV_BOTTOM
+        # The sign cases of Hickey, Ju and van Emden (JACM 2001), read off
+        # the numerators: each factor is >= 0, <= 0 or straddles 0; only
+        # when both straddle are all four products needed.
+        a, b, c, f = self.a, self.b, other.a, other.b
+        e, d = self.e + other.e, self.d * other.d
+        if a >= 0:
+            if c >= 0:
+                return iv_unchecked(a * c, b * f, e, d)
+            if f <= 0:
+                return iv_unchecked(b * c, a * f, e, d)
+            return iv_unchecked(b * c, b * f, e, d)
+        if b <= 0:
+            if c >= 0:
+                return iv_unchecked(a * f, b * c, e, d)
+            if f <= 0:
+                return iv_unchecked(b * f, a * c, e, d)
+            return iv_unchecked(a * f, a * c, e, d)
+        if c >= 0:
+            return iv_unchecked(a * f, b * f, e, d)
+        if f <= 0:
+            return iv_unchecked(b * c, a * c, e, d)
+        lo1, lo2, hi1, hi2 = a * f, b * c, a * c, b * f
         return iv_unchecked(lo1 if lo1 <= lo2 else lo2,
-                            hi1 if hi1 >= hi2 else hi2)
+                            hi1 if hi1 >= hi2 else hi2, e, d)
 
     def div_nat(self, n: int) -> "Interval":
         if n == 0:
@@ -407,15 +240,14 @@ class Interval:
             raise ValueError("division only by naturals")
         if self is IV_BOTTOM:
             return IV_BOTTOM
-        return iv_unchecked(self.lo / n, self.hi / n)
+        k = (n & -n).bit_length() - 1
+        return iv_unchecked(self.a, self.b, self.e + k, self.d * (n >> k))
 
     def half(self) -> "Interval":
-        """`div_nat(2)`, halving a dyadic endpoint by its exponent."""
+        """`div_nat(2)`: the exponent goes up by one."""
         if self is IV_BOTTOM:
             return self
-        lo, hi = self.lo, self.hi
-        return iv_unchecked(lo.half() if lo.__class__ is _Dyadic else lo / 2,
-                            hi.half() if hi.__class__ is _Dyadic else hi / 2)
+        return iv_unchecked(self.a, self.b, self.e + 1, self.d)
 
     def scale(self, q) -> "Interval":
         return self * Interval.point(q)
@@ -424,9 +256,8 @@ class Interval:
         """Infimum in the information order: convex hull."""
         if self is IV_BOTTOM or other is IV_BOTTOM:
             return IV_BOTTOM
-        a, b = self.lo, other.lo
-        c, d = self.hi, other.hi
-        return iv_unchecked(a if a <= b else b, c if c >= d else d)
+        a, b, c, f, e, d = _align(self, other)
+        return iv_unchecked(a if a <= c else c, b if b >= f else f, e, d)
 
     def join(self, other: "Interval") -> "Interval":
         """Supremum in the information order: intersection."""
@@ -434,75 +265,75 @@ class Interval:
             return other
         if other is IV_BOTTOM:
             return self
-        a, b = self.lo, other.lo
-        c, d = self.hi, other.hi
-        lo, hi = a if a >= b else b, c if c <= d else d
+        a, b, c, f, e, d = _align(self, other)
+        lo, hi = a if a >= c else c, b if b <= f else f
         if lo > hi:
             raise InconsistentIntervals(f"{self} and {other} are disjoint")
-        return iv_unchecked(lo, hi)
-
-    def consistent(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) <= min(self.hi, other.hi)
-
-    @property
-    def width(self) -> Endpoint:
-        if self is IV_BOTTOM:
-            return POS_INF
-        return self.hi - self.lo
+        return iv_unchecked(lo, hi, e, d)
 
     def inflate(self, pad) -> "Interval":
-        # the pad is caller input, so the result is validated
-        pad = endpoint(pad)
+        """[lo - pad, hi + pad]; the pad is caller input, so the result is
+        validated."""
+        p = Interval.point(pad)
         if self is IV_BOTTOM:
             return self
-        return Interval(self.lo - pad, self.hi + pad)
+        a, b, c, _, e, d = _align(self, p)
+        if a - c > b + c:
+            raise ValueError(f"invalid interval endpoints: "
+                             f"{self.lo - p.lo} > {self.hi + p.lo}")
+        return iv_unchecked(a - c, b + c, e, d)
 
     def __str__(self) -> str:
-        return f"[{fmt_endpoint(self.lo)},{fmt_endpoint(self.hi)}]"
+        return f"[{self.lo},{self.hi}]"
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
 
-IV_BOTTOM = iv_unchecked(NEG_INF, POS_INF)
-IV_ZERO = Interval.point(0)
-IV_ONE = Interval.point(1)
-IV_NEG_ONE = Interval.point(-1)
-IV_UNIT = Interval(0, 1)
-IV_PM_ONE = Interval(-1, 1)
-_NEG_ONE, _ONE = IV_NEG_ONE.lo, IV_ONE.lo
+IV_BOTTOM = iv_unchecked(-1, 1, 0, 0)
+IV_ZERO = iv_unchecked(0, 0, 0, 1)
+IV_ONE = iv_unchecked(1, 1, 0, 1)
+IV_NEG_ONE = iv_unchecked(-1, -1, 0, 1)
+IV_UNIT = iv_unchecked(0, 1, 0, 1)
+IV_PM_ONE = iv_unchecked(-1, 1, 0, 1)
+
+
+def _above(x: Interval, y: Interval) -> bool:
+    """x lies wholly above y: x.lo > y.hi, never when either is bottom."""
+    return x.a * (y.d << y.e) > y.b * (x.d << x.e)
 
 
 def iv_max(a: Interval, b: Interval) -> Interval:
     """Maximum on partial reals: the standard-part restriction of dual max."""
-    if a.lo > b.hi:
+    if _above(a, b):
         return a
-    if b.lo > a.hi:
+    if _above(b, a):
         return b
     return _max_overlapping(a, b)
 
 
-def _max_overlapping(a: Interval, b: Interval) -> Interval:
+def _max_overlapping(x: Interval, y: Interval) -> Interval:
     # max once neither interval lies wholly above the other
-    if a is IV_BOTTOM or b is IV_BOTTOM:
+    if x is IV_BOTTOM or y is IV_BOTTOM:
         return IV_BOTTOM
-    lo, hi = a.lo if a.lo >= b.lo else b.lo, a.hi if a.hi >= b.hi else b.hi
-    return iv_unchecked(lo, hi)
+    a, b, c, f, e, d = _align(x, y)
+    return iv_unchecked(a if a >= c else c, b if b >= f else f, e, d)
 
 
 def iv_min(a: Interval, b: Interval) -> Interval:
     return -iv_max(-a, -b)
 
 
-def iv_pr(a: Interval) -> Interval:
+def iv_pr(x: Interval) -> Interval:
     """Clamp onto [-1,1]; standard-part restriction of dual pr."""
-    if a.hi < _NEG_ONE:
+    m = x.d << x.e  # 1 over the shared denominator; 0 on bottom
+    if x.b < -m:
         return IV_NEG_ONE
-    if a.lo > _ONE:
+    if x.a > m:
         return IV_ONE
-    if _NEG_ONE < a.lo and a.hi < _ONE:
-        return a
-    return a.join(IV_PM_ONE)
+    if -m < x.a and x.b < m:
+        return x
+    return x.join(IV_PM_ONE)
 
 
 class DualInterval:
@@ -577,9 +408,9 @@ _DUAL_ONE = DualInterval(IV_ONE, IV_ZERO)
 
 def dual_max(a: DualInterval, b: DualInterval) -> DualInterval:
     """Maximum of two dual intervals (five-case reduction rule)."""
-    if a.std.lo > b.std.hi:
+    if _above(a.std, b.std):
         return a
-    if b.std.lo > a.std.hi:
+    if _above(b.std, a.std):
         return b
     return DualInterval(_max_overlapping(a.std, b.std), a.inf.meet(b.inf))
 
@@ -591,14 +422,16 @@ def dual_min(a: DualInterval, b: DualInterval) -> DualInterval:
 
 def dual_pr(a: DualInterval) -> DualInterval:
     """Projection of a dual interval onto [-1,1] (four-case rule)."""
-    if a.std.hi < _NEG_ONE:
+    x = a.std
+    m = x.d << x.e
+    if x.b < -m:
         return _DUAL_NEG_ONE
-    if a.std.lo > _ONE:
+    if x.a > m:
         return _DUAL_ONE
-    if _NEG_ONE < a.std.lo and a.std.hi < _ONE:
+    if -m < x.a and x.b < m:
         return a
     # non-empty by case analysis: std touches [-1,1] here
-    return DualInterval(a.std.join(IV_PM_ONE), a.inf.meet(IV_ZERO))
+    return DualInterval(x.join(IV_PM_ONE), a.inf.meet(IV_ZERO))
 
 
 def in_dual(iv: Interval) -> DualInterval:

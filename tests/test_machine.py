@@ -1,4 +1,5 @@
 """Evaluator tests: ground rules, cost semantics, and the one-step reducer."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from dualpcf.machine import (
     run_steps, step,
 )
 from dualpcf.numeric import (
-    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM, _Dyadic,
+    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
 )
 from dualpcf.typecheck import elaborate
 
@@ -400,23 +401,44 @@ def test_machine_does_not_substitute(monkeypatch):
         assert isinstance(eval_at_cost(load_corpus(name)[0], 2), Value), name
 
 
-class TestDyadicEndpoints:
+class TestSharedDenominator:
     @staticmethod
-    def endpoint_classes(v):
-        ivs = (v.std, v.inf) if isinstance(v, DualInterval) else (v,)
-        return {e.__class__ for iv in ivs for e in (iv.lo, iv.hi)}
+    def intervals(v):
+        return (v.std, v.inf) if isinstance(v, DualInterval) else (v,)
 
     @pytest.mark.parametrize("name,n", [("int_id", 4), ("nested_int_xyz", 3)])
-    def test_bisection_builds_dyadic_endpoints(self, name, n):
+    def test_bisection_stays_on_the_power_of_two_path(self, name, n):
         e, _ = load_corpus(name)
         out = eval_at_cost(e, n)
-        assert self.endpoint_classes(out.value) == {_Dyadic}
+        assert {iv.d for iv in self.intervals(out.value)} == {1}
 
-    def test_non_dyadic_coefficient_falls_back_to_fraction(self):
+    def test_non_dyadic_coefficient_prints_in_lowest_terms(self):
         # a third of int_id's [15/32,17/32] at the same cost
         v = val("int (fun t: real. in_delta (1 / 3 * t))", 4)
         assert str(v) == "[5/32,17/96] + eps [0,0]"
-        assert {v.std.lo.__class__, v.std.hi.__class__} == {Fraction}
+        assert v.std.d == 3
+        assert (v.std.lo, v.std.hi) == (Fraction(5, 32), Fraction(17, 96))
+
+    def test_evaluation_builds_no_fraction(self, monkeypatch):
+        # a cubic pair as in the `polys` benchmark, over 3, 5 and 7
+        f = "fun t: real. in_delta ((1 / 3) + (2 / 5) * t * t * t)"
+        g = "fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t + (5 / 3) * t * t)"
+        terms = [(load_corpus("nested_int_xyz")[0], 3),
+                 (load_corpus("lagrangian_action")[0], 3),
+                 (elaborate(parse(f"L[real -> delta] int ({f}) ({g})"), {})[0],
+                  4)]
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        outs = [eval_at_cost(e, n) for e, n in terms]
+        monkeypatch.undo()
+        assert made == []
+        assert all(isinstance(out, Value) for out in outs)
 
 
 class TestBudget:
@@ -427,6 +449,20 @@ class TestBudget:
         first = m.steps
         m.eval_at_cost(e, 0)
         assert m.steps == first
+
+    def test_cost_past_the_budget_stops_at_the_first_tick(self):
+        # the 2**m cells are built from their index, so the bisection
+        # depth costs nothing before the budget check
+        e, _ = load_corpus("int_id")
+        t0 = time.perf_counter()
+        out = eval_at_cost(e, 10 ** 8, budget=1000)
+        assert out == BudgetExhausted(steps=1001)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_budget_counts_replayed_steps(self):
+        # a replayed step counts against the budget as a step run does
+        out = eval_at_cost(load_corpus("lagrangian_action")[0], 10)
+        assert out == BudgetExhausted(steps=10_000_001, shared=9_976_332)
 
 
 class TestSharing:

@@ -1,18 +1,17 @@
 """Unit tests for exact interval and dual-interval arithmetic."""
 import copy
 import itertools
-import operator
 import pickle
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, InconsistentIntervals, Interval, IV_BOTTOM,
-    IV_ONE, IV_UNIT, IV_ZERO, _Dyadic, dual_max, dual_min, dual_pr,
-    endpoint, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
+    IV_ONE, IV_UNIT, IV_ZERO, dual_max, dual_min, dual_pr, in_dual, iv_max,
+    iv_min, iv_pr, iv_unchecked,
 )
 
 
@@ -209,12 +208,11 @@ class TestDualPr:
 # The arithmetic as first written, on (lo, hi) pairs of Fractions with bottom
 # as (-inf, inf): every endpoint product formed under the set-image
 # convention 0 * inf = 0, then min/max over the four of them, and no fast
-# path of any kind.  The interval operations, whatever class their endpoints
-# are, must give the same rationals, printed alike, with bottom exactly
+# path of any kind.  The interval operations, whatever form their operands
+# are in, must give the same rationals, printed alike, with bottom exactly
 # where the reference has it.
 
 BOT = (-inf, inf)
-EXACT = (Fraction, _Dyadic)
 F0, F1 = Fraction(0), Fraction(1)
 
 
@@ -326,16 +324,21 @@ def ref_dual_pr(a):
     return ref_join(std, (-F1, F1)), ref_meet(a[1], (F0, F0))
 
 
+def finite_form(iv):
+    """[a, b] / (d << e) with a <= b, e >= 0 and d odd and at least 1."""
+    return iv.a <= iv.b and iv.e >= 0 and iv.d >= 1 and iv.d & 1
+
+
 def same(got, want):
     """The interval got holds the reference pair want: bottom only as the
-    one bottom object, otherwise exact endpoints equal to want's Fractions
-    in lowest terms, printed alike."""
+    one bottom object, otherwise a finite form whose views are want's
+    Fractions, printed alike."""
     if want == BOT:
         assert got is IV_BOTTOM
         return
-    assert got is not IV_BOTTOM
-    assert got.lo.__class__ in EXACT and got.hi.__class__ in EXACT
-    assert (Fraction(got.lo), Fraction(got.hi)) == want
+    assert got is not IV_BOTTOM and finite_form(got)
+    assert (got.lo, got.hi) == want
+    assert (got.lo.__class__, got.hi.__class__) == (Fraction, Fraction)
     assert str(got) == f"[{want[0]},{want[1]}]"
 
 
@@ -345,20 +348,18 @@ def same_dual(got, want):
 
 
 def same_half(got, want):
-    """The interval got equals want, a halving by `div_nat(2)`, down to
-    the class of each endpoint; bottom only as the one bottom object."""
+    """The interval got equals want, a halving by `div_nat(2)`, printed
+    alike; bottom only as the one bottom object."""
     if want is IV_BOTTOM:
         assert got is IV_BOTTOM
         return
-    assert got == want
-    assert (got.lo.__class__, got.hi.__class__) == \
-        (want.lo.__class__, want.hi.__class__)
+    assert got == want and str(got) == str(want)
 
 
 def same_scalar(got, want):
     assert got == want and str(got) == str(want)
     if want != inf:
-        assert got.__class__ in EXACT and Fraction(got) == want
+        assert got.__class__ is Fraction
 
 
 nonneg = rationals_in(0, 100)
@@ -385,119 +386,131 @@ def duals_of(std, inf_):
     return st.builds(DualInterval, std, inf_)
 
 
+def reforms(x):
+    """x built along other paths: forms not in lowest terms, and a sum
+    across the odd parts 3, 5 and 15."""
+    return [x.div_nat(3) * Interval.point(3), (x * Interval.point(2)).half(),
+            x.div_nat(3) + x.scale(Fraction(2, 5)) + x.scale(Fraction(4, 15))]
+
+
+def check_interval_ops(x, y, rx, ry):
+    same(x * y, ref_mul(rx, ry))
+    same(x - y, ref_sub(rx, ry))
+    same(x + y, ref_add(rx, ry))
+    same(-x, ref_neg(rx))
+    if y is not IV_BOTTOM:
+        same(x.scale(y.lo), ref_scale(rx, ry[0]))
+    for n in (1, 2, 3, 4, 6):
+        same(x.div_nat(n), ref_div(rx, n))
+    same_half(x.half(), x.div_nat(2))
+    same_half((x + y).half(), x.div_nat(2) + y.div_nat(2))
+    same(x.meet(y), ref_meet(rx, ry))
+    joined = ref_join(rx, ry)
+    if joined is None:
+        with pytest.raises(InconsistentIntervals):
+            x.join(y)
+    else:
+        same(x.join(y), joined)
+    assert x.consistent(y) == (joined is not None)
+    same(iv_max(x, y), ref_max(rx, ry))
+    same(iv_min(x, y), ref_min(rx, ry))
+    same(iv_pr(x), ref_pr(rx))
+    same_scalar(x.width, rx[1] - rx[0])
+    assert x.leq(y) == (rx[0] <= ry[0] and ry[1] <= rx[1])
+
+
+def check_dual_ops(a, b):
+    ra, rb = (ref(a.std), ref(a.inf)), (ref(b.std), ref(b.inf))
+    same_dual(a * b, ref_dual_mul(ra, rb))
+    same_dual(dual_max(a, b), ref_dual_max(ra, rb))
+    same_dual(dual_min(a, b), ref_dual_min(ra, rb))
+    same_dual(dual_pr(a), ref_dual_pr(ra))
+    for x in (a, DUAL_BOTTOM):
+        for got, want in ((x.half(), x.div_nat(2)), (
+                (x + b).half(), x.div_nat(2) + b.div_nat(2))):
+            same_half(got.std, want.std)
+            same_half(got.inf, want.inf)
+
+
 @pytest.mark.parametrize("kx,ky", KIND_PAIRS)
 class TestAgainstReference:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_interval_ops(self, kx, ky, data):
         x, y = data.draw(SIGN_KINDS[kx]), data.draw(SIGN_KINDS[ky])
-        rx, ry = ref(x), ref(y)
-        same(x * y, ref_mul(rx, ry))
-        same(x - y, ref_sub(rx, ry))
-        same(x + y, ref_add(rx, ry))
-        same(-x, ref_neg(rx))
-        if y is not IV_BOTTOM:
-            same(x.scale(y.lo), ref_scale(rx, ry[0]))
-        for n in (1, 2, 3, 4, 6):
-            same(x.div_nat(n), ref_div(rx, n))
-        same_half(x.half(), x.div_nat(2))
-        same_half((x + y).half(), x.div_nat(2) + y.div_nat(2))
-        same(x.meet(y), ref_meet(rx, ry))
-        joined = ref_join(rx, ry)
-        if joined is None:
-            with pytest.raises(InconsistentIntervals):
-                x.join(y)
-        else:
-            same(x.join(y), joined)
-        same(iv_max(x, y), ref_max(rx, ry))
-        same(iv_min(x, y), ref_min(rx, ry))
-        same(iv_pr(x), ref_pr(rx))
-        same_scalar(x.width, rx[1] - rx[0])
-        assert x.leq(y) == (rx[0] <= ry[0] and ry[1] <= rx[1])
+        check_interval_ops(x, y, ref(x), ref(y))
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_dual_ops(self, kx, ky, data):
-        a = data.draw(duals_of(SIGN_KINDS[kx], any_kind))
-        b = data.draw(duals_of(SIGN_KINDS[ky], any_kind))
-        ra, rb = (ref(a.std), ref(a.inf)), (ref(b.std), ref(b.inf))
-        same_dual(a * b, ref_dual_mul(ra, rb))
-        same_dual(dual_max(a, b), ref_dual_max(ra, rb))
-        same_dual(dual_min(a, b), ref_dual_min(ra, rb))
-        same_dual(dual_pr(a), ref_dual_pr(ra))
-        for x in (a, DUAL_BOTTOM):
-            for got, want in ((x.half(), x.div_nat(2)), (
-                    (x + b).half(), x.div_nat(2) + b.div_nat(2))):
-                same_half(got.std, want.std)
-                same_half(got.inf, want.inf)
+        check_dual_ops(data.draw(duals_of(SIGN_KINDS[kx], any_kind)),
+                       data.draw(duals_of(SIGN_KINDS[ky], any_kind)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_unreduced_operands(self, kx, ky, data):
+        """Operands that are themselves arithmetic results, equal as
+        rationals to the operands they were built from."""
+        x, y = data.draw(SIGN_KINDS[kx]), data.draw(SIGN_KINDS[ky])
+        rx, ry = ref(x), ref(y)
+        check_interval_ops(x * y, y, ref_mul(rx, ry), ry)
+        for u, v in zip(reforms(x), reversed(reforms(y))):
+            same(u, rx)
+            assert u == x and hash(u) == hash(x)
+            check_interval_ops(u, v, rx, ry)
+            check_dual_ops(DualInterval(u, v), DualInterval(v, x * y))
 
 
-dyadics = st.integers(0, 12).flatmap(lambda k: st.integers(
-    -(50 << k), 50 << k).map(lambda n: Fraction(n, 1 << k)))
-finite_operands = st.one_of(
-    st.integers(-50, 50), dyadics,
-    st.fractions(min_value=-50, max_value=50, max_denominator=1 << 10))
-COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
-               operator.gt, operator.ge)
+class TestSharedDenominator:
+    """A finite interval is [a, b] / (d << e), and the form never shows:
+    views, ==, hash and str go by the rationals."""
 
+    @given(rationals, rationals)
+    def test_views_are_fractions_in_lowest_terms(self, p, q):
+        p, q = sorted((p, q))
+        x = Interval(p, q)
+        # a public constructor gives the least common denominator
+        assert finite_form(x) and gcd(x.a, x.b, x.d << x.e) == 1
+        for u in [x] + reforms(x):
+            assert (u.lo, u.hi, u.width) == (p, q, q - p)
+            assert {v.__class__ for v in (u.lo, u.hi, u.width)} == {Fraction}
+            assert str(u) == f"[{p},{q}]" and hash(u) == hash(x)
 
-class TestDyadicEndpoint:
-    """The dyadic endpoint agrees with the Fraction of the same value."""
+    @given(any_kind)
+    def test_half_raises_the_exponent(self, x):
+        h = x.half()
+        if x is IV_BOTTOM:
+            assert h is IV_BOTTOM
+            return
+        assert (h.a, h.b, h.e, h.d) == (x.a, x.b, x.e + 1, x.d)
 
-    @given(dyadics, st.one_of(finite_operands, st.sampled_from([inf, -inf])))
-    def test_compares_hashes_and_prints_as_fraction(self, q, o):
-        d = endpoint(q)
-        assert d.__class__ is _Dyadic
-        assert (d.numerator, d.denominator) == (q.numerator, q.denominator)
-        assert hash(d) == hash(q) and str(d) == str(q)
-        assert bool(d) == bool(q)
-        for other in (o, endpoint(o)):
-            for op in COMPARISONS:
-                assert op(d, other) == op(q, o)
-                assert op(other, d) == op(o, q)
-
-    @given(dyadics)
-    def test_half_bumps_the_exponent(self, q):
-        d = endpoint(q)
-        h = d.half()
-        assert h.__class__ is _Dyadic and h == q / 2 and str(h) == str(q / 2)
-        if not q:
-            assert h is d
-
-    @given(dyadics, finite_operands)
-    def test_arithmetic_agrees_with_fraction(self, q, p):
-        d = endpoint(q)
-        for o in (p, endpoint(p)):
-            kind = Fraction if o.__class__ is Fraction else _Dyadic
-            for op in (operator.add, operator.sub, operator.mul):
-                for got, want in ((op(d, o), op(q, p)), (op(o, d), op(p, q))):
-                    assert got.__class__ is kind
-                    assert got == want and str(got) == str(want)
-                    assert hash(got) == hash(want)
-            if p and q:
-                for got, want in ((d / o, q / p), (o / d, p / q)):
-                    assert got == want and str(got) == str(want)
-        for n in (1, 2, 3, 4, 6, 8):
-            got = d / n
-            assert got.__class__ is (Fraction if n % 3 == 0 else _Dyadic)
-            assert got == q / n and str(got) == str(q / n)
-        assert (-d).__class__ is _Dyadic and -d == -q
+    @given(any_kind, st.integers(0, 6), st.sampled_from([1, 3, 5, 15]))
+    def test_div_nat_splits_off_the_power_of_two(self, x, k, q):
+        y = x.div_nat(q << k)
+        if x is IV_BOTTOM:
+            assert y is IV_BOTTOM
+            return
+        assert (y.a, y.b, y.e, y.d) == (x.a, x.b, x.e + k, x.d * q)
 
     def test_copies_round_trip(self):
         x = Interval.parse("[1/4,3/8]")
-        assert x.lo.__class__ is _Dyadic and x.hi.__class__ is _Dyadic
-        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-            assert y == x and str(y) == str(x) and y.lo.__class__ is _Dyadic
-        for e in (copy.copy(x.lo), copy.deepcopy(x.lo),
-                  pickle.loads(pickle.dumps(x.lo))):
-            assert e.__class__ is _Dyadic and e == x.lo
+        assert (x.a, x.b, x.e, x.d) == (2, 3, 3, 1)
+        for u in [x] + reforms(x):
+            for y in (copy.copy(u), copy.deepcopy(u),
+                      pickle.loads(pickle.dumps(u))):
+                assert y == x and str(y) == str(x) and hash(y) == hash(x)
+                assert (y.a, y.b, y.e, y.d) == (2, 3, 3, 1)
 
-    def test_equal_and_hash_alike_across_endpoint_classes(self):
+    def test_equal_and_hash_alike_across_forms(self):
         x = Interval.parse("[1/4,3/8]")
         for y in (Interval(Fraction(1, 4), Fraction(3, 8)),
-                  iv_unchecked(Fraction(1, 4), Fraction(3, 8))):
+                  iv_unchecked(6, 9, 3, 3), iv_unchecked(4, 6, 4, 1),
+                  (x * Interval.point(Fraction(7, 5))).div_nat(7).scale(5)):
             assert x == y and y == x and hash(x) == hash(y)
-        assert Interval.parse("[1/3,1/2]").lo.__class__ is Fraction
+            assert str(y) == "[1/4,3/8]"
+        assert x != iv_unchecked(6, 9, 3, 5)
+        y = Interval.parse("[1/3,1/2]")
+        assert (y.a, y.b, y.e, y.d) == (2, 3, 1, 3)
 
 
 class TestOneBottom:
@@ -527,5 +540,4 @@ class TestOneBottom:
                   dual_min(a, b), dual_pr(a)):
             results += [d.std, d.inf]
         for r in results:
-            assert r is IV_BOTTOM or (r.lo.__class__ in EXACT
-                                      and r.hi.__class__ in EXACT)
+            assert r is IV_BOTTOM or finite_form(r)
