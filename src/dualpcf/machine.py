@@ -718,6 +718,8 @@ class Machine:
         else:
             combine = GROUND_RULES["max", node.carrier.name]
         m, n, f_run, f_env = node.m, node.n, f.run, f.env
+        if m > self.budget:  # cell 0's first tick passes it: build no 2**m
+            raise _over_budget(self)
         pending = []
         for i in range(1 << m):
             self.steps += (i & -i).bit_length() - 1 if i else m
