@@ -423,10 +423,13 @@ class TestSharedDenominator:
         # a cubic pair as in the `polys` benchmark, over 3, 5 and 7
         f = "fun t: real. in_delta ((1 / 3) + (2 / 5) * t * t * t)"
         g = "fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t + (5 / 3) * t * t)"
+        # and a zero test on each cell
+        h = "fun t: real. if 0 < t - 1 / 3 then in_delta t else in_delta 0"
         terms = [(load_corpus("nested_int_xyz")[0], 3),
                  (load_corpus("lagrangian_action")[0], 3),
                  (elaborate(parse(f"L[real -> delta] int ({f}) ({g})"), {})[0],
-                  4)]
+                  4),
+                 (elaborate(parse(f"int ({h})"), {})[0], 4)]
         made = []
         new = Fraction.__new__
 
