@@ -196,15 +196,20 @@ def relation_holds(r, ty, f1: Expr, f2: Expr, f3: Expr, fuel: int = 50,
 # machine's derivative enclosure by ORACLE_TOL.
 ORACLE_RADIUS = Fraction(1, 1 << 12)
 ORACLE_TOL = Fraction(1, 256)
+_WIDTH = ORACLE_TOL * ORACLE_RADIUS / 4
+# r, 1/r and the grid's offsets j/4 * r as intervals, so that a grid
+# point is interval arithmetic on its integer ratios
+_R, _INV_R = Interval.point(ORACLE_RADIUS), Interval.point(1 / ORACLE_RADIUS)
+_GRID = [(Interval.point(j) * _R).div_nat(4) for j in range(-4, 5)]
 
 
-def _std_at(f: Expr, z: Fraction, width) -> Interval:
-    e = App(f, DualLit(DualInterval(Interval.point(z), IV_ZERO)))
+def _std_at(f: Expr, z: Interval) -> Interval:
+    e = App(f, DualLit(DualInterval(z, IV_ZERO)))
     try:
-        out, _ = eval_refine(e, width, std_only=True)
+        out, _ = eval_refine(e, _WIDTH, std_only=True)
     except CeilingReached:
         raise OracleInconclusive(
-            f"refinement ceiling hit evaluating at {z}") from None
+            f"refinement ceiling hit evaluating at {z.lo}") from None
     if not isinstance(out, Value):
         raise OracleInconclusive(f"evaluation did not produce a value: {out}")
     return out.value.std
@@ -219,14 +224,12 @@ def finite_diff_oracle(f: Expr, x, xp) -> Interval:
     limit-superior envelope of the quotients up to their drift across
     the grid, which is O(r) times the curvature of f there.
     """
-    x, xp, r = Fraction(x), Fraction(xp), ORACLE_RADIUS
-    width = ORACLE_TOL * r / 4
+    x, step = Interval.point(x), Interval.point(xp) * _R
     hull = None
-    for j in range(-4, 5):
-        y = x + Fraction(j, 4) * r
-        f0 = _std_at(f, y, width)
-        f1 = _std_at(f, y + r * xp, width)
-        q = (f1 - f0).scale(1 / r)
+    for offset in _GRID:
+        y = x + offset
+        f0 = _std_at(f, y)
+        q = (_std_at(f, y + step) - f0) * _INV_R
         hull = q if hull is None else hull.meet(q)
     return hull
 
@@ -240,8 +243,7 @@ def check_L_soundness(f: Expr, x, xp) -> Verdict:
     inflated by ORACLE_TOL.
     """
     hull = finite_diff_oracle(f, x, xp)
-    arg = DualLit(DualInterval(Interval.point(Fraction(x)),
-                               Interval.point(Fraction(xp))))
+    arg = DualLit(DualInterval(Interval.point(x), Interval.point(xp)))
     checked = 0
     for n in SOUNDNESS_COSTS:
         v = _eval_ground(App(f, arg), n)

@@ -34,12 +34,12 @@ the operands' values at the current tag, left to right, with no partial
 value and no argument thunk.  A constant used as a value, passed to a
 function or applied to fewer operands, becomes a `PrimVal` and takes the
 generic path, which counts the same steps.  `Machine` runs a bisection's
-2^m cells in one left-to-right loop; each cell is one step that applies
-f to a value thunk holding the cell.  It combines int with `(l + r)/2`,
-which equals the rule's `l/2 + r/2` on exact endpoints, and sup with the
-`max` rule.  `step` builds the combine as a term, and a run with
-`overrides` fires its rules instead, so an overridden `+`, `/` or `max`
-acts there.
+2^m cells in one loop; each cell is one step that applies f, evaluated
+once if that ticks no step, to a value thunk holding the cell.  On exact
+endpoints the rule's tree of `l/2 + r/2` is the cells' sum over 2^m, so
+int keeps one running sum; sup and a run with `overrides` fold the tree
+with the `max` rule or their own rules, so an overridden `+`, `/` or
+`max` acts there, as in `step`, which builds the combine as a term.
 
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
@@ -63,7 +63,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .lang import (
     App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
@@ -71,9 +71,9 @@ from .lang import (
     fresh_var, spine, subst, uncurry,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
-    Interval, dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
-    iv_unchecked,
+    DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
+    Interval, IntervalSum, dual_max, dual_min, dual_pr, in_dual, iv_max,
+    iv_min, iv_pr, iv_unchecked,
 )
 from .typecheck import is_continuous_type
 
@@ -345,9 +345,9 @@ def intsup_combine(kind: str, carrier, lower, upper, op, two):
     """The bisection rule's combine at the carrier: `l/2 + r/2` for int,
     `max l r` for sup.  `op(name, carrier, args)` applies one constant:
     `step` builds the term, and a `Machine` run with `overrides` fires
-    the rules on values (without them it combines int with the equal
-    `(l + r)/2`).  `two` is the natural 2 in the same form: `NatLit(2)`
-    or `2`."""
+    the rules on values (without them it sums an int's cells once, which
+    equals the tree of these combines).  `two` is the natural 2 in the
+    same form: `NatLit(2)` or `2`."""
     if kind == "int":
         return op("+", carrier, [op("/", carrier, [lower, two]),
                                  op("/", carrier, [upper, two])])
@@ -696,38 +696,34 @@ class Machine:
                               xs)
         return _drive(self, body[0](self, args, fv.n)).inf
 
-    def _ground(self, name: str, carrier: Type, vals: List):
-        return self._rules[name, carrier.name](*vals)
-
     def _reduce_intsup(self, node: IntSupAt, f: Thunk):
         # The bisection rule rescales f with wrapper lambdas; composing
         # those affine maps sends [0,1] to an explicit dyadic cell, so each
         # of the 2^m cells applies f to its cell directly, one application
-        # step.  The cells run left to right, and `pending` holds the
-        # values of finished left subtrees, so the combining tree keeps its
-        # association.  Each internal node ticks where the rule does,
-        # before its left subtree: just before cell i, as many nodes as i
-        # has trailing zero bits (m for cell 0).
-        if self._rules is not GROUND_RULES:
-            kind, carrier, ground = node.kind, node.carrier, self._ground
-            combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
-                                                    ground, 2)
-        elif node.kind == "int":
-            # on exact values, (l + r)/2 equals the rule's l/2 + r/2
-            combine = lambda lv, rv: (lv + rv).half()
-        else:
-            combine = GROUND_RULES["max", node.carrier.name]
+        # step.  The cells run left to right into `fold`.  Each internal
+        # node of the combining tree ticks where the rule does, before its
+        # left subtree: just before cell i, as many nodes as i has trailing
+        # zero bits (m for cell 0).
         m, n, f_run, f_env = node.m, node.n, f.run, f.env
         if m > self.budget:  # cell 0's first tick passes it: build no 2**m
             raise _over_budget(self)
-        pending = []
+        if node.kind == "int" and self._rules is GROUND_RULES:
+            # exact: the tree of l/2 + r/2 is the cells' sum over 2**m
+            total = (IntervalSum if node.carrier.name == "pi" else DualSum)()
+            fold, result = total.add, lambda: total.mean(m)
+        else:
+            fold, result = self._tree(node)
+        closure = None  # f's value, once evaluating f ticked no step
         for i in range(1 << m):
             self.steps += (i & -i).bit_length() - 1 if i else m
             if self.steps > self.budget:
                 raise _over_budget(self)
-            fv = f_run(self, f_env, n)
-            if fv.__class__ is tuple:
-                fv = _drive(self, fv)
+            fv = closure
+            if fv is None:
+                before = self.steps
+                fv = _drive(self, f_run(self, f_env, n))
+                if fv.__class__ is Closure and self.steps == before:
+                    closure = fv
             # the cell [i, i+1] / 2**m, bound as a value thunk
             th = Thunk(_its_value, _its_value, iv_unchecked(i, i + 1, m, 1))
             self.steps += 1
@@ -739,13 +735,31 @@ class Machine:
                 v = self._apply(fv, th, n)
             if v.__class__ is tuple:
                 v = _drive(self, v)
-            # cell i closes the nodes whose rightmost cell it is, as many
-            # as i has trailing one bits
+            fold(v)
+        return result()
+
+    def _tree(self, node: IntSupAt):
+        """`(fold, result)` of the literal combining tree: dual `max` is not
+        associative, and an overridden rule fires in `intsup_combine`."""
+        kind, carrier, rules = node.kind, node.carrier, self._rules
+        if rules is GROUND_RULES:
+            combine = GROUND_RULES["max", carrier.name]
+        else:
+            ground = lambda name, c, vals: rules[name, c.name](*vals)
+            combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
+                                                    ground, 2)
+        pending, cells = [], iter(range(1 << node.m))
+
+        def fold(v):
+            # `pending` holds finished left subtrees; cell i closes the
+            # nodes whose rightmost cell it is, as many as its trailing 1s
+            i = next(cells)
             while i & 1:
                 v = combine(pending.pop(), v)
                 i >>= 1
             pending.append(v)
-        return pending[0]
+
+        return fold, lambda: pending[0]
 
     # -- public driver ------------------------------------------------
 

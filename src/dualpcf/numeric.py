@@ -1,20 +1,20 @@
 """Exact interval and dual-interval arithmetic over rational endpoints.
 
 Dual PCF's `int`/`sup` bisect [0,1] into the cells `[i, i+1] / 2**m` and
-combine with `l/2 + r/2` (the machine: `(l + r)/2`) and `max`, so every
-number the machine builds is a rational whose denominator is a power of
-two times the odd part of the program's own literals (`/ 3`, `/ 5`).  A
-finite interval therefore holds two integer numerators over one shared
-denominator: its fields are `a`, `b`, `e` and `d`, with
-`lo = a / (d << e)` and `hi = b / (d << e)`, and `d` odd and at least 1.
-A sum aligns the two intervals by a shift, and scales them to the lcm of
-their odd parts only when those differ; a product multiplies numerators,
-adds the exponents and multiplies the odd parts; `half()` and
-`div_nat(2**k * q)` raise `e` by `k` and multiply `d` by `q`.  Nothing is
-reduced to lowest terms between operations, so one rational interval
-has many forms.  `lo` and `hi` are read-only exact views, each a
-`Fraction` in lowest terms; `==`, `hash` and `str` go by the rationals,
-so the form never shows in a result.
+combine with `l/2 + r/2` (the machine: one running sum of the cells,
+`IntervalSum`, divided by 2**m) and `max`, so every number the machine
+builds is a rational whose denominator is a power of two times the odd
+part of the program's own literals (`/ 3`, `/ 5`).  A finite interval
+therefore holds two integer numerators over one shared denominator: its
+fields are `a`, `b`, `e` and `d`, with `lo = a / (d << e)` and
+`hi = b / (d << e)`, and `d` odd and at least 1.  A sum aligns the two
+intervals by a shift, and scales them to the lcm of their odd parts only
+when those differ; a product multiplies numerators, adds the exponents
+and multiplies the odd parts; `div_nat(2**k * q)` raises `e` by `k` and
+multiplies `d` by `q`.  Nothing is reduced to lowest terms between
+operations, so one rational interval has many forms.  `lo` and `hi` are
+read-only exact views, each a `Fraction` in lowest terms; `==`, `hash`
+and `str` go by the rationals, so the form never shows in a result.
 
 The only interval with infinite endpoints is bottom, the whole line, and
 there is exactly one bottom object, `IV_BOTTOM`, whose views are the float
@@ -90,6 +90,50 @@ def _align(x: "Interval", y: "Interval"):
     elif g < e:
         c, f = c << (e - g), f << (e - g)
     return a, b, c, f, e, d
+
+
+class IntervalSum:
+    """An exact running sum of intervals, held as the numerators of one
+    interval over `d << e` and aligned by `_align`; `d` 0 once a bottom
+    interval is added, which makes the sum bottom."""
+
+    __slots__ = ("a", "b", "e", "d")
+
+    def __init__(self):
+        self.a = self.b = self.e = 0
+        self.d = 1
+
+    def add(self, x: "Interval") -> None:
+        if self.d == x.d and self.e == x.e:  # one form (bottom: stays)
+            self.a += x.a
+            self.b += x.b
+        elif self.d and x.d:
+            a, b, c, f, self.e, self.d = _align(self, x)
+            self.a, self.b = a + c, b + f
+        else:
+            self.d = 0
+
+    def mean(self, m: int) -> "Interval":
+        """The sum divided by 2**m: its exponent raised by m."""
+        if not self.d:
+            return IV_BOTTOM
+        return iv_unchecked(self.a, self.b, self.e + m, self.d)
+
+
+class DualSum:
+    """An exact running sum of dual intervals, one `IntervalSum` a part."""
+
+    __slots__ = ("std", "inf")
+
+    def __init__(self):
+        self.std, self.inf = IntervalSum(), IntervalSum()
+
+    def add(self, x: "DualInterval") -> None:
+        self.std.add(x.std)
+        self.inf.add(x.inf)
+
+    def mean(self, m: int) -> "DualInterval":
+        return DualInterval(self.std.mean(m), self.inf.mean(m))
 
 
 class Interval:
@@ -243,12 +287,6 @@ class Interval:
         k = (n & -n).bit_length() - 1
         return iv_unchecked(self.a, self.b, self.e + k, self.d * (n >> k))
 
-    def half(self) -> "Interval":
-        """`div_nat(2)`: the exponent goes up by one."""
-        if self is IV_BOTTOM:
-            return self
-        return iv_unchecked(self.a, self.b, self.e + 1, self.d)
-
     def scale(self, q) -> "Interval":
         return self * Interval.point(q)
 
@@ -390,9 +428,6 @@ class DualInterval:
         if n == 0:
             return DUAL_BOTTOM
         return DualInterval(self.std.div_nat(n), self.inf.div_nat(n))
-
-    def half(self) -> "DualInterval":
-        return DualInterval(self.std.half(), self.inf.half())
 
     def __str__(self) -> str:
         return f"{self.std} + eps {self.inf}"

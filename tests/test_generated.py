@@ -1,11 +1,15 @@
 """Generated well-typed closed `delta` terms: the environment machine and
-the literal one-step reducer agree on every one of them, and a run
-stopped by the step budget stops where the budget says."""
+the literal one-step reducer agree on every one of them, a run stopped by
+the step budget stops where the budget says, results refine with cost,
+and neither the sharing table nor int's running sum changes a run."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualpcf.analysis import check_monotone_refinement
 from dualpcf.lang import CostTagged, parse
 from dualpcf.machine import (
-    BudgetExhausted, Value, _unlit, eval_at_cost, run_steps,
+    BudgetExhausted, GROUND_RULES, Machine, Value, _lit, _unlit, eval_at_cost,
+    run_steps,
 )
 from dualpcf.typecheck import elaborate
 
@@ -156,3 +160,46 @@ def test_machine_agrees_with_one_step_reducer(src):
                 out = eval_at_cost(e, n, budget=b)
                 assert isinstance(out, BudgetExhausted), (n, b, out)
                 assert out.steps == b + 1 and out.reason == "step budget"
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_terms())
+def test_results_refine_monotonically(src):
+    e, _ = elaborate(parse(src), {})
+    verdict = check_monotone_refinement(e, range(4))
+    assert verdict, verdict.detail
+
+
+# `+` and `/` overridden by their own rules: an int then keeps the literal
+# combining tree of `l/2 + r/2` instead of one running sum of its cells
+def _own_rule(name):
+    """An `overrides` entry that fires the constant's own rule."""
+    return lambda carrier, vals: _lit(
+        GROUND_RULES[name, carrier](*map(_unlit, vals)))
+
+
+TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_terms())
+def test_running_sum_agrees_with_combining_tree(src):
+    e, _ = elaborate(parse(src), {})
+    for n in range(3):
+        assert eval_at_cost(e, n) == eval_at_cost(e, n, overrides=TREE), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_terms())
+def test_shared_and_unshared_runs_agree(src):
+    e, _ = elaborate(parse(src), {})
+    for n in range(3):
+        shared = eval_at_cost(e, n)
+        with pytest.MonkeyPatch.context() as patch:
+            # a sharing table that stays None: every application runs
+            patch.setattr(Machine, "_memo",
+                          property(lambda m: None, lambda m, table: None))
+            unshared = eval_at_cost(e, n)
+        assert unshared.shared == 0
+        assert (unshared.value, unshared.steps) == \
+            (shared.value, shared.steps), n

@@ -357,6 +357,55 @@ def test_step_and_shared_counts_are_pinned_at_cost_4(name):
     assert (out.steps, out.shared) == _COUNTS_AT_COST_4[name]
 
 
+# `+` and `/` overridden by their own rules: an int then keeps the literal
+# combining tree of `l/2 + r/2` instead of one running sum of its cells
+def _own_rule(name):
+    """An `overrides` entry that fires the constant's own rule."""
+    return lambda carrier, vals: _lit(
+        GROUND_RULES[name, carrier](*map(_unlit, vals)))
+
+
+TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
+
+
+class TestRunningSum:
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus_ladder_agrees_with_combining_tree(self, name):
+        # the values, steps and shared steps of the literal tree
+        e, _ = load_corpus(name)
+        for n in range(5 if CORPUS[name].heavy else 11):
+            assert eval_at_cost(e, n) == eval_at_cost(e, n, overrides=TREE), n
+
+    @pytest.mark.parametrize("src,printed", [
+        ("int (fun t: real. if 0 < t - 1 / 3 then in_delta 1 else in_delta 0)",
+         "[-inf,inf] + eps [-inf,inf]"),
+        # bottom in the standard part only
+        ("int (fun t: real. in_delta (if 0 < t - 1 / 3 then 1 else t))",
+         "[-inf,inf] + eps [0,0]"),
+        ("int (fun t: real. if 0 < t - 1 / 3 then 1 else t)", "[-inf,inf]"),
+    ], ids=["delta", "delta_std", "real"])
+    def test_a_bottom_cell_makes_the_sum_bottom(self, src, printed):
+        # the zero test straddles in the cell holding 1/3, at every cost;
+        # the later cells still run and tick as under the tree
+        e, _ = elaborate(parse(src), {})
+        for n in range(4):
+            out = eval_at_cost(e, n)
+            assert out == eval_at_cost(e, n, overrides=TREE), n
+            assert str(out.value) == printed
+
+    def test_an_integrand_that_ticks_is_evaluated_at_every_cell(self):
+        # the integrand's beta step ticks, so its closure is not reused:
+        # each cell counts that step again
+        e, _ = elaborate(parse(
+            "int ((fun g: real -> delta. g) (fun t: real. in_delta t))"), {})
+        for n, counts in enumerate([(4, 0), (8, 0), (16, 0), (32, 0)]):
+            out = eval_at_cost(e, n)
+            assert (out.steps, out.shared) == counts
+            for b in sorted({1, out.steps // 2, out.steps - 1}):
+                assert eval_at_cost(e, n, budget=b) == \
+                    BudgetExhausted(steps=b + 1), (n, b)
+
+
 class TestKnownCalls:
     # A first-order constant applied to all its operands fires its rule
     # directly; passed as a value, it takes the generic path through a

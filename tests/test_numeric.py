@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
-    DUAL_BOTTOM, DualInterval, InconsistentIntervals, Interval, IV_BOTTOM,
-    IV_ONE, IV_UNIT, IV_ZERO, dual_max, dual_min, dual_pr, in_dual, iv_max,
-    iv_min, iv_pr, iv_unchecked,
+    DUAL_BOTTOM, DualInterval, DualSum, InconsistentIntervals, Interval,
+    IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, dual_max, dual_min,
+    dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
 )
 
 
@@ -356,6 +356,14 @@ def same_half(got, want):
     assert got == want and str(got) == str(want)
 
 
+def summed(cls, *xs):
+    """The running sum (an `IntervalSum` or a `DualSum`) of xs."""
+    total = cls()
+    for x in xs:
+        total.add(x)
+    return total
+
+
 def same_scalar(got, want):
     assert got == want and str(got) == str(want)
     if want != inf:
@@ -389,7 +397,8 @@ def duals_of(std, inf_):
 def reforms(x):
     """x built along other paths: forms not in lowest terms, and a sum
     across the odd parts 3, 5 and 15."""
-    return [x.div_nat(3) * Interval.point(3), (x * Interval.point(2)).half(),
+    return [x.div_nat(3) * Interval.point(3),
+            (x * Interval.point(2)).div_nat(2),
             x.div_nat(3) + x.scale(Fraction(2, 5)) + x.scale(Fraction(4, 15))]
 
 
@@ -402,8 +411,8 @@ def check_interval_ops(x, y, rx, ry):
         same(x.scale(y.lo), ref_scale(rx, ry[0]))
     for n in (1, 2, 3, 4, 6):
         same(x.div_nat(n), ref_div(rx, n))
-    same_half(x.half(), x.div_nat(2))
-    same_half((x + y).half(), x.div_nat(2) + y.div_nat(2))
+    same_half(summed(IntervalSum, x).mean(1), x.div_nat(2))
+    same_half(summed(IntervalSum, x, y).mean(1), x.div_nat(2) + y.div_nat(2))
     same(x.meet(y), ref_meet(rx, ry))
     joined = ref_join(rx, ry)
     if joined is None:
@@ -426,8 +435,8 @@ def check_dual_ops(a, b):
     same_dual(dual_min(a, b), ref_dual_min(ra, rb))
     same_dual(dual_pr(a), ref_dual_pr(ra))
     for x in (a, DUAL_BOTTOM):
-        for got, want in ((x.half(), x.div_nat(2)), (
-                (x + b).half(), x.div_nat(2) + b.div_nat(2))):
+        for got, want in ((summed(DualSum, x).mean(1), x.div_nat(2)), (
+                summed(DualSum, x, b).mean(1), x.div_nat(2) + b.div_nat(2))):
             same_half(got.std, want.std)
             same_half(got.inf, want.inf)
 
@@ -476,13 +485,30 @@ class TestSharedDenominator:
             assert {v.__class__ for v in (u.lo, u.hi, u.width)} == {Fraction}
             assert str(u) == f"[{p},{q}]" and hash(u) == hash(x)
 
-    @given(any_kind)
-    def test_half_raises_the_exponent(self, x):
-        h = x.half()
+    @given(any_kind, st.integers(0, 6))
+    def test_mean_raises_the_exponent(self, x, m):
+        # one interval summed keeps its form
+        h = summed(IntervalSum, x).mean(m)
         if x is IV_BOTTOM:
             assert h is IV_BOTTOM
             return
-        assert (h.a, h.b, h.e, h.d) == (x.a, x.b, x.e + 1, x.d)
+        assert (h.a, h.b, h.e, h.d) == (x.a, x.b, x.e + m, x.d)
+
+    @given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(any_kind, min_size=1 << m, max_size=1 << m),
+        st.lists(any_kind, min_size=1 << m, max_size=1 << m))))
+    def test_mean_is_the_tree_of_halved_sums(self, cells):
+        # int's combining tree over 2**m cells: bottom if any cell is
+        m, stds, infs = cells
+        duals = [DualInterval(s, i) for s, i in zip(stds, infs)]
+        tree = duals
+        while len(tree) > 1:
+            tree = [l.div_nat(2) + r.div_nat(2)
+                    for l, r in zip(tree[::2], tree[1::2])]
+        got = summed(DualSum, *duals).mean(m)
+        same_half(got.std, tree[0].std)
+        same_half(got.inf, tree[0].inf)
+        same_half(summed(IntervalSum, *stds).mean(m), tree[0].std)
 
     @given(any_kind, st.integers(0, 6), st.sampled_from([1, 3, 5, 15]))
     def test_div_nat_splits_off_the_power_of_two(self, x, k, q):
