@@ -54,6 +54,19 @@ budget exhaustion and enclosures are those of the unshared machine.
 its rules once, so an `overrides` entry must be a pure function of its
 arguments.
 
+A lambda whose body is straight-line, known calls, variables, literals
+and marked applications only, is compiled with a cell kernel as well: a
+superoperator (Proebsting, "Optimizing an ANSI C interpreter with
+superoperators", POPL 1995) that computes the body's value from the cell
+alone, ticks nothing, and whose steps are the same in every cell.  Cell 0
+of a bisection runs as every cell does and fills the sharing table.  If
+the integrand's closure is reused, every other variable of its body is
+bound to a value thunk and every marked application hits its slot, the
+remaining cells run through the kernel and their steps are added at once,
+unless they would pass the budget.  Otherwise, and in a run with
+`overrides`, every cell ticks, so steps, `shared` and budget stops are
+those of the ticking loop.
+
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
 budget guards against divergence of the unbounded fixed point.
@@ -140,15 +153,21 @@ class Thunk(Struct):
         self.env = env
 
 
+# builds a thunk or closure without a Python-level `__init__`; the hot
+# paths then store the slots themselves
+_new = object.__new__
+
+
 class Closure(Struct):
-    __slots__ = ("body", "env", "tag")
+    __slots__ = ("body", "env", "tag", "kernel")
     _fields = ("body", "tag")  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, body, env: tuple, tag: int):
+    def __init__(self, body, env: tuple, tag: int, kernel=None):
         self.body = body  # the run of the lambda's body
         self.env = env
         self.tag = tag
+        self.kernel = kernel  # the body's cell kernel, if straight-line
 
 
 class PrimVal(Struct):
@@ -457,6 +476,66 @@ def _over_budget(m):
 _its_value = lambda m, value, tag: value
 
 
+# The cell kernel of a straight-line node, one that is a known call,
+# variable, literal or marked application, and whose known calls have
+# straight-line operands.  It is built from what compiling the node made:
+# a variable's index, a literal node, a known call's `(rule, operand
+# kernels...)`, or a marked application's slot, the getter of the thunks
+# bound to its free variables (see `Machine._shared`).
+_cell = lambda c: c
+
+
+def _instance(m, env, tag, kern):
+    """A kernel instantiated in a body environment whose index 0 is the
+    cell: `(fn, value, ticks, shared)`, `fn` its value as a function of
+    the cell, or None for the constant `value`, `ticks` the steps of its
+    known calls and `shared` the steps its marked applications replay.
+    None where a variable other than the cell is bound to a thunk that is
+    not a value, or a marked application misses its slot."""
+    cls = kern.__class__
+    if cls is int:
+        if not kern:
+            return _cell, None, 0, 0
+        th = env[kern]
+        return (None, th.env, 0, 0) if th.run is _its_value else None
+    if cls in _PAYLOAD:
+        return None, _PAYLOAD[cls](kern), 0, 0
+    if cls is not tuple:
+        slot = m._memo.get(kern)
+        if slot is None or slot[0] != (tag, kern(env)):
+            return None
+        return None, slot[1], 0, slot[2]
+    rule = kern[0]
+    a = _instance(m, env, tag, kern[1])
+    if a is None:
+        return None
+    fa, va, ticks, shared = a
+    if len(kern) == 2:
+        if fa is None:
+            return (lambda c: rule(va)), None, ticks + 1, shared
+        return (rule if fa is _cell else lambda c: rule(fa(c))), None, \
+            ticks + 1, shared
+    b = _instance(m, env, tag, kern[2])
+    if b is None:
+        return None
+    return _binary(rule, fa, va, b[0], b[1]), None, ticks + b[2] + 2, \
+        shared + b[3]
+
+
+def _binary(rule, fa, va, fb, vb):
+    """`rule` on two operands as a function of the cell, each operand a
+    function of it, or where that is None a constant."""
+    if fa is None:
+        if fb is None:
+            return lambda c: rule(va, vb)
+        return (lambda c: rule(va, c)) if fb is _cell \
+            else (lambda c: rule(va, fb(c)))
+    if fb is None:
+        return (lambda c: rule(c, vb)) if fa is _cell \
+            else (lambda c: rule(fa(c), vb))
+    return lambda c: rule(fa(c), fb(c))
+
+
 class Machine:
     __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo")
 
@@ -482,10 +561,12 @@ class Machine:
 
     def _compile(self, e: Expr, scope: tuple):
         """Compile e, whose free variables `scope` names innermost first, to
-        `(run, op)`: `run(m, env, tag)` returns e's value or a tail
-        transfer, and `op` the value a primitive's operand needs, through
-        the sharing table for a marked application.  An application or
-        lambda compiled in the empty scope is closed and keeps its code."""
+        `(run, op, kernel)`: `run(m, env, tag)` returns e's value or a tail
+        transfer, `op` the value a primitive's operand needs, through the
+        sharing table for a marked application, and `kernel` is e's cell
+        kernel as an operand, None unless e is straight-line.  An
+        application or lambda compiled in the empty scope is closed and
+        keeps its code."""
         cls = e.__class__
         keep = (not scope and (cls is App or cls is Lam)
                 and self._rules is GROUND_RULES)
@@ -506,7 +587,7 @@ class Machine:
                 th = env[i]
                 return th.op(m, th.env, tag)
 
-            code = run, op
+            code = run, op, i
         elif cls is If:
             cond, then, els = [self._compile(x, scope)[0]
                                for x in (e.cond, e.then, e.els)]
@@ -523,19 +604,34 @@ class Machine:
                     return bottom[0], (), tag
                 return (then if cv else els)(m, env, tag)
 
-            code = run, _valued(run)
+            code = run, _valued(run), None
         else:
+            kern = None
             if cls is Lam:
-                body = self._compile(e.body, (e.var,) + scope)[0]
-                run = lambda m, env, tag: Closure(body, env, tag)
+                body, _, kernel = self._compile(e.body, (e.var,) + scope)
+                if self._rules is not GROUND_RULES or \
+                        e.body.__class__ is App and e.body.free is not None:
+                    # a marked body runs unshared, where its kernel would
+                    # replay its slot
+                    kernel = None
+
+                def run(m, env, tag):
+                    c = _new(Closure)
+                    c.body = body
+                    c.env = env
+                    c.tag = tag
+                    c.kernel = kernel
+                    return c
+
             elif cls is Const:
                 run = self._compile_const(e)
             elif cls in _PAYLOAD:
                 v = _PAYLOAD[cls](e)
                 run = lambda m, env, tag: v
+                kern = e
             else:
                 raise StuckTerm(f"cannot evaluate {e!r}")
-            code = run, run
+            code = run, run, kern
         if keep:
             e.code = code
         return code
@@ -565,7 +661,8 @@ class Machine:
         fn, arg = e.fn, e.arg
         if fn.__class__ is Const and _ARITY.get(fn.name) == 1:
             # a known call: one step, then the rule on the operand's value
-            rule, a_op = self._rule(fn), self._compile(arg, scope)[1]
+            rule = self._rule(fn)
+            _, a_op, a_kern = self._compile(arg, scope)
 
             def run(m, env, tag):
                 m.steps += 1
@@ -573,12 +670,14 @@ class Machine:
                     raise _over_budget(m)
                 return rule(a_op(m, env, tag))
 
-            return run, self._shared(e, run, scope)
+            kern = None if a_kern is None else (rule, a_kern)
+            return self._shared(e, run, run, scope, kern)
         if fn.__class__ is App and fn.fn.__class__ is Const \
                 and _ARITY.get(fn.fn.name) == 2:
             # two application nodes, two steps
-            rule, a_op = self._rule(fn.fn), self._compile(fn.arg, scope)[1]
-            b_run, b_op = self._compile(arg, scope)
+            rule = self._rule(fn.fn)
+            _, a_op, a_kern = self._compile(fn.arg, scope)
+            b_run, b_op, b_kern = self._compile(arg, scope)
 
             def run(m, env, tag):
                 m.steps += 2
@@ -592,9 +691,11 @@ class Machine:
                     return rule(x, _drive(m, b_run(m, env, tag)))
                 return rule(x, b_op(m, env, tag))
 
-            return run, self._shared(e, run, scope)
+            kern = None if a_kern is None or b_kern is None else \
+                (rule, a_kern, b_kern)
+            return self._shared(e, run, run, scope, kern)
         f_run = self._compile(fn, scope)[0]
-        a_run, a_op = self._compile(arg, scope)
+        a_run, a_op, _ = self._compile(arg, scope)
         # a variable argument passes on the thunk it is bound to, so
         # forwarding chains do not grow with each Y unfolding
         i = scope.index(arg.name) if arg.__class__ is Var else None
@@ -603,7 +704,11 @@ class Machine:
             fv = f_run(m, env, tag)
             if fv.__class__ is tuple:
                 fv = _drive(m, fv)
-            th = Thunk(a_run, a_op, env) if i is None else env[i]
+            if i is None:
+                th = _new(Thunk)
+                th.run, th.op, th.env = a_run, a_op, env
+            else:
+                th = env[i]
             m.steps += 1
             if m.steps > m.budget:
                 raise _over_budget(m)
@@ -611,19 +716,20 @@ class Machine:
                 return fv.body, (th,) + fv.env, fv.tag
             return m._apply(fv, th, tag)
 
-        return run, self._shared(e, _valued(run), scope)
+        return self._shared(e, run, _valued(run), scope, None)
 
     @staticmethod
-    def _shared(e: App, val, scope: tuple):
-        """The operand code of an application whose value `val` gives: for
-        a marked one, through the run's sharing table once the table
-        exists.  Its value and step count depend only on the tag and the
-        thunks bound to its free variables, so a hit returns the stored
-        value and replays the stored steps."""
+    def _shared(e: App, run, val, scope: tuple, kern):
+        """The code `(run, op, kernel)` of an application whose value `val`
+        gives, and whose kernel unshared is `kern`: for a marked one, `op`
+        goes through the run's sharing table once the table exists.  Its value
+        and step count depend only on the tag and the thunks bound to its
+        free variables, so a hit returns the stored value and replays the
+        stored steps, and its kernel is the slot it hits."""
         if e.free is None:
-            return val
-        slot_id = object()
-        # the thunks bound to the free variables, compared by identity
+            return run, val, kern
+        # the thunks bound to the free variables, compared by identity;
+        # the getter, one per node, is the node's slot in the table
         bound = operator.itemgetter(*map(scope.index, e.free)) if e.free \
             else lambda env: ()
 
@@ -632,7 +738,7 @@ class Machine:
             if memo is None:
                 return val(m, env, tag)
             key = (tag, bound(env))
-            slot = memo.get(slot_id)
+            slot = memo.get(bound)
             if slot is not None and slot[0] == key:
                 if m.steps + slot[2] > m.budget:
                     # where the unshared evaluation would have stopped
@@ -643,10 +749,10 @@ class Machine:
                 return slot[1]
             before = m.steps
             v = val(m, env, tag)
-            memo[slot_id] = (key, v, m.steps - before)
+            memo[bound] = (key, v, m.steps - before)
             return v
 
-        return op
+        return run, op, bound
 
     def _template(self, key, make, scope: tuple = ()) -> list:
         """`[run]` of the rule template `make()` builds, compiled once per
@@ -725,7 +831,9 @@ class Machine:
                 if fv.__class__ is Closure and self.steps == before:
                     closure = fv
             # the cell [i, i+1] / 2**m, bound as a value thunk
-            th = Thunk(_its_value, _its_value, iv_unchecked(i, i + 1, m, 1))
+            th = _new(Thunk)
+            th.run = th.op = _its_value
+            th.env = iv_unchecked(i, i + 1, m, 1)
             self.steps += 1
             if self.steps > self.budget:
                 raise _over_budget(self)
@@ -736,7 +844,36 @@ class Machine:
             if v.__class__ is tuple:
                 v = _drive(self, v)
             fold(v)
+            if not i and closure is not None and closure.kernel is not None \
+                    and self._bulk(closure, m, fold):
+                break
         return result()
+
+    def _bulk(self, fv: Closure, m: int, fold) -> bool:
+        """Fold cells 1 to 2**m - 1 through the kernel of f's body and add
+        their steps at once: per cell, its tree ticks, the application,
+        the kernel's known calls and its replayed shared steps, the steps
+        the ticking loop takes there.  False, having run nothing, without
+        a sharing table, where the kernel does not instantiate, or where
+        those steps would pass the budget: the ticking loop then runs the
+        cells and stops where it passes."""
+        if self._memo is None or not m:
+            return False
+        kernel = _instance(self, (None,) + fv.env, fv.tag, fv.kernel)
+        if kernel is None:
+            return False
+        fn, value, ticks, shared = kernel
+        cells = (1 << m) - 1
+        steps = cells - m + cells * (1 + ticks + shared)
+        if self.steps + steps > self.budget:
+            return False
+        self.steps += steps
+        self.shared += cells * shared
+        if fn is None:
+            fn = lambda c: value
+        for i in range(1, 1 << m):
+            fold(fn(iv_unchecked(i, i + 1, m, 1)))
+        return True
 
     def _tree(self, node: IntSupAt):
         """`(fold, result)` of the literal combining tree: dual `max` is not

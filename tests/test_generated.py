@@ -1,7 +1,8 @@
 """Generated well-typed closed `delta` terms: the environment machine and
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
-and neither the sharing table nor int's running sum changes a run."""
+and neither the sharing table, int's running sum nor the cell kernel
+changes a run."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,3 +204,23 @@ def test_shared_and_unshared_runs_agree(src):
         assert unshared.shared == 0
         assert (unshared.value, unshared.steps) == \
             (shared.value, shared.steps), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_terms())
+def test_kernel_and_ticking_loop_agree(src):
+    # the budget stops too: the kernel adds its cells' steps at once
+    e, _ = elaborate(parse(src), {})
+
+    def runs(n):
+        out = eval_at_cost(e, n)
+        budgets = sorted({1, out.steps // 2, out.steps - 1})
+        return [out] + [eval_at_cost(e, n, budget=b)
+                        for b in budgets if 0 < b < out.steps]
+
+    for n in range(3):
+        kernel = runs(n)
+        with pytest.MonkeyPatch.context() as patch:
+            # every cell through the ticking loop
+            patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
+            assert runs(n) == kernel, n

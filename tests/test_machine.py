@@ -1,5 +1,8 @@
 """Evaluator tests: ground rules, cost semantics, and the one-step reducer."""
+import gc
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -404,6 +407,124 @@ class TestRunningSum:
             for b in sorted({1, out.steps // 2, out.steps - 1}):
                 assert eval_at_cost(e, n, budget=b) == \
                     BudgetExhausted(steps=b + 1), (n, b)
+
+
+def _ticking(patch):
+    """Run every cell of a bisection through the ticking loop."""
+    patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
+
+
+def _runs(e, n):
+    """The run of e at cost n, and the runs stopped by the budgets 1,
+    steps // 2 and steps - 1."""
+    out = eval_at_cost(e, n)
+    budgets = sorted({1, out.steps // 2, out.steps - 1})
+    return [out] + [eval_at_cost(e, n, budget=b)
+                    for b in budgets if 0 < b < out.steps]
+
+
+class TestCellKernel:
+    # A straight-line integrand runs its cells after the first through a
+    # tick-free kernel and adds their steps at once: the values, steps,
+    # shared steps and budget stops are those of the ticking loop
+
+    @staticmethod
+    def bisections(src, n=3):
+        """Whether each bisection of src's run at cost n took the kernel,
+        for those whose integrand has one."""
+        taken, bulk = [], Machine._bulk
+
+        def spy(m, fv, depth, fold):
+            taken.append(bulk(m, fv, depth, fold))
+            return taken[-1]
+
+        e, _ = elaborate(parse(src), {})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Machine, "_bulk", spy)
+            out = eval_at_cost(e, n)
+        with pytest.MonkeyPatch.context() as patch:
+            _ticking(patch)
+            assert eval_at_cost(e, n) == out
+        return taken
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus_ladder_agrees_with_ticking_loop(self, name):
+        e, _ = load_corpus(name)
+        for n in range(5 if CORPUS[name].heavy else 11):
+            runs = _runs(e, n)
+            with pytest.MonkeyPatch.context() as patch:
+                _ticking(patch)
+                assert runs == _runs(e, n), n
+
+    @pytest.mark.parametrize("src,bisections", [
+        ("int (fun x: real. int (fun y: real. x * y))", [True] * 8),
+        ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
+        ("int (fun t: real. in_delta t)", [True]),
+        # no kernel: a conditional, a generic application
+        ("int (fun t: real. if 0 < t - 1 / 3 then in_delta t else in_delta 0)",
+         []),
+        ("int (fun t: real. (fun u: real. in_delta u) t)", []),
+        # a free variable bound to a thunk that is not a value
+        ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
+         [False]),
+    ], ids=["nested", "sup", "int_id", "conditional", "generic", "unevaluated"])
+    def test_which_integrands_take_the_kernel(self, src, bisections):
+        assert self.bisections(src) == bisections
+
+    def test_a_marked_application_that_misses_its_slot_declines(self):
+        # the recursive call's bisection, a single cell at cost 0,
+        # evaluates `x * x` again at the argument x / 2 and overwrites its
+        # slot, so the outer bisection's kernel does not instantiate
+        src = ("(Y[delta -> delta] (fun f: delta -> delta. fun x: delta."
+               " int (fun t: real. x * x * in_delta t + f (x / 2))))"
+               " (in_delta 1)")
+        assert self.bisections(src, 2) == [False, False]
+        e, _ = elaborate(parse(src), {})
+        for n in range(4):
+            runs = _runs(e, n)
+            with pytest.MonkeyPatch.context() as patch:
+                _ticking(patch)
+                assert runs == _runs(e, n), n
+
+
+def _cubic(rng) -> str:
+    """A cubic integrand as in the `polys` benchmark, with rational
+    coefficients over 1, 2, 3, 5, 7 and 8."""
+    terms = []
+    for i in range(4):
+        q = Fraction(rng.randint(-32, 32), rng.choice([1, 2, 3, 5, 7, 8]))
+        c = f"({q.numerator} / {q.denominator})" if q >= 0 \
+            else f"((0 - {-q.numerator}) / {q.denominator})"
+        terms.append(c + " * t" * i)
+    return "fun t: real. in_delta (" + " + ".join(terms) + ")"
+
+
+def test_fresh_terms_leave_nothing_behind():
+    # each term's code, its kernels included, lives on the term and dies
+    # with it: no table outside a run may hold a compiled node
+    rng = random.Random(17)
+
+    def evaluate(pairs):
+        for _ in range(pairs):
+            f, g = _cubic(rng), _cubic(rng)
+            for src, n in ((f"int ({g})", 4),
+                           (f"L[real -> delta] int ({f}) ({g})", 1)):
+                assert isinstance(ev(src, n), Value)
+
+    evaluate(10)  # the rule templates, compiled once per type
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evaluate(30)
+        gc.collect()
+        after_60 = tracemalloc.get_traced_memory()[0]
+        evaluate(60)
+        gc.collect()
+        after_180 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # at most 100 bytes a program
+    assert after_180 - after_60 < 12_000, (after_60, after_180)
 
 
 class TestKnownCalls:
