@@ -6,7 +6,7 @@ from .lang import ParseError, parse, print_expr
 from .typecheck import TypeCheckError, typecheck, elaborate
 from .machine import (
     BudgetExhausted, CeilingReached, Machine, Outcome, Undetermined, Value,
-    eval_at_cost, eval_dual, eval_refine, run_steps, step,
+    eval_at_cost, eval_dual, eval_refine,
 )
 
 __all__ = [
@@ -17,3 +17,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the literal reducer loads on first use, so start-up does not compile it
+    if name in ("step", "run_steps"):
+        from . import reducer
+        return getattr(reducer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,9 +8,9 @@ becomes a thunk, the code of the unevaluated term with its environment,
 and a lambda value a closure over its environment and cost tag.  Each use
 of a variable forces its thunk at the cost tag in force where the
 variable occurs, the tag substitution would have given the argument
-there.  `step` is the literal one-redex-at-a-time reducer that
-substitutes; the conformance tests compare the two.  Both use the same
-ground-rule table, Y unfolding and L body.
+there.  `dualpcf.reducer.step`, the literal one-redex-at-a-time reducer
+that substitutes, uses the same ground-rule table, Y unfolding and L
+body; the conformance tests compare the two.
 
 Each elaborated node is compiled once to a closure `run(m, env, tag)`
 over its compiled children (Feeley and Lapalme, "Using closures for code
@@ -54,18 +54,21 @@ budget exhaustion and enclosures are those of the unshared machine.
 its rules once, so an `overrides` entry must be a pure function of its
 arguments.
 
-A lambda whose body is straight-line, known calls, variables, literals
-and marked applications only, is compiled with a cell kernel as well: a
-superoperator (Proebsting, "Optimizing an ANSI C interpreter with
-superoperators", POPL 1995) that computes the body's value from the cell
-alone, ticks nothing, and whose steps are the same in every cell.  Cell 0
-of a bisection runs as every cell does and fills the sharing table.  If
-the integrand's closure is reused, every other variable of its body is
-bound to a value thunk and every marked application hits its slot, the
-remaining cells run through the kernel and their steps are added at once,
-unless they would pass the budget.  Otherwise, and in a run with
-`overrides`, every cell ticks, so steps, `shared` and budget stops are
-those of the ticking loop.
+A lambda whose body is straight-line, known calls, variables, literals,
+marked applications, and applications of a lambda or of a variable to a
+variable only, is compiled with a cell kernel as well: a superoperator
+(Proebsting, "Optimizing an ANSI C interpreter with superoperators",
+POPL 1995) that computes the body's value from the cell alone, ticks
+nothing, and whose steps are the same in every cell.  An application
+inlines the kernel of the lambda's body, with one beta step.  Cell 0 of a
+bisection runs as every cell does and fills the sharing table.  If the
+integrand's code is a lambda's, every other variable of its body is bound
+to a value thunk, every marked application hits its slot and every
+applied variable is bound to the thunk of a lambda, the remaining cells
+run through the kernel and their steps are added at once, unless they
+would pass the budget.  Otherwise, and in a run with `overrides`, every
+cell ticks, so steps, `shared` and budget stops are those of the ticking
+loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -81,10 +84,10 @@ from typing import Optional, Tuple
 from .lang import (
     App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
     IvLit, Lam, NatLit, REAL, SIGNATURES, Struct, Type, Var, app_spine,
-    fresh_var, spine, subst, uncurry,
+    fresh_var, uncurry,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
+    DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_ZERO,
     Interval, IntervalSum, dual_max, dual_min, dual_pr, in_dual, iv_max,
     iv_min, iv_pr, iv_unchecked,
 )
@@ -159,15 +162,14 @@ _new = object.__new__
 
 
 class Closure(Struct):
-    __slots__ = ("body", "env", "tag", "kernel")
+    __slots__ = ("body", "env", "tag")
     _fields = ("body", "tag")  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, body, env: tuple, tag: int, kernel=None):
+    def __init__(self, body, env: tuple, tag: int):
         self.body = body  # the run of the lambda's body
         self.env = env
         self.tag = tag
-        self.kernel = kernel  # the body's cell kernel, if straight-line
 
 
 class PrimVal(Struct):
@@ -337,7 +339,8 @@ def ground_rules(overrides=None) -> dict:
     replaces the constant's rule wherever it fires, the int/sup combine
     included, in both `Machine` and `step`.  Only `step` fires `+` and
     `/` at `pi` outside the combine: its bisection rule moves each cell
-    with them (`_rescaled`), while `Machine` computes the cells directly.
+    with them (`reducer._rescaled`), while `Machine` computes the cells
+    directly.
     So an override of `+` or `/` at `pi` changes the cells of an int/sup
     under `step` alone, and the two reducers then disagree.
     """
@@ -354,10 +357,6 @@ def _rule(rules: dict, name: str, carrier: Optional[str]):
         raise StuckTerm(f"no ground rule for constant {name!r} "
                         f"at carrier {carrier!r}")
     return rule
-
-
-def _const_app(name: str, carrier: Type, args) -> Expr:
-    return app_spine(Const(name, (carrier,)), args)
 
 
 def intsup_combine(kind: str, carrier, lower, upper, op, two):
@@ -403,14 +402,6 @@ def unfold_y(ty: Type, f: Expr, n: Optional[int]) -> Expr:
     return body if n is None else CostTagged(body, n - 1)
 
 
-def _rescaled(f: Expr, upper_half: bool) -> Expr:
-    """f on the lower or upper half of [0,1], stretched back to [0,1]."""
-    x = fresh_var("t")
-    t = _const_app("+", REAL, [Var(x), IvLit(IV_ONE)]) if upper_half \
-        else Var(x)
-    return Lam(x, REAL, App(f, _const_app("/", REAL, [t, NatLit(2)])))
-
-
 def lift_eps(ty: Type, e: Expr) -> Expr:
     """The epsilon-scaling macro at an admissible type, applied to e."""
     if ty == DUAL:
@@ -445,7 +436,6 @@ def l_body(targs, args) -> Expr:
 # -- the compiled environment machine --------------------------------------
 
 
-_LITERALS = tuple(_PAYLOAD)
 # The rule templates compiled against `GROUND_RULES`, by key (see
 # `Machine._template`)
 _TEMPLATES: dict = {}
@@ -477,26 +467,30 @@ _its_value = lambda m, value, tag: value
 
 
 # The cell kernel of a straight-line node, one that is a known call,
-# variable, literal or marked application, and whose known calls have
-# straight-line operands.  It is built from what compiling the node made:
-# a variable's index, a literal node, a known call's `(rule, operand
-# kernels...)`, or a marked application's slot, the getter of the thunks
-# bound to its free variables (see `Machine._shared`).
+# variable, literal, marked application, or application of a lambda to a
+# variable, and whose parts are straight-line.  It is built from what
+# compiling the node made: a variable's index, a literal node, a known
+# call's `(rule, operand kernels...)`, a marked application's slot, the
+# getter of the thunks bound to its free variables (see `Machine._shared`),
+# or `(None, head, index)` for `h x`: x's index, and h's index or, for a
+# lambda, its code, whose `kernel` is its body's.
 _cell = lambda c: c
 
 
 def _instance(m, env, tag, kern):
-    """A kernel instantiated in a body environment whose index 0 is the
-    cell: `(fn, value, ticks, shared)`, `fn` its value as a function of
+    """A kernel instantiated in a body environment that binds the cell to
+    None: `(fn, value, ticks, shared)`, `fn` its value as a function of
     the cell, or None for the constant `value`, `ticks` the steps of its
-    known calls and `shared` the steps its marked applications replay.
-    None where a variable other than the cell is bound to a thunk that is
-    not a value, or a marked application misses its slot."""
+    known calls and beta steps and `shared` the steps its marked
+    applications replay.  None where a variable other than the cell is
+    bound to a thunk that is not a value, a marked application misses its
+    slot, or an applied variable is bound to a thunk whose code is not a
+    lambda with a kernel."""
     cls = kern.__class__
     if cls is int:
-        if not kern:
-            return _cell, None, 0, 0
         th = env[kern]
+        if th is None:
+            return _cell, None, 0, 0
         return (None, th.env, 0, 0) if th.run is _its_value else None
     if cls in _PAYLOAD:
         return None, _PAYLOAD[cls](kern), 0, 0
@@ -506,6 +500,16 @@ def _instance(m, env, tag, kern):
             return None
         return None, slot[1], 0, slot[2]
     rule = kern[0]
+    if rule is None:
+        # `h x`: forcing h ticks nothing and gives a closure at this tag,
+        # and the beta step binds x's thunk in front of its environment
+        head, x = kern[1], env[kern[2]]
+        if head.__class__ is int:
+            th = env[head]
+            head, env = th.run, th.env
+        body = getattr(head, "kernel", None)
+        a = None if body is None else _instance(m, (x,) + env, tag, body)
+        return None if a is None else (a[0], a[1], a[2] + 1, a[3])
     a = _instance(m, env, tag, kern[1])
     if a is None:
         return None
@@ -620,9 +624,9 @@ class Machine:
                     c.body = body
                     c.env = env
                     c.tag = tag
-                    c.kernel = kernel
                     return c
 
+                run.kernel = kernel  # the body's, if straight-line
             elif cls is Const:
                 run = self._compile_const(e)
             elif cls in _PAYLOAD:
@@ -699,6 +703,12 @@ class Machine:
         # a variable argument passes on the thunk it is bound to, so
         # forwarding chains do not grow with each Y unfolding
         i = scope.index(arg.name) if arg.__class__ is Var else None
+        kern = None  # for `h x`, h a variable or a lambda with a kernel
+        if i is not None:
+            if fn.__class__ is Var:
+                kern = None, scope.index(fn.name), i
+            elif fn.__class__ is Lam and f_run.kernel is not None:
+                kern = None, f_run, i
 
         def run(m, env, tag):
             fv = f_run(m, env, tag)
@@ -716,7 +726,7 @@ class Machine:
                 return fv.body, (th,) + fv.env, fv.tag
             return m._apply(fv, th, tag)
 
-        return self._shared(e, run, _valued(run), scope, None)
+        return self._shared(e, run, _valued(run), scope, kern)
 
     @staticmethod
     def _shared(e: App, run, val, scope: tuple, kern):
@@ -820,6 +830,8 @@ class Machine:
         else:
             fold, result = self._tree(node)
         closure = None  # f's value, once evaluating f ticked no step
+        # f's body's kernel, where f's code is a lambda's
+        kernel = getattr(f_run, "kernel", None)
         for i in range(1 << m):
             self.steps += (i & -i).bit_length() - 1 if i else m
             if self.steps > self.budget:
@@ -844,22 +856,24 @@ class Machine:
             if v.__class__ is tuple:
                 v = _drive(self, v)
             fold(v)
-            if not i and closure is not None and closure.kernel is not None \
-                    and self._bulk(closure, m, fold):
+            if not i and kernel is not None and self._bulk(f, node, fold):
                 break
         return result()
 
-    def _bulk(self, fv: Closure, m: int, fold) -> bool:
-        """Fold cells 1 to 2**m - 1 through the kernel of f's body and add
-        their steps at once: per cell, its tree ticks, the application,
-        the kernel's known calls and its replayed shared steps, the steps
-        the ticking loop takes there.  False, having run nothing, without
-        a sharing table, where the kernel does not instantiate, or where
+    def _bulk(self, f: Thunk, node: IntSupAt, fold) -> bool:
+        """Fold cells 1 to 2**m - 1 through the kernel of the body of f, a
+        thunk whose code is a lambda's, and add their steps at once: per
+        cell, its tree ticks, the application, the kernel's known calls
+        and beta steps and its replayed shared steps, the steps the
+        ticking loop takes there.  False, having run nothing, without a
+        sharing table, where the kernel does not instantiate, or where
         those steps would pass the budget: the ticking loop then runs the
         cells and stops where it passes."""
+        m = node.m
         if self._memo is None or not m:
             return False
-        kernel = _instance(self, (None,) + fv.env, fv.tag, fv.kernel)
+        # forcing f gives a closure over f's environment at the tag n
+        kernel = _instance(self, (None,) + f.env, node.n, f.run.kernel)
         if kernel is None:
             return False
         fn, value, ticks, shared = kernel
@@ -986,143 +1000,3 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
             raise CeilingReached(v, n)
         n *= 2
 
-
-# -- literal one-step reduction --------------------------------------------
-
-
-def _is_value(e: Expr) -> bool:
-    if isinstance(e, _LITERALS) or isinstance(e, (Lam, Const, IntSupAt)):
-        return True
-    if isinstance(e, CostTagged):
-        return isinstance(e.expr, (Lam, Const))
-    if isinstance(e, App):
-        # unsaturated constant application over values
-        head, args = spine(e)
-        name = _const_name(head)
-        if name in _ARITY and len(args) < _ARITY[name]:
-            return all(_is_value(a) for a in args)
-        if name == "L":
-            c = head.expr if isinstance(head, CostTagged) else head
-            return len(args) < 1 + 2 * len(c.targs)
-    return False
-
-
-def _const_name(head: Expr) -> Optional[str]:
-    if isinstance(head, CostTagged):
-        head = head.expr
-    if isinstance(head, Const):
-        return head.name
-    return None
-
-
-def step(e: Expr, overrides=None) -> Optional[Expr]:
-    """Apply exactly one reduction rule; None if e is a normal form."""
-    if isinstance(e, CostTagged):
-        inner, n = e.expr, e.n
-        if isinstance(inner, _LITERALS):
-            return inner  # de-tagging
-        if isinstance(inner, Const):
-            if inner.name in ("int", "sup"):
-                return IntSupAt(inner.name, inner.targs[0], n, n)
-            if inner.name == "Y":
-                if is_continuous_type(inner.targs[0]):
-                    return None  # value: reduced when applied
-                return inner  # constant de-tagging
-            if inner.name == "L":
-                return None  # value: reduced when applied
-            return inner  # constant de-tagging
-        if isinstance(inner, Lam):
-            return None  # tagged closure: a value
-        if isinstance(inner, App):
-            head, args = spine(inner)
-            name = _const_name(head)
-            if name in _ARITY and len(args) == _ARITY[name]:
-                # cost distribution over an operator application
-                return app_spine(head, [CostTagged(a, n) for a in args])
-            return App(CostTagged(inner.fn, n), inner.arg)
-        if isinstance(inner, If):
-            return If(CostTagged(inner.cond, n), CostTagged(inner.then, n),
-                      CostTagged(inner.els, n), inner.ty)
-        if isinstance(inner, CostTagged):
-            e2 = step(inner, overrides)
-            return CostTagged(e2, n) if e2 is not None else inner
-        return None
-    if isinstance(e, App):
-        head, args = spine(e)
-        name = _const_name(head)
-        if name in _ARITY and len(args) == _ARITY[name]:
-            # reduce leftmost non-value argument, then fire the delta rule
-            for i, a in enumerate(args):
-                if not _is_value(a):
-                    a2 = step(a, overrides)
-                    if a2 is None:
-                        raise StuckTerm(f"stuck operand {a}")
-                    return app_spine(head, args[:i] + [a2] + args[i + 1:])
-            h = head.expr if isinstance(head, CostTagged) else head
-            # a hand-built term may name its carrier by a string
-            carrier = h.targs[0] if h.targs else None
-            rule = _rule(ground_rules(overrides), name,
-                         getattr(carrier, "name", carrier))
-            out = rule(*[_unlit(a) for a in args])
-            if out is BOOL_BOTTOM:
-                raise UndeterminedSignal(_STRADDLING_ZERO_TEST)
-            return _lit(out)
-        if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Lam):
-            lam, m = e.fn.expr, e.fn.n
-            return CostTagged(subst(lam.body, lam.var, e.arg), m)
-        if isinstance(e.fn, Lam):
-            return subst(e.fn.body, e.fn.var, e.arg)
-        if isinstance(e.fn, IntSupAt):
-            node, f = e.fn, e.arg
-            if node.m == 0:
-                return App(CostTagged(f, node.n), IvLit(IV_UNIT))
-            half = IntSupAt(node.kind, node.carrier, node.m - 1, node.n)
-            return intsup_combine(node.kind, node.carrier,
-                                  App(half, _rescaled(f, False)),
-                                  App(half, _rescaled(f, True)), _const_app,
-                                  NatLit(2))
-        if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Const):
-            c, n = e.fn.expr, e.fn.n
-            if c.name == "Y" and is_continuous_type(c.targs[0]):
-                return unfold_y(c.targs[0], e.arg, n)
-            if c.name in ("int", "sup"):
-                return App(IntSupAt(c.name, c.targs[0], n, n), e.arg)
-        if name == "L":
-            h = head.expr if isinstance(head, CostTagged) else head
-            k = len(h.targs)
-            if len(args) == 1 + 2 * k and isinstance(head, CostTagged):
-                return App(Const("In"), CostTagged(l_body(h.targs, args),
-                                                   head.n))
-        if name == "Y" and len(args) == 1 and isinstance(head, Const) \
-                and not is_continuous_type(head.targs[0]):
-            return unfold_y(head.targs[0], args[0], None)
-        e2 = step(e.fn, overrides)
-        if e2 is None:
-            raise StuckTerm(f"stuck application head {e.fn}")
-        return App(e2, e.arg)
-    if isinstance(e, If):
-        cond = e.cond
-        if isinstance(cond, BoolLit):
-            return e.then if cond.b else e.els
-        try:
-            e2 = step(cond, overrides)
-        except UndeterminedSignal as u:
-            # only the step firing the zero test raises this reason, since
-            # a conditional in cond raises its own
-            if u.reason != _STRADDLING_ZERO_TEST:
-                raise
-            return straddled_if(e.ty)
-        if e2 is None:
-            raise StuckTerm(f"stuck conditional scrutinee {e.cond}")
-        return If(e2, e.then, e.els, e.ty)
-    return None
-
-
-def run_steps(e: Expr, max_steps: int = 1000, overrides=None):
-    """Iterate `step` to a normal form; returns (normal form, step count)."""
-    for i in range(max_steps):
-        e2 = step(e, overrides)
-        if e2 is None:
-            return e, i
-        e = e2
-    raise BudgetError(max_steps)

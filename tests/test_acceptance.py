@@ -15,8 +15,9 @@ from dualpcf.analysis import (
 from dualpcf.cli import _RELATION_CASES
 from dualpcf.corpus import CORPUS, FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order
 from dualpcf.lang import App, Arrow, Const, DUAL, DualLit, parse
-from dualpcf.machine import eval_at_cost, eval_dual, run_steps, _as_dual
+from dualpcf.machine import eval_at_cost, eval_dual, _as_dual
 from dualpcf.numeric import DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM
+from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
 

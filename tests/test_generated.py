@@ -10,8 +10,8 @@ from dualpcf.analysis import check_monotone_refinement
 from dualpcf.lang import CostTagged, parse
 from dualpcf.machine import (
     BudgetExhausted, GROUND_RULES, Machine, Value, _lit, _unlit, eval_at_cost,
-    run_steps,
 )
+from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)

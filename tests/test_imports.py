@@ -57,17 +57,19 @@ def name_sites():
 
 def dead_helpers(module: Path):
     """Module-level functions and classes of `module`, and the methods and
-    properties of its classes other than dunders, that no line outside
-    their own definition names: a helper that only calls itself is dead."""
+    properties of its classes, that no line outside their own definition
+    names: a helper that only calls itself is dead.  Dunders, which Python
+    calls itself (a module's `__getattr__` included), are not helpers."""
     tree = ast.parse(module.read_text())
     defs = [(node.name, node) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     defs += [(f"{cls.name}.{node.name}", node)
              for cls in tree.body if isinstance(cls, ast.ClassDef)
-             for node in cls.body if isinstance(node, ast.FunctionDef)
-             and not (node.name.startswith("__") and node.name.endswith("__"))]
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
     return sorted(qualname for qualname, node in defs
-                  if not name_sites().get(node.name, set())
+                  if not (node.name.startswith("__")
+                          and node.name.endswith("__"))
+                  and not name_sites().get(node.name, set())
                   - {(module, i) for i in range(node.lineno,
                                                 node.end_lineno + 1)})
 
@@ -98,7 +100,8 @@ def test_no_dataclasses(module):
 
 def test_cli_start_up_loads_only_what_eval_runs():
     # `verify` and `examples` import the analysis and corpus modules
-    # themselves, so `check` and `eval` never load them
+    # themselves, so `check` and `eval` never load them; only the tests
+    # run the literal reducer
     code = ("import sys; before = set(sys.modules); import dualpcf.cli; "
             "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -107,4 +110,4 @@ def test_cli_start_up_loads_only_what_eval_runs():
     loaded = set(out.stdout.split())
     assert "dualpcf.machine" in loaded
     assert loaded & {"dataclasses", "inspect", "dualpcf.analysis",
-                     "dualpcf.corpus"} == set()
+                     "dualpcf.corpus", "dualpcf.reducer"} == set()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpcf import machine
+from dualpcf import lang, machine
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
     App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, REAL,
@@ -16,11 +16,11 @@ from dualpcf.lang import (
 from dualpcf.machine import (
     BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
     Undetermined, Value, _lit, _unlit, eval_at_cost, eval_dual, eval_refine,
-    run_steps, step,
 )
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
 )
+from dualpcf.reducer import run_steps, step
 from dualpcf.typecheck import elaborate
 
 
@@ -460,16 +460,57 @@ class TestCellKernel:
         ("int (fun x: real. int (fun y: real. x * y))", [True] * 8),
         ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
         ("int (fun t: real. in_delta t)", [True]),
-        # no kernel: a conditional, a generic application
+        # an application of a lambda to the cell, inlined
+        ("int (fun t: real. (fun u: real. in_delta u) t)", [True]),
+        # no kernel: a conditional
         ("int (fun t: real. if 0 < t - 1 / 3 then in_delta t else in_delta 0)",
          []),
-        ("int (fun t: real. (fun u: real. in_delta u) t)", []),
         # a free variable bound to a thunk that is not a value
         ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
          [False]),
-    ], ids=["nested", "sup", "int_id", "conditional", "generic", "unevaluated"])
+    ], ids=["nested", "sup", "int_id", "generic", "conditional", "unevaluated"])
     def test_which_integrands_take_the_kernel(self, src, bisections):
         assert self.bisections(src) == bisections
+
+    @pytest.mark.parametrize("src,bisections", [
+        # the lifted integrand `fun p. f p + eps * g p` applies f and g,
+        # variables bound to the thunks of lambdas
+        ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
+         " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
+         [True]),
+        # lagrangian_action's inner `int (fun s. g(s))`, alone and in place
+        ("(fun g: real -> delta. int (fun s: real. g s))"
+         " (fun t: real. in_delta (t * t))", [True]),
+        ("L[real -> delta] (fun g: real -> delta. int (fun t: real."
+         " (int (fun s: real. g(s))) * g(t))) (fun t: real. in_delta t)"
+         " (fun t: real. in_delta t)", [True, True]),
+        # inlining moves the cell from index 0: u is the outer cell x
+        ("int (fun x: real. int (fun y: real."
+         " (fun u: real. in_delta (u * y)) x))", [True] * 8),
+        # a head bound to a thunk whose forcing ticks: a conditional, an
+        # application
+        ("(fun h: real -> delta. int (fun t: real. h t)) (if 0 < 1 / 3"
+         " then (fun u: real. in_delta u) else (fun u: real. in_delta u))",
+         [False]),
+        ("(fun h: real -> delta. int (fun t: real. h t))"
+         " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [False]),
+        # an argument that is not a variable
+        ("int (fun t: real. (fun u: real. in_delta u) (t * t))", []),
+    ], ids=["L_cubics", "applied_variable", "lagrangian_action", "shifted",
+            "conditional_head", "applied_head", "non_variable_argument"])
+    def test_which_applications_are_inlined(self, src, bisections):
+        assert self.bisections(src) == bisections
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_l_ladder_agrees_with_ticking_loop(self, seed):
+        rng = random.Random(seed)
+        e, _ = elaborate(parse(f"L[real -> delta] int ({_cubic(rng)})"
+                               f" ({_cubic(rng)})"), {})
+        for n in range(7):
+            runs = _runs(e, n)
+            with pytest.MonkeyPatch.context() as patch:
+                _ticking(patch)
+                assert runs == _runs(e, n), n
 
     def test_a_marked_application_that_misses_its_slot_declines(self):
         # the recursive call's bisection, a single cell at cost 0,
@@ -566,7 +607,10 @@ def test_negative_cost_is_rejected():
 def test_machine_does_not_substitute(monkeypatch):
     def no_subst(*args):
         raise AssertionError("subst called by Machine")
-    monkeypatch.setattr(machine, "subst", no_subst)
+    # the machine does not import `subst`: the substituting reducer is in
+    # `dualpcf.reducer`
+    assert not hasattr(machine, "subst")
+    monkeypatch.setattr(lang, "subst", no_subst)
     for name in CORPUS:
         assert isinstance(eval_at_cost(load_corpus(name)[0], 2), Value), name
 
