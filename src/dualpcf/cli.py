@@ -11,7 +11,6 @@ or refinement ceiling exhausted, or a malformed option or `DUALPCF_BUDGET`
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -81,14 +80,16 @@ def _iv_json(iv: Interval) -> dict:
 
 def _render(out, cost: int, fmt: str) -> str:
     value = out.value
+    if fmt != "json":
+        return f"{value}"
+    import json
+
     dv = in_dual(value) if isinstance(value, Interval) else value
     counts = {"cost": cost, "steps": out.steps, "shared": out.shared}
-    if fmt == "json" and isinstance(dv, DualInterval):
+    if isinstance(dv, DualInterval):
         return json.dumps({"std": _iv_json(dv.std), "inf": _iv_json(dv.inf),
                            **counts})
-    if fmt == "json":
-        return json.dumps({"value": str(value), **counts})
-    return f"{value}"
+    return json.dumps({"value": str(value), **counts})
 
 
 def cmd_check(args) -> int:
@@ -166,6 +167,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .analysis import (
         check_L_soundness, check_monotone_refinement, relation_holds,
     )

@@ -24,18 +24,22 @@ outside every lambda is closed and keeps its code (`App.code`,
 `Lam.code`), so a term evaluated again is not compiled again; a run with
 `overrides` compiles against its own rules and keeps nothing.  The Y
 unfolding, the L body and the bottom of a straddled conditional are
-compiled once per type, or per type arguments and arity.
+compiled once per type, or per type arguments.
 
-A known call, a first-order constant applied to all its operands
-(`c a` for `c` of arity 1, `c a b` for arity 2), fires the rule that
-constant resolved to, as eval/apply does (Marlow and Peyton Jones,
-"Making a fast curry", ICFP 2004): one step per application node, then
-the operands' values at the current tag, left to right, with no partial
-value and no argument thunk.  A constant used as a value, passed to a
-function or applied to fewer operands, becomes a `PrimVal` and takes the
-generic path, which counts the same steps.  `Machine` runs a bisection's
-2^m cells in one loop; each cell is one step that applies f, evaluated
-once if that ticks no step, to a value thunk holding the cell.  On exact
+A known call, a first-order constant applied to all its operands (`c a`
+for `c` of arity 1, `c a b` for arity 2), fires the rule that constant
+resolved to, as eval/apply does (Marlow and Peyton Jones, "Making a fast
+curry", ICFP 2004): one step per application node, then the operands'
+values at the current tag, left to right, with no partial value and no
+argument thunk.  Any other constant evaluates to a `ConstVal`, whose
+arity and firing are fixed when the constant is compiled, with its Y
+unfolding or L body: a generic application ticks its step, adds its
+argument thunk and fires once there are arity of them.  int, sup, Y at a
+continuous type and L fire at the cost tag where the constant was
+evaluated, a first-order rule and Y at a discrete type at the tag of the
+application that saturates it.  `Machine` runs a bisection's 2^m cells
+in one loop; each cell is one step that applies f, evaluated once if
+that ticks no step, to a value thunk holding the cell.  On exact
 endpoints the rule's tree of `l/2 + r/2` is the cells' sum over 2^m, so
 int keeps one running sum; sup and a run with `overrides` fold the tree
 with the `max` rule or their own rules, so an overridden `+`, `/` or
@@ -44,15 +48,16 @@ with the `max` rule or their own rules, so an overridden `+`, `/` or
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
 Santos, "Let-floating", ICFP 1996).  Elaboration marks each application
-under a lambda that does not mention that lambda's variable with its free
-variables (`App.free`).  From a run's first int/sup cell on, a primitive
-forcing such an application as its argument looks it up in the run's
-table: the same cost tag and the same thunks bound to its free variables
-give the stored value, and the stored step count is replayed, so steps,
-budget exhaustion and enclosures are those of the unshared machine.
-`Outcome.shared` counts the replayed steps.  A shared application fires
-its rules once, so an `overrides` entry must be a pure function of its
-arguments.
+under a lambda that does not mention that lambda's variable with its
+free variables (`App.free`).  A run's table is made where its first
+bisection starts.  From then on, a rule reading such an application as
+its operand looks it up there, also when the rule began to fire before
+the table existed: the same cost tag and the same thunks bound to its
+free variables give the stored value, and the stored step count is
+replayed, so steps, budget exhaustion and enclosures are those of the
+unshared machine.  `Outcome.shared` counts the replayed steps.  A shared
+application fires its rules once, so an `overrides` entry must be a pure
+function of its arguments.
 
 A lambda whose body is straight-line, known calls, variables, literals,
 marked applications, and applications of a lambda or of a variable to a
@@ -66,9 +71,10 @@ integrand's code is a lambda's, every other variable of its body is bound
 to a value thunk, every marked application hits its slot and every
 applied variable is bound to the thunk of a lambda, the remaining cells
 run through the kernel and their steps are added at once, unless they
-would pass the budget.  Otherwise, and in a run with `overrides`, every
-cell ticks, so steps, `shared` and budget stops are those of the ticking
-loop.
+would pass the budget.  Otherwise every cell ticks, so steps, `shared`
+and budget stops are those of the ticking loop.  A run with `overrides`
+takes the kernel too: its known calls hold the overridden rules, and the
+combining tree fires the overridden `+`, `/` and `max`.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -82,9 +88,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .lang import (
-    App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IntSupAt,
-    IvLit, Lam, NatLit, REAL, SIGNATURES, Struct, Type, Var, app_spine,
-    fresh_var, uncurry,
+    App, Arrow, BoolLit, Const, CostTagged, DUAL, DualLit, Expr, If, IvLit,
+    Lam, NatLit, REAL, SIGNATURES, Struct, Type, Var, app_spine, fresh_var,
+    uncurry,
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_ZERO,
@@ -133,8 +139,8 @@ class CeilingReached(Exception):
 # (dual), an `int` (nat) or a `bool`, and `BOOL_BOTTOM` for a zero test on
 # a straddling interval.  A literal node evaluates to its payload; only
 # `step`, which rewrites terms, wraps a rule's result in a literal node
-# again.  int/sup values are their IntSupAt nodes.  An environment is a
-# tuple of thunks, innermost binder first.  The remaining values:
+# again.  An environment is a tuple of thunks, innermost binder first.
+# The remaining values:
 
 
 class Thunk(Struct):
@@ -172,36 +178,20 @@ class Closure(Struct):
         self.tag = tag
 
 
-class PrimVal(Struct):
-    """A first-order constant applied to fewer thunks than its arity, with
-    its rule resolved."""
-    __slots__ = ("name", "arity", "rule", "args")
-    _fields = ("name", "rule", "args")
+class ConstVal(Struct):
+    """A constant's value, applied to the thunks `args`, fewer than its
+    arity.  `fire(m, args, tag, at)`, fixed when the constant is compiled,
+    applies its rule once `arity` thunks are there: `tag` is the cost tag
+    the constant was evaluated at, `at` that of the saturating
+    application."""
+    __slots__ = _fields = ("name", "arity", "fire", "tag", "args")
 
-    def __init__(self, name: str, arity: int, rule, args: Tuple[Thunk, ...]):
+    def __init__(self, name: str, arity: int, fire, tag: int,
+                 args: Tuple[Thunk, ...]):
         self.name = name
         self.arity = arity
-        self.rule = rule
-        self.args = args
-
-
-class YVal(Struct):
-    __slots__ = ("ty", "tag", "unfold")
-    _fields = ("ty", "tag")
-
-    def __init__(self, ty: Type, tag: Optional[int], unfold: list):
-        self.ty = ty
-        self.tag = tag  # None: standard unbounded unfolding
-        self.unfold = unfold  # [run] of the unfolding `%F (Y %F)`
-
-
-class LVal(Struct):
-    __slots__ = _fields = ("targs", "n", "args")
-
-    def __init__(self, targs: Tuple[Type, ...], n: int,
-                 args: Tuple[Thunk, ...]):
-        self.targs = targs
-        self.n = n
+        self.fire = fire
+        self.tag = tag
         self.args = args
 
 
@@ -552,8 +542,8 @@ class Machine:
         self.steps = 0
         self.shared = 0
         # The sharing table of a run: a marked application's slot -> (key,
-        # value, steps), one slot per node.  None until the run enters its
-        # first int/sup cell, where the repeats are.
+        # value, steps), one slot per node.  None until the run's first
+        # bisection starts, where the repeats are.
         self._memo = None
 
     def evalc(self, e: Expr, tag: int):
@@ -613,8 +603,7 @@ class Machine:
             kern = None
             if cls is Lam:
                 body, _, kernel = self._compile(e.body, (e.var,) + scope)
-                if self._rules is not GROUND_RULES or \
-                        e.body.__class__ is App and e.body.free is not None:
+                if e.body.__class__ is App and e.body.free is not None:
                     # a marked body runs unshared, where its kernel would
                     # replay its slot
                     kernel = None
@@ -644,22 +633,46 @@ class Machine:
         return _rule(self._rules, c.name, c.targs[0].name if c.targs else None)
 
     def _compile_const(self, c: Const):
-        name = c.name
+        """The code of a constant: its `ConstVal` at the tag in force, with
+        the firing of its one rule."""
+        name, targs = c.name, c.targs
         if name in _ARITY:
-            pv = PrimVal(name, _ARITY[name], self._rule(c), ())
-            return lambda m, env, tag: pv
-        if name in ("int", "sup"):
-            carrier = c.targs[0]
-            return lambda m, env, tag: IntSupAt(name, carrier, tag, tag)
-        if name == "Y":
-            ty = c.targs[0]
+            rule, arity = self._rule(c), _ARITY[name]
+
+            def fire(m, args, tag, at):  # the operands' values at `at`
+                return rule(*[a.op(m, a.env, at) for a in args])
+        elif name in ("int", "sup"):
+            carrier, arity = targs[0], 1
+
+            def fire(m, args, tag, at):  # bisected at the constant's tag
+                return m._reduce_intsup(name, carrier, tag, args[0])
+        elif name == "Y":
+            ty, arity = targs[0], 1
             unfold = self._template(("Y", ty),
                                     lambda: unfold_y(ty, Var(_F), None), (_F,))
             if is_continuous_type(ty):
-                return lambda m, env, tag: YVal(ty, tag, unfold)
-            return lambda m, env, tag: YVal(ty, None, unfold)
-        targs = c.targs
-        return lambda m, env, tag: LVal(targs, tag, ())
+                bottom = self._template(("bottom", ty),
+                                        lambda: bottom_expr(ty))
+
+                def fire(m, args, tag, at):
+                    # unfold_y: at cost n the unfolding runs at n - 1, and
+                    # cost 0 gives bottom
+                    if tag == 0:
+                        return bottom[0], (), at
+                    return unfold[0], args, tag - 1
+            else:
+                def fire(m, args, tag, at):  # unbounded, at the tag in force
+                    return unfold[0], args, at
+        else:
+            arity = 1 + 2 * len(targs)
+            xs = tuple(f"%L{i}" for i in range(arity))
+            body = self._template(("L", targs),
+                                  lambda: l_body(targs, [Var(x) for x in xs]),
+                                  xs)
+
+            def fire(m, args, tag, at):
+                return _drive(m, body[0](m, args, tag)).inf
+        return lambda m, env, tag: ConstVal(name, arity, fire, tag, ())
 
     def _compile_app(self, e: App, scope: tuple):
         fn, arg = e.fn, e.arg
@@ -681,19 +694,13 @@ class Machine:
             # two application nodes, two steps
             rule = self._rule(fn.fn)
             _, a_op, a_kern = self._compile(fn.arg, scope)
-            b_run, b_op, b_kern = self._compile(arg, scope)
+            _, b_op, b_kern = self._compile(arg, scope)
 
             def run(m, env, tag):
                 m.steps += 2
                 if m.steps > m.budget:
                     raise _over_budget(m)
-                memo = m._memo
-                x = a_op(m, env, tag)
-                if memo is None and m._memo is not None:
-                    # the table began in x's run: the firing keeps to the
-                    # unshared operands it started with
-                    return rule(x, _drive(m, b_run(m, env, tag)))
-                return rule(x, b_op(m, env, tag))
+                return rule(a_op(m, env, tag), b_op(m, env, tag))
 
             kern = None if a_kern is None or b_kern is None else \
                 (rule, a_kern, b_kern)
@@ -777,63 +784,41 @@ class Machine:
 
     # -- application rules ----------------------------------------------
 
-    def _apply(self, fv, th: Thunk, tag: int):
-        """Apply a value other than a closure to an argument thunk; the
-        step was ticked by the caller.  The result may be a tail
-        transfer."""
-        cls = fv.__class__
-        if cls is PrimVal:
-            args = fv.args + (th,)
-            if len(args) < fv.arity:
-                return PrimVal(fv.name, fv.arity, fv.rule, args)
-            # the sharing table, as it is when the rule starts to fire
-            if self._memo is None:
-                return fv.rule(*[_drive(self, a.run(self, a.env, tag))
-                                 for a in args])
-            return fv.rule(*[a.op(self, a.env, tag) for a in args])
-        if cls is IntSupAt:
-            if self._memo is None:
-                self._memo = {}
-            return self._reduce_intsup(fv, th)
-        if cls is YVal:
-            # unfold_y: at cost n the unfolding runs at n - 1, and cost 0
-            # gives bottom; a discrete type unfolds at the tag in force
-            n, ty = fv.tag, fv.ty
-            if n == 0:
-                return self._template(("bottom", ty),
-                                      lambda: bottom_expr(ty))[0], (), tag
-            return fv.unfold[0], (th,), tag if n is None else n - 1
-        args = fv.args + (th,)  # an LVal
-        if len(args) < 1 + 2 * len(fv.targs):
-            return LVal(fv.targs, fv.n, args)
-        xs = tuple(f"%L{i}" for i in range(len(args)))
-        body = self._template(("L", fv.targs, len(args)),
-                              lambda: l_body(fv.targs, [Var(x) for x in xs]),
-                              xs)
-        return _drive(self, body[0](self, args, fv.n)).inf
+    def _apply(self, fv: ConstVal, th: Thunk, tag: int):
+        """Apply a constant's value to an argument thunk at the tag in
+        force; the step was ticked by the caller.  The result may be a
+        tail transfer."""
+        args = fv.args + (th,)
+        if len(args) < fv.arity:
+            return ConstVal(fv.name, fv.arity, fv.fire, fv.tag, args)
+        return fv.fire(self, args, fv.tag, tag)
 
-    def _reduce_intsup(self, node: IntSupAt, f: Thunk):
-        # The bisection rule rescales f with wrapper lambdas; composing
-        # those affine maps sends [0,1] to an explicit dyadic cell, so each
-        # of the 2^m cells applies f to its cell directly, one application
+    def _reduce_intsup(self, kind: str, carrier: Type, n: int, f: Thunk):
+        # int or sup at cost n bisects n times and runs f at n.  The
+        # bisection rule rescales f with wrapper lambdas; composing those
+        # affine maps sends [0,1] to an explicit dyadic cell, so each of
+        # the 2^n cells applies f to its cell directly, one application
         # step.  The cells run left to right into `fold`.  Each internal
         # node of the combining tree ticks where the rule does, before its
         # left subtree: just before cell i, as many nodes as i has trailing
-        # zero bits (m for cell 0).
-        m, n, f_run, f_env = node.m, node.n, f.run, f.env
-        if m > self.budget:  # cell 0's first tick passes it: build no 2**m
+        # zero bits (n for cell 0).
+        # the run's sharing table starts with its first bisection
+        if self._memo is None:
+            self._memo = {}
+        f_run, f_env = f.run, f.env
+        if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
-        if node.kind == "int" and self._rules is GROUND_RULES:
-            # exact: the tree of l/2 + r/2 is the cells' sum over 2**m
-            total = (IntervalSum if node.carrier.name == "pi" else DualSum)()
-            fold, result = total.add, lambda: total.mean(m)
+        if kind == "int" and self._rules is GROUND_RULES:
+            # exact: the tree of l/2 + r/2 is the cells' sum over 2**n
+            total = (IntervalSum if carrier.name == "pi" else DualSum)()
+            fold, result = total.add, lambda: total.mean(n)
         else:
-            fold, result = self._tree(node)
+            fold, result = self._tree(kind, carrier, n)
         closure = None  # f's value, once evaluating f ticked no step
         # f's body's kernel, where f's code is a lambda's
         kernel = getattr(f_run, "kernel", None)
-        for i in range(1 << m):
-            self.steps += (i & -i).bit_length() - 1 if i else m
+        for i in range(1 << n):
+            self.steps += (i & -i).bit_length() - 1 if i else n
             if self.steps > self.budget:
                 raise _over_budget(self)
             fv = closure
@@ -842,10 +827,10 @@ class Machine:
                 fv = _drive(self, f_run(self, f_env, n))
                 if fv.__class__ is Closure and self.steps == before:
                     closure = fv
-            # the cell [i, i+1] / 2**m, bound as a value thunk
+            # the cell [i, i+1] / 2**n, bound as a value thunk
             th = _new(Thunk)
             th.run = th.op = _its_value
-            th.env = iv_unchecked(i, i + 1, m, 1)
+            th.env = iv_unchecked(i, i + 1, n, 1)
             self.steps += 1
             if self.steps > self.budget:
                 raise _over_budget(self)
@@ -856,50 +841,50 @@ class Machine:
             if v.__class__ is tuple:
                 v = _drive(self, v)
             fold(v)
-            if not i and kernel is not None and self._bulk(f, node, fold):
+            if not i and kernel is not None and self._bulk(f, n, fold):
                 break
         return result()
 
-    def _bulk(self, f: Thunk, node: IntSupAt, fold) -> bool:
-        """Fold cells 1 to 2**m - 1 through the kernel of the body of f, a
-        thunk whose code is a lambda's, and add their steps at once: per
-        cell, its tree ticks, the application, the kernel's known calls
-        and beta steps and its replayed shared steps, the steps the
-        ticking loop takes there.  False, having run nothing, without a
-        sharing table, where the kernel does not instantiate, or where
-        those steps would pass the budget: the ticking loop then runs the
-        cells and stops where it passes."""
-        m = node.m
-        if self._memo is None or not m:
+    def _bulk(self, f: Thunk, n: int, fold) -> bool:
+        """Fold cells 1 to 2**n - 1 of a bisection at cost n through the
+        kernel of the body of f, a thunk whose code is a lambda's, and add
+        their steps at once: per cell, its tree ticks, the application,
+        the kernel's known calls and beta steps and its replayed shared
+        steps, the steps the ticking loop takes there.  False, having run
+        nothing, at cost 0, where the kernel does not instantiate, or
+        where those steps would pass the budget: the ticking loop then
+        runs the cells and stops where it passes."""
+        if not n:
             return False
         # forcing f gives a closure over f's environment at the tag n
-        kernel = _instance(self, (None,) + f.env, node.n, f.run.kernel)
+        kernel = _instance(self, (None,) + f.env, n, f.run.kernel)
         if kernel is None:
             return False
         fn, value, ticks, shared = kernel
-        cells = (1 << m) - 1
-        steps = cells - m + cells * (1 + ticks + shared)
+        cells = (1 << n) - 1
+        steps = cells - n + cells * (1 + ticks + shared)
         if self.steps + steps > self.budget:
             return False
         self.steps += steps
         self.shared += cells * shared
         if fn is None:
             fn = lambda c: value
-        for i in range(1, 1 << m):
-            fold(fn(iv_unchecked(i, i + 1, m, 1)))
+        for i in range(1, 1 << n):
+            fold(fn(iv_unchecked(i, i + 1, n, 1)))
         return True
 
-    def _tree(self, node: IntSupAt):
-        """`(fold, result)` of the literal combining tree: dual `max` is not
-        associative, and an overridden rule fires in `intsup_combine`."""
-        kind, carrier, rules = node.kind, node.carrier, self._rules
+    def _tree(self, kind: str, carrier: Type, n: int):
+        """`(fold, result)` of the literal combining tree of 2**n cells:
+        dual `max` is not associative, and an overridden rule fires in
+        `intsup_combine`."""
+        rules = self._rules
         if rules is GROUND_RULES:
             combine = GROUND_RULES["max", carrier.name]
         else:
             ground = lambda name, c, vals: rules[name, c.name](*vals)
             combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
                                                     ground, 2)
-        pending, cells = [], iter(range(1 << node.m))
+        pending, cells = [], iter(range(1 << n))
 
         def fold(v):
             # `pending` holds finished left subtrees; cell i closes the

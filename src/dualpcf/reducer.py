@@ -1,5 +1,6 @@
 """The literal one-step reducer: `step` applies exactly one reduction rule
-to a term, substituting, and `run_steps` iterates it to a normal form.
+to a term, substituting with `subst`, and `run_steps` iterates it to a
+normal form.
 
 The conformance tests compare it with the environment machine of
 `dualpcf.machine`, whose ground-rule table, Y unfolding, L body and
@@ -12,7 +13,7 @@ from typing import Optional
 
 from .lang import (
     App, BoolLit, Const, CostTagged, Expr, If, IntSupAt, IvLit, Lam, NatLit,
-    REAL, Type, Var, app_spine, fresh_var, spine, subst,
+    REAL, Type, Var, app_spine, fresh_var, spine,
 )
 from .machine import (
     BOOL_BOTTOM, BudgetError, StuckTerm, UndeterminedSignal, _ARITY,
@@ -23,6 +24,52 @@ from .numeric import IV_ONE, IV_UNIT
 from .typecheck import is_continuous_type
 
 _LITERALS = tuple(_PAYLOAD)
+
+
+def free_vars(e: Expr) -> set:
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, App):
+        return free_vars(e.fn) | free_vars(e.arg)
+    if isinstance(e, Lam):
+        return free_vars(e.body) - {e.var}
+    if isinstance(e, If):
+        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.els)
+    if isinstance(e, CostTagged):
+        return free_vars(e.expr)
+    return set()
+
+
+def subst(e: Expr, x: str, v: Expr) -> Expr:
+    """Capture-avoiding substitution of v for x in e.
+
+    The free variables of v are computed at most once, and binders are
+    renamed only on an actual collision, so the common case of a closed v
+    pays nothing extra.
+    """
+    fv = free_vars(v) if isinstance(v, (Var, Lam, App, If)) else frozenset()
+    return _subst(e, x, v, fv)
+
+
+def _subst(e: Expr, x: str, v: Expr, fv) -> Expr:
+    if isinstance(e, Var):
+        return v if e.name == x else e
+    if isinstance(e, App):
+        return App(_subst(e.fn, x, v, fv), _subst(e.arg, x, v, fv))
+    if isinstance(e, Lam):
+        if e.var == x:
+            return e
+        if e.var in fv:
+            nv = fresh_var("r")
+            body = _subst(e.body, e.var, Var(nv), frozenset())
+            return Lam(nv, e.ty, _subst(body, x, v, fv))
+        return Lam(e.var, e.ty, _subst(e.body, x, v, fv))
+    if isinstance(e, If):
+        return If(_subst(e.cond, x, v, fv), _subst(e.then, x, v, fv),
+                  _subst(e.els, x, v, fv), e.ty)
+    if isinstance(e, CostTagged):
+        return CostTagged(_subst(e.expr, x, v, fv), e.n)
+    return e
 
 
 def _const_app(name: str, carrier: Type, args) -> Expr:

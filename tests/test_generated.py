@@ -14,6 +14,8 @@ from dualpcf.machine import (
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
+from conftest import unshared
+
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
 real_literals = st.builds(
     lambda n, d: f"({n} / {d})" if n >= 0 else f"((0 - {-n}) / {d})",
@@ -197,13 +199,10 @@ def test_shared_and_unshared_runs_agree(src):
     for n in range(3):
         shared = eval_at_cost(e, n)
         with pytest.MonkeyPatch.context() as patch:
-            # a sharing table that stays None: every application runs
-            patch.setattr(Machine, "_memo",
-                          property(lambda m: None, lambda m, table: None))
-            unshared = eval_at_cost(e, n)
-        assert unshared.shared == 0
-        assert (unshared.value, unshared.steps) == \
-            (shared.value, shared.steps), n
+            unshared(patch)
+            alone = eval_at_cost(e, n)
+        assert alone.shared == 0
+        assert (alone.value, alone.steps) == (shared.value, shared.steps), n
 
 
 @settings(max_examples=150, deadline=None)

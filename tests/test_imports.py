@@ -100,8 +100,8 @@ def test_no_dataclasses(module):
 
 def test_cli_start_up_loads_only_what_eval_runs():
     # `verify` and `examples` import the analysis and corpus modules
-    # themselves, so `check` and `eval` never load them; only the tests
-    # run the literal reducer
+    # themselves, and only JSON output imports `json`, so `check` and
+    # `eval` never load them; only the tests run the literal reducer
     code = ("import sys; before = set(sys.modules); import dualpcf.cli; "
             "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -109,5 +109,5 @@ def test_cli_start_up_loads_only_what_eval_runs():
                          capture_output=True, text=True, timeout=60)
     loaded = set(out.stdout.split())
     assert "dualpcf.machine" in loaded
-    assert loaded & {"dataclasses", "inspect", "dualpcf.analysis",
+    assert loaded & {"dataclasses", "inspect", "json", "dualpcf.analysis",
                      "dualpcf.corpus", "dualpcf.reducer"} == set()

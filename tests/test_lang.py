@@ -3,8 +3,9 @@ import pytest
 
 from dualpcf.lang import (
     App, Arrow, BoolLit, Const, DUAL, Ground, If, Lam, NAT, NatLit,
-    ParseError, REAL, SIGNATURES, Var, free_vars, parse, print_expr, subst,
+    ParseError, REAL, SIGNATURES, Var, parse, print_expr,
 )
+from dualpcf.reducer import free_vars, subst
 
 
 class TestParser:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpcf import lang, machine
+from dualpcf import machine, reducer
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
     App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, REAL,
@@ -22,6 +22,8 @@ from dualpcf.numeric import (
 )
 from dualpcf.reducer import run_steps, step
 from dualpcf.typecheck import elaborate
+
+from conftest import unshared
 
 
 def ev(src, n=0, budget=10_000_000):
@@ -288,6 +290,32 @@ class TestSingleStep:
         assert _unlit(nf) == big.value
         assert str(big.value) == expected
 
+    @pytest.mark.parametrize("src", [
+        # a constant returned from a Y unfolding carries the tag of that
+        # unfolding: int and sup bisect at it, Y[delta] unfolds below it
+        "(Y[(real -> delta) -> delta] (fun r: (real -> delta) -> delta. int))"
+        " (fun t: real. in_delta t)",
+        "(Y[(real -> delta) -> delta] (fun r: (real -> delta) -> delta. sup))"
+        " (fun t: real. in_delta t)",
+        "(Y[(delta -> delta) -> delta] (fun r: (delta -> delta) -> delta."
+        " Y[delta])) (fun x: delta. int (fun t: real. in_delta t))",
+    ], ids=["int", "sup", "y"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_returned_constants_keep_their_cost_tag(self, src, n):
+        e, _ = elaborate(parse(src), {})
+        nf, _ = run_steps(CostTagged(e, n), max_steps=100000)
+        assert _unlit(nf) == eval_at_cost(e, n).value
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_returned_first_order_constant_fires_at_the_application(self, n):
+        # a first-order rule reads its operands at the tag of the
+        # application that saturates it, as its known call does.
+        # `run_steps` is stuck here: it leaves the argument of an
+        # application whose head is not a lambda untagged
+        returned = val("(Y[delta -> delta] (fun r: delta -> delta. pr))"
+                       " (int (fun t: real. in_delta t))", n)
+        assert returned == val("pr (int (fun t: real. in_delta t))", n)
+
     def test_max_override_fires_in_both_reducers(self):
         # a `max` that keeps its left operand: sup's combine then keeps the
         # leftmost cell, under the evaluator and the one-step reducer alike
@@ -429,7 +457,7 @@ class TestCellKernel:
     # shared steps and budget stops are those of the ticking loop
 
     @staticmethod
-    def bisections(src, n=3):
+    def bisections(src, n=3, overrides=None):
         """Whether each bisection of src's run at cost n took the kernel,
         for those whose integrand has one."""
         taken, bulk = [], Machine._bulk
@@ -441,10 +469,10 @@ class TestCellKernel:
         e, _ = elaborate(parse(src), {})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Machine, "_bulk", spy)
-            out = eval_at_cost(e, n)
+            out = eval_at_cost(e, n, overrides=overrides)
         with pytest.MonkeyPatch.context() as patch:
             _ticking(patch)
-            assert eval_at_cost(e, n) == out
+            assert eval_at_cost(e, n, overrides=overrides) == out
         return taken
 
     @pytest.mark.parametrize("name", list(CORPUS))
@@ -496,10 +524,33 @@ class TestCellKernel:
          " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [False]),
         # an argument that is not a variable
         ("int (fun t: real. (fun u: real. in_delta u) (t * t))", []),
+        # a marked application of the inlined body mentions the cell: its
+        # slot is keyed on each cell's thunk and misses
+        ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [False]),
     ], ids=["L_cubics", "applied_variable", "lagrangian_action", "shifted",
-            "conditional_head", "applied_head", "non_variable_argument"])
+            "conditional_head", "applied_head", "non_variable_argument",
+            "marked_mentions_cell"])
     def test_which_applications_are_inlined(self, src, bisections):
         assert self.bisections(src) == bisections
+
+    @pytest.mark.parametrize("src,bisections", [
+        ("int (fun x: real. int (fun y: real. x * y))", [True] * 8),
+        ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
+        ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
+         " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
+         [True]),
+    ], ids=["nested", "sup", "L_cubics"])
+    @pytest.mark.parametrize("overrides", [
+        TREE, {"*": lambda carrier, vals: vals[0]}], ids=["tree", "times"])
+    def test_runs_with_overrides_take_the_kernel(self, src, bisections,
+                                                 overrides):
+        # the known calls of a kernel hold the overridden rules, and the
+        # tree fold fires the overridden `+` and `/`
+        assert self.bisections(src, 3, overrides) == bisections
+        e, _ = elaborate(parse(src), {})
+        nf, _ = run_steps(CostTagged(e, 3), max_steps=100000,
+                          overrides=overrides)
+        assert _unlit(nf) == eval_at_cost(e, 3, overrides=overrides).value
 
     @pytest.mark.parametrize("seed", range(4))
     def test_l_ladder_agrees_with_ticking_loop(self, seed):
@@ -571,7 +622,7 @@ def test_fresh_terms_leave_nothing_behind():
 class TestKnownCalls:
     # A first-order constant applied to all its operands fires its rule
     # directly; passed as a value, it takes the generic path through a
-    # partial `PrimVal`, with one beta step more and the same value.
+    # partial `ConstVal`, with one beta step more and the same value.
 
     @pytest.mark.parametrize("partial,saturated", [
         ("(fun g: delta -> delta -> delta. g (in_delta 1) (in_delta 2)) max",
@@ -607,10 +658,10 @@ def test_negative_cost_is_rejected():
 def test_machine_does_not_substitute(monkeypatch):
     def no_subst(*args):
         raise AssertionError("subst called by Machine")
-    # the machine does not import `subst`: the substituting reducer is in
-    # `dualpcf.reducer`
+    # the machine does not import `subst`, which the substituting reducer
+    # `dualpcf.reducer` defines
     assert not hasattr(machine, "subst")
-    monkeypatch.setattr(lang, "subst", no_subst)
+    monkeypatch.setattr(reducer, "subst", no_subst)
     for name in CORPUS:
         assert isinstance(eval_at_cost(load_corpus(name)[0], 2), Value), name
 
@@ -718,14 +769,35 @@ class TestSharing:
         out = eval_at_cost(e, 2, budget=full.steps)
         assert isinstance(out, Value) and out.steps == full.steps
 
-    def test_a_firing_keeps_the_table_it_started_with(self):
+    def test_a_firing_reads_the_table_its_operands_made(self):
         # `x * x` is marked; the first `g` call's `+` starts before the run
-        # has a table and forces it unshared, though its left operand made
-        # one, so the second call finds nothing stored to replay
-        out = ev("(fun x: delta. (fun g: delta -> delta. g 1 + g 2)"
-                 " (fun y: delta. int (fun t: real. in_delta t) + x * x))"
-                 " (in_delta 3)", 2)
-        assert (out.steps, out.shared) == (46, 0)
+        # has a table, its left operand's int makes one, and its right
+        # operand stores `x * x` there, so the second call replays it
+        e, _ = elaborate(parse(
+            "(fun x: delta. (fun g: delta -> delta. g 1 + g 2)"
+            " (fun y: delta. int (fun t: real. in_delta t) + x * x))"
+            " (in_delta 3)"), {})
+        out = eval_at_cost(e, 2)
+        assert (out.steps, out.shared) == (46, 6)
+        with pytest.MonkeyPatch.context() as patch:
+            unshared(patch)
+            assert eval_at_cost(e, 2) == Value(46, 0, out.value)
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus_ladder_agrees_with_unshared_runs(self, name):
+        # the same values, steps and budget stops, with no step replayed
+        def seen(out):
+            return out.__class__, getattr(out, "value", None), out.steps
+
+        e, _ = load_corpus(name)
+        for n in range(5 if CORPUS[name].heavy else 11):
+            runs = _runs(e, n)
+            with pytest.MonkeyPatch.context() as patch:
+                unshared(patch)
+                alone = _runs(e, n)
+            assert [seen(out) for out in alone] == \
+                [seen(out) for out in runs], n
+            assert {out.shared for out in alone} == {0}, n
 
     @pytest.mark.parametrize("name,steps,shared,stopped_shared", [
         ("nested_int_xyz", 424, 96, 19_472),

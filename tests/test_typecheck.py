@@ -2,7 +2,7 @@
 import pytest
 
 from dualpcf.lang import (
-    App, Arrow, BOOL, DUAL, If, Lam, NAT, NatLit, REAL, parse, subst,
+    App, Arrow, BOOL, DUAL, If, Lam, NAT, NatLit, REAL, parse,
 )
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
@@ -10,6 +10,7 @@ from dualpcf.typecheck import (
     typecheck,
 )
 from dualpcf.machine import eval_at_cost
+from dualpcf.reducer import subst
 
 
 def ty_of(src):
