@@ -30,7 +30,7 @@ from .lang import (
 )
 from .machine import CeilingReached, eval_at_cost, eval_refine, Value
 from .numeric import DualInterval, Interval, IV_ZERO
-from .typecheck import coerce
+from .typecheck import elaborate
 
 RELATION_COST = 4
 SOUNDNESS_COSTS = (0, 1, 2)
@@ -139,7 +139,7 @@ def _sample_related_args(ty, rng: random.Random, r):
             return (Lam(x, ty.src, a1), Lam(x, ty.src, a2), Lam(x, ty.src, a3))
         # translations x + c preserve the relation pointwise; x is
         # embedded into delta first, as elaboration would
-        v = coerce(Var(x), ty.src, DUAL)
+        v = elaborate(Var(x), {x: ty.src}, DUAL)[0]
         mk = lambda c: Lam(x, ty.src, App(App(Const("+", (DUAL,)), v), c))
         return mk(a1), mk(a2), mk(a3)
     raise ValueError(f"no sampler for arguments of type {ty}")

@@ -8,6 +8,7 @@ and raw interval / dual-interval literals, which the parser never produces.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Optional, Tuple
 
 from .numeric import DualInterval, Interval
@@ -44,14 +45,31 @@ class Struct:
 
 
 class Type(Struct):
+    """A type.  Types are interned (hash-consed): building a type equal to
+    one already built returns that object, so equality and hashing are by
+    identity, and a copy or a pickle round trip returns the same object.
+    The tables keep every type built, of which programs name few."""
+
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class Ground(Type):
     __slots__ = _fields = ("name",)  # "o", "nu", "pi", "delta"
+    _table: dict = {}
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str):
+        self = cls._table.get(name)
+        if self is None:
+            self = object.__new__(cls)
+            self.name = name
+            # one atomic call: threads building the same type get one object
+            self = cls._table.setdefault(name, self)
+        return self
+
+    def __reduce__(self):
+        return Ground, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -59,10 +77,19 @@ class Ground(Type):
 
 class Arrow(Type):
     __slots__ = _fields = ("src", "dst")
+    _table: dict = {}
 
-    def __init__(self, src: Type, dst: Type):
-        self.src = src
-        self.dst = dst
+    def __new__(cls, src: Type, dst: Type):
+        self = cls._table.get((src, dst))
+        if self is None:
+            self = object.__new__(cls)
+            self.src = src
+            self.dst = dst
+            self = cls._table.setdefault((src, dst), self)
+        return self
+
+    def __reduce__(self):
+        return Arrow, (self.src, self.dst)
 
     def __str__(self) -> str:
         s = f"({self.src})" if isinstance(self.src, Arrow) else str(self.src)
@@ -270,13 +297,21 @@ class ParseError(Exception):
         self.col = col
 
 
+# One pattern per token, with the whitespace and comments before it: a
+# token's kind is the number of the group that matched (`lastindex`), and
+# it is a tuple (kind, text, offset).  At the end of the source the empty
+# EOF group matches; an unexpected character's group takes the rest of the
+# source, so that the scan ends on it.
+ARROW, NUM, IDENT, SYM, EOF, BAD = range(1, 7)
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<arrow>->|→)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*|ν|π|δ|λ)
-  | (?P<sym>[()\[\].,:=<\\+\-*/])
+    \s*(?:\#[^\n]*\s*)*
+    (?: (->|→)
+      | (\d+)
+      | ([A-Za-z_][A-Za-z0-9_']*|ν|π|δ|λ)
+      | ([()\[\].,:=<\\+\-*/])
+      | (\Z)
+      | (.[\s\S]*) )
     """,
     re.VERBOSE,
 )
@@ -290,42 +325,32 @@ TYPE_NAMES = {
 }
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _shown(t: Token) -> str:
+def _shown(t) -> str:
     """A token as a parse error names it."""
-    return "end of input" if t.kind == "eof" else repr(t.text)
+    return "end of input" if t[0] == EOF else repr(t[1])
 
 
 def _lex(src: str):
-    toks = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind != "ws":
-            toks.append(Token(kind, text, line, col))
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    toks = [(k := m.lastindex, m[k], m.start(k))
+            for m in _TOKEN_RE.finditer(src)]
+    if len(toks) > 1 and toks[-2][0] == BAD:
+        off = toks[-2][2]
+        raise ParseError(f"unexpected character {src[off]!r}",
+                         *_positions(src)(off))
     return toks
+
+
+def _positions(src: str):
+    """The function from an offset in src to its (line, column), both
+    from 1."""
+    if "\n" not in src:
+        return lambda off: (1, off + 1)
+    newlines = [m.start() for m in re.finditer("\n", src)]
+
+    def pos(off: int) -> Tuple[int, int]:
+        line = bisect_left(newlines, off)  # the newlines before off
+        return line + 1, off - newlines[line - 1] if line else off + 1
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -336,57 +361,56 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
         self.i = 0
+        self.pos = _positions(src)
 
-    def peek(self) -> Token:
+    def peek(self):
         return self.toks[self.i]
 
-    def next(self) -> Token:
+    def next(self):
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {_shown(t)}", t.line, t.col)
-        return t
+    def fail(self, msg: str, t):
+        raise ParseError(msg, *self.pos(t[2]))
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def expect(self, text: str):
+        t = self.next()
+        if t[1] != text:
+            self.fail(f"expected {text!r}, found {_shown(t)}", t)
+        return t
 
     # -- types --
 
     def parse_type(self) -> Type:
         lhs = self.parse_type_atom()
-        if self.peek().kind == "arrow":
-            self.next()
+        if self.peek()[0] == ARROW:
+            self.i += 1
             return Arrow(lhs, self.parse_type())
         return lhs
 
     def parse_type_atom(self) -> Type:
-        t = self.peek()
-        if t.text == "(":
-            self.next()
+        t = self.next()
+        if t[1] == "(":
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if t.text in TYPE_NAMES:
-            self.next()
-            return TYPE_NAMES[t.text]
-        self.error(f"expected a type, found {_shown(t)}")
+        ty = TYPE_NAMES.get(t[1])
+        if ty is None:
+            self.fail(f"expected a type, found {_shown(t)}", t)
+        return ty
 
     # -- expressions --
 
     def parse_expr(self, env) -> Expr:
-        t = self.peek()
-        if t.text in ("fun", "λ", "\\"):
-            self.next()
+        text = self.toks[self.i][1]
+        if text in ("fun", "λ", "\\"):
+            self.i += 1
             binders = []
             while True:
                 b = self.parse_binder()
                 binders.append(b)
-                if self.peek().text == ".":
+                if self.peek()[1] == ".":
                     break
             self.expect(".")
             inner_env = env | {name for name, _ in binders}
@@ -394,23 +418,22 @@ class _Parser:
             for name, ty in reversed(binders):
                 body = Lam(name, ty, body)
             return body
-        if t.text == "let":
-            self.next()
+        if text == "let":
+            self.i += 1
             name_tok = self.next()
-            if name_tok.kind != "ident" or name_tok.text in KEYWORDS:
-                raise ParseError("expected a name after 'let'",
-                                 name_tok.line, name_tok.col)
+            if name_tok[0] != IDENT or name_tok[1] in KEYWORDS:
+                self.fail("expected a name after 'let'", name_tok)
             ty = None
-            if self.peek().text == ":":
-                self.next()
+            if self.peek()[1] == ":":
+                self.i += 1
                 ty = self.parse_type()
             self.expect("=")
             value = self.parse_expr(env)
             self.expect("in")
-            body = self.parse_expr(env | {name_tok.text})
-            return App(Lam(name_tok.text, ty, body), value)
-        if t.text == "if":
-            self.next()
+            body = self.parse_expr(env | {name_tok[1]})
+            return App(Lam(name_tok[1], ty, body), value)
+        if text == "if":
+            self.i += 1
             cond = self.parse_expr(env)
             self.expect("then")
             then = self.parse_expr(env)
@@ -421,118 +444,114 @@ class _Parser:
 
     def parse_binder(self):
         t = self.next()
-        if t.text == "(":
+        if t[1] == "(":
             name_tok = self.next()
             self.expect(":")
             ty = self.parse_type()
             self.expect(")")
-            return (name_tok.text, ty)
-        if t.kind != "ident" or t.text in KEYWORDS:
-            raise ParseError(f"expected a binder, found {_shown(t)}", t.line,
-                             t.col)
+            return (name_tok[1], ty)
+        if t[0] != IDENT or t[1] in KEYWORDS:
+            self.fail(f"expected a binder, found {_shown(t)}", t)
         ty = None
-        if self.peek().text == ":":
-            self.next()
+        if self.peek()[1] == ":":
+            self.i += 1
             ty = self.parse_type()
-        return (t.text, ty)
+        return (t[1], ty)
 
     def parse_cmp(self, env) -> Expr:
         lhs = self.parse_add(env)
-        if self.peek().text == "<":
+        if self.toks[self.i][1] == "<":
             t = self.next()
             if lhs != NatLit(0):
-                raise ParseError("only the zero test '0 < e' is supported",
-                                 t.line, t.col)
+                self.fail("only the zero test '0 < e' is supported", t)
             rhs = self.parse_add(env)
-            return App(Const("lt0", pos=(t.line, t.col)), rhs)
+            return App(Const("lt0", pos=self.pos(t[2])), rhs)
         return lhs
 
     def parse_add(self, env) -> Expr:
         lhs = self.parse_mul(env)
-        while self.peek().text in ("+", "-"):
-            t = self.next()
+        while self.toks[self.i][1] in ("+", "-"):
+            _, op, off = self.toks[self.i]
+            self.i += 1
             rhs = self.parse_mul(env)
-            lhs = App(App(Const(t.text, pos=(t.line, t.col)), lhs), rhs)
+            lhs = App(App(Const(op, pos=self.pos(off)), lhs), rhs)
         return lhs
 
     def parse_mul(self, env) -> Expr:
         lhs = self.parse_unary(env)
-        while self.peek().text in ("*", "/"):
-            t = self.next()
+        while self.toks[self.i][1] in ("*", "/"):
+            _, op, off = self.toks[self.i]
+            self.i += 1
             rhs = self.parse_unary(env)
-            lhs = App(App(Const(t.text, pos=(t.line, t.col)), lhs), rhs)
+            lhs = App(App(Const(op, pos=self.pos(off)), lhs), rhs)
         return lhs
 
     def parse_unary(self, env) -> Expr:
-        t = self.peek()
-        if t.text == "-":
-            self.next()
+        _, text, off = self.toks[self.i]
+        if text == "-":
+            self.i += 1
             inner = self.parse_unary(env)
-            return App(App(Const("-", pos=(t.line, t.col)), NatLit(0)), inner)
+            return App(App(Const("-", pos=self.pos(off)), NatLit(0)), inner)
         return self.parse_app(env)
 
     def parse_app(self, env) -> Expr:
         e = self.parse_atom(env)
-        while self._starts_atom():
-            if self.peek().text == "(":
+        while True:
+            kind, text, _ = self.toks[self.i]
+            if text == "(":
                 # argument lists: f(a, b) is sugar for f a b
-                self.next()
+                self.i += 1
                 args = [self.parse_expr(env)]
-                while self.peek().text == ",":
-                    self.next()
+                while self.peek()[1] == ",":
+                    self.i += 1
                     args.append(self.parse_expr(env))
                 self.expect(")")
                 for a in args:
                     e = App(e, a)
-            else:
+            elif kind == NUM or (kind == IDENT and text not in KEYWORDS
+                                 and text != "λ"):
                 e = App(e, self.parse_atom(env))
-        return e
-
-    def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind == "num" or t.text == "(":
-            return True
-        return t.kind == "ident" and t.text not in KEYWORDS and t.text != "λ"
+            else:
+                return e
 
     def parse_atom(self, env) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return NatLit(int(t.text), pos=(t.line, t.col))
-        if t.text == "(":
+        t = self.toks[self.i]
+        self.i += 1
+        kind, name, off = t
+        if kind == NUM:
+            return NatLit(int(name), pos=self.pos(off))
+        if name == "(":
             e = self.parse_expr(env)
             self.expect(")")
             return e
-        if t.kind == "ident":
-            name = t.text
-            if name in ("Y", "L"):
-                self.expect("[")
-                targs = [self.parse_type()]
-                while self.peek().text == ",":
-                    self.next()
-                    targs.append(self.parse_type())
-                self.expect("]")
-                return Const(name, tuple(targs), pos=(t.line, t.col))
-            if name in ("tt", "ff"):
-                return BoolLit(name == "tt", pos=(t.line, t.col))
-            if name == "In":
-                raise ParseError("'In' is not available in surface programs",
-                                 t.line, t.col)
-            # a binder may take the zero test's name, but no other constant's
-            if name in SIGNATURES and (name != "lt0" or name not in env):
-                return Const(name, pos=(t.line, t.col))
-            if name in env:
-                return Var(name, pos=(t.line, t.col))
-            raise ParseError(f"unbound variable {name!r}", t.line, t.col)
-        raise ParseError(f"expected an expression, found {_shown(t)}", t.line,
-                         t.col)
+        if kind != IDENT:
+            self.fail(f"expected an expression, found {_shown(t)}", t)
+        if name in ("Y", "L"):
+            self.expect("[")
+            targs = [self.parse_type()]
+            while self.peek()[1] == ",":
+                self.i += 1
+                targs.append(self.parse_type())
+            self.expect("]")
+            return Const(name, tuple(targs), pos=self.pos(off))
+        if name in ("tt", "ff"):
+            return BoolLit(name == "tt", pos=self.pos(off))
+        if name == "In":
+            self.fail("'In' is not available in surface programs", t)
+        # a binder may take the zero test's name, but no other constant's
+        if name in SIGNATURES and (name != "lt0" or name not in env):
+            return Const(name, pos=self.pos(off))
+        if name in env:
+            return Var(name, pos=self.pos(off))
+        self.fail(f"unbound variable {name!r}", t)
 
 
 def parse(src: str) -> Expr:
     p = _Parser(src)
     e = p.parse_expr(frozenset())
     t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    if t[0] != EOF:
+        p.fail(f"trailing input {t[1]!r}", t)
     return e
 
 

@@ -51,6 +51,7 @@ def _pos(e: Expr) -> Optional[Tuple[int, int]]:
 
 
 NUMERIC = (NAT, REAL, DUAL)
+_CLOSED = frozenset()  # the free variables of a constant or a literal
 
 
 def _at(ty: Type, carrier: Optional[Type]) -> Type:
@@ -102,52 +103,64 @@ def _numeric_rank(ty: Type) -> int:
     return {NAT: 0, REAL: 1, DUAL: 2}[ty]
 
 
-def coerce(e: Expr, have: Type, want: Type) -> Expr:
-    """e, of type have, at type want: the casts `in_pi` and `in_delta`
-    inserted, pointwise under a lambda at an arrow type."""
-    if have is want or have == want:
-        return e
-    if have == NAT and want == REAL:
-        return App(Const("in_pi"), e)
-    if have == NAT and want == DUAL:
-        return App(Const("in_delta"), App(Const("in_pi"), e))
-    if have == REAL and want == DUAL:
-        return App(Const("in_delta"), e)
-    if isinstance(have, Arrow) and isinstance(want, Arrow) \
-            and have.src == want.src:
-        # have != want, so the codomains differ and the body is new
-        x = fresh_var("c")
-        return Lam(x, have.src, coerce(App(e, Var(x)), have.dst, want.dst))
-    raise TypeCheckError(MISMATCH, f"expected {want}, found {have}", _pos(e))
-
-
 class _Checker:
-    def infer(self, e: Expr, env: Dict[str, Type]) -> Tuple[Expr, Type]:
-        if isinstance(e, NatLit):
-            return e, NAT
-        if isinstance(e, BoolLit):
-            return e, BOOL
-        if isinstance(e, Var):
-            if e.name not in env:
+    """Elaboration in one pass.  Each method returns the elaborated term
+    with its free variables, and marks the applications it builds for
+    sharing (`App.free`): an application under a lambda that does not
+    mention that lambda's variable.  An application stays open, in
+    `self.open` with its free variables, until the lambda nearest above
+    it is built; one under no lambda is never marked."""
+
+    def __init__(self):
+        self.open = []
+
+    def app(self, fn: Expr, arg: Expr, fv: frozenset) -> App:
+        out = App(fn, arg)
+        self.open.append((out, fv))
+        return out
+
+    def lam(self, var: str, ty: Type, body: Expr, start: int) -> Lam:
+        """The lambda over body, whose open applications are those from
+        `start` on: each that does not mention var is marked."""
+        opened = self.open
+        for a, fv in opened[start:]:
+            if var not in fv:
+                a.free = tuple(sorted(fv))
+        del opened[start:]
+        return Lam(var, ty, body)
+
+    def infer(self, e: Expr, env: Dict[str, Type]
+              ) -> Tuple[Expr, Type, frozenset]:
+        cls = e.__class__
+        if cls is App:
+            return self.elab_app(e, env, None)
+        if cls is Var:
+            ty = env.get(e.name)
+            if ty is None:
                 raise TypeCheckError(UNBOUND_VAR, f"unbound variable {e.name!r}",
                                      e.pos)
-            return e, env[e.name]
-        if isinstance(e, Const):
-            return self.infer_const(e)
-        if isinstance(e, Lam):
+            return e, ty, frozenset((e.name,))
+        if cls is NatLit:
+            return e, NAT, _CLOSED
+        if cls is Const:
+            return (*self.infer_const(e), _CLOSED)
+        if cls is BoolLit:
+            return e, BOOL, _CLOSED
+        if cls is Lam:
             if e.ty is None:
                 raise TypeCheckError(MISMATCH,
                                      f"cannot infer unannotated binder {e.var!r}",
                                      _pos(e))
-            body, bty = self.infer(e.body, {**env, e.var: e.ty})
-            return Lam(e.var, e.ty, body), Arrow(e.ty, bty)
-        if isinstance(e, If):
+            start = len(self.open)
+            body, bty, fv = self.infer(e.body, {**env, e.var: e.ty})
+            return (self.lam(e.var, e.ty, body, start), Arrow(e.ty, bty),
+                    fv - {e.var})
+        if cls is If:
             return self.elab_if(e, env, None)
-        if isinstance(e, App):
-            return self.elab_app(e, env, None)
         raise TypeCheckError(MISMATCH, f"cannot type {e!r}", _pos(e))
 
-    def check(self, e: Expr, env: Dict[str, Type], want: Type) -> Expr:
+    def check(self, e: Expr, env: Dict[str, Type],
+              want: Type) -> Tuple[Expr, frozenset]:
         if isinstance(e, Lam) and isinstance(want, Arrow):
             ty = e.ty if e.ty is not None else want.src
             if ty != want.src:
@@ -155,16 +168,44 @@ class _Checker:
                     MISMATCH,
                     f"binder {e.var!r} has type {ty}, expected {want.src}",
                     _pos(e))
-            body = self.check(e.body, {**env, e.var: ty}, want.dst)
-            return Lam(e.var, ty, body)
+            start = len(self.open)
+            body, fv = self.check(e.body, {**env, e.var: ty}, want.dst)
+            return self.lam(e.var, ty, body, start), fv - {e.var}
         if isinstance(e, If):
-            out, _ = self.elab_if(e, env, want)
-            return out
+            out, _, fv = self.elab_if(e, env, want)
+            return out, fv
+        start = len(self.open)
         if isinstance(e, App):
-            out, got = self.elab_app(e, env, want)
-            return coerce(out, got, want)
-        out, got = self.infer(e, env)
-        return coerce(out, got, want)
+            out, got, fv = self.elab_app(e, env, want)
+        else:
+            out, got, fv = self.infer(e, env)
+        return self.coerce(out, fv, got, want, start), fv
+
+    def coerce(self, e: Expr, fv: frozenset, have: Type, want: Type,
+               start: Optional[int] = None) -> Expr:
+        """e, of type have and with free variables fv, at type want: the
+        casts `in_pi` and `in_delta` inserted, pointwise under a lambda at
+        an arrow type.  Only that lambda needs `start`, where e's open
+        applications begin: it is built around them."""
+        if have is want:
+            return e
+        if have is NAT and want is REAL:
+            return self.app(Const("in_pi"), e, fv)
+        if have is NAT and want is DUAL:
+            return self.app(Const("in_delta"),
+                            self.app(Const("in_pi"), e, fv), fv)
+        if have is REAL and want is DUAL:
+            return self.app(Const("in_delta"), e, fv)
+        if isinstance(have, Arrow) and isinstance(want, Arrow) \
+                and have.src is want.src:
+            # have != want, so the codomains differ and the body is new
+            x = fresh_var("c")
+            xfv = fv | {x}
+            body = self.coerce(self.app(e, Var(x), xfv), xfv, have.dst,
+                               want.dst, start)
+            return self.lam(x, have.src, body, start)
+        raise TypeCheckError(MISMATCH, f"expected {want}, found {have}",
+                             _pos(e))
 
     # -- constants ----------------------------------------------------
 
@@ -201,19 +242,22 @@ class _Checker:
 
     # -- composite forms ----------------------------------------------
 
-    def elab_if(self, e: If, env, want: Optional[Type]) -> Tuple[Expr, Type]:
-        cond = self.check(e.cond, env, BOOL)
+    def elab_if(self, e: If, env, want: Optional[Type]
+                ) -> Tuple[Expr, Type, frozenset]:
+        cond, cfv = self.check(e.cond, env, BOOL)
         if want is not None:
-            then = self.check(e.then, env, want)
-            els = self.check(e.els, env, want)
-            return If(cond, then, els, want), want
-        then, tt = self.infer(e.then, env)
-        els, te = self.infer(e.els, env)
+            then, tfv = self.check(e.then, env, want)
+            els, efv = self.check(e.els, env, want)
+            return If(cond, then, els, want), want, cfv | tfv | efv
+        then, tt, tfv = self.infer(e.then, env)
+        els, te, efv = self.infer(e.els, env)
         ty = self._join_numeric(e, tt, te)
-        return If(cond, coerce(then, tt, ty),
-                  coerce(els, te, ty), ty), ty
+        return (If(cond, self.coerce(then, tfv, tt, ty),
+                   self.coerce(els, efv, te, ty), ty),
+                ty, cfv | tfv | efv)
 
-    def elab_app(self, e: App, env, want: Optional[Type]) -> Tuple[Expr, Type]:
+    def elab_app(self, e: App, env, want: Optional[Type]
+                 ) -> Tuple[Expr, Type, frozenset]:
         head, args = spine(e)
         if isinstance(head, Const):
             name = head.name
@@ -230,19 +274,23 @@ class _Checker:
         fn = e.fn
         if isinstance(fn, Lam) and fn.ty is None:
             # applied unannotated lambda (let-sugar): infer the argument
-            arg, aty = self.infer(e.arg, env)
-            body, bty = self.infer(fn.body, {**env, fn.var: aty})
-            return App(Lam(fn.var, aty, body), arg), bty
-        fn, fty = self.infer(fn, env)
+            arg, aty, afv = self.infer(e.arg, env)
+            start = len(self.open)
+            body, bty, bfv = self.infer(fn.body, {**env, fn.var: aty})
+            fv = (bfv - {fn.var}) | afv
+            return (self.app(self.lam(fn.var, aty, body, start), arg, fv),
+                    bty, fv)
+        fn, fty, ffv = self.infer(fn, env)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(MISMATCH,
                                  f"cannot apply a value of type {fty}",
                                  _pos(e.fn))
-        arg = self.check(e.arg, env, fty.src)
-        return App(fn, arg), fty.dst
+        arg, afv = self.check(e.arg, env, fty.src)
+        fv = ffv | afv
+        return self.app(fn, arg, fv), fty.dst, fv
 
     def elab_overloaded(self, c: Const, operands, args, env,
-                        want: Optional[Type]) -> Tuple[Expr, Type]:
+                        want: Optional[Type]) -> Tuple[Expr, Type, frozenset]:
         """An overloaded constant applied to all its operands.  Those at
         the carrier are inferred, must be numeric and are coerced to it;
         the others are checked at their types.  The carrier is the one the
@@ -250,27 +298,35 @@ class _Checker:
         dual and pi if none is.  Every such constant returns its carrier."""
         inferred = [self.infer(a, env)
                     for a, ty in zip(args, operands) if ty is CARRIER]
-        tys = [ty for _, ty in inferred]
-        for ty in tys:
+        carrier = REAL
+        for _, ty, _ in inferred:
             if ty not in NUMERIC:
                 raise TypeCheckError(
                     MISMATCH, f"arithmetic on non-numeric type {ty}", c.pos)
-        carrier = DUAL if DUAL in tys else REAL
+            if ty is DUAL:
+                carrier = DUAL
         if want in (REAL, DUAL):
             if want == REAL and carrier is DUAL:
                 raise TypeCheckError(
                     MISMATCH, "dual operand in a real context", c.pos)
             carrier = want
         out: Expr = Const(c.name, (carrier,), pos=c.pos)
+        fv = _CLOSED
         inferred = iter(inferred)
         for a, ty in zip(args, operands):
-            out = App(out, coerce(*next(inferred), carrier) if ty is CARRIER
-                      else self.check(a, env, ty))
-        return out, carrier
+            if ty is CARRIER:
+                arg, aty, afv = next(inferred)
+                arg = self.coerce(arg, afv, aty, carrier)
+            else:
+                arg, afv = self.check(a, env, ty)
+            fv = fv | afv
+            out = self.app(out, arg, fv)
+        return out, carrier, fv
 
     def elab_intsup(self, c: Const, f: Expr, env,
-                    want: Optional[Type]) -> Tuple[Expr, Type]:
-        fe, fty = self.infer(f, env)
+                    want: Optional[Type]) -> Tuple[Expr, Type, frozenset]:
+        start = len(self.open)
+        fe, fty, fv = self.infer(f, env)
         if not isinstance(fty, Arrow) or fty.src != REAL:
             raise TypeCheckError(
                 MISMATCH, f"{c.name} needs a function on reals, found {fty}",
@@ -279,19 +335,20 @@ class _Checker:
             carrier = want
         else:
             carrier = fty.dst if fty.dst in (REAL, DUAL) else DUAL
-        fe = coerce(fe, fty, Arrow(REAL, carrier))
-        return App(Const(c.name, (carrier,), pos=c.pos), fe), carrier
+        fe = self.coerce(fe, fv, fty, Arrow(REAL, carrier), start)
+        return (self.app(Const(c.name, (carrier,), pos=c.pos), fe, fv),
+                carrier, fv)
 
-    def elab_lt0(self, c: Const, a: Expr, env) -> Tuple[Expr, Type]:
-        ae, at = self.infer(a, env)
+    def elab_lt0(self, c: Const, a: Expr, env) -> Tuple[Expr, Type, frozenset]:
+        ae, at, fv = self.infer(a, env)
         if at == DUAL:
             raise TypeCheckError(ZERO_TEST_ON_DUAL,
                                  "the zero test cannot be applied to dual values",
                                  c.pos)
-        ae = coerce(ae, at, REAL)
-        return App(Const("lt0", pos=c.pos), ae), BOOL
+        ae = self.coerce(ae, fv, at, REAL)
+        return self.app(Const("lt0", pos=c.pos), ae, fv), BOOL, fv
 
-    def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type]:
+    def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type, frozenset]:
         tys = list(c.targs)
         if not tys:
             raise TypeCheckError(BAD_L_SHAPE,
@@ -315,41 +372,24 @@ class _Checker:
                     L_INSIDE_L_ARGUMENT,
                     "the derivative operator cannot appear inside its own "
                     "arguments", c.pos)
-        fty = arrow(*tys, DUAL)
-        fe = self.check(args[0], env, fty)
-        out: Expr = Const("L", tuple(tys), pos=c.pos)
-        out = App(out, fe)
+        fe, fv = self.check(args[0], env, arrow(*tys, DUAL))
+        out = self.app(Const("L", tuple(tys), pos=c.pos), fe, fv)
         for j, a in enumerate(args[1:]):
-            out = App(out, self.check(a, env, tys[j % k]))
-        return out, REAL
+            ae, afv = self.check(a, env, tys[j % k])
+            fv = fv | afv
+            out = self.app(out, ae, fv)
+        return out, REAL, fv
 
 
-def _mark_shared(e: Expr, x: Optional[str]) -> frozenset:
-    """Mark in place each application in e under the lambda binding x that
-    does not mention x (a free expression, in full laziness's terms) with
-    its free variables, and return the free variables of e.  Elaboration
-    builds every application it returns, so no input node is marked."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, App):
-        fv = _mark_shared(e.fn, x) | _mark_shared(e.arg, x)
-        if x is not None and x not in fv:
-            e.free = tuple(sorted(fv))
-        return fv
-    if isinstance(e, Lam):
-        return _mark_shared(e.body, e.var) - {e.var}
-    if isinstance(e, If):
-        return (_mark_shared(e.cond, x) | _mark_shared(e.then, x)
-                | _mark_shared(e.els, x))
-    return frozenset()
-
-
-def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None) -> Tuple[Expr, Type]:
+def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None,
+              want: Optional[Type] = None) -> Tuple[Expr, Type]:
     """Type-check a surface term, returning the coercion-elaborated term
-    with its sharing candidates marked (see `App.free`)."""
-    out, ty = _Checker().infer(e, env or {})
-    _mark_shared(out, None)
-    return out, ty
+    with its sharing candidates marked (see `App.free`) and its type: the
+    type inferred, or `want` if given, with the casts to it inserted."""
+    if want is None:
+        out, ty, _ = _Checker().infer(e, env or {})
+        return out, ty
+    return _Checker().check(e, env or {}, want)[0], want
 
 
 def typecheck(e: Expr) -> Type:

@@ -1,4 +1,5 @@
 """Helpers shared by the test modules."""
+from dualpcf.lang import App, If, Lam, Var
 from dualpcf.machine import Machine
 
 
@@ -17,3 +18,38 @@ def unshared(patch):
     table = _Forgetful()
     patch.setattr(Machine, "_memo",
                   property(lambda m: table, lambda m, value: None))
+
+
+def marks(e):
+    """The `App.free` of each application in e, in pre-order."""
+    if isinstance(e, App):
+        return [e.free] + marks(e.fn) + marks(e.arg)
+    if isinstance(e, Lam):
+        return marks(e.body)
+    if isinstance(e, If):
+        return marks(e.cond) + marks(e.then) + marks(e.els)
+    return []
+
+
+def reference_marks(e, x=None):
+    """The reference for the elaborator's sharing marks, made by a second
+    walk over the finished term: e's free variables, and what `marks`
+    should read on e when the nearest lambda above e binds x.  An
+    application under a lambda that does not mention that lambda's
+    variable is marked with its free variables, sorted."""
+    if isinstance(e, Var):
+        return {e.name}, []
+    if isinstance(e, App):
+        fv_fn, fn_marks = reference_marks(e.fn, x)
+        fv_arg, arg_marks = reference_marks(e.arg, x)
+        fv = fv_fn | fv_arg
+        mark = tuple(sorted(fv)) if x is not None and x not in fv else None
+        return fv, [mark] + fn_marks + arg_marks
+    if isinstance(e, Lam):
+        fv, body_marks = reference_marks(e.body, e.var)
+        return fv - {e.var}, body_marks
+    if isinstance(e, If):
+        parts = [reference_marks(p, x) for p in (e.cond, e.then, e.els)]
+        return (set().union(*(fv for fv, _ in parts)),
+                [m for _, ms in parts for m in ms])
+    return set(), []

@@ -2,10 +2,17 @@
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
 and neither the sharing table, int's running sum nor the cell kernel
-changes a run."""
+changes a run.  The front end reads every spelling of a term alike and
+marks it as the reference does, and `eval` ends every run by the exit
+contract."""
+import contextlib
+import io
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualpcf import cli
 from dualpcf.analysis import check_monotone_refinement
 from dualpcf.lang import CostTagged, parse
 from dualpcf.machine import (
@@ -14,7 +21,7 @@ from dualpcf.machine import (
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
-from conftest import unshared
+from conftest import marks, reference_marks, unshared
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
 real_literals = st.builds(
@@ -223,3 +230,60 @@ def test_kernel_and_ticking_loop_agree(src):
             # every cell through the ticking loop
             patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
             assert runs(n) == kernel, n
+
+
+@st.composite
+def respelled(draw):
+    """A generated term's source and the same source respelled: other
+    spellings of `fun`, `real` and `->`, and some spaces turned into
+    newlines or comments."""
+    src = draw(delta_terms())
+
+    def spell(*forms):
+        return lambda m: draw(st.sampled_from(forms))
+
+    out = re.sub(r"\bfun\b", spell("fun", "λ", "\\"), src)
+    out = re.sub(r"\breal\b", spell("real", "π", "pi"), out)
+    out = re.sub(r"->", spell("->", "→"), out)
+    out = re.sub(r" ", spell(" ", "\n", " # a comment → λ\n"), out)
+    return src, out
+
+
+@settings(max_examples=100, deadline=None)
+@given(respelled())
+def test_spellings_parse_alike(sources):
+    src, other = sources
+    e = parse(src)
+    assert parse(other) == e
+    assert elaborate(parse(other), {})[1] is elaborate(e, {})[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta_terms())
+def test_one_pass_marks_agree_with_the_reference(src):
+    e, _ = elaborate(parse(src), {})
+    assert marks(e) == reference_marks(e)[1]
+
+
+@pytest.fixture(scope="module")
+def program_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "prog.dpcf"
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta_terms(),
+       st.sampled_from([["--cost", "0"], ["--cost", "2"],
+                        ["--width", "1/4", "--ceiling", "4"]]),
+       st.sampled_from([["--budget", "1"], ["--budget", "50"], []]))
+def test_eval_keeps_the_exit_contract(program_file, src, mode, budget):
+    # exit 0-3; a failure says so in one line on stderr, never a traceback.
+    # The ceiling keeps a refinement that never narrows from running into
+    # the default budget at cost 8, 16, ...: seconds per example.
+    program_file.write_text(src)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", str(program_file), *mode, *budget])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()

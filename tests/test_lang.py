@@ -1,9 +1,17 @@
-"""Parser, printer and substitution tests."""
+"""Parser, printer, substitution and type-interning tests."""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from dualpcf.lang import (
     App, Arrow, BoolLit, Const, DUAL, Ground, If, Lam, NAT, NatLit,
-    ParseError, REAL, SIGNATURES, Var, parse, print_expr,
+    ParseError, REAL, SIGNATURES, TYPE_NAMES, Var, parse, print_expr,
 )
 from dualpcf.reducer import free_vars, subst
 
@@ -79,13 +87,31 @@ class TestParser:
         ("fun x:", "expected a type, found end of input", 1, 7),
         ("in_pi 1 +\n", "expected an expression, found end of input", 2, 1),
         ("1 + )", "expected an expression, found ')'", 1, 5),
+        ("# a comment line\n1 + )", "expected an expression, found ')'", 2, 5),
+        ("\n\n\n\nfun 3. x", "expected a binder, found '3'", 5, 5),
+        ("λf: π → π. f $", "unexpected character '$'", 1, 14),
+        ("λx: π → π. x )", "trailing input ')'", 1, 14),
+        ("1 +\t)", "expected an expression, found ')'", 1, 5),
+        ("1 + # a trailing comment",
+         "expected an expression, found end of input", 1, 25),
+        ("fun x: real.\n  # comment λ → π\n  x + @",
+         "unexpected character '@'", 3, 7),
     ], ids=["character", "close_paren", "let_name", "binder", "end_binder",
-            "end_type", "end_expression", "expression"])
+            "end_type", "end_expression", "expression", "after_comment",
+            "after_blank_lines", "after_unicode", "trailing_after_unicode",
+            "after_tab", "end_after_comment", "character_after_comment"])
     def test_error_position(self, src, message, line, col):
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert (exc.value.message, exc.value.line, exc.value.col) == \
             (message, line, col)
+
+    def test_positions_on_the_third_line(self):
+        e = parse("fun x: real.\n  fun y: real.\n    x + 3 * y")
+        plus = e.body.body.fn.fn
+        x, three = e.body.body.fn.arg, e.body.body.arg.fn.arg
+        assert (plus, x, three) == (Const("+"), Var("x"), NatLit(3))
+        assert (plus.pos, x.pos, three.pos) == ((3, 7), (3, 5), (3, 9))
 
     def test_booleans_are_literals(self):
         assert parse("if tt then ff else tt") == \
@@ -186,3 +212,85 @@ class TestNodeContract:
     ])
     def test_nodes_have_no_dict(self, node):
         assert not hasattr(node, "__dict__")
+
+
+class TestInterning:
+    # Types are hash-consed: an equal type is the same object.
+    TYPES = [REAL, Arrow(REAL, DUAL), Arrow(Arrow(NAT, REAL), DUAL),
+             Ground("carrier")]
+
+    def test_equal_types_are_one_object(self):
+        assert Arrow(REAL, DUAL) is Arrow(REAL, DUAL)
+        assert Ground("pi") is REAL
+        assert Arrow(Arrow(REAL, DUAL), NAT) is Arrow(Arrow(REAL, DUAL), NAT)
+        assert Arrow(REAL, DUAL) is not Arrow(DUAL, REAL)
+
+    def test_parser_builds_the_interned_types(self):
+        assert TYPE_NAMES["real"] is TYPE_NAMES["π"] is REAL
+        e = parse("L[real -> delta, dual] Y[(nat -> pi) -> δ]")
+        assert e.fn.targs == (Arrow(REAL, DUAL), DUAL)
+        assert e.fn.targs[0] is Arrow(REAL, DUAL) and e.fn.targs[1] is DUAL
+        assert e.arg.targs[0] is Arrow(Arrow(NAT, REAL), DUAL)
+        assert parse("fun x: ν. x").ty is NAT
+
+    @pytest.mark.parametrize("ty", TYPES, ids=str)
+    def test_copies_and_pickles_stay_interned(self, ty):
+        assert copy.copy(ty) is ty
+        assert copy.deepcopy(ty) is ty
+        assert pickle.loads(pickle.dumps(ty)) is ty
+        e = Const("Y", (ty,))
+        assert copy.deepcopy(e).targs[0] is ty
+        assert pickle.loads(pickle.dumps(e)).targs[0] is ty
+
+    def test_hash_agrees_with_equality(self):
+        for a in self.TYPES:
+            for b in self.TYPES:
+                assert (a == b) == (a is b)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert len({Arrow(REAL, DUAL), Arrow(REAL, DUAL), REAL}) == 2
+
+    def test_threads_building_one_type_get_one_object(self):
+        def build(out):
+            for i in range(300):
+                out.append(Arrow(Ground(f"race{i}"), Arrow(REAL, DUAL)))
+
+        built = [[] for _ in range(4)]
+        threads = [threading.Thread(target=build, args=(out,))
+                   for out in built]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 300 for out in built)
+        assert all(a is b for out in built[1:] for a, b in zip(built[0], out))
+
+    def test_import_builds_only_the_signature_types(self):
+        # the intern tables hold, after start-up, the types of the
+        # signature, the carrier placeholder, the parser's type names and
+        # the elaborator's table of constants at each carrier
+        code = """if True:
+            import dualpcf.cli
+            from dualpcf.lang import Arrow, CARRIER, Ground, SIGNATURES, TYPE_NAMES
+            from dualpcf.typecheck import _TYPES
+            def parts(ty):
+                if isinstance(ty, Arrow):
+                    return {ty} | parts(ty.src) | parts(ty.dst)
+                return {ty}
+            built = set().union(*map(parts, [
+                CARRIER, *SIGNATURES.values(), *TYPE_NAMES.values(),
+                *_TYPES.values()]))
+            tables = set(Ground._table.values()) | set(Arrow._table.values())
+            print(len(tables), tables == built)
+        """
+        package = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.split()[1] == "True", out.stdout

@@ -1,9 +1,12 @@
-"""Type checking, coercion insertion, and derivative-operator shape rules."""
+"""Type checking, coercion insertion, sharing marks, and derivative-operator
+shape rules."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from dualpcf.lang import (
-    App, Arrow, BOOL, DUAL, If, Lam, NAT, NatLit, REAL, parse,
-)
+from dualpcf.lang import Arrow, BOOL, DUAL, NAT, NatLit, REAL, parse
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
     ZERO_TEST_ON_DUAL, elaborate, is_continuous_type, is_l_admissible,
@@ -11,6 +14,8 @@ from dualpcf.typecheck import (
 )
 from dualpcf.machine import eval_at_cost
 from dualpcf.reducer import subst
+
+from conftest import marks, reference_marks
 
 
 def ty_of(src):
@@ -146,17 +151,6 @@ class TestDerivativeOperator:
         assert not is_continuous_type(Arrow(DUAL, BOOL))
 
 
-def marks(e):
-    """The `App.free` of each application in e, in pre-order."""
-    if isinstance(e, App):
-        return [e.free] + marks(e.fn) + marks(e.arg)
-    if isinstance(e, Lam):
-        return marks(e.body)
-    if isinstance(e, If):
-        return marks(e.cond) + marks(e.then) + marks(e.els)
-    return []
-
-
 class TestSharingMarks:
     def test_application_free_of_nearest_binder_is_marked(self):
         e, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
@@ -183,3 +177,52 @@ class TestSharingMarks:
         assert marks(first) == marks(second)
         assert ("x",) in marks(first) and () in marks(first)
         assert set(marks(surface)) == {None}
+
+    @pytest.mark.parametrize("src", [
+        # an inferred function cast pointwise: the cast's lambda encloses
+        # the function's applications, which mention the outer binder
+        "fun f: real -> real -> real. fun y: real. "
+        "L[real -> delta] int (f y) (f 1)",
+        "fun f: real -> real -> real. (fun h: real -> delta. h 1) (f 2)",
+        # two lambdas deep, the inner one enclosing the outer's application
+        "fun f: nat -> real -> real -> real. fun y: real. "
+        "(fun h: real -> real -> delta. h y y) (f (succ 1))",
+        # under no lambda but the cast's
+        "(fun h: real -> delta. h 1) ((fun f: real -> real -> real. f 2) "
+        "(fun a: real. fun b: real. a * b))",
+    ])
+    def test_pointwise_casts_mark_what_they_enclose(self, src):
+        e, _ = elaborate(parse(src))
+        assert marks(e) == reference_marks(e)[1]
+        assert "fun %c" in str(e)  # the cast's lambda
+
+
+def _polys_sources(seed):
+    """The programs of the `polys` benchmark at a seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.get(spec.name)
+    if workloads is None:
+        workloads = sys.modules[spec.name] = \
+            importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return sorted({op.args[0] for op in workloads.Polys(seed).ops})
+
+
+def _front_end_programs():
+    from dualpcf.cli import _RELATION_CASES
+    from dualpcf.corpus import CORPUS, FIRST_ORDER_FUNCTIONS, corpus_source
+    return ([corpus_source(name) for name in CORPUS]
+            + list(FIRST_ORDER_FUNCTIONS.values())
+            + [src for _, src in _RELATION_CASES]
+            + [src for seed in (1, 2, 3) for src in _polys_sources(seed)])
+
+
+def test_one_pass_marks_agree_with_the_reference():
+    # the corpus, the first-order functions, the relation cases and the
+    # polys programs of seeds 1-3
+    programs = _front_end_programs()
+    assert len(programs) > 40
+    for src in programs:
+        e, _ = elaborate(parse(src))
+        assert marks(e) == reference_marks(e)[1], src
