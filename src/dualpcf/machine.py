@@ -76,6 +76,20 @@ and budget stops are those of the ticking loop.  A run with `overrides`
 takes the kernel too: its known calls hold the overridden rules, and the
 combining tree fires the overridden `+`, `/` and `max`.
 
+An int without `overrides` sums those cells in closed form.  Each cell is
+`[i, i+1] / 2^m`, so the kernel runs once on a range of cells as one
+interval whose numerators are integer polynomials in i (`numeric.Poly`),
+and the rules of `Interval` and `DualInterval` run on them unchanged;
+the denominators do not depend on i.  Each sign test a rule makes is
+decided for the whole range, or raises `Undecided`, and the range is
+halved (Moore, "Interval Analysis", 1966), down to single cells, which
+run as they are.  Since every branch is decided uniformly, the symbolic
+value at each i is the per-cell value, and the exact sums of its
+numerators over the range (Graham, Knuth and Patashnik, "Concrete
+Mathematics", ch. 2) are what the per-cell fold adds, in the same form.
+Steps, `shared` and budget stops are those of the kernel's fold.  sup and
+a run with `overrides` fold the kernel's cells one at a time.
+
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
 budget guards against divergence of the unbounded fixed point.
@@ -94,8 +108,8 @@ from .lang import (
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_ZERO,
-    Interval, IntervalSum, dual_max, dual_min, dual_pr, in_dual, iv_max,
-    iv_min, iv_pr, iv_unchecked,
+    Interval, IntervalSum, Undecided, dual_max, dual_min, dual_pr, in_dual,
+    iv_max, iv_min, iv_pr, iv_unchecked, poly_cells,
 )
 from .typecheck import is_continuous_type
 
@@ -530,6 +544,25 @@ def _binary(rule, fa, va, fb, vb):
     return lambda c: rule(fa(c), fb(c))
 
 
+def _sum_cells(fn, total, lo: int, hi: int, n: int) -> None:
+    """Add the kernel's values at the cells `[i, i+1] / 2**n`, lo <= i <
+    hi, to the running sum `total`, in closed form: `fn` runs once on all
+    of them as `poly_cells`, and the value's numerators are summed.  A
+    range where a sign test is `Undecided` is halved, and a single cell
+    runs as it is."""
+    if hi - lo > 1:
+        try:
+            v = fn(poly_cells(lo, hi, n))
+        except Undecided:
+            mid = (lo + hi) // 2
+            _sum_cells(fn, total, lo, mid, n)
+            _sum_cells(fn, total, mid, hi, n)
+            return
+    else:
+        v = fn(iv_unchecked(lo, hi, n, 1))
+    total.add_cells(v, hi - lo)
+
+
 class Machine:
     __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo")
 
@@ -847,8 +880,9 @@ class Machine:
 
     def _bulk(self, f: Thunk, n: int, fold) -> bool:
         """Fold cells 1 to 2**n - 1 of a bisection at cost n through the
-        kernel of the body of f, a thunk whose code is a lambda's, and add
-        their steps at once: per cell, its tree ticks, the application,
+        kernel of the body of f, a thunk whose code is a lambda's, in
+        closed form where `fold` adds to a running sum (`_sum_cells`), and
+        add their steps at once: per cell, its tree ticks, the application,
         the kernel's known calls and beta steps and its replayed shared
         steps, the steps the ticking loop takes there.  False, having run
         nothing, at cost 0, where the kernel does not instantiate, or
@@ -869,8 +903,12 @@ class Machine:
         self.shared += cells * shared
         if fn is None:
             fn = lambda c: value
-        for i in range(1, 1 << n):
-            fold(fn(iv_unchecked(i, i + 1, n, 1)))
+        total = getattr(fold, "__self__", None)  # an int's running sum
+        if total is None:
+            for i in range(1, 1 << n):
+                fold(fn(iv_unchecked(i, i + 1, n, 1)))
+        else:
+            _sum_cells(fn, total, 1, 1 << n, n)
         return True
 
     def _tree(self, kind: str, carrier: Type, n: int):

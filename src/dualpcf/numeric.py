@@ -28,11 +28,23 @@ Only the public constructors validate their input: `Interval(lo, hi)`,
 `IV_BOTTOM` itself for `(-inf, +inf)`.  Every result of the arithmetic is
 built by `iv_unchecked`.  Instances are immutable by convention: nothing
 assigns to them after construction, and all operations are pure.
+
+The numerators may also be polynomial: `poly_cells(lo, hi, e)` is the
+cells `[i, i+1] / 2**e` for lo <= i < hi as one interval whose numerators
+are `Poly`s, integer polynomials in i - lo.  The arithmetic above runs on
+it unchanged, since it only adds, multiplies and shifts numerators and
+compares them, and the denominator `d << e` never depends on i.  A
+comparison of polys returns the truth value it has at every cell of the
+range, decided from bounds on the difference, or raises `Undecided`; so a
+result built without `Undecided` is, at each i, the interval the same
+operations give on the cell i.  `IntervalSum.add_cells` adds such a
+result at each of its cells, by the exact sums of its numerators.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, inf
+from math import comb, gcd, inf
 
 _new = object.__new__
 
@@ -92,6 +104,133 @@ def _align(x: "Interval", y: "Interval"):
     return a, b, c, f, e, d
 
 
+class Undecided(ArithmeticError):
+    """A comparison of polynomial numerators that holds at some cells of
+    their range and fails at others, or that their bounds do not decide."""
+
+
+class Poly:
+    """An integer polynomial in the offset j of a cell index, over the
+    cells `0 <= j <= top` of a range: `c[k]` is the coefficient of j**k,
+    and the last one is not zero.  `+`, `-`, `*` and `<<` with an int or
+    a poly over the same range give a poly, or an int where the result is
+    constant.  A comparison gives the truth value it has at every j of the
+    range, or raises `Undecided`."""
+
+    __slots__ = ("c", "top")
+
+    def __add__(self, o):
+        c = self.c[:]
+        if o.__class__ is Poly:
+            if len(o.c) > len(c):
+                c, o = o.c[:], self
+            for k, x in enumerate(o.c):
+                c[k] += x
+        else:
+            c[0] += o
+        return _poly(c, self.top)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _poly([-x for x in self.c], self.top)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if o.__class__ is not Poly:
+            return _poly([x * o for x in self.c], self.top)
+        c = [0] * (len(self.c) + len(o.c) - 1)
+        for i, x in enumerate(self.c):
+            for k, y in enumerate(o.c):
+                c[i + k] += x * y
+        return _poly(c, self.top)
+
+    __rmul__ = __mul__
+
+    def __lshift__(self, k: int):
+        return _poly([x << k for x in self.c], self.top)
+
+    def bounds(self):
+        """`(lo, hi)` enclosing every value on the range: each j**k, k >= 1,
+        lies in [0, top**k]."""
+        lo = hi = self.c[0]
+        p = 1
+        for x in self.c[1:]:
+            p *= self.top
+            if x < 0:
+                lo += x * p
+            else:
+                hi += x * p
+        return lo, hi
+
+    def sum(self) -> int:
+        """The exact sum over the range, from the power sums
+        S_k = sum of j**k over j < N, N the number of cells, which
+        N**(k+1) = sum over m <= k of C(k+1, m) S_m gives one by one."""
+        n, s, total = self.top + 1, [], 0
+        for k, x in enumerate(self.c):
+            s.append((n ** (k + 1) - sum(comb(k + 1, m) * s[m]
+                                         for m in range(k))) // (k + 1))
+            total += x * s[k]
+        return total
+
+    __lt__ = lambda self, o: _uniform(self - o, operator.lt)
+    __le__ = lambda self, o: _uniform(self - o, operator.le)
+    __gt__ = lambda self, o: _uniform(self - o, operator.gt)
+    __ge__ = lambda self, o: _uniform(self - o, operator.ge)
+
+    def __eq__(self, o):  # `!=` is its negation
+        d = self - o
+        if d.__class__ is int:
+            return d == 0
+        lo, hi = d.bounds()  # never both 0: d is not constant
+        if lo > 0 or hi < 0:
+            return False
+        raise Undecided
+
+
+def _poly(c: list, top: int):
+    """The poly of the coefficients c, or its constant."""
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    if len(c) == 1:
+        return c[0]
+    p = _new(Poly)
+    p.c = c
+    p.top = top
+    return p
+
+
+def _uniform(d, test):
+    """`test(v, 0)` for the values v of d, an int or a poly, where it is
+    the same for all of them: a threshold test holds on all of [lo, hi]
+    when it holds at both ends, and fails on all when it fails at both."""
+    if d.__class__ is int:
+        return test(d, 0)
+    lo, hi = d.bounds()
+    t = test(lo, 0)
+    if t is not test(hi, 0):
+        raise Undecided
+    return t
+
+
+def poly_cells(lo: int, hi: int, e: int) -> "Interval":
+    """The cells `[i, i+1] / 2**e` for lo <= i < hi as one interval, its
+    numerators polynomials in i - lo."""
+    top = hi - lo - 1
+    return iv_unchecked(_poly([lo, 1], top), _poly([lo + 1, 1], top), e, 1)
+
+
+def _total(x, cells: int) -> int:
+    # a numerator's sum over a range of cells
+    return x.sum() if x.__class__ is Poly else x * cells
+
+
 class IntervalSum:
     """An exact running sum of intervals, held as the numerators of one
     interval over `d << e` and aligned by `_align`; `d` 0 once a bottom
@@ -113,6 +252,13 @@ class IntervalSum:
         else:
             self.d = 0
 
+    def add_cells(self, x: "Interval", cells: int) -> None:
+        """Add x at each of `cells` cells: its numerators are polys over
+        those cells, or ints."""
+        if x.d:
+            x = iv_unchecked(_total(x.a, cells), _total(x.b, cells), x.e, x.d)
+        self.add(x)
+
     def mean(self, m: int) -> "Interval":
         """The sum divided by 2**m: its exponent raised by m."""
         if not self.d:
@@ -131,6 +277,10 @@ class DualSum:
     def add(self, x: "DualInterval") -> None:
         self.std.add(x.std)
         self.inf.add(x.inf)
+
+    def add_cells(self, x: "DualInterval", cells: int) -> None:
+        self.std.add_cells(x.std, cells)
+        self.inf.add_cells(x.inf, cells)
 
     def mean(self, m: int) -> "DualInterval":
         return DualInterval(self.std.mean(m), self.inf.mean(m))
@@ -254,9 +404,18 @@ class Interval:
             return IV_ZERO if z.a == z.b == 0 else IV_BOTTOM
         # The sign cases of Hickey, Ju and van Emden (JACM 2001), read off
         # the numerators: each factor is >= 0, <= 0 or straddles 0; only
-        # when both straddle are all four products needed.
+        # when both straddle are all four products needed.  A point factor
+        # has its sign alone decide, in the form every case gives it.
         a, b, c, f = self.a, self.b, other.a, other.b
         e, d = self.e + other.e, self.d * other.d
+        if c.__class__ is f.__class__ is int and c == f:
+            if c >= 0:
+                return iv_unchecked(a * c, b * c, e, d)
+            return iv_unchecked(b * c, a * c, e, d)
+        if a.__class__ is b.__class__ is int and a == b:
+            if a >= 0:
+                return iv_unchecked(a * c, a * f, e, d)
+            return iv_unchecked(a * f, a * c, e, d)
         if a >= 0:
             if c >= 0:
                 return iv_unchecked(a * c, b * f, e, d)

@@ -87,6 +87,9 @@ def is_l_admissible(ty: Type) -> bool:
             and all(isinstance(a, Ground) for a in args))
 
 
+_L_IN_L = "the derivative operator cannot appear inside its own arguments"
+
+
 def contains_l(e: Expr) -> bool:
     if isinstance(e, Const):
         return e.name == "L"
@@ -113,6 +116,7 @@ class _Checker:
 
     def __init__(self):
         self.open = []
+        self.in_l = False  # within the arguments of an L
 
     def app(self, fn: Expr, arg: Expr, fv: frozenset) -> App:
         out = App(fn, arg)
@@ -349,6 +353,8 @@ class _Checker:
         return self.app(Const("lt0", pos=c.pos), ae, fv), BOOL, fv
 
     def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type, frozenset]:
+        if self.in_l:
+            raise TypeCheckError(L_INSIDE_L_ARGUMENT, _L_IN_L, c.pos)
         tys = list(c.targs)
         if not tys:
             raise TypeCheckError(BAD_L_SHAPE,
@@ -366,18 +372,23 @@ class _Checker:
                 f"the derivative operator expects {1 + 2 * k} arguments "
                 f"(function, {k} points, {k} directions), found {len(args)}",
                 c.pos)
-        for a in args:
-            if contains_l(a):
-                raise TypeCheckError(
-                    L_INSIDE_L_ARGUMENT,
-                    "the derivative operator cannot appear inside its own "
-                    "arguments", c.pos)
-        fe, fv = self.check(args[0], env, arrow(*tys, DUAL))
-        out = self.app(Const("L", tuple(tys), pos=c.pos), fe, fv)
-        for j, a in enumerate(args[1:]):
-            ae, afv = self.check(a, env, tys[j % k])
-            fv = fv | afv
-            out = self.app(out, ae, fv)
+        # an L met in the arguments raises, and any error there is read
+        # as that error if an argument holds an L, ahead of type errors
+        self.in_l = True
+        try:
+            fe, fv = self.check(args[0], env, arrow(*tys, DUAL))
+            out = self.app(Const("L", tuple(tys), pos=c.pos), fe, fv)
+            for j, a in enumerate(args[1:]):
+                ae, afv = self.check(a, env, tys[j % k])
+                fv = fv | afv
+                out = self.app(out, ae, fv)
+        except TypeCheckError:
+            if any(map(contains_l, args)):
+                raise TypeCheckError(L_INSIDE_L_ARGUMENT, _L_IN_L,
+                                     c.pos) from None
+            raise
+        finally:
+            self.in_l = False
         return out, REAL, fv
 
 

@@ -1,6 +1,22 @@
 """Helpers shared by the test modules."""
+import importlib.util
+import sys
+from pathlib import Path
+
 from dualpcf.lang import App, If, Lam, Var
 from dualpcf.machine import Machine
+
+
+def bench_workloads():
+    """The benchmark's `bench/workloads.py`, loaded once."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.get(spec.name)
+    if workloads is None:
+        workloads = sys.modules[spec.name] = \
+            importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads
 
 
 class _Forgetful(dict):

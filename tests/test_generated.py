@@ -56,14 +56,15 @@ def delta_terms(draw, depth=3, reals=(), duals=(), derivatives=True):
     both the known-call path and the generic one are generated.  Beyond
     the first-order forms: lambdas at arrow types, a variable passed on
     as an argument, `Y` at `delta` and at `real -> delta`, conditionals
-    on zero tests, and `L` at `delta` and at `real -> delta`, whose
+    on zero tests, an applied `real -> real` function cast to
+    `real -> delta`, and `L` at `delta` and at `real -> delta`, whose
     arguments hold no `L` (`derivatives` False)."""
     kinds = (["literal"] + (["variable"] if reals else [])
              + (["dual_variable"] * 2 if duals else []))
     if depth > 0:
         kinds += ["arith", "extremum", "pr", "half", "intsup", "passed",
                   "lambda", "higher_order", "forward", "y_delta", "y_arrow",
-                  "conditional"]
+                  "cast", "conditional"]
         if derivatives:
             kinds += ["l_delta", "l_arrow"]
     kind = draw(st.sampled_from(kinds))
@@ -135,6 +136,17 @@ def delta_terms(draw, depth=3, reals=(), duals=(), derivatives=True):
         point = draw(real_terms(1, reals))
         return (f"Y[real -> delta] (fun {f}: real -> delta. fun {t}: real. "
                 f"{unfolded}) {point}")
+    if kind == "cast":
+        # an applied `real -> real` function passed where `real -> delta`
+        # is wanted: the pointwise cast is a lambda built around
+        # applications elaborated before it
+        y, t = binder("y"), binder("t")
+        body = draw(real_terms(1, reals + (y, t)))
+        fn = (f"((fun {y}: real. fun {t}: real. {body})"
+              f" ({draw(real_terms(1, reals))}))")
+        use = draw(st.sampled_from(
+            ["int", f"(fun h: real -> delta. h ({draw(real_literals)}))"]))
+        return f"{use} {fn}"
     if kind == "conditional":
         test = draw(real_terms(2, reals))
         return f"(if 0 < {test} then {sub()} else {sub()})"
@@ -230,6 +242,75 @@ def test_kernel_and_ticking_loop_agree(src):
             # every cell through the ticking loop
             patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
             assert runs(n) == kernel, n
+
+
+@st.composite
+def cell_terms(draw, depth):
+    """A straight-line `real` term in the cell `t`: literals, negative and
+    not dyadic ones too, `+ - *`, `/ n` with n in {0, 2, 3, 5, 8}, `max`,
+    `min` and `pr`."""
+    kinds = ["literal", "cell", "cell"]
+    if depth > 0:
+        kinds += ["arith", "arith", "divide", "extremum", "pr"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        return draw(real_literals)
+    if kind == "cell":
+        return "t"
+    a = draw(cell_terms(depth - 1))
+    if kind == "divide":
+        return f"({a}) / {draw(st.sampled_from([0, 2, 3, 5, 8]))}"
+    if kind == "pr":
+        return f"pr ({a})"
+    b = draw(cell_terms(depth - 1))
+    if kind == "extremum":
+        return f"{draw(st.sampled_from(['max', 'min']))}({a}, {b})"
+    return f"({a} {draw(st.sampled_from('+-*'))} {b})"
+
+
+@st.composite
+def cell_duals(draw, depth):
+    """A straight-line `delta` term in the cell `t`: `in_delta` of a cell
+    term, and the dual `+ - *`, `max`, `min` and `pr` of such terms."""
+    kind = draw(st.sampled_from(
+        ["embedded"] + (["arith", "extremum", "pr"] if depth > 0 else [])))
+    if kind == "embedded":
+        return f"in_delta ({draw(cell_terms(2))})"
+    a = draw(cell_duals(depth - 1))
+    if kind == "pr":
+        return f"pr ({a})"
+    b = draw(cell_duals(depth - 1))
+    if kind == "extremum":
+        return f"{draw(st.sampled_from(['max', 'min']))}({a}, {b})"
+    return f"({a} {draw(st.sampled_from('+-*'))} {b})"
+
+
+@st.composite
+def straight_line_integrals(draw):
+    """An `int` of a straight-line integrand at `real` or at `delta`, or
+    `L[real -> delta] int f g` with f and g straight-line."""
+    form = draw(st.sampled_from(["real", "delta", "L"]))
+    if form == "real":
+        return f"int (fun t: real. {draw(cell_terms(3))})"
+    if form == "delta":
+        return f"int (fun t: real. {draw(cell_duals(2))})"
+    f, g = (draw(cell_duals(1)) for _ in range(2))
+    return f"L[real -> delta] int (fun t: real. {f}) (fun t: real. {g})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(straight_line_integrals())
+def test_closed_form_agrees_with_per_cell_folds(src):
+    # the sum of each piece of cells in closed form against the kernel
+    # folded cell by cell into the combining tree, and against the
+    # ticking loop: values, steps and shared steps
+    e, _ = elaborate(parse(src), {})
+    for n in range(9):
+        out = eval_at_cost(e, n)
+        assert out == eval_at_cost(e, n, overrides=TREE), n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
+            assert eval_at_cost(e, n) == out, n
 
 
 @st.composite

@@ -10,8 +10,8 @@ import pytest
 from dualpcf import machine, reducer
 from dualpcf.corpus import CORPUS, load_corpus
 from dualpcf.lang import (
-    App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, REAL,
-    SIGNATURES, Var, parse, uncurry,
+    App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, NAT,
+    REAL, SIGNATURES, Var, parse, uncurry,
 )
 from dualpcf.machine import (
     BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
@@ -23,7 +23,7 @@ from dualpcf.numeric import (
 from dualpcf.reducer import run_steps, step
 from dualpcf.typecheck import elaborate
 
-from conftest import unshared
+from conftest import bench_workloads, unshared
 
 
 def ev(src, n=0, budget=10_000_000):
@@ -173,6 +173,28 @@ class TestCostSemantics:
         src = ("Y[nu -> nu] (fun d: nu -> nu. fun n: nu. "
                "if iszero n then 0 else succ (succ (d (pred n)))) 5")
         assert val(src, 0) == 10
+
+    @pytest.mark.parametrize("made,saturated", [(0, 3), (3, 0)])
+    def test_y_at_discrete_type_unfolds_at_the_saturating_tag(self, made,
+                                                              saturated):
+        # No typed program saturates a discrete Y at a tag other than the
+        # one it was evaluated at: only a value of continuous type leaves a
+        # body run at a lower tag.  So the rule is pinned on the machine:
+        # Y[nu] made at one tag, applied at the other.  The unfolding's
+        # test reads `int (fun t: real. t)` at the tag it runs at: at 3 it
+        # is [28, 36] / 64, minus 1/4 is [3/16, 5/16] and the result 1; at
+        # 0 it is [0, 1], minus 1/4 straddles 0, undetermined at nu.
+        m = Machine()
+        y = m._compile(Const("Y", (NAT,)), ())[0](m, (), made)
+        f, _ = elaborate(parse("fun x: nu. if 0 < int (fun t: real. t)"
+                               " - 1 / 4 then 1 else 0"), {})
+        f_run, f_op, _ = m._compile(f, ())
+        unfolding = m._apply(y, Thunk(f_run, f_op, ()), saturated)
+        if saturated:
+            assert machine._drive(m, unfolding) == 1
+        else:
+            with pytest.raises(machine.UndeterminedSignal):
+                machine._drive(m, unfolding)
 
     def test_refinement_loop(self):
         e, _ = elaborate(parse("int (fun t: real. in_delta t)"), {})
@@ -577,6 +599,63 @@ class TestCellKernel:
             with pytest.MonkeyPatch.context() as patch:
                 _ticking(patch)
                 assert runs == _runs(e, n), n
+
+
+class TestClosedForm:
+    # A running sum adds the kernel's values over a range of cells in
+    # closed form, one evaluation on polynomial numerators per piece
+
+    @staticmethod
+    def pieces(src, n):
+        """The cells of each piece summed in closed form in src's run at
+        cost n, checked against the ticking loop."""
+        cells, sum_cells = [], machine._sum_cells
+
+        class Recorded:
+            def __init__(self, total):
+                self.total = total
+
+            def add_cells(self, x, k):
+                cells.append(k)
+                self.total.add_cells(x, k)
+
+        def spy(fn, total, lo, hi, n):
+            if total.__class__ is not Recorded:
+                total = Recorded(total)
+            sum_cells(fn, total, lo, hi, n)
+
+        e, _ = elaborate(parse(src), {})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(machine, "_sum_cells", spy)
+            out = eval_at_cost(e, n)
+        with pytest.MonkeyPatch.context() as patch:
+            _ticking(patch)
+            assert eval_at_cost(e, n) == out
+        return cells
+
+    def test_a_polys_sweep_sums_each_bisection_in_one_piece(self):
+        # seed 1: 64 bisections above cost 0, cells 1 to 2**n - 1 each
+        cells, want = [], []
+        for op in bench_workloads().Polys(1).ops:
+            src, n, _ = op.args
+            cells += self.pieces(src, n)
+            want += [(1 << n) - 1] if n else []
+        assert len(want) == 64 and cells == want
+
+    def test_a_sign_change_in_the_range_splits_it(self):
+        # t - 1/3 changes sign in cell 2**n // 3: the ranges holding it
+        # are halved down to that one cell, which runs alone
+        for n, cells in ((3, [1, 1, 1, 4]), (5, [7, 2, 1, 1, 4, 16]),
+                         (8, [63, 16, 4, 1, 1, 2, 8, 32, 128])):
+            got = self.pieces("int (fun t: real. (t - 1 / 3) * t)", n)
+            assert got == cells, n
+
+    def test_a_bottom_factor_meets_a_polynomial(self):
+        # (t / 0) * t: bottom times the cell, whose zero test on the
+        # cell's numerators is decided: bottom at every cell, one piece
+        for n in range(6):
+            got = self.pieces("int (fun t: real. in_delta ((t / 0) * t))", n)
+            assert got == ([(1 << n) - 1] if n else []), n
 
 
 def _cubic(rng) -> str:

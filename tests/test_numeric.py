@@ -1,6 +1,7 @@
 """Unit tests for exact interval and dual-interval arithmetic."""
 import copy
 import itertools
+import operator
 import pickle
 from fractions import Fraction
 from math import gcd, inf
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, DualSum, InconsistentIntervals, Interval,
     IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, dual_max, dual_min,
-    dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
+    Poly, Undecided, dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
+    poly_cells,
 )
 
 
@@ -567,3 +569,104 @@ class TestOneBottom:
             results += [d.std, d.inf]
         for r in results:
             assert r is IV_BOTTOM or finite_form(r)
+
+
+# -- polynomial numerators ---------------------------------------------------
+
+
+@st.composite
+def polys(draw, top):
+    """An int or a poly over the cells 0..top, built by the arithmetic
+    from the cell index i0 + j, as the machine builds its numerators."""
+    i0 = draw(st.integers(0, 64))
+    x = poly_cells(i0, i0 + top + 1, 0).a
+    p = draw(st.integers(-40, 40))
+    for _ in range(draw(st.integers(0, 4))):
+        q = draw(st.integers(-40, 40))
+        p = draw(st.sampled_from([p * x + q, p * x - q, q - p * x,
+                                  -p * x + q * x * x, p << 2]))
+    return p
+
+
+def values(p, top):
+    """p at each offset j of its range."""
+    if p.__class__ is int:
+        return [p] * (top + 1)
+    return [sum(c * j ** k for k, c in enumerate(p.c)) for j in range(top + 1)]
+
+
+class TestPoly:
+    @given(st.integers(0, 12).flatmap(lambda top: st.tuples(
+        st.just(top), polys(top), polys(top))))
+    def test_arithmetic_is_pointwise(self, args):
+        top, p, q = args
+        vp, vq = values(p, top), values(q, top)
+        for got, want in ((p + q, map(int.__add__, vp, vq)),
+                          (p - q, map(int.__sub__, vp, vq)),
+                          (p * q, map(int.__mul__, vp, vq)),
+                          (-p, (-v for v in vp)), (p << 3, (v << 3 for v in vp)),
+                          (5 - p, (5 - v for v in vp)), (p * 0, [0] * (top + 1))):
+            assert values(got, top) == list(want)
+            assert got.__class__ is int or got.c[-1]
+
+    @given(st.integers(0, 12).flatmap(lambda top: st.tuples(
+        st.just(top), polys(top))))
+    def test_sum_and_bounds(self, args):
+        top, p = args
+        vp = values(p, top)
+        if p.__class__ is Poly:
+            assert p.sum() == sum(vp)
+            lo, hi = p.bounds()
+            assert lo <= min(vp) and max(vp) <= hi
+
+    @given(st.integers(0, 12).flatmap(lambda top: st.tuples(
+        st.just(top), polys(top), polys(top))))
+    def test_a_comparison_holds_at_every_cell_or_is_undecided(self, args):
+        top, p, q = args
+        for op in (operator.lt, operator.le, operator.gt, operator.ge,
+                   operator.eq, operator.ne):
+            truths = set(map(op, values(p, top), values(q, top)))
+            try:
+                got = op(p, q)
+            except Undecided:
+                assert p.__class__ is Poly or q.__class__ is Poly
+                continue
+            assert {got} == truths, op
+
+    def test_a_sign_test_reads_the_whole_range(self):
+        # 3i - 8 over i = 0..7 is negative at 0..2 and positive after:
+        # either end alone would decide it
+        for lo, hi, sign in ((0, 3, False), (3, 8, True)):
+            assert (poly_cells(lo, hi, 0).a * 3 - 8 > 0) is sign
+        x = poly_cells(0, 8, 0).a * 3 - 8
+        for test in (x.__gt__, x.__lt__, x.__eq__):
+            with pytest.raises(Undecided):
+                test(0)
+        assert x < 22 and x >= -8 and x != 14
+
+    def test_the_rules_run_on_a_range_of_cells(self):
+        # (t - 1/3) * t over the cells of cost 3: [1, 8) straddles 8/3 in
+        # cell 2, so the product's sign test is undecided there, and each
+        # half decided; a piece's sum is the sum of its cells
+        third = Interval.point(Fraction(1, 3))
+        f = lambda t: (t - third) * t
+        with pytest.raises(Undecided):
+            f(poly_cells(1, 8, 3))
+        for lo, hi in ((0, 2), (3, 8)):
+            total, cells = IntervalSum(), IntervalSum()
+            total.add_cells(f(poly_cells(lo, hi, 3)), hi - lo)
+            for i in range(lo, hi):
+                cells.add(f(iv_unchecked(i, i + 1, 3, 1)))
+            assert (total.a, total.b, total.e, total.d) == \
+                (cells.a, cells.b, cells.e, cells.d)
+
+    @given(intervals(), rationals)
+    def test_a_point_factor_takes_the_form_of_its_sign_case(self, x, q):
+        # the numerators are the least and greatest of the four products
+        p = Interval.point(q)
+        if x is IV_BOTTOM:
+            return
+        for r in (x * p, p * x):
+            ends = (x.a * p.a, x.b * p.a)
+            assert (r.a, r.b, r.e, r.d) == \
+                (min(ends), max(ends), x.e + p.e, x.d * p.d)

@@ -1,9 +1,5 @@
 """Type checking, coercion insertion, sharing marks, and derivative-operator
 shape rules."""
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from dualpcf.lang import Arrow, BOOL, DUAL, NAT, NatLit, REAL, parse
@@ -15,7 +11,7 @@ from dualpcf.typecheck import (
 from dualpcf.machine import eval_at_cost
 from dualpcf.reducer import subst
 
-from conftest import marks, reference_marks
+from conftest import bench_workloads, marks, reference_marks
 
 
 def ty_of(src):
@@ -137,7 +133,11 @@ class TestDerivativeOperator:
                 # inside a conditional in a point argument
                 "L[delta] (fun x: delta. x) "
                 "(if tt then in_delta (L[delta] (fun y: delta. y) 0 1) "
-                "else 0) 1"):
+                "else 0) 1",
+                # an ill-typed first argument is elaborated before the L
+                # in the point argument is met, and the L still wins
+                "L[delta] (fun x: delta. tt) "
+                "(in_delta (L[delta] (fun y: delta. y) 0 1)) 1"):
             with pytest.raises(TypeCheckError) as exc:
                 ty_of(src)
             assert (exc.value.kind, exc.value.pos) == \
@@ -199,14 +199,7 @@ class TestSharingMarks:
 
 def _polys_sources(seed):
     """The programs of the `polys` benchmark at a seed."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules.get(spec.name)
-    if workloads is None:
-        workloads = sys.modules[spec.name] = \
-            importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-    return sorted({op.args[0] for op in workloads.Polys(seed).ops})
+    return sorted({op.args[0] for op in bench_workloads().Polys(seed).ops})
 
 
 def _front_end_programs():
