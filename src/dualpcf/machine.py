@@ -41,9 +41,11 @@ application that saturates it.  `Machine` runs a bisection's 2^m cells
 in one loop; each cell is one step that applies f, evaluated once if
 that ticks no step, to a value thunk holding the cell.  On exact
 endpoints the rule's tree of `l/2 + r/2` is the cells' sum over 2^m, so
-int keeps one running sum; sup and a run with `overrides` fold the tree
-with the `max` rule or their own rules, so an overridden `+`, `/` or
-`max` acts there, as in `step`, which builds the combine as a term.
+int keeps one running sum, and `max` at `real` is associative, so sup at
+`real` keeps one running max.  sup at `delta`, whose `max` is not
+associative, and a run with `overrides` fold the tree with the `max` rule
+or their own rules, so an overridden `+`, `/` or `max` acts there, as in
+`step`, which builds the combine as a term.
 
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
@@ -76,19 +78,22 @@ and budget stops are those of the ticking loop.  A run with `overrides`
 takes the kernel too: its known calls hold the overridden rules, and the
 combining tree fires the overridden `+`, `/` and `max`.
 
-An int without `overrides` sums those cells in closed form.  Each cell is
-`[i, i+1] / 2^m`, so the kernel runs once on a range of cells as one
-interval whose numerators are integer polynomials in i (`numeric.Poly`),
-and the rules of `Interval` and `DualInterval` run on them unchanged;
-the denominators do not depend on i.  Each sign test a rule makes is
-decided for the whole range, or raises `Undecided`, and the range is
-halved (Moore, "Interval Analysis", 1966), down to single cells, which
-run as they are.  Since every branch is decided uniformly, the symbolic
-value at each i is the per-cell value, and the exact sums of its
-numerators over the range (Graham, Knuth and Patashnik, "Concrete
-Mathematics", ch. 2) are what the per-cell fold adds, in the same form.
-Steps, `shared` and budget stops are those of the kernel's fold.  sup and
-a run with `overrides` fold the kernel's cells one at a time.
+An int, or a sup at `real`, without `overrides` folds those cells in
+closed form.  Each cell is `[i, i+1] / 2^m`, so the kernel runs once on
+a range of cells as one interval whose numerators are integer
+polynomials in i (`numeric.Poly`), and the rules of `Interval` and
+`DualInterval` run on them unchanged; the denominators do not depend on
+i.  Each sign test a rule makes is decided for the whole range, or
+raises `Undecided`, and the range is halved (Moore, "Interval Analysis",
+1966), down to single cells, which run as they are.  Since every branch
+is decided uniformly, the symbolic value at each i is the per-cell
+value, and the exact sums of its numerators over the range (Graham,
+Knuth and Patashnik, "Concrete Mathematics", ch. 2) are what the
+per-cell fold adds, in the same form.  A sup takes each numerator's max
+at the end of the range where its forward difference has one sign, or
+halves the range where neither sign is decided.  Steps, `shared` and
+budget stops are those of the kernel's fold.  sup at `delta` and a run
+with `overrides` fold the kernel's cells one at a time.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -108,8 +113,8 @@ from .lang import (
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_ZERO,
-    Interval, IntervalSum, Undecided, dual_max, dual_min, dual_pr, in_dual,
-    iv_max, iv_min, iv_pr, iv_unchecked, poly_cells,
+    Interval, IntervalMax, IntervalSum, Undecided, dual_max, dual_min,
+    dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked, poly_cells,
 )
 from .typecheck import is_continuous_type
 
@@ -546,21 +551,19 @@ def _binary(rule, fa, va, fb, vb):
 
 def _sum_cells(fn, total, lo: int, hi: int, n: int) -> None:
     """Add the kernel's values at the cells `[i, i+1] / 2**n`, lo <= i <
-    hi, to the running sum `total`, in closed form: `fn` runs once on all
-    of them as `poly_cells`, and the value's numerators are summed.  A
-    range where a sign test is `Undecided` is halved, and a single cell
-    runs as it is."""
+    hi, to the running sum or max `total`, in closed form: `fn` runs once
+    on all of them as `poly_cells`, and `total.add_cells` sums the value's
+    numerators or takes their peaks.  A range where a sign test or a peak
+    is `Undecided` is halved, and a single cell runs as it is."""
     if hi - lo > 1:
         try:
-            v = fn(poly_cells(lo, hi, n))
+            total.add_cells(fn(poly_cells(lo, hi, n)), hi - lo)
         except Undecided:
             mid = (lo + hi) // 2
             _sum_cells(fn, total, lo, mid, n)
             _sum_cells(fn, total, mid, hi, n)
-            return
     else:
-        v = fn(iv_unchecked(lo, hi, n, 1))
-    total.add_cells(v, hi - lo)
+        total.add_cells(fn(iv_unchecked(lo, hi, n, 1)), 1)
 
 
 class Machine:
@@ -841,10 +844,15 @@ class Machine:
         f_run, f_env = f.run, f.env
         if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
-        if kind == "int" and self._rules is GROUND_RULES:
+        ground = self._rules is GROUND_RULES
+        if ground and kind == "int":
             # exact: the tree of l/2 + r/2 is the cells' sum over 2**n
             total = (IntervalSum if carrier.name == "pi" else DualSum)()
             fold, result = total.add, lambda: total.mean(n)
+        elif ground and carrier.name == "pi":
+            # iv_max is associative: the tree is the cells' running max
+            total = IntervalMax()
+            fold, result = total.add, total.result
         else:
             fold, result = self._tree(kind, carrier, n)
         closure = None  # f's value, once evaluating f ticked no step
@@ -881,13 +889,13 @@ class Machine:
     def _bulk(self, f: Thunk, n: int, fold) -> bool:
         """Fold cells 1 to 2**n - 1 of a bisection at cost n through the
         kernel of the body of f, a thunk whose code is a lambda's, in
-        closed form where `fold` adds to a running sum (`_sum_cells`), and
-        add their steps at once: per cell, its tree ticks, the application,
-        the kernel's known calls and beta steps and its replayed shared
-        steps, the steps the ticking loop takes there.  False, having run
-        nothing, at cost 0, where the kernel does not instantiate, or
-        where those steps would pass the budget: the ticking loop then
-        runs the cells and stops where it passes."""
+        closed form where `fold` adds to a running sum or max
+        (`_sum_cells`), and add their steps at once: per cell, its tree
+        ticks, the application, the kernel's known calls and beta steps
+        and its replayed shared steps, the steps the ticking loop takes
+        there.  False, having run nothing, at cost 0, where the kernel
+        does not instantiate, or where those steps would pass the budget:
+        the ticking loop then runs the cells and stops where it passes."""
         if not n:
             return False
         # forcing f gives a closure over f's environment at the tag n
@@ -903,7 +911,8 @@ class Machine:
         self.shared += cells * shared
         if fn is None:
             fn = lambda c: value
-        total = getattr(fold, "__self__", None)  # an int's running sum
+        # an int's running sum, or a sup's running max at real
+        total = getattr(fold, "__self__", None)
         if total is None:
             for i in range(1, 1 << n):
                 fold(fn(iv_unchecked(i, i + 1, n, 1)))
@@ -913,11 +922,11 @@ class Machine:
 
     def _tree(self, kind: str, carrier: Type, n: int):
         """`(fold, result)` of the literal combining tree of 2**n cells:
-        dual `max` is not associative, and an overridden rule fires in
-        `intsup_combine`."""
+        of dual `max`, which is not associative, or of the rules of a run
+        with `overrides`, which fire in `intsup_combine`."""
         rules = self._rules
         if rules is GROUND_RULES:
-            combine = GROUND_RULES["max", carrier.name]
+            combine = dual_max
         else:
             ground = lambda name, c, vals: rules[name, c.name](*vals)
             combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,

@@ -39,11 +39,21 @@ range, decided from bounds on the difference, or raises `Undecided`; so a
 result built without `Undecided` is, at each i, the interval the same
 operations give on the cell i.  `IntervalSum.add_cells` adds such a
 result at each of its cells, by the exact sums of its numerators.
+
+`sup` at `real` folds its cells with `iv_max`, which on finite intervals
+is `[max lo, max hi]` in each of its cases: it is associative and
+commutative, and bottom absorbs.  `IntervalMax` keeps that running max,
+and its `add_cells` takes the max of each polynomial numerator at the end
+of the range where its forward difference has one sign for the whole
+range, the monotonicity test of interval analysis (Moore, Kearfott and
+Cloud, "Introduction to Interval Analysis", 2009); where neither
+sign is decided it raises `Undecided` and adds nothing.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, inf
 
 _new = object.__new__
@@ -169,15 +179,26 @@ class Poly:
         return lo, hi
 
     def sum(self) -> int:
-        """The exact sum over the range, from the power sums
-        S_k = sum of j**k over j < N, N the number of cells, which
-        N**(k+1) = sum over m <= k of C(k+1, m) S_m gives one by one."""
-        n, s, total = self.top + 1, [], 0
-        for k, x in enumerate(self.c):
-            s.append((n ** (k + 1) - sum(comb(k + 1, m) * s[m]
-                                         for m in range(k))) // (k + 1))
-            total += x * s[k]
-        return total
+        """The exact sum over the range."""
+        s = _power_sums(self.top + 1, len(self.c) - 1)
+        return sum(x * y for x, y in zip(self.c, s))
+
+    def peak(self) -> int:
+        """The max over the range: at `top` where the forward difference
+        p(j+1) - p(j) is >= 0 at every j < top, at 0 where it is < 0 at
+        every one; `Undecided` where neither is decided.  The difference
+        has the coefficient sum over k > m of C(k, m) c[k] at j**m."""
+        c, n, top = self.c, len(self.c), self.top
+        if not top:
+            return c[0]
+        step = [sum(comb(k, m) * c[k] for k in range(m + 1, n))
+                for m in range(n - 1)]
+        if not _uniform(_poly(step, top - 1), operator.ge):
+            return c[0]
+        v = 0
+        for x in reversed(c):
+            v = v * top + x
+        return v
 
     __lt__ = lambda self, o: _uniform(self - o, operator.lt)
     __le__ = lambda self, o: _uniform(self - o, operator.le)
@@ -192,6 +213,17 @@ class Poly:
         if lo > 0 or hi < 0:
             return False
         raise Undecided
+
+
+@lru_cache(maxsize=1024)
+def _power_sums(n: int, k: int) -> tuple:
+    """`(S_0, ..., S_k)`, S_m the sum of j**m over j < n, which
+    n**(m+1) = sum over i <= m of C(m+1, i) S_i gives one by one."""
+    s = []
+    for m in range(k + 1):
+        s.append((n ** (m + 1) - sum(comb(m + 1, i) * s[i]
+                                     for i in range(m))) // (m + 1))
+    return tuple(s)
 
 
 def _poly(c: list, top: int):
@@ -264,6 +296,31 @@ class IntervalSum:
         if not self.d:
             return IV_BOTTOM
         return iv_unchecked(self.a, self.b, self.e + m, self.d)
+
+
+class IntervalMax:
+    """A running `iv_max` of intervals, None until the first is added."""
+
+    __slots__ = ("iv",)
+
+    def __init__(self):
+        self.iv = None
+
+    def add(self, x: "Interval") -> None:
+        self.iv = x if self.iv is None else iv_max(self.iv, x)
+
+    def add_cells(self, x: "Interval", cells: int) -> None:
+        """Add x at each of its cells: its numerators are polys over those
+        cells, or ints.  `Undecided`, with nothing added, where a poly's
+        peak is."""
+        if x.d:
+            a, b = x.a, x.b
+            x = iv_unchecked(a.peak() if a.__class__ is Poly else a,
+                             b.peak() if b.__class__ is Poly else b, x.e, x.d)
+        self.add(x)
+
+    def result(self) -> "Interval":
+        return self.iv
 
 
 class DualSum:

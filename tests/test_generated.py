@@ -1,10 +1,10 @@
 """Generated well-typed closed `delta` terms: the environment machine and
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
-and neither the sharing table, int's running sum nor the cell kernel
-changes a run.  The front end reads every spelling of a term alike and
-marks it as the reference does, and `eval` ends every run by the exit
-contract."""
+and neither the sharing table, int's running sum, sup's running max nor
+the cell kernel changes a run.  The front end reads every spelling of a
+term alike and marks it as the reference does, and `eval` ends every run
+by the exit contract."""
 import contextlib
 import io
 import re
@@ -287,13 +287,18 @@ def cell_duals(draw, depth):
 
 @st.composite
 def straight_line_integrals(draw):
-    """An `int` of a straight-line integrand at `real` or at `delta`, or
-    `L[real -> delta] int f g` with f and g straight-line."""
-    form = draw(st.sampled_from(["real", "delta", "L"]))
+    """An `int` or a `sup` of a straight-line integrand at `real` or at
+    `delta`, or `L[real -> delta] int f g` with f and g straight-line."""
+    form = draw(st.sampled_from(["real", "delta", "sup_real", "sup_delta",
+                                 "L"]))
     if form == "real":
         return f"int (fun t: real. {draw(cell_terms(3))})"
     if form == "delta":
         return f"int (fun t: real. {draw(cell_duals(2))})"
+    if form == "sup_real":
+        return f"sup (fun t: real. {draw(cell_terms(3))})"
+    if form == "sup_delta":
+        return f"sup (fun t: real. {draw(cell_duals(2))})"
     f, g = (draw(cell_duals(1)) for _ in range(2))
     return f"L[real -> delta] int (fun t: real. {f}) (fun t: real. {g})"
 
@@ -301,8 +306,8 @@ def straight_line_integrals(draw):
 @settings(max_examples=60, deadline=None)
 @given(straight_line_integrals())
 def test_closed_form_agrees_with_per_cell_folds(src):
-    # the sum of each piece of cells in closed form against the kernel
-    # folded cell by cell into the combining tree, and against the
+    # the sum or max of each piece of cells in closed form against the
+    # kernel folded cell by cell into the combining tree, and against the
     # ticking loop: values, steps and shared steps
     e, _ = elaborate(parse(src), {})
     for n in range(9):

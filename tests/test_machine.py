@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dualpcf import machine, reducer
-from dualpcf.corpus import CORPUS, load_corpus
+from dualpcf.corpus import CORPUS, corpus_source, load_corpus
 from dualpcf.lang import (
     App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, NAT,
     REAL, SIGNATURES, Var, parse, uncurry,
@@ -602,12 +602,12 @@ class TestCellKernel:
 
 
 class TestClosedForm:
-    # A running sum adds the kernel's values over a range of cells in
-    # closed form, one evaluation on polynomial numerators per piece
+    # A running sum or max adds the kernel's values over a range of cells
+    # in closed form, one evaluation on polynomial numerators per piece
 
     @staticmethod
     def pieces(src, n):
-        """The cells of each piece summed in closed form in src's run at
+        """The cells of each piece folded in closed form in src's run at
         cost n, checked against the ticking loop."""
         cells, sum_cells = [], machine._sum_cells
 
@@ -616,8 +616,8 @@ class TestClosedForm:
                 self.total = total
 
             def add_cells(self, x, k):
+                self.total.add_cells(x, k)  # an undecided peak: no piece
                 cells.append(k)
-                self.total.add_cells(x, k)
 
         def spy(fn, total, lo, hi, n):
             if total.__class__ is not Recorded:
@@ -649,6 +649,29 @@ class TestClosedForm:
                          (8, [63, 16, 4, 1, 1, 2, 8, 32, 128])):
             got = self.pieces("int (fun t: real. (t - 1 / 3) * t)", n)
             assert got == cells, n
+
+    @pytest.mark.parametrize("name,counts", [
+        # x/2 - x*x/2 peaks at 1/2: rising cells, then falling ones
+        ("legendre_fenchel_halfsq", [2] * 9),
+        # x - 4*max(0, x**3 - 1/2): the max's sign test is undecided in
+        # the ranges holding the cube root of 1/2, halved down to it
+        ("cbrt_sup", [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+    ])
+    def test_a_sup_at_real_takes_a_few_pieces(self, name, counts):
+        src = corpus_source(name)
+        got = []
+        for n in range(2, 11):
+            cells = self.pieces(src, n)
+            assert sum(cells) == (1 << n) - 1, n
+            assert len(cells) <= 2 * n + 1, n
+            got.append(len(cells))
+        assert got == counts
+
+    def test_a_dual_sup_keeps_the_tree(self):
+        # dual max is not associative: sup_id folds no piece in closed form
+        src = corpus_source("sup_id")
+        for n in range(11):
+            assert self.pieces(src, n) == [], n
 
     def test_a_bottom_factor_meets_a_polynomial(self):
         # (t / 0) * t: bottom times the cell, whose zero test on the

@@ -1,5 +1,7 @@
 """Unit tests for exact interval and dual-interval arithmetic."""
+import contextlib
 import copy
+import functools
 import itertools
 import operator
 import pickle
@@ -11,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
     DUAL_BOTTOM, DualInterval, DualSum, InconsistentIntervals, Interval,
-    IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, dual_max, dual_min,
-    Poly, Undecided, dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
-    poly_cells,
+    IntervalMax, IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, dual_max,
+    dual_min, Poly, Undecided, dual_pr, in_dual, iv_max, iv_min, iv_pr,
+    iv_unchecked, poly_cells,
 )
 
 
@@ -618,6 +620,8 @@ class TestPoly:
             assert p.sum() == sum(vp)
             lo, hi = p.bounds()
             assert lo <= min(vp) and max(vp) <= hi
+            with contextlib.suppress(Undecided):
+                assert p.peak() == max(vp)
 
     @given(st.integers(0, 12).flatmap(lambda top: st.tuples(
         st.just(top), polys(top), polys(top))))
@@ -670,3 +674,85 @@ class TestPoly:
             ends = (x.a * p.a, x.b * p.a)
             assert (r.a, r.b, r.e, r.d) == \
                 (min(ends), max(ends), x.e + p.e, x.d * p.d)
+
+
+# -- running max -------------------------------------------------------------
+
+
+def tree(combine, xs):
+    """The literal combining tree of xs, 2**k of them."""
+    while len(xs) > 1:
+        xs = [combine(xs[i], xs[i + 1]) for i in range(0, len(xs), 2)]
+    return xs[0]
+
+
+def same_max(got, want):
+    """got equals want, bottom only as the one bottom object."""
+    assert (got is IV_BOTTOM) is (want is IV_BOTTOM)
+    assert got == want and str(got) == str(want)
+
+
+# The cell terms whose running max `add_cells` takes: each a function of
+# an interval, run on `poly_cells` and on each cell alone.  Factors over
+# 3 and 5 mix the odd parts; `c * (1 - c)` peaks inside the unit range.
+CELL_FORMS = [
+    lambda c: c,
+    lambda c: -c,
+    lambda c: c * c,
+    lambda c: c * (IV_ONE - c),
+    lambda c: (c - Interval.point(Fraction(1, 3))) * c,
+    lambda c: c.div_nat(3) - c * c * c,
+    lambda c: iv_max(c, Interval.point(Fraction(2, 5))) + c.div_nat(5),
+    lambda c: c * c.div_nat(0),
+    lambda c: c * IV_ZERO,
+]
+
+
+class TestIntervalMax:
+    @given(st.integers(0, 4).flatmap(
+        lambda k: st.lists(intervals(), min_size=1 << k, max_size=1 << k)))
+    def test_the_running_max_is_the_left_fold_and_the_tree(self, xs):
+        xs += [x.div_nat(3) for x in xs]  # odd parts 3 and more
+        peak = IntervalMax()
+        for x in xs:
+            peak.add(x)
+        same_max(peak.result(), functools.reduce(iv_max, xs))
+        same_max(peak.result(), tree(iv_max, xs))
+
+    @given(st.sampled_from(range(len(CELL_FORMS))), st.integers(0, 40),
+           st.integers(1, 24), st.integers(1, 6), st.one_of(
+               st.none(), intervals()))
+    def test_cells_in_closed_form_are_the_per_cell_max(self, form, lo, cells,
+                                                       e, before):
+        # or Undecided, with the accumulator as it was
+        f, hi = CELL_FORMS[form], lo + cells
+        try:
+            v = f(poly_cells(lo, hi, e))
+        except Undecided:
+            return
+        peak = IntervalMax()
+        if before is not None:
+            peak.add(before)
+        held = peak.iv
+        want = functools.reduce(iv_max, [f(iv_unchecked(i, i + 1, e, 1))
+                                         for i in range(lo, hi)])
+        try:
+            peak.add_cells(v, cells)
+        except Undecided:
+            assert peak.iv is held
+            return
+        if before is not None:
+            want = iv_max(before, want)
+        same_max(peak.result(), want)
+
+    def test_an_undecided_peak_adds_nothing(self):
+        # c * (1 - c) over the cells of cost 3: its lower numerator
+        # j * (7 - j) rises, then falls
+        v = CELL_FORMS[3](poly_cells(0, 8, 3))
+        for before in (None, IV_UNIT, IV_BOTTOM):
+            peak = IntervalMax()
+            if before is not None:
+                peak.add(before)
+            with pytest.raises(Undecided):
+                peak.add_cells(v, 8)
+            assert peak.iv is before
