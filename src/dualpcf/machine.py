@@ -39,13 +39,15 @@ continuous type and L fire at the cost tag where the constant was
 evaluated, a first-order rule and Y at a discrete type at the tag of the
 application that saturates it.  `Machine` runs a bisection's 2^m cells
 in one loop; each cell is one step that applies f, evaluated once if
-that ticks no step, to a value thunk holding the cell.  On exact
-endpoints the rule's tree of `l/2 + r/2` is the cells' sum over 2^m, so
-int keeps one running sum, and `max` at `real` is associative, so sup at
-`real` keeps one running max.  sup at `delta`, whose `max` is not
-associative, and a run with `overrides` fold the tree with the `max` rule
-or their own rules, so an overridden `+`, `/` or `max` acts there, as in
-`step`, which builds the combine as a term.
+that ticks no step, to a value thunk holding the cell.  The cells go
+into a fold (`add(v)`, then `result(m)`) fixed when the int or sup
+constant is compiled.  On exact endpoints the rule's tree of `l/2 + r/2`
+is the cells' sum over 2^m, so int keeps one running sum, and `max` at
+`real` is associative, so sup at `real` keeps one running max.  sup at
+`delta`, whose `max` is not associative, and a run with `overrides` keep
+the literal tree (`_Tree`) of the `max` rule or of their own rules, so
+an overridden `+`, `/` or `max` acts there, as in `step`, which builds
+the combine as a term.
 
 Work repeated across bisection cells is shared per cost tag, as the
 maximal free expressions of full laziness (Peyton Jones, Partain and
@@ -78,12 +80,11 @@ and budget stops are those of the ticking loop.  A run with `overrides`
 takes the kernel too: its known calls hold the overridden rules, and the
 combining tree fires the overridden `+`, `/` and `max`.
 
-An int, or a sup at `real`, without `overrides` folds those cells in
-closed form.  Each cell is `[i, i+1] / 2^m`, so the kernel runs once on
-a range of cells as one interval whose numerators are integer
-polynomials in i (`numeric.Poly`), and the rules of `Interval` and
-`DualInterval` run on them unchanged; the denominators do not depend on
-i.  Each sign test a rule makes is decided for the whole range, or
+A running sum or max takes those cells in closed form.  Each cell is
+`[i, i+1] / 2^m`, so the kernel runs once on a range of cells as one
+interval whose numerators are integer polynomials in i (`numeric.Poly`),
+and the rules of `Interval` and `DualInterval` run on them unchanged;
+the denominators do not depend on i.  Each sign test a rule makes is decided for the whole range, or
 raises `Undecided`, and the range is halved (Moore, "Interval Analysis",
 1966), down to single cells, which run as they are.  Since every branch
 is decided uniformly, the symbolic value at each i is the per-cell
@@ -92,8 +93,8 @@ Knuth and Patashnik, "Concrete Mathematics", ch. 2) are what the
 per-cell fold adds, in the same form.  A sup takes each numerator's max
 at the end of the range where its forward difference has one sign, or
 halves the range where neither sign is decided.  Steps, `shared` and
-budget stops are those of the kernel's fold.  sup at `delta` and a run
-with `overrides` fold the kernel's cells one at a time.
+budget stops are those of the kernel's fold.  The literal tree takes
+the kernel's cells one at a time.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -484,30 +485,30 @@ _its_value = lambda m, value, tag: value
 # or `(None, head, index)` for `h x`: x's index, and h's index or, for a
 # lambda, its code, whose `kernel` is its body's.
 _cell = lambda c: c
+_constant = lambda v: lambda c: v
 
 
 def _instance(m, env, tag, kern):
     """A kernel instantiated in a body environment that binds the cell to
-    None: `(fn, value, ticks, shared)`, `fn` its value as a function of
-    the cell, or None for the constant `value`, `ticks` the steps of its
-    known calls and beta steps and `shared` the steps its marked
-    applications replay.  None where a variable other than the cell is
-    bound to a thunk that is not a value, a marked application misses its
-    slot, or an applied variable is bound to a thunk whose code is not a
-    lambda with a kernel."""
+    None: `(fn, ticks, shared)`, `fn` its value as a function of the cell,
+    `ticks` the steps of its known calls and beta steps and `shared` the
+    steps its marked applications replay.  None where a variable other
+    than the cell is bound to a thunk that is not a value, a marked
+    application misses its slot, or an applied variable is bound to a
+    thunk whose code is not a lambda with a kernel."""
     cls = kern.__class__
     if cls is int:
         th = env[kern]
         if th is None:
-            return _cell, None, 0, 0
-        return (None, th.env, 0, 0) if th.run is _its_value else None
+            return _cell, 0, 0
+        return (_constant(th.env), 0, 0) if th.run is _its_value else None
     if cls in _PAYLOAD:
-        return None, _PAYLOAD[cls](kern), 0, 0
+        return _constant(_PAYLOAD[cls](kern)), 0, 0
     if cls is not tuple:
         slot = m._memo.get(kern)
         if slot is None or slot[0] != (tag, kern(env)):
             return None
-        return None, slot[1], 0, slot[2]
+        return _constant(slot[1]), 0, slot[2]
     rule = kern[0]
     if rule is None:
         # `h x`: forcing h ticks nothing and gives a closure at this tag,
@@ -518,35 +519,19 @@ def _instance(m, env, tag, kern):
             head, env = th.run, th.env
         body = getattr(head, "kernel", None)
         a = None if body is None else _instance(m, (x,) + env, tag, body)
-        return None if a is None else (a[0], a[1], a[2] + 1, a[3])
+        return None if a is None else (a[0], a[1] + 1, a[2])
     a = _instance(m, env, tag, kern[1])
     if a is None:
         return None
-    fa, va, ticks, shared = a
+    fa, ticks, shared = a
     if len(kern) == 2:
-        if fa is None:
-            return (lambda c: rule(va)), None, ticks + 1, shared
-        return (rule if fa is _cell else lambda c: rule(fa(c))), None, \
-            ticks + 1, shared
+        return (rule if fa is _cell else lambda c: rule(fa(c))), ticks + 1, \
+            shared
     b = _instance(m, env, tag, kern[2])
     if b is None:
         return None
-    return _binary(rule, fa, va, b[0], b[1]), None, ticks + b[2] + 2, \
-        shared + b[3]
-
-
-def _binary(rule, fa, va, fb, vb):
-    """`rule` on two operands as a function of the cell, each operand a
-    function of it, or where that is None a constant."""
-    if fa is None:
-        if fb is None:
-            return lambda c: rule(va, vb)
-        return (lambda c: rule(va, c)) if fb is _cell \
-            else (lambda c: rule(va, fb(c)))
-    if fb is None:
-        return (lambda c: rule(c, vb)) if fa is _cell \
-            else (lambda c: rule(fa(c), vb))
-    return lambda c: rule(fa(c), fb(c))
+    fb = b[0]
+    return (lambda c: rule(fa(c), fb(c))), ticks + b[1] + 2, shared + b[2]
 
 
 def _sum_cells(fn, total, lo: int, hi: int, n: int) -> None:
@@ -564,6 +549,29 @@ def _sum_cells(fn, total, lo: int, hi: int, n: int) -> None:
             _sum_cells(fn, total, mid, hi, n)
     else:
         total.add_cells(fn(iv_unchecked(lo, hi, n, 1)), 1)
+
+
+class _Tree:
+    """The literal combining tree of a bisection's cells under `combine`:
+    dual `max`, which is not associative, or the combine of a run with
+    `overrides`, which fires its rules."""
+    __slots__ = ("combine", "pending", "i")
+
+    def __init__(self, combine):
+        self.combine, self.pending, self.i = combine, [], 0
+
+    def add(self, v) -> None:
+        # `pending` holds finished left subtrees; cell i closes the nodes
+        # whose rightmost cell it is, as many as its trailing 1s
+        i = self.i
+        self.i = i + 1
+        while i & 1:
+            v = self.combine(self.pending.pop(), v)
+            i >>= 1
+        self.pending.append(v)
+
+    def result(self, n: int):
+        return self.pending[0]
 
 
 class Machine:
@@ -678,10 +686,10 @@ class Machine:
             def fire(m, args, tag, at):  # the operands' values at `at`
                 return rule(*[a.op(m, a.env, at) for a in args])
         elif name in ("int", "sup"):
-            carrier, arity = targs[0], 1
+            fold, arity = self._fold(name, targs[0]), 1
 
             def fire(m, args, tag, at):  # bisected at the constant's tag
-                return m._reduce_intsup(name, carrier, tag, args[0])
+                return m._reduce_intsup(fold(), tag, args[0])
         elif name == "Y":
             ty, arity = targs[0], 1
             unfold = self._template(("Y", ty),
@@ -709,6 +717,23 @@ class Machine:
             def fire(m, args, tag, at):
                 return _drive(m, body[0](m, args, tag)).inf
         return lambda m, env, tag: ConstVal(name, arity, fire, tag, ())
+
+    def _fold(self, kind: str, carrier: Type):
+        """The factory of an int or sup bisection's fold at the carrier,
+        fixed with the run's rules: without `overrides`, the running sum
+        of int and the running max of sup at `real`, else the tree."""
+        rules = self._rules
+        if rules is not GROUND_RULES:
+            ground = lambda name, c, vals: rules[name, c.name](*vals)
+            combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
+                                                    ground, 2)
+        elif kind == "int":
+            return IntervalSum if carrier.name == "pi" else DualSum
+        elif carrier.name == "pi":
+            return IntervalMax
+        else:
+            combine = dual_max
+        return lambda: _Tree(combine)
 
     def _compile_app(self, e: App, scope: tuple):
         fn, arg = e.fn, e.arg
@@ -829,32 +854,21 @@ class Machine:
             return ConstVal(fv.name, fv.arity, fv.fire, fv.tag, args)
         return fv.fire(self, args, fv.tag, tag)
 
-    def _reduce_intsup(self, kind: str, carrier: Type, n: int, f: Thunk):
+    def _reduce_intsup(self, total, n: int, f: Thunk):
         # int or sup at cost n bisects n times and runs f at n.  The
         # bisection rule rescales f with wrapper lambdas; composing those
         # affine maps sends [0,1] to an explicit dyadic cell, so each of
         # the 2^n cells applies f to its cell directly, one application
-        # step.  The cells run left to right into `fold`.  Each internal
-        # node of the combining tree ticks where the rule does, before its
-        # left subtree: just before cell i, as many nodes as i has trailing
-        # zero bits (n for cell 0).
+        # step.  The cells run left to right into the fold `total`.  Each
+        # internal node of the combining tree ticks where the rule does,
+        # before its left subtree: just before cell i, as many nodes as i
+        # has trailing zero bits (n for cell 0).
         # the run's sharing table starts with its first bisection
         if self._memo is None:
             self._memo = {}
         f_run, f_env = f.run, f.env
         if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
-        ground = self._rules is GROUND_RULES
-        if ground and kind == "int":
-            # exact: the tree of l/2 + r/2 is the cells' sum over 2**n
-            total = (IntervalSum if carrier.name == "pi" else DualSum)()
-            fold, result = total.add, lambda: total.mean(n)
-        elif ground and carrier.name == "pi":
-            # iv_max is associative: the tree is the cells' running max
-            total = IntervalMax()
-            fold, result = total.add, total.result
-        else:
-            fold, result = self._tree(kind, carrier, n)
         closure = None  # f's value, once evaluating f ticked no step
         # f's body's kernel, where f's code is a lambda's
         kernel = getattr(f_run, "kernel", None)
@@ -881,15 +895,15 @@ class Machine:
                 v = self._apply(fv, th, n)
             if v.__class__ is tuple:
                 v = _drive(self, v)
-            fold(v)
-            if not i and kernel is not None and self._bulk(f, n, fold):
+            total.add(v)
+            if not i and kernel is not None and self._bulk(f, n, total):
                 break
-        return result()
+        return total.result(n)
 
-    def _bulk(self, f: Thunk, n: int, fold) -> bool:
-        """Fold cells 1 to 2**n - 1 of a bisection at cost n through the
-        kernel of the body of f, a thunk whose code is a lambda's, in
-        closed form where `fold` adds to a running sum or max
+    def _bulk(self, f: Thunk, n: int, total) -> bool:
+        """Fold cells 1 to 2**n - 1 of a bisection at cost n into `total`
+        through the kernel of the body of f, a thunk whose code is a
+        lambda's, in closed form unless `total` is the literal tree
         (`_sum_cells`), and add their steps at once: per cell, its tree
         ticks, the application, the kernel's known calls and beta steps
         and its replayed shared steps, the steps the ticking loop takes
@@ -902,47 +916,19 @@ class Machine:
         kernel = _instance(self, (None,) + f.env, n, f.run.kernel)
         if kernel is None:
             return False
-        fn, value, ticks, shared = kernel
+        fn, ticks, shared = kernel
         cells = (1 << n) - 1
         steps = cells - n + cells * (1 + ticks + shared)
         if self.steps + steps > self.budget:
             return False
         self.steps += steps
         self.shared += cells * shared
-        if fn is None:
-            fn = lambda c: value
-        # an int's running sum, or a sup's running max at real
-        total = getattr(fold, "__self__", None)
-        if total is None:
+        if total.__class__ is _Tree:
             for i in range(1, 1 << n):
-                fold(fn(iv_unchecked(i, i + 1, n, 1)))
+                total.add(fn(iv_unchecked(i, i + 1, n, 1)))
         else:
             _sum_cells(fn, total, 1, 1 << n, n)
         return True
-
-    def _tree(self, kind: str, carrier: Type, n: int):
-        """`(fold, result)` of the literal combining tree of 2**n cells:
-        of dual `max`, which is not associative, or of the rules of a run
-        with `overrides`, which fire in `intsup_combine`."""
-        rules = self._rules
-        if rules is GROUND_RULES:
-            combine = dual_max
-        else:
-            ground = lambda name, c, vals: rules[name, c.name](*vals)
-            combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
-                                                    ground, 2)
-        pending, cells = [], iter(range(1 << n))
-
-        def fold(v):
-            # `pending` holds finished left subtrees; cell i closes the
-            # nodes whose rightmost cell it is, as many as its trailing 1s
-            i = next(cells)
-            while i & 1:
-                v = combine(pending.pop(), v)
-                i >>= 1
-            pending.append(v)
-
-        return fold, lambda: pending[0]
 
     # -- public driver ------------------------------------------------
 

@@ -291,7 +291,7 @@ class IntervalSum:
             x = iv_unchecked(_total(x.a, cells), _total(x.b, cells), x.e, x.d)
         self.add(x)
 
-    def mean(self, m: int) -> "Interval":
+    def result(self, m: int) -> "Interval":
         """The sum divided by 2**m: its exponent raised by m."""
         if not self.d:
             return IV_BOTTOM
@@ -319,7 +319,7 @@ class IntervalMax:
                              b.peak() if b.__class__ is Poly else b, x.e, x.d)
         self.add(x)
 
-    def result(self) -> "Interval":
+    def result(self, m: int) -> "Interval":  # m, the depth, plays no part
         return self.iv
 
 
@@ -339,8 +339,8 @@ class DualSum:
         self.std.add_cells(x.std, cells)
         self.inf.add_cells(x.inf, cells)
 
-    def mean(self, m: int) -> "DualInterval":
-        return DualInterval(self.std.mean(m), self.inf.mean(m))
+    def result(self, m: int) -> "DualInterval":
+        return DualInterval(self.std.result(m), self.inf.result(m))
 
 
 class Interval:

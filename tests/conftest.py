@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from dualpcf.lang import App, If, Lam, Var
-from dualpcf.machine import Machine
+from dualpcf.machine import GROUND_RULES, Machine, _lit, _unlit
 
 
 def bench_workloads():
@@ -34,6 +34,23 @@ def unshared(patch):
     table = _Forgetful()
     patch.setattr(Machine, "_memo",
                   property(lambda m: table, lambda m, value: None))
+
+
+def _own_rule(name):
+    """An `overrides` entry that fires the constant's own rule."""
+    return lambda carrier, vals: _lit(
+        GROUND_RULES[name, carrier](*map(_unlit, vals)))
+
+
+# `+` and `/` overridden by their own rules: an int then keeps the literal
+# combining tree of `l/2 + r/2` instead of one running sum of its cells
+TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
+
+
+def ticking(patch):
+    """Run every cell of a bisection through the ticking loop: no cell
+    kernel and no closed form.  `patch` is a `MonkeyPatch`."""
+    patch.setattr(Machine, "_bulk", lambda m, f, n, total: False)
 
 
 def marks(e):

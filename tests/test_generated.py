@@ -15,13 +15,11 @@ from hypothesis import given, settings, strategies as st
 from dualpcf import cli
 from dualpcf.analysis import check_monotone_refinement
 from dualpcf.lang import CostTagged, parse
-from dualpcf.machine import (
-    BudgetExhausted, GROUND_RULES, Machine, Value, _lit, _unlit, eval_at_cost,
-)
+from dualpcf.machine import BudgetExhausted, Value, _unlit, eval_at_cost
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
-from conftest import marks, reference_marks, unshared
+from conftest import TREE, marks, reference_marks, ticking, unshared
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
 real_literals = st.builds(
@@ -192,17 +190,6 @@ def test_results_refine_monotonically(src):
     assert verdict, verdict.detail
 
 
-# `+` and `/` overridden by their own rules: an int then keeps the literal
-# combining tree of `l/2 + r/2` instead of one running sum of its cells
-def _own_rule(name):
-    """An `overrides` entry that fires the constant's own rule."""
-    return lambda carrier, vals: _lit(
-        GROUND_RULES[name, carrier](*map(_unlit, vals)))
-
-
-TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
-
-
 @settings(max_examples=150, deadline=None)
 @given(delta_terms())
 def test_running_sum_agrees_with_combining_tree(src):
@@ -239,8 +226,7 @@ def test_kernel_and_ticking_loop_agree(src):
     for n in range(3):
         kernel = runs(n)
         with pytest.MonkeyPatch.context() as patch:
-            # every cell through the ticking loop
-            patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
+            ticking(patch)
             assert runs(n) == kernel, n
 
 
@@ -314,7 +300,7 @@ def test_closed_form_agrees_with_per_cell_folds(src):
         out = eval_at_cost(e, n)
         assert out == eval_at_cost(e, n, overrides=TREE), n
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
+            ticking(patch)
             assert eval_at_cost(e, n) == out, n
 
 

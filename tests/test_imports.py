@@ -1,6 +1,7 @@
 """Static checks: no module of the package imports a name it never uses,
-and none defines a helper, method or property that nothing names; and
-start-up imports only what `check` and `eval` run."""
+and none defines a helper, method or property that nothing names;
+start-up imports only what `check` and `eval` run; and the README states
+the package's line count."""
 import ast
 import functools
 import os
@@ -111,3 +112,11 @@ def test_cli_start_up_loads_only_what_eval_runs():
     assert "dualpcf.machine" in loaded
     assert loaded & {"dataclasses", "inspect", "json", "dualpcf.analysis",
                      "dualpcf.corpus", "dualpcf.reducer"} == set()
+
+
+def test_readme_states_the_package_line_count():
+    # the README's figure for the package source, as `wc -l` counts it
+    lines = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))
+    stated = re.search(r"\(`src/dualpcf/\*\.py`\)\s+is\s+([\d,]+)\s+lines",
+                       (ROOT / "README.md").read_text())
+    assert stated and int(stated[1].replace(",", "")) == lines

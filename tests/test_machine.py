@@ -23,7 +23,7 @@ from dualpcf.numeric import (
 from dualpcf.reducer import run_steps, step
 from dualpcf.typecheck import elaborate
 
-from conftest import bench_workloads, unshared
+from conftest import TREE, bench_workloads, ticking, unshared
 
 
 def ev(src, n=0, budget=10_000_000):
@@ -208,6 +208,22 @@ class TestCostSemantics:
             eval_refine(e, Fraction(1, 10 ** 9), cost_ceiling=4)
         assert exc.value.best.std.contains(Fraction(1, 2))
 
+    @pytest.mark.parametrize("width,cost", [("1/4", 2), (0, 8)],
+                             ids=["string", "zero"])
+    def test_refinement_reads_its_width_as_a_fraction(self, width, cost):
+        # int t has width 2**-n at cost n: "1/4" is reached at cost 2, and
+        # 0 never, so the loop stops at the ceiling
+        e, _ = elaborate(parse("int (fun t: real. in_delta t)"), {})
+
+        def refine(w):
+            try:
+                return eval_refine(e, w, cost_ceiling=8)
+            except CeilingReached as ceiling:
+                return ceiling.best, ceiling.cost
+
+        got = refine(width)
+        assert got == refine(Fraction(width)) and got[1] == cost
+
 
 class TestDerivativeOperator:
     def test_abs_at_zero(self):
@@ -340,16 +356,19 @@ class TestSingleStep:
 
     def test_max_override_fires_in_both_reducers(self):
         # a `max` that keeps its left operand: sup's combine then keeps the
-        # leftmost cell, under the evaluator and the one-step reducer alike
+        # leftmost cell, under the evaluator and the one-step reducer alike,
+        # at `delta` and at `real`, where the running max must not stand in
         left = {"max": lambda carrier, vals: vals[0]}
-        e, _ = load_corpus("sup_id")
-        for n in (1, 2):
-            big = eval_at_cost(e, n, overrides=left)
-            nf, _ = run_steps(CostTagged(e, n), max_steps=100000,
-                              overrides=left)
-            cell = DualInterval.of(Interval(0, Fraction(1, 2 ** n)))
-            assert big.value == nf.dv == cell
-            assert eval_at_cost(e, n).value != cell
+        at_real, _ = elaborate(parse("sup (fun t: real. t)"), {})
+        for e, embed in ((load_corpus("sup_id")[0], DualInterval.of),
+                         (at_real, lambda iv: iv)):
+            for n in (1, 2, 3):
+                big = eval_at_cost(e, n, overrides=left)
+                nf, _ = run_steps(CostTagged(e, n), max_steps=100000,
+                                  overrides=left)
+                cell = embed(Interval(0, Fraction(1, 2 ** n)))
+                assert big.value == _unlit(nf) == cell, n
+                assert eval_at_cost(e, n).value != cell, n
 
     @pytest.mark.parametrize("name,override", [
         # a `+` that keeps its left operand: each node keeps l/2
@@ -410,17 +429,6 @@ def test_step_and_shared_counts_are_pinned_at_cost_4(name):
     assert (out.steps, out.shared) == _COUNTS_AT_COST_4[name]
 
 
-# `+` and `/` overridden by their own rules: an int then keeps the literal
-# combining tree of `l/2 + r/2` instead of one running sum of its cells
-def _own_rule(name):
-    """An `overrides` entry that fires the constant's own rule."""
-    return lambda carrier, vals: _lit(
-        GROUND_RULES[name, carrier](*map(_unlit, vals)))
-
-
-TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
-
-
 class TestRunningSum:
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus_ladder_agrees_with_combining_tree(self, name):
@@ -459,11 +467,6 @@ class TestRunningSum:
                     BudgetExhausted(steps=b + 1), (n, b)
 
 
-def _ticking(patch):
-    """Run every cell of a bisection through the ticking loop."""
-    patch.setattr(Machine, "_bulk", lambda m, fv, depth, fold: False)
-
-
 def _runs(e, n):
     """The run of e at cost n, and the runs stopped by the budgets 1,
     steps // 2 and steps - 1."""
@@ -484,8 +487,8 @@ class TestCellKernel:
         for those whose integrand has one."""
         taken, bulk = [], Machine._bulk
 
-        def spy(m, fv, depth, fold):
-            taken.append(bulk(m, fv, depth, fold))
+        def spy(m, f, n, total):
+            taken.append(bulk(m, f, n, total))
             return taken[-1]
 
         e, _ = elaborate(parse(src), {})
@@ -493,7 +496,7 @@ class TestCellKernel:
             patch.setattr(Machine, "_bulk", spy)
             out = eval_at_cost(e, n, overrides=overrides)
         with pytest.MonkeyPatch.context() as patch:
-            _ticking(patch)
+            ticking(patch)
             assert eval_at_cost(e, n, overrides=overrides) == out
         return taken
 
@@ -503,7 +506,7 @@ class TestCellKernel:
         for n in range(5 if CORPUS[name].heavy else 11):
             runs = _runs(e, n)
             with pytest.MonkeyPatch.context() as patch:
-                _ticking(patch)
+                ticking(patch)
                 assert runs == _runs(e, n), n
 
     @pytest.mark.parametrize("src,bisections", [
@@ -582,7 +585,7 @@ class TestCellKernel:
         for n in range(7):
             runs = _runs(e, n)
             with pytest.MonkeyPatch.context() as patch:
-                _ticking(patch)
+                ticking(patch)
                 assert runs == _runs(e, n), n
 
     def test_a_marked_application_that_misses_its_slot_declines(self):
@@ -597,7 +600,7 @@ class TestCellKernel:
         for n in range(4):
             runs = _runs(e, n)
             with pytest.MonkeyPatch.context() as patch:
-                _ticking(patch)
+                ticking(patch)
                 assert runs == _runs(e, n), n
 
 
@@ -629,7 +632,7 @@ class TestClosedForm:
             patch.setattr(machine, "_sum_cells", spy)
             out = eval_at_cost(e, n)
         with pytest.MonkeyPatch.context() as patch:
-            _ticking(patch)
+            ticking(patch)
             assert eval_at_cost(e, n) == out
         return cells
 

@@ -415,8 +415,8 @@ def check_interval_ops(x, y, rx, ry):
         same(x.scale(y.lo), ref_scale(rx, ry[0]))
     for n in (1, 2, 3, 4, 6):
         same(x.div_nat(n), ref_div(rx, n))
-    same_half(summed(IntervalSum, x).mean(1), x.div_nat(2))
-    same_half(summed(IntervalSum, x, y).mean(1), x.div_nat(2) + y.div_nat(2))
+    same_half(summed(IntervalSum, x).result(1), x.div_nat(2))
+    same_half(summed(IntervalSum, x, y).result(1), x.div_nat(2) + y.div_nat(2))
     same(x.meet(y), ref_meet(rx, ry))
     joined = ref_join(rx, ry)
     if joined is None:
@@ -439,8 +439,8 @@ def check_dual_ops(a, b):
     same_dual(dual_min(a, b), ref_dual_min(ra, rb))
     same_dual(dual_pr(a), ref_dual_pr(ra))
     for x in (a, DUAL_BOTTOM):
-        for got, want in ((summed(DualSum, x).mean(1), x.div_nat(2)), (
-                summed(DualSum, x, b).mean(1), x.div_nat(2) + b.div_nat(2))):
+        for got, want in ((summed(DualSum, x).result(1), x.div_nat(2)), (
+                summed(DualSum, x, b).result(1), x.div_nat(2) + b.div_nat(2))):
             same_half(got.std, want.std)
             same_half(got.inf, want.inf)
 
@@ -492,7 +492,7 @@ class TestSharedDenominator:
     @given(any_kind, st.integers(0, 6))
     def test_mean_raises_the_exponent(self, x, m):
         # one interval summed keeps its form
-        h = summed(IntervalSum, x).mean(m)
+        h = summed(IntervalSum, x).result(m)
         if x is IV_BOTTOM:
             assert h is IV_BOTTOM
             return
@@ -509,10 +509,10 @@ class TestSharedDenominator:
         while len(tree) > 1:
             tree = [l.div_nat(2) + r.div_nat(2)
                     for l, r in zip(tree[::2], tree[1::2])]
-        got = summed(DualSum, *duals).mean(m)
+        got = summed(DualSum, *duals).result(m)
         same_half(got.std, tree[0].std)
         same_half(got.inf, tree[0].inf)
-        same_half(summed(IntervalSum, *stds).mean(m), tree[0].std)
+        same_half(summed(IntervalSum, *stds).result(m), tree[0].std)
 
     @given(any_kind, st.integers(0, 6), st.sampled_from([1, 3, 5, 15]))
     def test_div_nat_splits_off_the_power_of_two(self, x, k, q):
@@ -716,8 +716,8 @@ class TestIntervalMax:
         peak = IntervalMax()
         for x in xs:
             peak.add(x)
-        same_max(peak.result(), functools.reduce(iv_max, xs))
-        same_max(peak.result(), tree(iv_max, xs))
+        same_max(peak.result(0), functools.reduce(iv_max, xs))
+        same_max(peak.result(0), tree(iv_max, xs))
 
     @given(st.sampled_from(range(len(CELL_FORMS))), st.integers(0, 40),
            st.integers(1, 24), st.integers(1, 6), st.one_of(
@@ -743,7 +743,7 @@ class TestIntervalMax:
             return
         if before is not None:
             want = iv_max(before, want)
-        same_max(peak.result(), want)
+        same_max(peak.result(0), want)
 
     def test_an_undecided_peak_adds_nothing(self):
         # c * (1 - c) over the cells of cost 3: its lower numerator
