@@ -63,38 +63,30 @@ unshared machine.  `Outcome.shared` counts the replayed steps.  A shared
 application fires its rules once, so an `overrides` entry must be a pure
 function of its arguments.
 
-A lambda whose body is straight-line, known calls, variables, literals,
-marked applications, and applications of a lambda or of a variable to a
-variable only, is compiled with a cell kernel as well: a superoperator
-(Proebsting, "Optimizing an ANSI C interpreter with superoperators",
-POPL 1995) that computes the body's value from the cell alone, ticks
-nothing, and whose steps are the same in every cell.  An application
-inlines the kernel of the lambda's body, with one beta step.  Cell 0 of a
-bisection runs as every cell does and fills the sharing table.  If the
-integrand's code is a lambda's, every other variable of its body is bound
-to a value thunk, every marked application hits its slot and every
-applied variable is bound to the thunk of a lambda, the remaining cells
-run through the kernel and their steps are added at once, unless they
-would pass the budget.  Otherwise every cell ticks, so steps, `shared`
-and budget stops are those of the ticking loop.  A run with `overrides`
-takes the kernel too: its known calls hold the overridden rules, and the
-combining tree fires the overridden `+`, `/` and `max`.
-
-A running sum or max takes those cells in closed form.  Each cell is
-`[i, i+1] / 2^m`, so the kernel runs once on a range of cells as one
-interval whose numerators are integer polynomials in i (`numeric.Poly`),
-and the rules of `Interval` and `DualInterval` run on them unchanged;
-the denominators do not depend on i.  Each sign test a rule makes is decided for the whole range, or
-raises `Undecided`, and the range is halved (Moore, "Interval Analysis",
-1966), down to single cells, which run as they are.  Since every branch
-is decided uniformly, the symbolic value at each i is the per-cell
-value, and the exact sums of its numerators over the range (Graham,
-Knuth and Patashnik, "Concrete Mathematics", ch. 2) are what the
-per-cell fold adds, in the same form.  A sup takes each numerator's max
-at the end of the range where its forward difference has one sign, or
-halves the range where neither sign is decided.  Steps, `shared` and
-budget stops are those of the kernel's fold.  The literal tree takes
-the kernel's cells one at a time.
+Where evaluating f ticked no step and gave a closure, the cells after
+cell 0 run that closure's own body once per range of cells
+(`Machine._bulk`).  Each cell is `[i, i+1] / 2^m`, so a range of them is
+one interval whose numerators are integer polynomials in i
+(`numeric.Poly`), and the rules of `Interval` and `DualInterval` run on
+it unchanged; the denominators do not depend on i.  Each sign test the
+body makes is decided for the whole range, or raises `Undecided`, and
+the range is halved (Moore, "Interval Analysis", 1966), down to single
+cells, which run as they are.  So the body takes the same branches and
+the same steps at every cell of a range, and its value at each i is the
+cell's: a run's steps and replayed steps count once per cell, and the
+exact sums of its numerators over the range (Graham, Knuth and
+Patashnik, "Concrete Mathematics", ch. 2) are what the per-cell fold
+adds, in the same form.  A sup takes each numerator's max at the end of
+the range where its forward difference has one sign, or halves the
+range where neither sign is decided.  The runs tick against the budget,
+and leave the steps, `shared` and the sharing table as they found them.
+The bisection declines, and every later cell ticks, where a run misses
+the sharing table (the ticking loop would store the slot there), starts
+a bisection of its own (whose cells are not this range's), is
+undetermined or stopped by the budget or the recursion depth, or where
+the cells' steps would pass the budget; and always under the literal
+tree, whose combine takes values, not ranges.  So values, steps,
+`shared` and budget stops are those of the ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -169,9 +161,9 @@ class Thunk(Struct):
     tag in force where the variable occurs, the tag `subst` would give it.
     `run` may end in a tail transfer; `op` gives the value a primitive's
     operand needs, through the sharing table for a marked application.
-    A value thunk, an int/sup cell, holds its value as `env`, and its
-    code returns it.  Thunks compare by identity, which is what the
-    sharing table keys on."""
+    A value thunk, an int/sup cell or range of cells, holds its value as
+    `env`, and its code returns it.  Thunks compare by identity, which is
+    what the sharing table keys on."""
     __slots__ = ("run", "op", "env")
     _fields = ("run",)  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -476,79 +468,9 @@ def _over_budget(m):
 _its_value = lambda m, value, tag: value
 
 
-# The cell kernel of a straight-line node, one that is a known call,
-# variable, literal, marked application, or application of a lambda to a
-# variable, and whose parts are straight-line.  It is built from what
-# compiling the node made: a variable's index, a literal node, a known
-# call's `(rule, operand kernels...)`, a marked application's slot, the
-# getter of the thunks bound to its free variables (see `Machine._shared`),
-# or `(None, head, index)` for `h x`: x's index, and h's index or, for a
-# lambda, its code, whose `kernel` is its body's.
-_cell = lambda c: c
-_constant = lambda v: lambda c: v
-
-
-def _instance(m, env, tag, kern):
-    """A kernel instantiated in a body environment that binds the cell to
-    None: `(fn, ticks, shared)`, `fn` its value as a function of the cell,
-    `ticks` the steps of its known calls and beta steps and `shared` the
-    steps its marked applications replay.  None where a variable other
-    than the cell is bound to a thunk that is not a value, a marked
-    application misses its slot, or an applied variable is bound to a
-    thunk whose code is not a lambda with a kernel."""
-    cls = kern.__class__
-    if cls is int:
-        th = env[kern]
-        if th is None:
-            return _cell, 0, 0
-        return (_constant(th.env), 0, 0) if th.run is _its_value else None
-    if cls in _PAYLOAD:
-        return _constant(_PAYLOAD[cls](kern)), 0, 0
-    if cls is not tuple:
-        slot = m._memo.get(kern)
-        if slot is None or slot[0] != (tag, kern(env)):
-            return None
-        return _constant(slot[1]), 0, slot[2]
-    rule = kern[0]
-    if rule is None:
-        # `h x`: forcing h ticks nothing and gives a closure at this tag,
-        # and the beta step binds x's thunk in front of its environment
-        head, x = kern[1], env[kern[2]]
-        if head.__class__ is int:
-            th = env[head]
-            head, env = th.run, th.env
-        body = getattr(head, "kernel", None)
-        a = None if body is None else _instance(m, (x,) + env, tag, body)
-        return None if a is None else (a[0], a[1] + 1, a[2])
-    a = _instance(m, env, tag, kern[1])
-    if a is None:
-        return None
-    fa, ticks, shared = a
-    if len(kern) == 2:
-        return (rule if fa is _cell else lambda c: rule(fa(c))), ticks + 1, \
-            shared
-    b = _instance(m, env, tag, kern[2])
-    if b is None:
-        return None
-    fb = b[0]
-    return (lambda c: rule(fa(c), fb(c))), ticks + b[1] + 2, shared + b[2]
-
-
-def _sum_cells(fn, total, lo: int, hi: int, n: int) -> None:
-    """Add the kernel's values at the cells `[i, i+1] / 2**n`, lo <= i <
-    hi, to the running sum or max `total`, in closed form: `fn` runs once
-    on all of them as `poly_cells`, and `total.add_cells` sums the value's
-    numerators or takes their peaks.  A range where a sign test or a peak
-    is `Undecided` is halved, and a single cell runs as it is."""
-    if hi - lo > 1:
-        try:
-            total.add_cells(fn(poly_cells(lo, hi, n)), hi - lo)
-        except Undecided:
-            mid = (lo + hi) // 2
-            _sum_cells(fn, total, lo, mid, n)
-            _sum_cells(fn, total, mid, hi, n)
-    else:
-        total.add_cells(fn(iv_unchecked(lo, hi, n, 1)), 1)
+class _Decline(Exception):
+    """A run of a range of cells that only the ticking loop can count: it
+    missed the sharing table or started a bisection (`Machine._bulk`)."""
 
 
 class _Tree:
@@ -575,7 +497,8 @@ class _Tree:
 
 
 class Machine:
-    __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo")
+    __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo",
+                 "_symbolic")
 
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None):
         self.budget = budget
@@ -589,6 +512,8 @@ class Machine:
         # value, steps), one slot per node.  None until the run's first
         # bisection starts, where the repeats are.
         self._memo = None
+        # set while a bisection runs its body on a range of cells
+        self._symbolic = False
 
     def evalc(self, e: Expr, tag: int):
         """Evaluate a closed term at cost `tag`, a natural.  Every tag the
@@ -599,12 +524,10 @@ class Machine:
 
     def _compile(self, e: Expr, scope: tuple):
         """Compile e, whose free variables `scope` names innermost first, to
-        `(run, op, kernel)`: `run(m, env, tag)` returns e's value or a tail
-        transfer, `op` the value a primitive's operand needs, through the
-        sharing table for a marked application, and `kernel` is e's cell
-        kernel as an operand, None unless e is straight-line.  An
-        application or lambda compiled in the empty scope is closed and
-        keeps its code."""
+        `(run, op)`: `run(m, env, tag)` returns e's value or a tail
+        transfer, and `op` the value a primitive's operand needs, through
+        the sharing table for a marked application.  An application or
+        lambda compiled in the empty scope is closed and keeps its code."""
         cls = e.__class__
         keep = (not scope and (cls is App or cls is Lam)
                 and self._rules is GROUND_RULES)
@@ -625,7 +548,7 @@ class Machine:
                 th = env[i]
                 return th.op(m, th.env, tag)
 
-            code = run, op, i
+            code = run, op
         elif cls is If:
             cond, then, els = [self._compile(x, scope)[0]
                                for x in (e.cond, e.then, e.els)]
@@ -642,15 +565,10 @@ class Machine:
                     return bottom[0], (), tag
                 return (then if cv else els)(m, env, tag)
 
-            code = run, _valued(run), None
+            code = run, _valued(run)
         else:
-            kern = None
             if cls is Lam:
-                body, _, kernel = self._compile(e.body, (e.var,) + scope)
-                if e.body.__class__ is App and e.body.free is not None:
-                    # a marked body runs unshared, where its kernel would
-                    # replay its slot
-                    kernel = None
+                body = self._compile(e.body, (e.var,) + scope)[0]
 
                 def run(m, env, tag):
                     c = _new(Closure)
@@ -658,17 +576,14 @@ class Machine:
                     c.env = env
                     c.tag = tag
                     return c
-
-                run.kernel = kernel  # the body's, if straight-line
             elif cls is Const:
                 run = self._compile_const(e)
             elif cls in _PAYLOAD:
                 v = _PAYLOAD[cls](e)
                 run = lambda m, env, tag: v
-                kern = e
             else:
                 raise StuckTerm(f"cannot evaluate {e!r}")
-            code = run, run, kern
+            code = run, run
         if keep:
             e.code = code
         return code
@@ -740,7 +655,7 @@ class Machine:
         if fn.__class__ is Const and _ARITY.get(fn.name) == 1:
             # a known call: one step, then the rule on the operand's value
             rule = self._rule(fn)
-            _, a_op, a_kern = self._compile(arg, scope)
+            a_op = self._compile(arg, scope)[1]
 
             def run(m, env, tag):
                 m.steps += 1
@@ -748,14 +663,13 @@ class Machine:
                     raise _over_budget(m)
                 return rule(a_op(m, env, tag))
 
-            kern = None if a_kern is None else (rule, a_kern)
-            return self._shared(e, run, run, scope, kern)
+            return self._shared(e, run, run, scope)
         if fn.__class__ is App and fn.fn.__class__ is Const \
                 and _ARITY.get(fn.fn.name) == 2:
             # two application nodes, two steps
             rule = self._rule(fn.fn)
-            _, a_op, a_kern = self._compile(fn.arg, scope)
-            _, b_op, b_kern = self._compile(arg, scope)
+            a_op = self._compile(fn.arg, scope)[1]
+            b_op = self._compile(arg, scope)[1]
 
             def run(m, env, tag):
                 m.steps += 2
@@ -763,20 +677,12 @@ class Machine:
                     raise _over_budget(m)
                 return rule(a_op(m, env, tag), b_op(m, env, tag))
 
-            kern = None if a_kern is None or b_kern is None else \
-                (rule, a_kern, b_kern)
-            return self._shared(e, run, run, scope, kern)
+            return self._shared(e, run, run, scope)
         f_run = self._compile(fn, scope)[0]
-        a_run, a_op, _ = self._compile(arg, scope)
+        a_run, a_op = self._compile(arg, scope)
         # a variable argument passes on the thunk it is bound to, so
         # forwarding chains do not grow with each Y unfolding
         i = scope.index(arg.name) if arg.__class__ is Var else None
-        kern = None  # for `h x`, h a variable or a lambda with a kernel
-        if i is not None:
-            if fn.__class__ is Var:
-                kern = None, scope.index(fn.name), i
-            elif fn.__class__ is Lam and f_run.kernel is not None:
-                kern = None, f_run, i
 
         def run(m, env, tag):
             fv = f_run(m, env, tag)
@@ -794,18 +700,19 @@ class Machine:
                 return fv.body, (th,) + fv.env, fv.tag
             return m._apply(fv, th, tag)
 
-        return self._shared(e, run, _valued(run), scope, kern)
+        return self._shared(e, run, _valued(run), scope)
 
     @staticmethod
-    def _shared(e: App, run, val, scope: tuple, kern):
-        """The code `(run, op, kernel)` of an application whose value `val`
-        gives, and whose kernel unshared is `kern`: for a marked one, `op`
-        goes through the run's sharing table once the table exists.  Its value
-        and step count depend only on the tag and the thunks bound to its
-        free variables, so a hit returns the stored value and replays the
-        stored steps, and its kernel is the slot it hits."""
+    def _shared(e: App, run, val, scope: tuple):
+        """The code `(run, op)` of an application whose value `val` gives:
+        for a marked one, `op` goes through the run's sharing table once
+        the table exists.  Its value and step count depend only on the tag
+        and the thunks bound to its free variables, so a hit returns the
+        stored value and replays the stored steps.  A miss while a
+        bisection runs its body on a range of cells declines that run
+        (`_bulk`), before it computes or stores anything."""
         if e.free is None:
-            return run, val, kern
+            return run, val
         # the thunks bound to the free variables, compared by identity;
         # the getter, one per node, is the node's slot in the table
         bound = operator.itemgetter(*map(scope.index, e.free)) if e.free \
@@ -825,12 +732,14 @@ class Machine:
                 m.shared += slot[2]
                 m.steps += slot[2]
                 return slot[1]
+            if m._symbolic:
+                raise _Decline
             before = m.steps
             v = val(m, env, tag)
             memo[bound] = (key, v, m.steps - before)
             return v
 
-        return run, op, bound
+        return run, op
 
     def _template(self, key, make, scope: tuple = ()) -> list:
         """`[run]` of the rule template `make()` builds, compiled once per
@@ -863,6 +772,8 @@ class Machine:
         # internal node of the combining tree ticks where the rule does,
         # before its left subtree: just before cell i, as many nodes as i
         # has trailing zero bits (n for cell 0).
+        if self._symbolic:  # a range run's cells are not this bisection's
+            raise _Decline
         # the run's sharing table starts with its first bisection
         if self._memo is None:
             self._memo = {}
@@ -870,8 +781,6 @@ class Machine:
         if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
         closure = None  # f's value, once evaluating f ticked no step
-        # f's body's kernel, where f's code is a lambda's
-        kernel = getattr(f_run, "kernel", None)
         for i in range(1 << n):
             self.steps += (i & -i).bit_length() - 1 if i else n
             if self.steps > self.budget:
@@ -896,39 +805,67 @@ class Machine:
             if v.__class__ is tuple:
                 v = _drive(self, v)
             total.add(v)
-            if not i and kernel is not None and self._bulk(f, n, total):
+            if not i and closure is not None \
+                    and self._bulk(closure, n, total):
                 break
         return total.result(n)
 
-    def _bulk(self, f: Thunk, n: int, total) -> bool:
+    def _bulk(self, fv: Closure, n: int, total) -> bool:
         """Fold cells 1 to 2**n - 1 of a bisection at cost n into `total`
-        through the kernel of the body of f, a thunk whose code is a
-        lambda's, in closed form unless `total` is the literal tree
-        (`_sum_cells`), and add their steps at once: per cell, its tree
-        ticks, the application, the kernel's known calls and beta steps
-        and its replayed shared steps, the steps the ticking loop takes
-        there.  False, having run nothing, at cost 0, where the kernel
-        does not instantiate, or where those steps would pass the budget:
-        the ticking loop then runs the cells and stops where it passes."""
-        if not n:
+        by running the body of `fv`, f's value, once per range of them
+        (`_pieces`), and add their steps at once: per cell, its tree
+        ticks, the application, and the steps and replayed steps of its
+        range's run, the steps the ticking loop takes there.  False, with
+        nothing changed, at cost 0, under the literal tree, where a run
+        misses the sharing table, starts a bisection, is undetermined or
+        passes the budget or the recursion depth, or where the cells'
+        steps would pass the budget: the ticking loop then runs them."""
+        if not n or total.__class__ is _Tree:
             return False
-        # forcing f gives a closure over f's environment at the tag n
-        kernel = _instance(self, (None,) + f.env, n, f.run.kernel)
-        if kernel is None:
+        fold = total.__class__()
+        steps, shared = self.steps, self.shared
+        self._symbolic = True
+        try:
+            more, replayed = self._pieces(fv, fold, 1, 1 << n, n)
+        except (_Decline, UndeterminedSignal, BudgetError, RecursionError):
             return False
-        fn, ticks, shared = kernel
-        cells = (1 << n) - 1
-        steps = cells - n + cells * (1 + ticks + shared)
-        if self.steps + steps > self.budget:
+        finally:
+            self._symbolic = False
+            self.steps, self.shared = steps, shared
+        more += (1 << n) - 1 - n  # the tree nodes ticked after cell 0
+        if steps + more > self.budget:
             return False
-        self.steps += steps
-        self.shared += cells * shared
-        if total.__class__ is _Tree:
-            for i in range(1, 1 << n):
-                total.add(fn(iv_unchecked(i, i + 1, n, 1)))
-        else:
-            _sum_cells(fn, total, 1, 1 << n, n)
+        self.steps += more
+        self.shared += replayed
+        total.add(fold.result(0))
         return True
+
+    def _pieces(self, fv: Closure, fold, lo: int, hi: int, n: int):
+        """Add the values of the body of `fv` at the cells `[i, i+1] / 2**n`,
+        lo <= i < hi, to the running sum or max `fold`, in closed form: the
+        body runs once on all of them as `poly_cells`, and `add_cells` sums
+        the value's numerators or takes their peaks.  A range where a sign
+        test or a peak is `Undecided` is halved, with its run's steps and
+        replayed steps undone, and a single cell runs as it is.  Returns
+        `(steps, shared)`: each run's steps, its application's included,
+        and its replayed steps, times its cells."""
+        steps, shared, cells = self.steps, self.shared, hi - lo
+        th = _new(Thunk)
+        th.run = th.op = _its_value
+        th.env = poly_cells(lo, hi, n) if cells > 1 else \
+            iv_unchecked(lo, hi, n, 1)
+        try:
+            fold.add_cells(_drive(self, fv.body(self, (th,) + fv.env, fv.tag)),
+                           cells)
+        except Undecided:
+            self.steps, self.shared = steps, shared
+        else:
+            return (cells * (1 + self.steps - steps),
+                    cells * (self.shared - shared))
+        mid = (lo + hi) // 2
+        left, right = (self._pieces(fv, fold, lo, mid, n),
+                       self._pieces(fv, fold, mid, hi, n))
+        return left[0] + right[0], left[1] + right[1]
 
     # -- public driver ------------------------------------------------
 

@@ -28,9 +28,10 @@ class _Forgetful(dict):
 
 def unshared(patch):
     """Give every run of `Machine` a sharing table that stores nothing:
-    every marked application runs and no bisection takes the cell kernel,
-    the unshared reference, whose values, steps and budget stops a shared
-    run must repeat with no step replayed.  `patch` is a `MonkeyPatch`."""
+    every marked application runs, and a bisection whose integrand reads
+    one ticks every cell, since its range runs miss.  This is the unshared
+    reference, whose values, steps and budget stops a shared run must
+    repeat with no step replayed.  `patch` is a `MonkeyPatch`."""
     table = _Forgetful()
     patch.setattr(Machine, "_memo",
                   property(lambda m: table, lambda m, value: None))
@@ -48,8 +49,8 @@ TREE = {"+": _own_rule("+"), "/": _own_rule("/")}
 
 
 def ticking(patch):
-    """Run every cell of a bisection through the ticking loop: no cell
-    kernel and no closed form.  `patch` is a `MonkeyPatch`."""
+    """Run every cell of a bisection through the ticking loop: no range
+    runs and no closed form.  `patch` is a `MonkeyPatch`."""
     patch.setattr(Machine, "_bulk", lambda m, f, n, total: False)
 
 

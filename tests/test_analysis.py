@@ -12,7 +12,7 @@ from dualpcf.analysis import (
 from dualpcf.corpus import load_corpus, load_first_order
 from dualpcf.lang import Arrow, DUAL, DualLit, REAL, parse
 from dualpcf.machine import _as_dual
-from dualpcf.numeric import DualInterval, Interval, IV_BOTTOM, IV_ZERO
+from dualpcf.numeric import DualInterval, Interval, IV_BOTTOM
 from dualpcf.typecheck import elaborate
 
 

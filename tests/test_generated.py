@@ -2,7 +2,7 @@
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
 and neither the sharing table, int's running sum, sup's running max nor
-the cell kernel changes a run.  The front end reads every spelling of a
+running a bisection's cells as ranges changes a run.  The front end reads every spelling of a
 term alike and marks it as the reference does, and `eval` ends every run
 by the exit contract."""
 import contextlib
@@ -214,7 +214,7 @@ def test_shared_and_unshared_runs_agree(src):
 @settings(max_examples=150, deadline=None)
 @given(delta_terms())
 def test_kernel_and_ticking_loop_agree(src):
-    # the budget stops too: the kernel adds its cells' steps at once
+    # the budget stops too: the range runs add their cells' steps at once
     e, _ = elaborate(parse(src), {})
 
     def runs(n):
@@ -231,10 +231,10 @@ def test_kernel_and_ticking_loop_agree(src):
 
 
 @st.composite
-def cell_terms(draw, depth):
-    """A straight-line `real` term in the cell `t`: literals, negative and
-    not dyadic ones too, `+ - *`, `/ n` with n in {0, 2, 3, 5, 8}, `max`,
-    `min` and `pr`."""
+def cell_terms(draw, depth, cells=("t",)):
+    """A straight-line `real` term in the variables `cells`: literals,
+    negative and not dyadic ones too, `+ - *`, `/ n` with n in
+    {0, 2, 3, 5, 8}, `max`, `min` and `pr`."""
     kinds = ["literal", "cell", "cell"]
     if depth > 0:
         kinds += ["arith", "arith", "divide", "extremum", "pr"]
@@ -242,41 +242,44 @@ def cell_terms(draw, depth):
     if kind == "literal":
         return draw(real_literals)
     if kind == "cell":
-        return "t"
-    a = draw(cell_terms(depth - 1))
+        return draw(st.sampled_from(cells))
+    a = draw(cell_terms(depth - 1, cells))
     if kind == "divide":
         return f"({a}) / {draw(st.sampled_from([0, 2, 3, 5, 8]))}"
     if kind == "pr":
         return f"pr ({a})"
-    b = draw(cell_terms(depth - 1))
+    b = draw(cell_terms(depth - 1, cells))
     if kind == "extremum":
         return f"{draw(st.sampled_from(['max', 'min']))}({a}, {b})"
     return f"({a} {draw(st.sampled_from('+-*'))} {b})"
 
 
 @st.composite
-def cell_duals(draw, depth):
-    """A straight-line `delta` term in the cell `t`: `in_delta` of a cell
-    term, and the dual `+ - *`, `max`, `min` and `pr` of such terms."""
+def cell_duals(draw, depth, cells=("t",)):
+    """A straight-line `delta` term in the variables `cells`: `in_delta` of
+    a cell term, and the dual `+ - *`, `max`, `min` and `pr` of such
+    terms."""
     kind = draw(st.sampled_from(
         ["embedded"] + (["arith", "extremum", "pr"] if depth > 0 else [])))
     if kind == "embedded":
-        return f"in_delta ({draw(cell_terms(2))})"
-    a = draw(cell_duals(depth - 1))
+        return f"in_delta ({draw(cell_terms(2, cells))})"
+    a = draw(cell_duals(depth - 1, cells))
     if kind == "pr":
         return f"pr ({a})"
-    b = draw(cell_duals(depth - 1))
+    b = draw(cell_duals(depth - 1, cells))
     if kind == "extremum":
         return f"{draw(st.sampled_from(['max', 'min']))}({a}, {b})"
     return f"({a} {draw(st.sampled_from('+-*'))} {b})"
 
 
 @st.composite
-def straight_line_integrals(draw):
+def cell_integrals(draw):
     """An `int` or a `sup` of a straight-line integrand at `real` or at
-    `delta`, or `L[real -> delta] int f g` with f and g straight-line."""
+    `delta`, `L[real -> delta] int f g` with f and g straight-line, or an
+    `int` whose integrand is a conditional on a cell term, or applies a
+    lambda to a cell term that is not a variable."""
     form = draw(st.sampled_from(["real", "delta", "sup_real", "sup_delta",
-                                 "L"]))
+                                 "L", "conditional", "applied"]))
     if form == "real":
         return f"int (fun t: real. {draw(cell_terms(3))})"
     if form == "delta":
@@ -285,16 +288,24 @@ def straight_line_integrals(draw):
         return f"sup (fun t: real. {draw(cell_terms(3))})"
     if form == "sup_delta":
         return f"sup (fun t: real. {draw(cell_duals(2))})"
+    if form == "conditional":
+        test, then, els = (draw(cell_terms(2)), draw(cell_duals(1)),
+                           draw(cell_duals(1)))
+        return f"int (fun t: real. if 0 < {test} then {then} else {els})"
+    if form == "applied":
+        arg = draw(cell_terms(2).filter(lambda a: a != "t"))
+        body = draw(cell_duals(2, ("u", "t")))
+        return f"int (fun t: real. (fun u: real. {body}) ({arg}))"
     f, g = (draw(cell_duals(1)) for _ in range(2))
     return f"L[real -> delta] int (fun t: real. {f}) (fun t: real. {g})"
 
 
 @settings(max_examples=60, deadline=None)
-@given(straight_line_integrals())
+@given(cell_integrals())
 def test_closed_form_agrees_with_per_cell_folds(src):
     # the sum or max of each piece of cells in closed form against the
-    # kernel folded cell by cell into the combining tree, and against the
-    # ticking loop: values, steps and shared steps
+    # integrand's cells folded one by one into the combining tree, and
+    # against the ticking loop: values, steps and shared steps
     e, _ = elaborate(parse(src), {})
     for n in range(9):
         out = eval_at_cost(e, n)

@@ -1,7 +1,7 @@
-"""Static checks: no module of the package imports a name it never uses,
-and none defines a helper, method or property that nothing names;
-start-up imports only what `check` and `eval` run; and the README states
-the package's line count."""
+"""Static checks: no module of the package or of its tests imports a name
+it never uses, and no module of the package defines a helper, method or
+property that nothing names; start-up imports only what `check` and
+`eval` run; and the README states the package's line count."""
 import ast
 import functools
 import os
@@ -36,9 +36,11 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
-def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

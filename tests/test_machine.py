@@ -188,7 +188,7 @@ class TestCostSemantics:
         y = m._compile(Const("Y", (NAT,)), ())[0](m, (), made)
         f, _ = elaborate(parse("fun x: nu. if 0 < int (fun t: real. t)"
                                " - 1 / 4 then 1 else 0"), {})
-        f_run, f_op, _ = m._compile(f, ())
+        f_run, f_op = m._compile(f, ())
         unfolding = m._apply(y, Thunk(f_run, f_op, ()), saturated)
         if saturated:
             assert machine._drive(m, unfolding) == 1
@@ -477,14 +477,15 @@ def _runs(e, n):
 
 
 class TestCellKernel:
-    # A straight-line integrand runs its cells after the first through a
-    # tick-free kernel and adds their steps at once: the values, steps,
-    # shared steps and budget stops are those of the ticking loop
+    # An integrand whose evaluation ticks no step and gives a closure runs
+    # its body once per range of the cells after the first and adds their
+    # steps at once: the values, steps, shared steps and budget stops are
+    # those of the ticking loop
 
     @staticmethod
-    def bisections(src, n=3, overrides=None):
-        """Whether each bisection of src's run at cost n took the kernel,
-        for those whose integrand has one."""
+    def bisections(src, n=3, overrides=None, budget=10_000_000):
+        """Whether each bisection of src's run at cost n ran its later
+        cells as ranges, for those whose integrand gives such a closure."""
         taken, bulk = [], Machine._bulk
 
         def spy(m, f, n, total):
@@ -494,10 +495,10 @@ class TestCellKernel:
         e, _ = elaborate(parse(src), {})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Machine, "_bulk", spy)
-            out = eval_at_cost(e, n, overrides=overrides)
+            out = eval_at_cost(e, n, budget, overrides)
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
-            assert eval_at_cost(e, n, overrides=overrides) == out
+            assert eval_at_cost(e, n, budget, overrides) == out
         return taken
 
     @pytest.mark.parametrize("name", list(CORPUS))
@@ -510,17 +511,20 @@ class TestCellKernel:
                 assert runs == _runs(e, n), n
 
     @pytest.mark.parametrize("src,bisections", [
-        ("int (fun x: real. int (fun y: real. x * y))", [True] * 8),
+        # the outer body starts a bisection, so only the inner ones run
+        # as ranges
+        ("int (fun x: real. int (fun y: real. x * y))",
+         [True, False] + [True] * 7),
         ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
         ("int (fun t: real. in_delta t)", [True]),
-        # an application of a lambda to the cell, inlined
         ("int (fun t: real. (fun u: real. in_delta u) t)", [True]),
-        # no kernel: a conditional
+        # a conditional decided on each range
         ("int (fun t: real. if 0 < t - 1 / 3 then in_delta t else in_delta 0)",
-         []),
-        # a free variable bound to a thunk that is not a value
+         [True]),
+        # a free variable bound to a thunk that is not a value: each run
+        # forces it, as each cell does
         ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
-         [False]),
+         [True]),
     ], ids=["nested", "sup", "int_id", "generic", "conditional", "unevaluated"])
     def test_which_integrands_take_the_kernel(self, src, bisections):
         assert self.bisections(src) == bisections
@@ -537,19 +541,19 @@ class TestCellKernel:
         ("L[real -> delta] (fun g: real -> delta. int (fun t: real."
          " (int (fun s: real. g(s))) * g(t))) (fun t: real. in_delta t)"
          " (fun t: real. in_delta t)", [True, True]),
-        # inlining moves the cell from index 0: u is the outer cell x
+        # the beta step binds the outer cell x to u
         ("int (fun x: real. int (fun y: real."
-         " (fun u: real. in_delta (u * y)) x))", [True] * 8),
-        # a head bound to a thunk whose forcing ticks: a conditional, an
-        # application
+         " (fun u: real. in_delta (u * y)) x))", [True, False] + [True] * 7),
+        # a head bound to a thunk whose forcing ticks, in each run as in
+        # each cell: a conditional, an application
         ("(fun h: real -> delta. int (fun t: real. h t)) (if 0 < 1 / 3"
          " then (fun u: real. in_delta u) else (fun u: real. in_delta u))",
-         [False]),
+         [True]),
         ("(fun h: real -> delta. int (fun t: real. h t))"
-         " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [False]),
+         " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [True]),
         # an argument that is not a variable
-        ("int (fun t: real. (fun u: real. in_delta u) (t * t))", []),
-        # a marked application of the inlined body mentions the cell: its
+        ("int (fun t: real. (fun u: real. in_delta u) (t * t))", [True]),
+        # a marked application of the applied body mentions the cell: its
         # slot is keyed on each cell's thunk and misses
         ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [False]),
     ], ids=["L_cubics", "applied_variable", "lagrangian_action", "shifted",
@@ -559,18 +563,18 @@ class TestCellKernel:
         assert self.bisections(src) == bisections
 
     @pytest.mark.parametrize("src,bisections", [
-        ("int (fun x: real. int (fun y: real. x * y))", [True] * 8),
-        ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
+        ("int (fun x: real. int (fun y: real. x * y))", [False] * 9),
+        ("sup (fun x: real. x * (1/2) - x * x / 2)", [False]),
         ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
          " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
-         [True]),
+         [False]),
     ], ids=["nested", "sup", "L_cubics"])
     @pytest.mark.parametrize("overrides", [
         TREE, {"*": lambda carrier, vals: vals[0]}], ids=["tree", "times"])
-    def test_runs_with_overrides_take_the_kernel(self, src, bisections,
-                                                 overrides):
-        # the known calls of a kernel hold the overridden rules, and the
-        # tree fold fires the overridden `+` and `/`
+    def test_runs_with_overrides_keep_the_tree(self, src, bisections,
+                                               overrides):
+        # the tree fold fires the overridden `+`, `/` and `max` on values,
+        # so every cell ticks
         assert self.bisections(src, 3, overrides) == bisections
         e, _ = elaborate(parse(src), {})
         nf, _ = run_steps(CostTagged(e, 3), max_steps=100000,
@@ -588,10 +592,32 @@ class TestCellKernel:
                 ticking(patch)
                 assert runs == _runs(e, n), n
 
+    @pytest.mark.parametrize("n,steps,shared",
+                             [(2, 21, 3), (3, 41, 9), (4, 81, 21)])
+    def test_an_undetermined_cell_declines(self, n, steps, shared):
+        # the cell ending at 1/2 straddles the test, at nat: its run is
+        # undetermined, so the bisection declines and the ticking loop
+        # stops in that cell
+        src = "int (fun t: real. in_pi (if 0 < t - 1 / 2 then 1 else 0))"
+        assert self.bisections(src, n) == [False]
+        e, _ = elaborate(parse(src), {})
+        assert eval_at_cost(e, n) == Undetermined(
+            steps, shared,
+            "conditional on a zero-straddling test at a non-continuous type")
+
+    @pytest.mark.parametrize("n,steps", [(2, 56), (3, 112)])
+    def test_halving_a_range_undoes_its_run(self, n, steps):
+        # the ranges holding 1/3 or 2/3 are undecided and halved, and the
+        # steps their runs ticked are undone: the runs stay within a budget
+        # of exactly the bisection's steps
+        src = "int (fun t: real. (t - 1 / 3) * (t - 2 / 3))"
+        assert self.bisections(src, n, budget=steps) == [True]
+        assert ev(src, n).steps == steps
+
     def test_a_marked_application_that_misses_its_slot_declines(self):
         # the recursive call's bisection, a single cell at cost 0,
         # evaluates `x * x` again at the argument x / 2 and overwrites its
-        # slot, so the outer bisection's kernel does not instantiate
+        # slot, so the outer bisection's range run misses it
         src = ("(Y[delta -> delta] (fun f: delta -> delta. fun x: delta."
                " int (fun t: real. x * x * in_delta t + f (x / 2))))"
                " (in_delta 1)")
@@ -605,14 +631,15 @@ class TestCellKernel:
 
 
 class TestClosedForm:
-    # A running sum or max adds the kernel's values over a range of cells
-    # in closed form, one evaluation on polynomial numerators per piece
+    # A running sum or max adds the integrand's values over a range of
+    # cells in closed form, one run of its body on polynomial numerators
+    # per piece
 
     @staticmethod
     def pieces(src, n):
         """The cells of each piece folded in closed form in src's run at
         cost n, checked against the ticking loop."""
-        cells, sum_cells = [], machine._sum_cells
+        cells, pieces = [], Machine._pieces
 
         class Recorded:
             def __init__(self, total):
@@ -622,14 +649,14 @@ class TestClosedForm:
                 self.total.add_cells(x, k)  # an undecided peak: no piece
                 cells.append(k)
 
-        def spy(fn, total, lo, hi, n):
-            if total.__class__ is not Recorded:
-                total = Recorded(total)
-            sum_cells(fn, total, lo, hi, n)
+        def spy(m, fv, fold, lo, hi, n):
+            if fold.__class__ is not Recorded:
+                fold = Recorded(fold)
+            return pieces(m, fv, fold, lo, hi, n)
 
         e, _ = elaborate(parse(src), {})
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(machine, "_sum_cells", spy)
+            patch.setattr(Machine, "_pieces", spy)
             out = eval_at_cost(e, n)
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
