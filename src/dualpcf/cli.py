@@ -80,6 +80,8 @@ def _iv_json(iv: Interval) -> dict:
 
 def _render(out, cost: int, fmt: str) -> str:
     value = out.value
+    if value.__class__ is bool:  # as the language spells it
+        value = "tt" if value else "ff"
     if fmt != "json":
         return f"{value}"
     import json

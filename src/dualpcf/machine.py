@@ -65,8 +65,8 @@ function of its arguments.
 
 Where evaluating f ticked no step and gave a closure, the cells after
 cell 0 run that closure's own body once per range of cells
-(`Machine._bulk`).  Each cell is `[i, i+1] / 2^m`, so a range of them is
-one interval whose numerators are integer polynomials in i
+(`Machine._pieces`).  Each cell is `[i, i+1] / 2^m`, so a range of them
+is one interval whose numerators are integer polynomials in i
 (`numeric.Poly`), and the rules of `Interval` and `DualInterval` run on
 it unchanged; the denominators do not depend on i.  Each sign test the
 body makes is decided for the whole range, or raises `Undecided`, and
@@ -77,16 +77,17 @@ cell's: a run's steps and replayed steps count once per cell, and the
 exact sums of its numerators over the range (Graham, Knuth and
 Patashnik, "Concrete Mathematics", ch. 2) are what the per-cell fold
 adds, in the same form.  A sup takes each numerator's max at the end of
-the range where its forward difference has one sign, or halves the
-range where neither sign is decided.  The runs tick against the budget,
-and leave the steps, `shared` and the sharing table as they found them.
-The bisection declines, and every later cell ticks, where a run misses
-the sharing table (the ticking loop would store the slot there), starts
-a bisection of its own (whose cells are not this range's), is
-undetermined or stopped by the budget or the recursion depth, or where
-the cells' steps would pass the budget; and always under the literal
-tree, whose combine takes values, not ranges.  So values, steps,
-`shared` and budget stops are those of the ticking loop.
+the range where its forward difference has one sign, or halves the range
+where neither sign is decided.  Each range is folded, with its cells'
+steps, once its run succeeds.  A range whose run misses the sharing
+table (the ticking loop would store the slot there), starts a bisection
+of its own, is undetermined or stopped by the budget or the recursion
+depth, or whose cells' steps would pass the budget, is undone, and its
+cells tick one at a time before the ranges after it run.  A folded range
+only hits the table, so each later range finds the table the ticking
+loop would leave.  Under the literal tree, whose combine takes values,
+not ranges, every cell ticks.  So values, steps, `shared` and budget
+stops are those of the ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -469,8 +470,8 @@ _its_value = lambda m, value, tag: value
 
 
 class _Decline(Exception):
-    """A run of a range of cells that only the ticking loop can count: it
-    missed the sharing table or started a bisection (`Machine._bulk`)."""
+    """A range only the ticking loop can count: its run missed the sharing
+    table or started a bisection, or its steps pass the budget."""
 
 
 class _Tree:
@@ -709,8 +710,9 @@ class Machine:
         the table exists.  Its value and step count depend only on the tag
         and the thunks bound to its free variables, so a hit returns the
         stored value and replays the stored steps.  A miss while a
-        bisection runs its body on a range of cells declines that run
-        (`_bulk`), before it computes or stores anything."""
+        bisection runs its body on a range of cells hands that range back
+        to the ticking loop (`_pieces`), before it computes or stores
+        anything."""
         if e.free is None:
             return run, val
         # the thunks bound to the free variables, compared by identity;
@@ -781,7 +783,15 @@ class Machine:
         if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
         closure = None  # f's value, once evaluating f ticked no step
-        for i in range(1 << n):
+        cells = 1 << n
+        # cell 0, every cell under the literal tree and each range
+        # `_pieces` hands back tick here, in the loop's own frame, so the
+        # recursion depth stops them where the ticking loop does
+        i, ticks_to = 0, cells if total.__class__ is _Tree else 1
+        while i < cells:
+            if i >= ticks_to and closure is not None:
+                i, ticks_to = self._pieces(closure, total, i, cells, n)
+                continue
             self.steps += (i & -i).bit_length() - 1 if i else n
             if self.steps > self.budget:
                 raise _over_budget(self)
@@ -805,67 +815,54 @@ class Machine:
             if v.__class__ is tuple:
                 v = _drive(self, v)
             total.add(v)
-            if not i and closure is not None \
-                    and self._bulk(closure, n, total):
-                break
+            i += 1
         return total.result(n)
 
-    def _bulk(self, fv: Closure, n: int, total) -> bool:
-        """Fold cells 1 to 2**n - 1 of a bisection at cost n into `total`
-        by running the body of `fv`, f's value, once per range of them
-        (`_pieces`), and add their steps at once: per cell, its tree
-        ticks, the application, and the steps and replayed steps of its
-        range's run, the steps the ticking loop takes there.  False, with
-        nothing changed, at cost 0, under the literal tree, where a run
-        misses the sharing table, starts a bisection, is undetermined or
-        passes the budget or the recursion depth, or where the cells'
-        steps would pass the budget: the ticking loop then runs them."""
-        if not n or total.__class__ is _Tree:
-            return False
-        fold = total.__class__()
-        steps, shared = self.steps, self.shared
+    def _pieces(self, fv: Closure, total, lo: int, hi: int, n: int):
+        """Fold cells lo to hi - 1 of a bisection at cost n into the running
+        sum or max `total`, left to right, one run of the body of `fv`,
+        f's value, per range: on `poly_cells`, or on the one cell, and
+        `add_cells` sums the value's numerators or takes their peaks.  A
+        range where a sign test or a peak is `Undecided` is halved.  A
+        folded range adds, per cell, its tree ticks, the application, and
+        the run's steps and replayed steps.  Returns `(lo, end)`, its run
+        undone, for a range only the ticking loop can count, and
+        `(hi, hi)` once every cell is folded."""
+        ends = [hi]
         self._symbolic = True
         try:
-            more, replayed = self._pieces(fv, fold, 1, 1 << n, n)
-        except (_Decline, UndeterminedSignal, BudgetError, RecursionError):
-            return False
+            while ends:
+                end = ends[-1]
+                cells, steps, shared = end - lo, self.steps, self.shared
+                th = _new(Thunk)
+                th.run = th.op = _its_value
+                th.env = poly_cells(lo, end, n) if cells > 1 else \
+                    iv_unchecked(lo, end, n, 1)
+                try:
+                    v = _drive(self, fv.body(self, (th,) + fv.env, fv.tag))
+                    # per cell the application and the run; the tree
+                    # ticks, the cells' trailing zero bits, sum to
+                    # cells - popcount(end - 1) + popcount(lo - 1)
+                    more = cells * (2 + self.steps - steps) \
+                        - (end - 1).bit_count() + (lo - 1).bit_count()
+                    if steps + more > self.budget:
+                        raise _Decline
+                    total.add_cells(v, cells)
+                except Undecided:
+                    self.steps, self.shared = steps, shared
+                    ends.append((lo + end) // 2)
+                except (_Decline, UndeterminedSignal, BudgetError,
+                        RecursionError):
+                    self.steps, self.shared = steps, shared
+                    return lo, end
+                else:
+                    self.shared = shared + cells * (self.shared - shared)
+                    self.steps = steps + more
+                    ends.pop()
+                    lo = end
         finally:
             self._symbolic = False
-            self.steps, self.shared = steps, shared
-        more += (1 << n) - 1 - n  # the tree nodes ticked after cell 0
-        if steps + more > self.budget:
-            return False
-        self.steps += more
-        self.shared += replayed
-        total.add(fold.result(0))
-        return True
-
-    def _pieces(self, fv: Closure, fold, lo: int, hi: int, n: int):
-        """Add the values of the body of `fv` at the cells `[i, i+1] / 2**n`,
-        lo <= i < hi, to the running sum or max `fold`, in closed form: the
-        body runs once on all of them as `poly_cells`, and `add_cells` sums
-        the value's numerators or takes their peaks.  A range where a sign
-        test or a peak is `Undecided` is halved, with its run's steps and
-        replayed steps undone, and a single cell runs as it is.  Returns
-        `(steps, shared)`: each run's steps, its application's included,
-        and its replayed steps, times its cells."""
-        steps, shared, cells = self.steps, self.shared, hi - lo
-        th = _new(Thunk)
-        th.run = th.op = _its_value
-        th.env = poly_cells(lo, hi, n) if cells > 1 else \
-            iv_unchecked(lo, hi, n, 1)
-        try:
-            fold.add_cells(_drive(self, fv.body(self, (th,) + fv.env, fv.tag)),
-                           cells)
-        except Undecided:
-            self.steps, self.shared = steps, shared
-        else:
-            return (cells * (1 + self.steps - steps),
-                    cells * (self.shared - shared))
-        mid = (lo + hi) // 2
-        left, right = (self._pieces(fv, fold, lo, mid, n),
-                       self._pieces(fv, fold, mid, hi, n))
-        return left[0] + right[0], left[1] + right[1]
+        return hi, hi
 
     # -- public driver ------------------------------------------------
 

@@ -255,6 +255,21 @@ class TestEval:
         assert doc == json.loads(out)
         assert doc["value"] == "1" and doc["steps"] > 0
 
+    @pytest.mark.parametrize("src,printed", [
+        ("iszero 0", "tt"), ("iszero (succ 0)", "ff")])
+    def test_booleans_print_as_the_language_spells_them(self, capsys, program,
+                                                        src, printed):
+        path = program(src)
+        for flags in (["--cost", "2"], ["--width", "1/4"]):
+            code, out, _ = run(capsys, ["eval", path] + flags)
+            assert (code, out) == (0, printed + "\n"), flags
+        code, out, _ = run(capsys, ["eval", path, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["value"] == printed
+        # the printed value reads back as the same program
+        code, out, _ = run(capsys, ["check", program(printed, "back.dpcf")])
+        assert (code, out) == (0, "o\n")
+
     def test_divergent_unbounded_fixed_point(self, capsys, program):
         # diverges by recursion depth long before the default step budget,
         # and into a small budget before the recursion depth

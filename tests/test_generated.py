@@ -213,8 +213,8 @@ def test_shared_and_unshared_runs_agree(src):
 
 @settings(max_examples=150, deadline=None)
 @given(delta_terms())
-def test_kernel_and_ticking_loop_agree(src):
-    # the budget stops too: the range runs add their cells' steps at once
+def test_range_runs_and_ticking_loop_agree(src):
+    # the budget stops too: each range run adds its cells' steps at once
     e, _ = elaborate(parse(src), {})
 
     def runs(n):
@@ -224,10 +224,10 @@ def test_kernel_and_ticking_loop_agree(src):
                         for b in budgets if 0 < b < out.steps]
 
     for n in range(3):
-        kernel = runs(n)
+        ranges = runs(n)
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
-            assert runs(n) == kernel, n
+            assert runs(n) == ranges, n
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Static checks: no module of the package or of its tests imports a name
 it never uses, and no module of the package defines a helper, method or
 property that nothing names; start-up imports only what `check` and
-`eval` run; and the README states the package's line count."""
+`eval` run; the README states the package's line count; and every source
+parses as the oldest Python that pyproject.toml admits."""
 import ast
 import functools
 import os
@@ -122,3 +123,13 @@ def test_readme_states_the_package_line_count():
     stated = re.search(r"\(`src/dualpcf/\*\.py`\)\s+is\s+([\d,]+)\s+lines",
                        (ROOT / "README.md").read_text())
     assert stated and int(stated[1].replace(",", "")) == lines
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml's `requires-python` floor; the suite itself runs on
+    # a later Python, which would accept newer syntax
+    paths = [p for d in (PACKAGE, ROOT / "tests", ROOT / "bench")
+             for p in sorted(d.glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -478,28 +478,30 @@ def _runs(e, n):
 
 class TestCellKernel:
     # An integrand whose evaluation ticks no step and gives a closure runs
-    # its body once per range of the cells after the first and adds their
-    # steps at once: the values, steps, shared steps and budget stops are
-    # those of the ticking loop
+    # its body once per range of the cells after the first and adds each
+    # range's steps at once; a range only the ticking loop can count is
+    # handed back to it, and its cells tick.  The values, steps, shared
+    # steps and budget stops are those of the ticking loop
 
     @staticmethod
     def bisections(src, n=3, overrides=None, budget=10_000_000):
-        """Whether each bisection of src's run at cost n ran its later
-        cells as ranges, for those whose integrand gives such a closure."""
-        taken, bulk = [], Machine._bulk
+        """The range each call of `_pieces` in src's run at cost n handed
+        back to the ticking loop, `(hi, hi)` where it folded every cell,
+        checked against the ticking loop."""
+        handed, pieces = [], Machine._pieces
 
-        def spy(m, f, n, total):
-            taken.append(bulk(m, f, n, total))
-            return taken[-1]
+        def spy(m, fv, total, lo, hi, n):
+            handed.append(pieces(m, fv, total, lo, hi, n))
+            return handed[-1]
 
         e, _ = elaborate(parse(src), {})
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Machine, "_bulk", spy)
+            patch.setattr(Machine, "_pieces", spy)
             out = eval_at_cost(e, n, budget, overrides)
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
             assert eval_at_cost(e, n, budget, overrides) == out
-        return taken
+        return handed
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus_ladder_agrees_with_ticking_loop(self, name):
@@ -511,20 +513,20 @@ class TestCellKernel:
                 assert runs == _runs(e, n), n
 
     @pytest.mark.parametrize("src,bisections", [
-        # the outer body starts a bisection, so only the inner ones run
-        # as ranges
+        # the outer body starts a bisection, so the outer range hands all
+        # its cells back, and only the inner bisections run as ranges
         ("int (fun x: real. int (fun y: real. x * y))",
-         [True, False] + [True] * 7),
-        ("sup (fun x: real. x * (1/2) - x * x / 2)", [True]),
-        ("int (fun t: real. in_delta t)", [True]),
-        ("int (fun t: real. (fun u: real. in_delta u) t)", [True]),
+         [(8, 8), (1, 8)] + [(8, 8)] * 7),
+        ("sup (fun x: real. x * (1/2) - x * x / 2)", [(8, 8)]),
+        ("int (fun t: real. in_delta t)", [(8, 8)]),
+        ("int (fun t: real. (fun u: real. in_delta u) t)", [(8, 8)]),
         # a conditional decided on each range
         ("int (fun t: real. if 0 < t - 1 / 3 then in_delta t else in_delta 0)",
-         [True]),
+         [(8, 8)]),
         # a free variable bound to a thunk that is not a value: each run
         # forces it, as each cell does
         ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
-         [True]),
+         [(8, 8)]),
     ], ids=["nested", "sup", "int_id", "generic", "conditional", "unevaluated"])
     def test_which_integrands_take_the_kernel(self, src, bisections):
         assert self.bisections(src) == bisections
@@ -534,28 +536,29 @@ class TestCellKernel:
         # variables bound to the thunks of lambdas
         ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
          " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
-         [True]),
+         [(8, 8)]),
         # lagrangian_action's inner `int (fun s. g(s))`, alone and in place
         ("(fun g: real -> delta. int (fun s: real. g s))"
-         " (fun t: real. in_delta (t * t))", [True]),
+         " (fun t: real. in_delta (t * t))", [(8, 8)]),
         ("L[real -> delta] (fun g: real -> delta. int (fun t: real."
          " (int (fun s: real. g(s))) * g(t))) (fun t: real. in_delta t)"
-         " (fun t: real. in_delta t)", [True, True]),
+         " (fun t: real. in_delta t)", [(8, 8), (8, 8)]),
         # the beta step binds the outer cell x to u
         ("int (fun x: real. int (fun y: real."
-         " (fun u: real. in_delta (u * y)) x))", [True, False] + [True] * 7),
+         " (fun u: real. in_delta (u * y)) x))",
+         [(8, 8), (1, 8)] + [(8, 8)] * 7),
         # a head bound to a thunk whose forcing ticks, in each run as in
         # each cell: a conditional, an application
         ("(fun h: real -> delta. int (fun t: real. h t)) (if 0 < 1 / 3"
          " then (fun u: real. in_delta u) else (fun u: real. in_delta u))",
-         [True]),
+         [(8, 8)]),
         ("(fun h: real -> delta. int (fun t: real. h t))"
-         " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [True]),
+         " ((fun k: real -> delta. k) (fun u: real. in_delta u))", [(8, 8)]),
         # an argument that is not a variable
-        ("int (fun t: real. (fun u: real. in_delta u) (t * t))", [True]),
+        ("int (fun t: real. (fun u: real. in_delta u) (t * t))", [(8, 8)]),
         # a marked application of the applied body mentions the cell: its
-        # slot is keyed on each cell's thunk and misses
-        ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [False]),
+        # slot is keyed on each cell's thunk and misses in the first range
+        ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [(1, 8)]),
     ], ids=["L_cubics", "applied_variable", "lagrangian_action", "shifted",
             "conditional_head", "applied_head", "non_variable_argument",
             "marked_mentions_cell"])
@@ -563,18 +566,18 @@ class TestCellKernel:
         assert self.bisections(src) == bisections
 
     @pytest.mark.parametrize("src,bisections", [
-        ("int (fun x: real. int (fun y: real. x * y))", [False] * 9),
-        ("sup (fun x: real. x * (1/2) - x * x / 2)", [False]),
+        ("int (fun x: real. int (fun y: real. x * y))", []),
+        ("sup (fun x: real. x * (1/2) - x * x / 2)", []),
         ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
          " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
-         [False]),
+         []),
     ], ids=["nested", "sup", "L_cubics"])
     @pytest.mark.parametrize("overrides", [
         TREE, {"*": lambda carrier, vals: vals[0]}], ids=["tree", "times"])
     def test_runs_with_overrides_keep_the_tree(self, src, bisections,
                                                overrides):
         # the tree fold fires the overridden `+`, `/` and `max` on values,
-        # so every cell ticks
+        # so every cell ticks and no range runs
         assert self.bisections(src, 3, overrides) == bisections
         e, _ = elaborate(parse(src), {})
         nf, _ = run_steps(CostTagged(e, 3), max_steps=100000,
@@ -596,10 +599,11 @@ class TestCellKernel:
                              [(2, 21, 3), (3, 41, 9), (4, 81, 21)])
     def test_an_undetermined_cell_declines(self, n, steps, shared):
         # the cell ending at 1/2 straddles the test, at nat: its run is
-        # undetermined, so the bisection declines and the ticking loop
-        # stops in that cell
+        # undetermined, so that one cell is handed back and the ticking
+        # loop stops in it
         src = "int (fun t: real. in_pi (if 0 < t - 1 / 2 then 1 else 0))"
-        assert self.bisections(src, n) == [False]
+        half = 1 << (n - 1)
+        assert self.bisections(src, n) == [(half - 1, half)]
         e, _ = elaborate(parse(src), {})
         assert eval_at_cost(e, n) == Undetermined(
             steps, shared,
@@ -611,23 +615,65 @@ class TestCellKernel:
         # steps their runs ticked are undone: the runs stay within a budget
         # of exactly the bisection's steps
         src = "int (fun t: real. (t - 1 / 3) * (t - 2 / 3))"
-        assert self.bisections(src, n, budget=steps) == [True]
+        assert self.bisections(src, n, budget=steps) == [(1 << n, 1 << n)]
         assert ev(src, n).steps == steps
 
     def test_a_marked_application_that_misses_its_slot_declines(self):
         # the recursive call's bisection, a single cell at cost 0,
         # evaluates `x * x` again at the argument x / 2 and overwrites its
-        # slot, so the outer bisection's range run misses it
+        # slot, so the range of the outer bisection's one later cell
+        # misses it and is handed back
         src = ("(Y[delta -> delta] (fun f: delta -> delta. fun x: delta."
                " int (fun t: real. x * x * in_delta t + f (x / 2))))"
                " (in_delta 1)")
-        assert self.bisections(src, 2) == [False, False]
+        assert self.bisections(src, 2) == [(1, 2)]
         e, _ = elaborate(parse(src), {})
         for n in range(4):
             runs = _runs(e, n)
             with pytest.MonkeyPatch.context() as patch:
                 ticking(patch)
                 assert runs == _runs(e, n), n
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_a_slot_first_stored_past_cell_0_declines_one_range(self, n):
+        # the slot of `1 / 5` is empty until the first cell past 1/3: the
+        # range holding that cell misses it and is handed back, the ticking
+        # loop stores the slot there, and every later range hits it
+        src = ("int (fun t: real. if 0 < t - 1 / 3"
+               " then in_delta (t * (1 / 5)) else in_delta t)")
+        (lo, hi), rest = self.bisections(src, n)
+        assert 0 < hi - lo <= 2 and rest == (1 << n, 1 << n)
+        e, _ = elaborate(parse(src), {})
+        runs = _runs(e, n)
+        with pytest.MonkeyPatch.context() as patch:
+            ticking(patch)
+            assert runs == _runs(e, n)
+
+    def test_a_bisection_past_the_middle_declines_its_ranges_alone(self):
+        # past 1/2 the body starts a bisection of its own, so those ranges
+        # are handed back, each after the inner bisection before it; cells
+        # 1 to 4 are folded as ranges
+        src = ("int (fun t: real. if 0 < t - 1 / 2"
+               " then int (fun s: real. in_delta (s * t)) else in_delta t)")
+        assert self.bisections(src) == [(5, 6), (8, 8), (6, 8), (8, 8), (8, 8)]
+        for n in range(2, 6):
+            first = self.bisections(src, n)[0]
+            assert first[0] == (1 << (n - 1)) + 1, n
+
+    def test_a_recursion_depth_stop_is_the_ticking_loops(self):
+        # the range holding the last cell recurses until the depth runs
+        # out: it is handed back, and the cell ticks in the loop's own
+        # frame, where the ticking loop stops it, at the same step
+        src = ("int (fun t: real. if 0 < t - 3 / 4 then in_pi"
+               " ((Y[nat -> nat] (fun f: nat -> nat. fun n: nat. succ (f n)))"
+               " 0) else t)")
+        assert self.bisections(src) == [(7, 8)]
+        e, _ = elaborate(parse(src), {})
+        out = eval_at_cost(e, 3)
+        assert out.reason == "recursion depth"
+        with pytest.MonkeyPatch.context() as patch:
+            ticking(patch)
+            assert eval_at_cost(e, 3) == out
 
 
 class TestClosedForm:
@@ -724,8 +770,8 @@ def _cubic(rng) -> str:
 
 
 def test_fresh_terms_leave_nothing_behind():
-    # each term's code, its kernels included, lives on the term and dies
-    # with it: no table outside a run may hold a compiled node
+    # each term's compiled code lives on the term and dies with it: no
+    # table outside a run may hold a compiled node
     rng = random.Random(17)
 
     def evaluate(pairs):
