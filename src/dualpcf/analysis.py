@@ -10,7 +10,11 @@ arguments: a base interval f, its shift f + r*g, and the dual
 (f meet (f + r*g)) + eps g.
 
 The finite-difference oracle computes only what the soundness check
-reads: the hull of the difference quotients at one radius, 2^-12.
+reads: the hull of the difference quotients at one radius, 2^-12.  Its
+grid evaluations apply the function to each point's value (the `arg` of
+`eval_refine`), so nothing is compiled per point.  The soundness check
+runs `App(f, DualLit(...))`, as `dualpcf eval` runs the program, so the
+two paths are checked against each other.
 
 The costs are fixed: the relation is checked on evaluations at cost
 RELATION_COST, derivative soundness at each of SOUNDNESS_COSTS.  Every
@@ -204,9 +208,9 @@ _GRID = [(Interval.point(j) * _R).div_nat(4) for j in range(-4, 5)]
 
 
 def _std_at(f: Expr, z: Interval) -> Interval:
-    e = App(f, DualLit(DualInterval(z, IV_ZERO)))
     try:
-        out, _ = eval_refine(e, _WIDTH, std_only=True)
+        out, _ = eval_refine(f, _WIDTH, std_only=True,
+                             arg=DualInterval(z, IV_ZERO))
     except CeilingReached:
         raise OracleInconclusive(
             f"refinement ceiling hit evaluating at {z.lo}") from None

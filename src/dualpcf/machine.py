@@ -79,15 +79,19 @@ Patashnik, "Concrete Mathematics", ch. 2) are what the per-cell fold
 adds, in the same form.  A sup takes each numerator's max at the end of
 the range where its forward difference has one sign, or halves the range
 where neither sign is decided.  Each range is folded, with its cells'
-steps, once its run succeeds.  A range whose run misses the sharing
-table (the ticking loop would store the slot there), starts a bisection
-of its own, is undetermined or stopped by the budget or the recursion
-depth, or whose cells' steps would pass the budget, is undone, and its
-cells tick one at a time before the ranges after it run.  A folded range
-only hits the table, so each later range finds the table the ticking
-loop would leave.  Under the literal tree, whose combine takes values,
-not ranges, every cell ticks.  So values, steps, `shared` and budget
-stops are those of the ticking loop.
+steps, once its run succeeds.  A sharing-table key that holds the
+range's own cell thunk misses at every cell of the ticking loop too, so
+the run computes and stores that slot, as each cell would.  A range
+whose run misses any other key (the ticking loop would store the slot
+there), starts a bisection of its own, is undetermined or stopped by the
+budget or the recursion depth, or whose cells' steps would pass the
+budget, is undone, and its cells tick one at a time before the ranges
+after it run.  A folded range stores only slots keyed on its own cell,
+which no later lookup holds, as none holds a cell of the ticking loop;
+so each later range finds the table the ticking loop would leave.
+Under the literal tree, whose combine takes values, not ranges, every
+cell ticks.  So values, steps, `shared` and budget stops are those of
+the ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -469,9 +473,30 @@ def _over_budget(m):
 _its_value = lambda m, value, tag: value
 
 
+def _applied(m, f_run, tag):
+    """The run of `App(f, DualLit(m.arg))` at the tag, f's code `f_run`:
+    f's value, which a closed lambda gives from its kept code, applied to
+    a value thunk holding arg in one step, as the generic run of
+    `_compile_app` applies it.  Called where that run would be, so a
+    recursion-depth stop falls on the same step."""
+    fv = f_run(m, (), tag)
+    if fv.__class__ is tuple:
+        fv = _drive(m, fv)
+    th = _new(Thunk)
+    th.run = th.op = _its_value
+    th.env = m.arg
+    m.steps += 1
+    if m.steps > m.budget:
+        raise _over_budget(m)
+    if fv.__class__ is Closure:  # a beta step: a tail transfer
+        return fv.body, (th,) + fv.env, fv.tag
+    return m._apply(fv, th, tag)
+
+
 class _Decline(Exception):
     """A range only the ticking loop can count: its run missed the sharing
-    table or started a bisection, or its steps pass the budget."""
+    table on a key without its cell or started a bisection, or its steps
+    pass the budget."""
 
 
 class _Tree:
@@ -498,11 +523,14 @@ class _Tree:
 
 
 class Machine:
-    __slots__ = ("budget", "steps", "shared", "_rules", "_cache", "_memo",
-                 "_symbolic")
+    __slots__ = ("budget", "arg", "steps", "shared", "_rules", "_cache",
+                 "_memo", "_symbolic")
 
-    def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None):
+    def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None,
+                 arg=None):
         self.budget = budget
+        # a value each run applies its function term to, or None
+        self.arg = arg
         # The rule of each (constant, carrier name), and the compiled rule
         # templates
         self._rules = ground_rules(overrides)
@@ -513,13 +541,17 @@ class Machine:
         # value, steps), one slot per node.  None until the run's first
         # bisection starts, where the repeats are.
         self._memo = None
-        # set while a bisection runs its body on a range of cells
-        self._symbolic = False
+        # the cell thunk of the range a bisection runs its body on, or None
+        self._symbolic = None
 
     def evalc(self, e: Expr, tag: int):
-        """Evaluate a closed term at cost `tag`, a natural.  Every tag the
-        run meets is one too: a closure's tag, or the tag in force."""
-        return _drive(self, self._compile(e, ())[0](self, (), tag))
+        """Evaluate a closed term at cost `tag`, a natural, or with `arg`,
+        the closed function term e applied to it.  Every tag the run meets
+        is one too: a closure's tag, or the tag in force."""
+        run = self._compile(e, ())[0]
+        if self.arg is None:
+            return _drive(self, run(self, (), tag))
+        return _drive(self, _applied(self, run, tag))
 
     # -- the compiler --------------------------------------------------
 
@@ -712,7 +744,9 @@ class Machine:
         stored value and replays the stored steps.  A miss while a
         bisection runs its body on a range of cells hands that range back
         to the ticking loop (`_pieces`), before it computes or stores
-        anything."""
+        anything, unless the key holds the range's own cell thunk: the
+        ticking loop misses that key at every cell, and stores the slot
+        there, so the run computes and stores it as each cell would."""
         if e.free is None:
             return run, val
         # the thunks bound to the free variables, compared by identity;
@@ -734,8 +768,12 @@ class Machine:
                 m.shared += slot[2]
                 m.steps += slot[2]
                 return slot[1]
-            if m._symbolic:
-                raise _Decline
+            cell = m._symbolic
+            if cell is not None:
+                held = key[1]
+                if held is not cell and (held.__class__ is not tuple
+                                         or cell not in held):
+                    raise _Decline
             before = m.steps
             v = val(m, env, tag)
             memo[bound] = (key, v, m.steps - before)
@@ -774,7 +812,7 @@ class Machine:
         # internal node of the combining tree ticks where the rule does,
         # before its left subtree: just before cell i, as many nodes as i
         # has trailing zero bits (n for cell 0).
-        if self._symbolic:  # a range run's cells are not this bisection's
+        if self._symbolic is not None:  # a range's cells are not its own
             raise _Decline
         # the run's sharing table starts with its first bisection
         if self._memo is None:
@@ -829,12 +867,11 @@ class Machine:
         undone, for a range only the ticking loop can count, and
         `(hi, hi)` once every cell is folded."""
         ends = [hi]
-        self._symbolic = True
         try:
             while ends:
                 end = ends[-1]
                 cells, steps, shared = end - lo, self.steps, self.shared
-                th = _new(Thunk)
+                th = self._symbolic = _new(Thunk)
                 th.run = th.op = _its_value
                 th.env = poly_cells(lo, end, n) if cells > 1 else \
                     iv_unchecked(lo, end, n, 1)
@@ -861,13 +898,17 @@ class Machine:
                     ends.pop()
                     lo = end
         finally:
-            self._symbolic = False
+            self._symbolic = None
         return hi, hi
 
     # -- public driver ------------------------------------------------
 
     def eval_at_cost(self, e: Expr, n: int) -> Outcome:
         """Normalize a closed, elaborated term of ground type at cost n.
+
+        With the machine's `arg`, e is a closed function term, applied to
+        a value thunk holding arg (see `_applied`): the outcome is that of
+        `App(e, DualLit(arg))`, but no application is built or compiled.
 
         A run that exhausts the step budget, or the interpreter's recursion
         depth on a divergent term, ends in `BudgetExhausted` with that
@@ -897,8 +938,10 @@ class Machine:
 
 
 def eval_at_cost(e: Expr, n: int, budget: int = DEFAULT_BUDGET,
-                 overrides=None) -> Outcome:
-    return Machine(budget, overrides).eval_at_cost(e, n)
+                 overrides=None, arg=None) -> Outcome:
+    """`Machine.eval_at_cost` on a new machine, which applies e to `arg`
+    if it is given."""
+    return Machine(budget, overrides, arg).eval_at_cost(e, n)
 
 
 def _dual_value(v) -> DualInterval:
@@ -920,10 +963,12 @@ def eval_dual(e: Expr, n: int) -> DualInterval:
 
 
 def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
-                budget: int = DEFAULT_BUDGET,
-                std_only: bool = False) -> Tuple[Outcome, int]:
+                budget: int = DEFAULT_BUDGET, std_only: bool = False,
+                arg=None) -> Tuple[Outcome, int]:
     """Evaluate at costs 1, 2, 4, ... until both component widths reach
-    the target (or only the standard part's width, with std_only).
+    the target (or only the standard part's width, with std_only).  With
+    `arg`, each evaluation applies the function term e to it, as
+    `eval_at_cost` does.
 
     Returns the last outcome and its cost: a `Value` holding a
     `DualInterval`, or the `Undetermined` or `BudgetExhausted` outcome
@@ -941,7 +986,7 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
 
     n = 1
     while True:
-        out = eval_at_cost(e, n, budget)
+        out = eval_at_cost(e, n, budget, arg=arg)
         if not isinstance(out, Value) or \
                 not isinstance(out.value, (Interval, DualInterval)):
             return out, n

@@ -28,8 +28,9 @@ class _Forgetful(dict):
 
 def unshared(patch):
     """Give every run of `Machine` a sharing table that stores nothing:
-    every marked application runs, and a bisection whose integrand reads
-    one ticks every cell, since its range runs miss.  This is the unshared
+    every marked application runs.  A range run's miss on a key holding
+    its own cell runs as the ticking loop's cell would, and any other miss
+    hands the range back, so those cells tick.  This is the unshared
     reference, whose values, steps and budget stops a shared run must
     repeat with no step replayed.  `patch` is a `MonkeyPatch`."""
     table = _Forgetful()

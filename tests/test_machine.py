@@ -8,17 +8,22 @@ from fractions import Fraction
 import pytest
 
 from dualpcf import machine, reducer
-from dualpcf.corpus import CORPUS, corpus_source, load_corpus
+from dualpcf.analysis import _GRID, _R, _WIDTH
+from dualpcf.corpus import (
+    CORPUS, FIRST_ORDER_FUNCTIONS, corpus_source, load_corpus,
+    load_first_order,
+)
 from dualpcf.lang import (
     App, Arrow, CARRIER, Const, CostTagged, DUAL, DualLit, IvLit, Lam, NAT,
     REAL, SIGNATURES, Var, parse, uncurry,
 )
 from dualpcf.machine import (
-    BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine, Thunk,
-    Undetermined, Value, _lit, _unlit, eval_at_cost, eval_dual, eval_refine,
+    BudgetExhausted, CeilingReached, Closure, GROUND_RULES, Machine,
+    StuckTerm, Thunk, Undetermined, Value, _lit, _unlit, eval_at_cost,
+    eval_dual, eval_refine,
 )
 from dualpcf.numeric import (
-    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM,
+    DUAL_BOTTOM, DualInterval, Interval, IV_BOTTOM, IV_ZERO,
 )
 from dualpcf.reducer import run_steps, step
 from dualpcf.typecheck import elaborate
@@ -258,6 +263,17 @@ class TestSingleStep:
     def test_tag_erases_on_literals(self):
         lit = IvLit(Interval.point(7))
         assert step(CostTagged(lit, 3)) == lit
+
+    @pytest.mark.xfail(strict=True, raises=StuckTerm,
+                       reason="`step` leaves the argument of a head that is "
+                       "not a lambda untagged (ROADMAP item 7)")
+    def test_a_y_head_applied_to_an_integral_steps(self):
+        src = ("(Y[delta -> delta] (fun r: delta -> delta. pr))"
+               " (int (fun t: real. in_delta t))")
+        assert str(val(src, 2)) == "[3/8,5/8] + eps [0,0]"
+        e, _ = elaborate(parse(src), {})
+        nf, _ = run_steps(CostTagged(e, 2), max_steps=100_000)
+        assert _unlit(nf) == val(src, 2)
 
     @pytest.mark.parametrize("src,n", [
         ("max(in_pi 1, in_pi 2)", 0),
@@ -557,11 +573,15 @@ class TestCellKernel:
         # an argument that is not a variable
         ("int (fun t: real. (fun u: real. in_delta u) (t * t))", [(8, 8)]),
         # a marked application of the applied body mentions the cell: its
-        # slot is keyed on each cell's thunk and misses in the first range
-        ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [(1, 8)]),
+        # slot is keyed on each cell's thunk, which the ticking loop misses
+        # at every cell, so each range's run computes and stores it
+        ("int (fun t: real. (fun u: real. in_delta (t * t + u)) t)", [(8, 8)]),
+        # and a second free variable, bound outside the bisection
+        ("(fun x: real. int (fun t: real. (fun u: real. in_delta (t * x + u))"
+         " t)) (1 / 3)", [(8, 8)]),
     ], ids=["L_cubics", "applied_variable", "lagrangian_action", "shifted",
             "conditional_head", "applied_head", "non_variable_argument",
-            "marked_mentions_cell"])
+            "marked_mentions_cell", "marked_mentions_cell_and_more"])
     def test_which_applications_are_inlined(self, src, bisections):
         assert self.bisections(src) == bisections
 
@@ -825,6 +845,86 @@ class TestKnownCalls:
         expected = val(src)
         monkeypatch.setattr(Machine, "_apply", no_apply)
         assert val(src) == expected == DualInterval.of(Fraction(1, 2))
+
+
+def _verdict_values(x, xp):
+    """The argument values of one `check_L_soundness` verdict at (x, xp):
+    x + eps xp, and the 18 grid points of `finite_diff_oracle`, y and
+    y + r xp for y on the grid, with no infinitesimal part."""
+    x, step = Interval.point(x), Interval.point(xp) * _R
+    grid = [x + offset for offset in _GRID]
+    return [DualInterval(x, Interval.point(xp))] + [
+        DualInterval(z, IV_ZERO) for y in grid for z in (y, y + step)]
+
+
+class TestAppliedToAValue:
+    # With `arg`, a closed function term is applied to a value with no
+    # application built or compiled: the run is `App(f, DualLit(arg))`'s,
+    # its value, steps, shared steps and every stop
+
+    @pytest.mark.parametrize("name", list(FIRST_ORDER_FUNCTIONS))
+    def test_oracle_points_run_as_the_application(self, name):
+        f = load_first_order(name)
+        for x, xp in bench_workloads().ORACLE_PAIRS:
+            for v in _verdict_values(x, xp):
+                app = App(f, DualLit(v))
+                for n in range(5):
+                    assert eval_at_cost(f, n, arg=v) == eval_at_cost(app, n), \
+                        (x, xp, v, n)
+                assert eval_refine(f, _WIDTH, std_only=True, arg=v) == \
+                    eval_refine(app, _WIDTH, std_only=True), (x, xp, v)
+
+    @pytest.mark.parametrize("src", [
+        # a bisection whose integrand reads a shared application of x
+        "fun x: delta. int (fun t: real. in_delta t * (x * x))",
+        # undetermined: L reads x's standard part, 1/3, and the zero test
+        # at nat straddles
+        "fun x: delta. in_delta (in_pi (if 0 < L[delta] (fun y: delta."
+        " y * x) 0 1 - 1 / 3 then 1 else 0))",
+        # heads that are a Y, a constant, a partial known call
+        "Y[delta -> delta] (fun r: delta -> delta. fun x: delta. x * r x)",
+        "Y[delta -> delta] (fun r: delta -> delta. pr)",
+        "pr",
+        "max (in_delta 1)",
+    ], ids=["shared", "undetermined", "y", "y_pr", "constant", "partial"])
+    def test_runs_and_stops_are_the_applications(self, src):
+        f, _ = elaborate(parse(src), {}, Arrow(DUAL, DUAL))
+        v = DualInterval(Interval.point(Fraction(1, 3)), Interval.point(1))
+        app = App(f, DualLit(v))
+        times = {"*": lambda carrier, vals: vals[0]}
+        for n in range(4):
+            full = eval_at_cost(app, n)
+            assert eval_at_cost(f, n, arg=v) == full, n
+            for overrides in (TREE, times):
+                assert eval_at_cost(f, n, overrides=overrides, arg=v) == \
+                    eval_at_cost(app, n, overrides=overrides), n
+            for b in range(min(full.steps, 40)):
+                assert eval_at_cost(f, n, b, arg=v) == \
+                    eval_at_cost(app, n, b), (n, b)
+
+    @pytest.mark.parametrize("src", [
+        "fun x: delta. x * in_delta (in_pi (Y[nat -> nat] (fun f: nat ->"
+        " nat. fun n: nat. succ (f n)) 0))",
+        "if iszero (Y[nat -> nat] (fun f: nat -> nat. fun n: nat. succ"
+        " (f n)) 0) then (fun x: delta. x) else (fun x: delta. x * x)",
+    ], ids=["body", "head"])
+    def test_a_recursion_depth_stop_is_the_applications(self, src):
+        # the body, or the head itself, recurses until the depth runs out:
+        # the run calls f's code from as deep a frame as the application
+        # does, so it stops at the same step
+        f, _ = elaborate(parse(src), {}, Arrow(DUAL, DUAL))
+        v = DualInterval.of(1)
+        out = eval_at_cost(f, 0, arg=v)
+        assert out.reason == "recursion depth"
+        assert out == eval_at_cost(App(f, DualLit(v)), 0)
+
+    def test_a_real_argument_runs_as_its_literal(self):
+        f, _ = elaborate(parse("fun t: real. int (fun s: real. in_delta"
+                               " (s * t))"), {})
+        iv = Interval(Fraction(1, 3), Fraction(1, 2))
+        for n in range(4):
+            assert eval_at_cost(f, n, arg=iv) == \
+                eval_at_cost(App(f, IvLit(iv)), n), n
 
 
 def test_negative_cost_is_rejected():
