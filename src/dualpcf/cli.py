@@ -87,7 +87,7 @@ def _render(out, cost: int, fmt: str) -> str:
     import json
 
     dv = in_dual(value) if isinstance(value, Interval) else value
-    counts = {"cost": cost, "steps": out.steps, "shared": out.shared}
+    counts = {"cost": cost, "steps": out.steps}
     if isinstance(dv, DualInterval):
         return json.dumps({"std": _iv_json(dv.std), "inf": _iv_json(dv.inf),
                            **counts})

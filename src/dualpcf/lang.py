@@ -150,17 +150,12 @@ class Var(Expr):
 
 
 class App(Expr):
-    __slots__ = ("fn", "arg", "free", "code")
+    __slots__ = ("fn", "arg", "code")
     _fields = ("fn", "arg")
 
-    def __init__(self, fn: Expr, arg: Expr,
-                 free: Optional[Tuple[str, ...]] = None):
+    def __init__(self, fn: Expr, arg: Expr):
         self.fn = fn
         self.arg = arg
-        # Set by elaboration on an application under a lambda that does
-        # not mention that lambda's variable: its free variables, sorted.
-        # The machine shares the value of such an application per cost tag.
-        self.free = free
         # the machine's code of a closed application, compiled on first use
         self.code = None
 

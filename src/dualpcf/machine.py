@@ -49,20 +49,6 @@ the literal tree (`_Tree`) of the `max` rule or of their own rules, so
 an overridden `+`, `/` or `max` acts there, as in `step`, which builds
 the combine as a term.
 
-Work repeated across bisection cells is shared per cost tag, as the
-maximal free expressions of full laziness (Peyton Jones, Partain and
-Santos, "Let-floating", ICFP 1996).  Elaboration marks each application
-under a lambda that does not mention that lambda's variable with its
-free variables (`App.free`).  A run's table is made where its first
-bisection starts.  From then on, a rule reading such an application as
-its operand looks it up there, also when the rule began to fire before
-the table existed: the same cost tag and the same thunks bound to its
-free variables give the stored value, and the stored step count is
-replayed, so steps, budget exhaustion and enclosures are those of the
-unshared machine.  `Outcome.shared` counts the replayed steps.  A shared
-application fires its rules once, so an `overrides` entry must be a pure
-function of its arguments.
-
 Where evaluating f ticked no step and gave a closure, the cells after
 cell 0 run that closure's own body once per range of cells
 (`Machine._pieces`).  Each cell is `[i, i+1] / 2^m`, so a range of them
@@ -73,25 +59,21 @@ body makes is decided for the whole range, or raises `Undecided`, and
 the range is halved (Moore, "Interval Analysis", 1966), down to single
 cells, which run as they are.  So the body takes the same branches and
 the same steps at every cell of a range, and its value at each i is the
-cell's: a run's steps and replayed steps count once per cell, and the
-exact sums of its numerators over the range (Graham, Knuth and
-Patashnik, "Concrete Mathematics", ch. 2) are what the per-cell fold
-adds, in the same form.  A sup takes each numerator's max at the end of
-the range where its forward difference has one sign, or halves the range
-where neither sign is decided.  Each range is folded, with its cells'
-steps, once its run succeeds.  A sharing-table key that holds the
-range's own cell thunk misses at every cell of the ticking loop too, so
-the run computes and stores that slot, as each cell would.  A range
-whose run misses any other key (the ticking loop would store the slot
-there), starts a bisection of its own, is undetermined or stopped by the
-budget or the recursion depth, or whose cells' steps would pass the
-budget, is undone, and its cells tick one at a time before the ranges
-after it run.  A folded range stores only slots keyed on its own cell,
-which no later lookup holds, as none holds a cell of the ticking loop;
-so each later range finds the table the ticking loop would leave.
-Under the literal tree, whose combine takes values, not ranges, every
-cell ticks.  So values, steps, `shared` and budget stops are those of
-the ticking loop.
+cell's: a run's steps count once per cell, and the exact sums of its
+numerators over the range (Graham, Knuth and Patashnik, "Concrete
+Mathematics", ch. 2) are what the per-cell fold adds, in the same form.
+A sup takes each numerator's max at the end of the range where its
+forward difference has one sign, or halves the range where neither sign
+is decided.  A bisection the body starts ticks all its cells on the
+range's cell, so its value is a polynomial in i too, and its steps, the
+same at every i, count once per outer cell; only the outer range is
+ever halved.  Each range is folded, with its cells' steps, once its run
+succeeds.  A range whose run is undetermined or stopped by the budget
+or the recursion depth, or whose cells' steps would pass the budget, is
+undone, and its cells tick one at a time before the ranges after it
+run.  Under the literal tree, whose combine takes values, not ranges,
+every cell ticks.  So values, steps and budget stops are those of the
+ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -165,10 +147,9 @@ class Thunk(Struct):
     environment.  It has no cost tag of its own: each use runs it at the
     tag in force where the variable occurs, the tag `subst` would give it.
     `run` may end in a tail transfer; `op` gives the value a primitive's
-    operand needs, through the sharing table for a marked application.
-    A value thunk, an int/sup cell or range of cells, holds its value as
-    `env`, and its code returns it.  Thunks compare by identity, which is
-    what the sharing table keys on."""
+    operand needs.  A value thunk, an int/sup cell or range of cells,
+    holds its value as `env`, and its code returns it.  Thunks compare by
+    identity."""
     __slots__ = ("run", "op", "env")
     _fields = ("run",)  # shown by repr
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -221,21 +202,19 @@ _STRADDLING_ZERO_TEST = "zero test on a straddling interval"
 
 class Outcome(Struct):
     """The result of a run, compared by its fields."""
-    __slots__ = _fields = ("steps", "shared")
+    __slots__ = _fields = ("steps",)
     __hash__ = None  # mutable: `eval_refine` sets a `Value`'s value
 
-    def __init__(self, steps: int = 0, shared: int = 0):
+    def __init__(self, steps: int = 0):
         self.steps = steps
-        # of the steps, those replayed from shared results
-        self.shared = shared
 
 
 class Value(Outcome):
     __slots__ = ("value",)
     _fields = Outcome._fields + __slots__
 
-    def __init__(self, steps: int = 0, shared: int = 0, value=None):
-        super().__init__(steps, shared)
+    def __init__(self, steps: int = 0, value=None):
+        super().__init__(steps)
         self.value = value
 
 
@@ -243,8 +222,8 @@ class Undetermined(Outcome):
     __slots__ = ("reason",)
     _fields = Outcome._fields + __slots__
 
-    def __init__(self, steps: int = 0, shared: int = 0, reason: str = ""):
-        super().__init__(steps, shared)
+    def __init__(self, steps: int = 0, reason: str = ""):
+        super().__init__(steps)
         self.reason = reason
 
 
@@ -254,9 +233,8 @@ class BudgetExhausted(Outcome):
     __slots__ = ("reason",)
     _fields = Outcome._fields + __slots__
 
-    def __init__(self, steps: int = 0, shared: int = 0,
-                 reason: str = "step budget"):
-        super().__init__(steps, shared)
+    def __init__(self, steps: int = 0, reason: str = "step budget"):
+        super().__init__(steps)
         self.reason = reason
 
 
@@ -493,12 +471,6 @@ def _applied(m, f_run, tag):
     return m._apply(fv, th, tag)
 
 
-class _Decline(Exception):
-    """A range only the ticking loop can count: its run missed the sharing
-    table on a key without its cell or started a bisection, or its steps
-    pass the budget."""
-
-
 class _Tree:
     """The literal combining tree of a bisection's cells under `combine`:
     dual `max`, which is not associative, or the combine of a run with
@@ -523,8 +495,7 @@ class _Tree:
 
 
 class Machine:
-    __slots__ = ("budget", "arg", "steps", "shared", "_rules", "_cache",
-                 "_memo", "_symbolic")
+    __slots__ = ("budget", "arg", "steps", "_rules", "_cache", "_ranging")
 
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None,
                  arg=None):
@@ -536,13 +507,8 @@ class Machine:
         self._rules = ground_rules(overrides)
         self._cache = _TEMPLATES if self._rules is GROUND_RULES else {}
         self.steps = 0
-        self.shared = 0
-        # The sharing table of a run: a marked application's slot -> (key,
-        # value, steps), one slot per node.  None until the run's first
-        # bisection starts, where the repeats are.
-        self._memo = None
-        # the cell thunk of the range a bisection runs its body on, or None
-        self._symbolic = None
+        # whether a bisection is running its body on a range of cells
+        self._ranging = False
 
     def evalc(self, e: Expr, tag: int):
         """Evaluate a closed term at cost `tag`, a natural, or with `arg`,
@@ -558,9 +524,9 @@ class Machine:
     def _compile(self, e: Expr, scope: tuple):
         """Compile e, whose free variables `scope` names innermost first, to
         `(run, op)`: `run(m, env, tag)` returns e's value or a tail
-        transfer, and `op` the value a primitive's operand needs, through
-        the sharing table for a marked application.  An application or
-        lambda compiled in the empty scope is closed and keeps its code."""
+        transfer, and `op` the value a primitive's operand needs.  An
+        application or lambda compiled in the empty scope is closed and
+        keeps its code."""
         cls = e.__class__
         keep = (not scope and (cls is App or cls is Lam)
                 and self._rules is GROUND_RULES)
@@ -696,7 +662,7 @@ class Machine:
                     raise _over_budget(m)
                 return rule(a_op(m, env, tag))
 
-            return self._shared(e, run, run, scope)
+            return run, run
         if fn.__class__ is App and fn.fn.__class__ is Const \
                 and _ARITY.get(fn.fn.name) == 2:
             # two application nodes, two steps
@@ -710,7 +676,7 @@ class Machine:
                     raise _over_budget(m)
                 return rule(a_op(m, env, tag), b_op(m, env, tag))
 
-            return self._shared(e, run, run, scope)
+            return run, run
         f_run = self._compile(fn, scope)[0]
         a_run, a_op = self._compile(arg, scope)
         # a variable argument passes on the thunk it is bound to, so
@@ -733,53 +699,7 @@ class Machine:
                 return fv.body, (th,) + fv.env, fv.tag
             return m._apply(fv, th, tag)
 
-        return self._shared(e, run, _valued(run), scope)
-
-    @staticmethod
-    def _shared(e: App, run, val, scope: tuple):
-        """The code `(run, op)` of an application whose value `val` gives:
-        for a marked one, `op` goes through the run's sharing table once
-        the table exists.  Its value and step count depend only on the tag
-        and the thunks bound to its free variables, so a hit returns the
-        stored value and replays the stored steps.  A miss while a
-        bisection runs its body on a range of cells hands that range back
-        to the ticking loop (`_pieces`), before it computes or stores
-        anything, unless the key holds the range's own cell thunk: the
-        ticking loop misses that key at every cell, and stores the slot
-        there, so the run computes and stores it as each cell would."""
-        if e.free is None:
-            return run, val
-        # the thunks bound to the free variables, compared by identity;
-        # the getter, one per node, is the node's slot in the table
-        bound = operator.itemgetter(*map(scope.index, e.free)) if e.free \
-            else lambda env: ()
-
-        def op(m, env, tag):
-            memo = m._memo
-            if memo is None:
-                return val(m, env, tag)
-            key = (tag, bound(env))
-            slot = memo.get(bound)
-            if slot is not None and slot[0] == key:
-                if m.steps + slot[2] > m.budget:
-                    # where the unshared evaluation would have stopped
-                    m.shared += m.budget + 1 - m.steps
-                    raise _over_budget(m)
-                m.shared += slot[2]
-                m.steps += slot[2]
-                return slot[1]
-            cell = m._symbolic
-            if cell is not None:
-                held = key[1]
-                if held is not cell and (held.__class__ is not tuple
-                                         or cell not in held):
-                    raise _Decline
-            before = m.steps
-            v = val(m, env, tag)
-            memo[bound] = (key, v, m.steps - before)
-            return v
-
-        return run, op
+        return run, _valued(run)
 
     def _template(self, key, make, scope: tuple = ()) -> list:
         """`[run]` of the rule template `make()` builds, compiled once per
@@ -812,20 +732,17 @@ class Machine:
         # internal node of the combining tree ticks where the rule does,
         # before its left subtree: just before cell i, as many nodes as i
         # has trailing zero bits (n for cell 0).
-        if self._symbolic is not None:  # a range's cells are not its own
-            raise _Decline
-        # the run's sharing table starts with its first bisection
-        if self._memo is None:
-            self._memo = {}
         f_run, f_env = f.run, f.env
         if n > self.budget:  # cell 0's first tick passes it: build no 2**n
             raise _over_budget(self)
         closure = None  # f's value, once evaluating f ticked no step
         cells = 1 << n
-        # cell 0, every cell under the literal tree and each range
-        # `_pieces` hands back tick here, in the loop's own frame, so the
-        # recursion depth stops them where the ticking loop does
-        i, ticks_to = 0, cells if total.__class__ is _Tree else 1
+        # cell 0, every cell under the literal tree or inside a range run,
+        # and each range `_pieces` hands back tick here, in the loop's own
+        # frame, so the recursion depth stops them where the ticking loop
+        # does
+        i, ticks_to = 0, cells if total.__class__ is _Tree \
+            or self._ranging else 1
         while i < cells:
             if i >= ticks_to and closure is not None:
                 i, ticks_to = self._pieces(closure, total, i, cells, n)
@@ -862,16 +779,20 @@ class Machine:
         f's value, per range: on `poly_cells`, or on the one cell, and
         `add_cells` sums the value's numerators or takes their peaks.  A
         range where a sign test or a peak is `Undecided` is halved.  A
-        folded range adds, per cell, its tree ticks, the application, and
-        the run's steps and replayed steps.  Returns `(lo, end)`, its run
-        undone, for a range only the ticking loop can count, and
-        `(hi, hi)` once every cell is folded."""
+        bisection the body starts ticks its cells, whose values are then
+        polynomials in the range's cell index too.  A folded range adds,
+        per cell, its tree ticks, the application, and the run's steps.
+        Returns `(lo, end)`, its run undone, for a range that is
+        undetermined, stopped by the budget or the recursion depth, or
+        whose cells' steps would pass the budget, and `(hi, hi)` once
+        every cell is folded."""
         ends = [hi]
+        self._ranging = True
         try:
             while ends:
                 end = ends[-1]
-                cells, steps, shared = end - lo, self.steps, self.shared
-                th = self._symbolic = _new(Thunk)
+                cells, steps = end - lo, self.steps
+                th = _new(Thunk)
                 th.run = th.op = _its_value
                 th.env = poly_cells(lo, end, n) if cells > 1 else \
                     iv_unchecked(lo, end, n, 1)
@@ -883,22 +804,21 @@ class Machine:
                     more = cells * (2 + self.steps - steps) \
                         - (end - 1).bit_count() + (lo - 1).bit_count()
                     if steps + more > self.budget:
-                        raise _Decline
+                        self.steps = steps
+                        return lo, end
                     total.add_cells(v, cells)
                 except Undecided:
-                    self.steps, self.shared = steps, shared
+                    self.steps = steps
                     ends.append((lo + end) // 2)
-                except (_Decline, UndeterminedSignal, BudgetError,
-                        RecursionError):
-                    self.steps, self.shared = steps, shared
+                except (UndeterminedSignal, BudgetError, RecursionError):
+                    self.steps = steps
                     return lo, end
                 else:
-                    self.shared = shared + cells * (self.shared - shared)
                     self.steps = steps + more
                     ends.pop()
                     lo = end
         finally:
-            self._symbolic = None
+            self._ranging = False
         return hi, hi
 
     # -- public driver ------------------------------------------------
@@ -919,22 +839,18 @@ class Machine:
         """
         if n < 0:
             raise ValueError(f"negative cost {n}")
-        self.steps = self.shared = 0
+        self.steps = 0
         try:
             v = self.evalc(e, n)
         except UndeterminedSignal as u:
-            return Undetermined(steps=self.steps, shared=self.shared,
-                                reason=u.reason)
+            return Undetermined(self.steps, u.reason)
         except BudgetError:
-            return BudgetExhausted(self.steps, self.shared)
+            return BudgetExhausted(self.steps)
         except RecursionError:
-            return BudgetExhausted(self.steps, self.shared, "recursion depth")
-        finally:
-            self._memo = None
+            return BudgetExhausted(self.steps, "recursion depth")
         if v is BOOL_BOTTOM:
-            return Undetermined(steps=self.steps, shared=self.shared,
-                                reason=_STRADDLING_ZERO_TEST)
-        return Value(steps=self.steps, shared=self.shared, value=v)
+            return Undetermined(self.steps, _STRADDLING_ZERO_TEST)
+        return Value(self.steps, v)
 
 
 def eval_at_cost(e: Expr, n: int, budget: int = DEFAULT_BUDGET,
@@ -965,7 +881,8 @@ def eval_dual(e: Expr, n: int) -> DualInterval:
 def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
                 budget: int = DEFAULT_BUDGET, std_only: bool = False,
                 arg=None) -> Tuple[Outcome, int]:
-    """Evaluate at costs 1, 2, 4, ... until both component widths reach
+    """Evaluate at costs 1, 2, 4, ..., capped at the cost ceiling (the
+    chain is 0 alone for ceiling 0), until both component widths reach
     the target (or only the standard part's width, with std_only).  With
     `arg`, each evaluation applies the function term e to it, as
     `eval_at_cost` does.
@@ -973,9 +890,9 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
     Returns the last outcome and its cost: a `Value` holding a
     `DualInterval`, or the `Undetermined` or `BudgetExhausted` outcome
     that ended the chain.  A discrete result (a nat or bool) is exact and
-    has nothing to refine, so its `Value` is returned at cost 1.  Raises
-    `CeilingReached` when the widths are still too wide at the cost
-    ceiling.
+    has nothing to refine, so its `Value` is returned at the chain's
+    first cost.  Raises `CeilingReached` when the widths are still too
+    wide at the cost ceiling.
     """
     if target_width.__class__ is not Fraction:
         target_width = Fraction(target_width)
@@ -984,7 +901,7 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
     def narrow(iv):  # width <= p/q, on the integers (bottom: never)
         return (iv.b - iv.a) * q <= p * (iv.d << iv.e)
 
-    n = 1
+    n = min(1, cost_ceiling)
     while True:
         out = eval_at_cost(e, n, budget, arg=arg)
         if not isinstance(out, Value) or \
@@ -995,5 +912,5 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
             return out, n
         if n >= cost_ceiling:
             raise CeilingReached(v, n)
-        n *= 2
+        n = min(2 * n, cost_ceiling)
 

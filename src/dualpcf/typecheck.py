@@ -51,7 +51,6 @@ def _pos(e: Expr) -> Optional[Tuple[int, int]]:
 
 
 NUMERIC = (NAT, REAL, DUAL)
-_CLOSED = frozenset()  # the free variables of a constant or a literal
 
 
 def _at(ty: Type, carrier: Optional[Type]) -> Type:
@@ -107,34 +106,13 @@ def _numeric_rank(ty: Type) -> int:
 
 
 class _Checker:
-    """Elaboration in one pass.  Each method returns the elaborated term
-    with its free variables, and marks the applications it builds for
-    sharing (`App.free`): an application under a lambda that does not
-    mention that lambda's variable.  An application stays open, in
-    `self.open` with its free variables, until the lambda nearest above
-    it is built; one under no lambda is never marked."""
+    """Elaboration in one pass: each method returns the elaborated term,
+    with its type where the caller does not fix it."""
 
     def __init__(self):
-        self.open = []
         self.in_l = False  # within the arguments of an L
 
-    def app(self, fn: Expr, arg: Expr, fv: frozenset) -> App:
-        out = App(fn, arg)
-        self.open.append((out, fv))
-        return out
-
-    def lam(self, var: str, ty: Type, body: Expr, start: int) -> Lam:
-        """The lambda over body, whose open applications are those from
-        `start` on: each that does not mention var is marked."""
-        opened = self.open
-        for a, fv in opened[start:]:
-            if var not in fv:
-                a.free = tuple(sorted(fv))
-        del opened[start:]
-        return Lam(var, ty, body)
-
-    def infer(self, e: Expr, env: Dict[str, Type]
-              ) -> Tuple[Expr, Type, frozenset]:
+    def infer(self, e: Expr, env: Dict[str, Type]) -> Tuple[Expr, Type]:
         cls = e.__class__
         if cls is App:
             return self.elab_app(e, env, None)
@@ -143,28 +121,25 @@ class _Checker:
             if ty is None:
                 raise TypeCheckError(UNBOUND_VAR, f"unbound variable {e.name!r}",
                                      e.pos)
-            return e, ty, frozenset((e.name,))
+            return e, ty
         if cls is NatLit:
-            return e, NAT, _CLOSED
+            return e, NAT
         if cls is Const:
-            return (*self.infer_const(e), _CLOSED)
+            return self.infer_const(e)
         if cls is BoolLit:
-            return e, BOOL, _CLOSED
+            return e, BOOL
         if cls is Lam:
             if e.ty is None:
                 raise TypeCheckError(MISMATCH,
                                      f"cannot infer unannotated binder {e.var!r}",
                                      _pos(e))
-            start = len(self.open)
-            body, bty, fv = self.infer(e.body, {**env, e.var: e.ty})
-            return (self.lam(e.var, e.ty, body, start), Arrow(e.ty, bty),
-                    fv - {e.var})
+            body, bty = self.infer(e.body, {**env, e.var: e.ty})
+            return Lam(e.var, e.ty, body), Arrow(e.ty, bty)
         if cls is If:
             return self.elab_if(e, env, None)
         raise TypeCheckError(MISMATCH, f"cannot type {e!r}", _pos(e))
 
-    def check(self, e: Expr, env: Dict[str, Type],
-              want: Type) -> Tuple[Expr, frozenset]:
+    def check(self, e: Expr, env: Dict[str, Type], want: Type) -> Expr:
         if isinstance(e, Lam) and isinstance(want, Arrow):
             ty = e.ty if e.ty is not None else want.src
             if ty != want.src:
@@ -172,42 +147,33 @@ class _Checker:
                     MISMATCH,
                     f"binder {e.var!r} has type {ty}, expected {want.src}",
                     _pos(e))
-            start = len(self.open)
-            body, fv = self.check(e.body, {**env, e.var: ty}, want.dst)
-            return self.lam(e.var, ty, body, start), fv - {e.var}
+            return Lam(e.var, ty, self.check(e.body, {**env, e.var: ty},
+                                             want.dst))
         if isinstance(e, If):
-            out, _, fv = self.elab_if(e, env, want)
-            return out, fv
-        start = len(self.open)
+            return self.elab_if(e, env, want)[0]
         if isinstance(e, App):
-            out, got, fv = self.elab_app(e, env, want)
+            out, got = self.elab_app(e, env, want)
         else:
-            out, got, fv = self.infer(e, env)
-        return self.coerce(out, fv, got, want, start), fv
+            out, got = self.infer(e, env)
+        return self.coerce(out, got, want)
 
-    def coerce(self, e: Expr, fv: frozenset, have: Type, want: Type,
-               start: Optional[int] = None) -> Expr:
-        """e, of type have and with free variables fv, at type want: the
-        casts `in_pi` and `in_delta` inserted, pointwise under a lambda at
-        an arrow type.  Only that lambda needs `start`, where e's open
-        applications begin: it is built around them."""
+    def coerce(self, e: Expr, have: Type, want: Type) -> Expr:
+        """e, of type have, at type want: the casts `in_pi` and `in_delta`
+        inserted, pointwise under a lambda at an arrow type."""
         if have is want:
             return e
         if have is NAT and want is REAL:
-            return self.app(Const("in_pi"), e, fv)
+            return App(Const("in_pi"), e)
         if have is NAT and want is DUAL:
-            return self.app(Const("in_delta"),
-                            self.app(Const("in_pi"), e, fv), fv)
+            return App(Const("in_delta"), App(Const("in_pi"), e))
         if have is REAL and want is DUAL:
-            return self.app(Const("in_delta"), e, fv)
+            return App(Const("in_delta"), e)
         if isinstance(have, Arrow) and isinstance(want, Arrow) \
                 and have.src is want.src:
             # have != want, so the codomains differ and the body is new
             x = fresh_var("c")
-            xfv = fv | {x}
-            body = self.coerce(self.app(e, Var(x), xfv), xfv, have.dst,
-                               want.dst, start)
-            return self.lam(x, have.src, body, start)
+            return Lam(x, have.src,
+                       self.coerce(App(e, Var(x)), have.dst, want.dst))
         raise TypeCheckError(MISMATCH, f"expected {want}, found {have}",
                              _pos(e))
 
@@ -246,22 +212,19 @@ class _Checker:
 
     # -- composite forms ----------------------------------------------
 
-    def elab_if(self, e: If, env, want: Optional[Type]
-                ) -> Tuple[Expr, Type, frozenset]:
-        cond, cfv = self.check(e.cond, env, BOOL)
+    def elab_if(self, e: If, env, want: Optional[Type]) -> Tuple[Expr, Type]:
+        cond = self.check(e.cond, env, BOOL)
         if want is not None:
-            then, tfv = self.check(e.then, env, want)
-            els, efv = self.check(e.els, env, want)
-            return If(cond, then, els, want), want, cfv | tfv | efv
-        then, tt, tfv = self.infer(e.then, env)
-        els, te, efv = self.infer(e.els, env)
+            return If(cond, self.check(e.then, env, want),
+                      self.check(e.els, env, want), want), want
+        then, tt = self.infer(e.then, env)
+        els, te = self.infer(e.els, env)
         ty = self._join_numeric(e, tt, te)
-        return (If(cond, self.coerce(then, tfv, tt, ty),
-                   self.coerce(els, efv, te, ty), ty),
-                ty, cfv | tfv | efv)
+        return (If(cond, self.coerce(then, tt, ty), self.coerce(els, te, ty),
+                   ty), ty)
 
     def elab_app(self, e: App, env, want: Optional[Type]
-                 ) -> Tuple[Expr, Type, frozenset]:
+                 ) -> Tuple[Expr, Type]:
         head, args = spine(e)
         if isinstance(head, Const):
             name = head.name
@@ -278,23 +241,18 @@ class _Checker:
         fn = e.fn
         if isinstance(fn, Lam) and fn.ty is None:
             # applied unannotated lambda (let-sugar): infer the argument
-            arg, aty, afv = self.infer(e.arg, env)
-            start = len(self.open)
-            body, bty, bfv = self.infer(fn.body, {**env, fn.var: aty})
-            fv = (bfv - {fn.var}) | afv
-            return (self.app(self.lam(fn.var, aty, body, start), arg, fv),
-                    bty, fv)
-        fn, fty, ffv = self.infer(fn, env)
+            arg, aty = self.infer(e.arg, env)
+            body, bty = self.infer(fn.body, {**env, fn.var: aty})
+            return App(Lam(fn.var, aty, body), arg), bty
+        fn, fty = self.infer(fn, env)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(MISMATCH,
                                  f"cannot apply a value of type {fty}",
                                  _pos(e.fn))
-        arg, afv = self.check(e.arg, env, fty.src)
-        fv = ffv | afv
-        return self.app(fn, arg, fv), fty.dst, fv
+        return App(fn, self.check(e.arg, env, fty.src)), fty.dst
 
     def elab_overloaded(self, c: Const, operands, args, env,
-                        want: Optional[Type]) -> Tuple[Expr, Type, frozenset]:
+                        want: Optional[Type]) -> Tuple[Expr, Type]:
         """An overloaded constant applied to all its operands.  Those at
         the carrier are inferred, must be numeric and are coerced to it;
         the others are checked at their types.  The carrier is the one the
@@ -303,7 +261,7 @@ class _Checker:
         inferred = [self.infer(a, env)
                     for a, ty in zip(args, operands) if ty is CARRIER]
         carrier = REAL
-        for _, ty, _ in inferred:
+        for _, ty in inferred:
             if ty not in NUMERIC:
                 raise TypeCheckError(
                     MISMATCH, f"arithmetic on non-numeric type {ty}", c.pos)
@@ -315,22 +273,18 @@ class _Checker:
                     MISMATCH, "dual operand in a real context", c.pos)
             carrier = want
         out: Expr = Const(c.name, (carrier,), pos=c.pos)
-        fv = _CLOSED
         inferred = iter(inferred)
         for a, ty in zip(args, operands):
             if ty is CARRIER:
-                arg, aty, afv = next(inferred)
-                arg = self.coerce(arg, afv, aty, carrier)
+                arg = self.coerce(*next(inferred), carrier)
             else:
-                arg, afv = self.check(a, env, ty)
-            fv = fv | afv
-            out = self.app(out, arg, fv)
-        return out, carrier, fv
+                arg = self.check(a, env, ty)
+            out = App(out, arg)
+        return out, carrier
 
     def elab_intsup(self, c: Const, f: Expr, env,
-                    want: Optional[Type]) -> Tuple[Expr, Type, frozenset]:
-        start = len(self.open)
-        fe, fty, fv = self.infer(f, env)
+                    want: Optional[Type]) -> Tuple[Expr, Type]:
+        fe, fty = self.infer(f, env)
         if not isinstance(fty, Arrow) or fty.src != REAL:
             raise TypeCheckError(
                 MISMATCH, f"{c.name} needs a function on reals, found {fty}",
@@ -339,20 +293,18 @@ class _Checker:
             carrier = want
         else:
             carrier = fty.dst if fty.dst in (REAL, DUAL) else DUAL
-        fe = self.coerce(fe, fv, fty, Arrow(REAL, carrier), start)
-        return (self.app(Const(c.name, (carrier,), pos=c.pos), fe, fv),
-                carrier, fv)
+        fe = self.coerce(fe, fty, Arrow(REAL, carrier))
+        return App(Const(c.name, (carrier,), pos=c.pos), fe), carrier
 
-    def elab_lt0(self, c: Const, a: Expr, env) -> Tuple[Expr, Type, frozenset]:
-        ae, at, fv = self.infer(a, env)
+    def elab_lt0(self, c: Const, a: Expr, env) -> Tuple[Expr, Type]:
+        ae, at = self.infer(a, env)
         if at == DUAL:
             raise TypeCheckError(ZERO_TEST_ON_DUAL,
                                  "the zero test cannot be applied to dual values",
                                  c.pos)
-        ae = self.coerce(ae, fv, at, REAL)
-        return self.app(Const("lt0", pos=c.pos), ae, fv), BOOL, fv
+        return App(Const("lt0", pos=c.pos), self.coerce(ae, at, REAL)), BOOL
 
-    def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type, frozenset]:
+    def elab_l(self, c: Const, args, env) -> Tuple[Expr, Type]:
         if self.in_l:
             raise TypeCheckError(L_INSIDE_L_ARGUMENT, _L_IN_L, c.pos)
         tys = list(c.targs)
@@ -376,12 +328,10 @@ class _Checker:
         # as that error if an argument holds an L, ahead of type errors
         self.in_l = True
         try:
-            fe, fv = self.check(args[0], env, arrow(*tys, DUAL))
-            out = self.app(Const("L", tuple(tys), pos=c.pos), fe, fv)
+            out = App(Const("L", tuple(tys), pos=c.pos),
+                      self.check(args[0], env, arrow(*tys, DUAL)))
             for j, a in enumerate(args[1:]):
-                ae, afv = self.check(a, env, tys[j % k])
-                fv = fv | afv
-                out = self.app(out, ae, fv)
+                out = App(out, self.check(a, env, tys[j % k]))
         except TypeCheckError:
             if any(map(contains_l, args)):
                 raise TypeCheckError(L_INSIDE_L_ARGUMENT, _L_IN_L,
@@ -389,18 +339,17 @@ class _Checker:
             raise
         finally:
             self.in_l = False
-        return out, REAL, fv
+        return out, REAL
 
 
 def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None,
               want: Optional[Type] = None) -> Tuple[Expr, Type]:
     """Type-check a surface term, returning the coercion-elaborated term
-    with its sharing candidates marked (see `App.free`) and its type: the
-    type inferred, or `want` if given, with the casts to it inserted."""
+    and its type: the type inferred, or `want` if given, with the casts
+    to it inserted."""
     if want is None:
-        out, ty, _ = _Checker().infer(e, env or {})
-        return out, ty
-    return _Checker().check(e, env or {}, want)[0], want
+        return _Checker().infer(e, env or {})
+    return _Checker().check(e, env or {}, want), want
 
 
 def typecheck(e: Expr) -> Type:

@@ -168,13 +168,14 @@ class TestEval:
         assert std == Interval.parse("[31/64,33/64]")
         assert doc["cost"] == 5 and doc["steps"] > 0
 
-    def test_json_reports_shared_steps(self, capsys, program):
+    def test_json_reports_the_cost_and_the_steps(self, capsys, program):
         path = program(corpus_source("lagrangian_action"))
         code, out, _ = run(capsys, ["eval", path, "--cost", "2",
                                     "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert 0 < doc["shared"] < doc["steps"]
+        assert sorted(doc) == ["cost", "inf", "std", "steps"]
+        assert (doc["cost"], doc["steps"]) == (2, 252)
 
     @pytest.mark.parametrize("flags", [
         [], ["--width", "1/4"], ["--format", "json"]])
@@ -227,6 +228,17 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == "step budget exhausted after 11 steps\n"
+
+    @pytest.mark.parametrize("ceiling,best", [
+        ("5", "[31/64,33/64] + eps [0,0]"), ("0", "[0,1] + eps [0,0]")])
+    def test_width_stops_at_the_ceiling(self, capsys, program, ceiling, best):
+        # a width no cost reaches: the chain 1, 2, 4, ... ends at the
+        # ceiling itself, and a ceiling of 0 evaluates at cost 0 alone
+        path = program(corpus_source("int_id"))
+        code, out, err = run(capsys, ["eval", path, "--width", "0",
+                                      "--ceiling", ceiling])
+        assert (code, out) == (2, "")
+        assert err == f"ceiling reached at cost {ceiling}; best: {best}\n"
 
     def test_width_json_reports_steps_at_printed_cost(self, capsys, program):
         path = program("int (fun t: real. in_delta t)")

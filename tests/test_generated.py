@@ -1,10 +1,10 @@
 """Generated well-typed closed `delta` terms: the environment machine and
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
-and neither the sharing table, int's running sum, sup's running max nor
-running a bisection's cells as ranges changes a run.  The front end reads every spelling of a
-term alike and marks it as the reference does, and `eval` ends every run
-by the exit contract."""
+and neither int's running sum, sup's running max nor running a
+bisection's cells as ranges, nested bisections included, changes a run.
+The front end reads every spelling of a term alike, and `eval` ends every
+run by the exit contract."""
 import contextlib
 import io
 import re
@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from dualpcf import cli
 from dualpcf.analysis import check_monotone_refinement
 from dualpcf.lang import CostTagged, parse
-from dualpcf.machine import BudgetExhausted, Value, _unlit, eval_at_cost
+from dualpcf.machine import (
+    BudgetExhausted, Machine, Undetermined, Value, _unlit, eval_at_cost,
+)
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
-from conftest import TREE, marks, reference_marks, ticking, unshared
+from conftest import TREE, ticking
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
 real_literals = st.builds(
@@ -200,19 +202,6 @@ def test_running_sum_agrees_with_combining_tree(src):
 
 @settings(max_examples=150, deadline=None)
 @given(delta_terms())
-def test_shared_and_unshared_runs_agree(src):
-    e, _ = elaborate(parse(src), {})
-    for n in range(3):
-        shared = eval_at_cost(e, n)
-        with pytest.MonkeyPatch.context() as patch:
-            unshared(patch)
-            alone = eval_at_cost(e, n)
-        assert alone.shared == 0
-        assert (alone.value, alone.steps) == (shared.value, shared.steps), n
-
-
-@settings(max_examples=150, deadline=None)
-@given(delta_terms())
 def test_range_runs_and_ticking_loop_agree(src):
     # the budget stops too: each range run adds its cells' steps at once
     e, _ = elaborate(parse(src), {})
@@ -305,7 +294,7 @@ def cell_integrals(draw):
 def test_closed_form_agrees_with_per_cell_folds(src):
     # the sum or max of each piece of cells in closed form against the
     # integrand's cells folded one by one into the combining tree, and
-    # against the ticking loop: values, steps and shared steps
+    # against the ticking loop: values and steps
     e, _ = elaborate(parse(src), {})
     for n in range(9):
         out = eval_at_cost(e, n)
@@ -313,6 +302,76 @@ def test_closed_form_agrees_with_per_cell_folds(src):
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
             assert eval_at_cost(e, n) == out, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_integrals())
+def test_a_range_is_handed_back_only_where_the_run_stops(src):
+    # a range run is handed back only when it is undetermined or stopped
+    # by the budget or the recursion depth.  These integrands recurse
+    # nowhere, and the ticking loop stops in an undetermined or
+    # over-budget range too: so the last range of a run alone is handed
+    # back, and only where the run ends undetermined or stopped
+    e, _ = elaborate(parse(src), {})
+    steps = eval_at_cost(e, 4).steps
+    for budget in sorted({steps // 2, steps - 1, 10_000_000}):
+        handed, pieces = [], Machine._pieces
+
+        def spy(m, fv, total, lo, hi, n):
+            got = pieces(m, fv, total, lo, hi, n)
+            handed.append(got[0] < hi)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Machine, "_pieces", spy)
+            out = eval_at_cost(e, 4, budget)
+        assert True not in handed[:-1], budget
+        if handed and handed[-1]:
+            assert isinstance(out, (Undetermined, BudgetExhausted)), budget
+
+
+@st.composite
+def nested_integrals(draw):
+    """An `int` or a `sup` over t whose integrand starts an `int` or a
+    `sup` over s: plain, with an inner integrand that does not mention t,
+    under a conditional on t, or with a third `int` over r inside, and
+    the costs to run it at, 0-5 (0-3 for the third level)."""
+    form = draw(st.sampled_from(["plain", "free", "conditional", "triple"]))
+    outer, inner = (draw(st.sampled_from(["int", "sup"])) for _ in range(2))
+    if form == "triple":
+        body = draw(cell_duals(1, ("t", "s", "r")))
+        return (f"{outer} (fun t: real. {inner} (fun s: real."
+                f" int (fun r: real. {body})))"), range(4)
+    if form == "free":
+        body, factor = draw(cell_duals(2, ("s",))), draw(cell_duals(1))
+        return (f"{outer} (fun t: real."
+                f" {inner} (fun s: real. {body}) * {factor})"), range(6)
+    inner = f"{inner} (fun s: real. {draw(cell_duals(2, ('t', 's')))})"
+    if form == "conditional":
+        test, els = draw(cell_terms(2)), draw(cell_duals(1))
+        inner = f"if 0 < {test} then {inner} else {els}"
+    return f"{outer} (fun t: real. {inner})", range(6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_integrals())
+def test_nested_bisections_agree_with_the_ticking_loop(program):
+    # a bisection started in a range run ticks its cells on the range:
+    # values, steps and budget stops are the ticking loop's
+    src, costs = program
+    e, _ = elaborate(parse(src), {})
+
+    def runs(n):
+        out = eval_at_cost(e, n)
+        budgets = {1, out.steps // 3, out.steps // 2, out.steps - 1}
+        return [out] + [eval_at_cost(e, n, budget=b)
+                        for b in sorted(budgets) if 0 < b < out.steps]
+
+    for n in costs:
+        ranges = runs(n)
+        with pytest.MonkeyPatch.context() as patch:
+            ticking(patch)
+            assert runs(n) == ranges, n
 
 
 @st.composite
@@ -339,13 +398,6 @@ def test_spellings_parse_alike(sources):
     e = parse(src)
     assert parse(other) == e
     assert elaborate(parse(other), {})[1] is elaborate(e, {})[1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(delta_terms())
-def test_one_pass_marks_agree_with_the_reference(src):
-    e, _ = elaborate(parse(src), {})
-    assert marks(e) == reference_marks(e)[1]
 
 
 @pytest.fixture(scope="module")

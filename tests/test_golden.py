@@ -1,9 +1,9 @@
 """Bit-identity of printed enclosures against the benchmark's golden file.
 
 Every corpus program is evaluated at costs 0-4, and lagrangian_action,
-whose inner integral is shared, also at 5 and 6.  Its printed value is
-compared with the entry recorded in `bench/golden/corpus.json`, which this
-test only reads.
+whose inner integral runs once per outer range, also at 5 and 6.  Its
+printed value is compared with the entry recorded in
+`bench/golden/corpus.json`, which this test only reads.
 """
 import json
 from pathlib import Path

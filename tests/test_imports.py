@@ -1,5 +1,5 @@
-"""Static checks: no module of the package or of its tests imports a name
-it never uses, and no module of the package defines a helper, method or
+"""Static checks: no module of the package, of its tests or of the
+benchmark imports a name it never uses, and no module of the package defines a helper, method or
 property that nothing names; start-up imports only what `check` and
 `eval` run; the README states the package's line count; and every source
 parses as the oldest Python that pyproject.toml admits."""
@@ -16,6 +16,10 @@ import pytest
 import dualpcf
 
 PACKAGE = Path(dualpcf.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+# the package, its tests and the benchmark
+SOURCES = [p for d in (PACKAGE, ROOT / "tests", ROOT / "bench")
+           for p in sorted(d.glob("*.py"))]
 
 
 def unused_imports(source: str):
@@ -37,14 +41,9 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
-                         + sorted(Path(__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,8 +127,6 @@ def test_readme_states_the_package_line_count():
 def test_sources_parse_as_python_3_10():
     # pyproject.toml's `requires-python` floor; the suite itself runs on
     # a later Python, which would accept newer syntax
-    paths = [p for d in (PACKAGE, ROOT / "tests", ROOT / "bench")
-             for p in sorted(d.glob("*.py"))]
-    assert len(paths) > 20
-    for path in paths:
+    assert len(SOURCES) > 20
+    for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -1,17 +1,14 @@
-"""Type checking, coercion insertion, sharing marks, and derivative-operator
-shape rules."""
+"""Type checking, coercion insertion, and derivative-operator shape
+rules."""
 import pytest
 
-from dualpcf.lang import Arrow, BOOL, DUAL, NAT, NatLit, REAL, parse
+from dualpcf.lang import Arrow, BOOL, DUAL, NAT, REAL, parse
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
     ZERO_TEST_ON_DUAL, elaborate, is_continuous_type, is_l_admissible,
     typecheck,
 )
 from dualpcf.machine import eval_at_cost
-from dualpcf.reducer import subst
-
-from conftest import bench_workloads, marks, reference_marks
 
 
 def ty_of(src):
@@ -75,6 +72,21 @@ class TestFunctions:
         # a real-valued integrand is lifted pointwise into the dual one
         assert ty_of("int (fun t: real. t * t)") == REAL
         assert ty_of("int (fun t: real. in_delta t)") == DUAL
+
+    @pytest.mark.parametrize("src", [
+        "fun f: real -> real -> real. fun y: real. "
+        "L[real -> delta] int (f y) (f 1)",
+        "fun f: real -> real -> real. (fun h: real -> delta. h 1) (f 2)",
+        "fun f: nat -> real -> real -> real. fun y: real. "
+        "(fun h: real -> real -> delta. h y y) (f (succ 1))",
+        "(fun h: real -> delta. h 1) ((fun f: real -> real -> real. f 2) "
+        "(fun a: real. fun b: real. a * b))",
+    ])
+    def test_inferred_functions_are_cast_pointwise(self, src):
+        # an application inferred at `real -> ...` where `... -> delta` is
+        # wanted: the cast is a lambda built around it
+        e, _ = elaborate(parse(src))
+        assert "fun %c" in str(e)
 
     def test_mismatch(self):
         with pytest.raises(TypeCheckError):
@@ -149,73 +161,3 @@ class TestDerivativeOperator:
         assert is_continuous_type(Arrow(NAT, Arrow(DUAL, REAL)))
         assert not is_continuous_type(NAT)
         assert not is_continuous_type(Arrow(DUAL, BOOL))
-
-
-class TestSharingMarks:
-    def test_application_free_of_nearest_binder_is_marked(self):
-        e, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
-        prod = e.body.body  # App(App(*, x + 1), y)
-        assert prod.free is None  # mentions y
-        assert prod.fn.free == prod.fn.arg.free == ("x",)  # under y
-
-    def test_closed_application_under_a_binder_is_marked(self):
-        e, _ = elaborate(parse("fun t: real. t + 3"))
-        assert e.body.arg.free == ()  # the cast in_pi 3
-        assert elaborate(parse("succ 0"))[0].free is None  # under no binder
-
-    def test_marks_are_invisible_to_equality_and_printing(self):
-        marked, _ = elaborate(parse("fun x: real. fun y: real. (x + 1) * y"))
-        unmarked = subst(marked, "z", NatLit(0))  # rebuilt without marks
-        assert unmarked.body.body.fn.free is None
-        assert marked == unmarked and hash(marked) == hash(unmarked)
-        assert str(marked) == str(unmarked) and repr(marked) == repr(unmarked)
-
-    def test_elaboration_marks_only_its_own_applications(self):
-        surface = parse("fun x: real. fun y: real. (x + 1) * y + succ 2")
-        first, _ = elaborate(surface)
-        second, _ = elaborate(surface)
-        assert marks(first) == marks(second)
-        assert ("x",) in marks(first) and () in marks(first)
-        assert set(marks(surface)) == {None}
-
-    @pytest.mark.parametrize("src", [
-        # an inferred function cast pointwise: the cast's lambda encloses
-        # the function's applications, which mention the outer binder
-        "fun f: real -> real -> real. fun y: real. "
-        "L[real -> delta] int (f y) (f 1)",
-        "fun f: real -> real -> real. (fun h: real -> delta. h 1) (f 2)",
-        # two lambdas deep, the inner one enclosing the outer's application
-        "fun f: nat -> real -> real -> real. fun y: real. "
-        "(fun h: real -> real -> delta. h y y) (f (succ 1))",
-        # under no lambda but the cast's
-        "(fun h: real -> delta. h 1) ((fun f: real -> real -> real. f 2) "
-        "(fun a: real. fun b: real. a * b))",
-    ])
-    def test_pointwise_casts_mark_what_they_enclose(self, src):
-        e, _ = elaborate(parse(src))
-        assert marks(e) == reference_marks(e)[1]
-        assert "fun %c" in str(e)  # the cast's lambda
-
-
-def _polys_sources(seed):
-    """The programs of the `polys` benchmark at a seed."""
-    return sorted({op.args[0] for op in bench_workloads().Polys(seed).ops})
-
-
-def _front_end_programs():
-    from dualpcf.cli import _RELATION_CASES
-    from dualpcf.corpus import CORPUS, FIRST_ORDER_FUNCTIONS, corpus_source
-    return ([corpus_source(name) for name in CORPUS]
-            + list(FIRST_ORDER_FUNCTIONS.values())
-            + [src for _, src in _RELATION_CASES]
-            + [src for seed in (1, 2, 3) for src in _polys_sources(seed)])
-
-
-def test_one_pass_marks_agree_with_the_reference():
-    # the corpus, the first-order functions, the relation cases and the
-    # polys programs of seeds 1-3
-    programs = _front_end_programs()
-    assert len(programs) > 40
-    for src in programs:
-        e, _ = elaborate(parse(src))
-        assert marks(e) == reference_marks(e)[1], src
