@@ -510,7 +510,8 @@ def _runs(e, n):
                     for b in budgets if 0 < b < out.steps]
 
 
-class TestRangeRuns:
+class TestCellKernel:
+    # The cell kernel is the integrand's own body, run on a range of cells.
     # An integrand whose evaluation ticks no step and gives a closure runs
     # its body once per range of the cells after the first and adds each
     # range's steps at once; a bisection the body starts ticks its cells
@@ -563,7 +564,7 @@ class TestRangeRuns:
         ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
          [(8, 8)]),
     ], ids=["nested", "sup", "int_id", "generic", "conditional", "unevaluated"])
-    def test_which_integrands_run_as_ranges(self, src, bisections):
+    def test_which_integrands_take_the_kernel(self, src, bisections):
         assert self.bisections(src) == bisections
 
     @pytest.mark.parametrize("src,bisections", [
