@@ -63,7 +63,8 @@ def _width(text: str) -> Fraction:
 def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            src = fh.read()
+            # skip a byte-order mark (`utf-8-sig` would import a codec)
+            src = fh.read().removeprefix("\ufeff")
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex.strerror or ex}") from None
     except UnicodeDecodeError as ex:

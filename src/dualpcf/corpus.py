@@ -62,7 +62,8 @@ CORPUS: Dict[str, CorpusEntry] = {e.name: e for e in [
 def corpus_source(name: str) -> str:
     if name not in CORPUS:
         raise KeyError(f"unknown corpus program {name!r}")
-    return (resources.files("dualpcf") / "corpus" / f"{name}.dpcf").read_text()
+    return (resources.files("dualpcf") / "corpus"
+            / f"{name}.dpcf").read_text(encoding="utf-8")
 
 
 def load_corpus(name: str) -> Tuple[Expr, "Type"]:

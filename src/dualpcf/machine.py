@@ -119,6 +119,11 @@ class UndeterminedSignal(Exception):
         self.reason = reason
 
 
+class StraddledZeroTest(UndeterminedSignal):
+    """A zero test on a straddling interval, which has no value; a
+    conditional testing it catches it (`straddled_if`)."""
+
+
 class BudgetError(Exception):
     def __init__(self, steps: int, reason: str = "step budget"):
         super().__init__(f"{reason} exhausted after {steps} steps")
@@ -135,11 +140,11 @@ class CeilingReached(Exception):
 # -- runtime values ---------------------------------------------------------
 
 # Ground values are numbers: an `Interval` (real), a `DualInterval`
-# (dual), an `int` (nat) or a `bool`, and `BOOL_BOTTOM` for a zero test on
-# a straddling interval.  A literal node evaluates to its payload; only
-# `step`, which rewrites terms, wraps a rule's result in a literal node
-# again.  An environment is a tuple of thunks, innermost binder first.
-# The remaining values:
+# (dual), an `int` (nat) or a `bool`; a zero test on a straddling interval
+# has none and raises `StraddledZeroTest`.  A literal node evaluates to
+# its payload; only `step`, which rewrites terms, wraps a rule's result in
+# a literal node again.  An environment is a tuple of thunks, innermost
+# binder first.  The remaining values:
 
 
 class Thunk(Struct):
@@ -191,10 +196,6 @@ class ConstVal(Struct):
         self.fire = fire
         self.tag = tag
         self.args = args
-
-
-BOOL_BOTTOM = object()  # result of the zero test on a zero-straddling interval
-_STRADDLING_ZERO_TEST = "zero test on a straddling interval"
 
 
 # -- outcomes ---------------------------------------------------------------
@@ -267,7 +268,7 @@ def _lt0(iv: Interval):
         return True
     if iv.b < 0:
         return False
-    return BOOL_BOTTOM
+    raise StraddledZeroTest("zero test on a straddling interval")
 
 
 # The delta-rule of each saturated first-order constant, keyed by its name
@@ -317,7 +318,8 @@ def ground_rules(overrides=None) -> dict:
     """The delta-rule of each (constant, carrier name): `GROUND_RULES`.
 
     Rules act on values (`Interval`, `DualInterval`, `int`, `bool`) and
-    return one, or `BOOL_BOTTOM` for a zero test on a straddling interval.
+    return one; a zero test on a straddling interval raises
+    `StraddledZeroTest`.
     The carrier name is "pi" or "delta", and None for constants with a
     fixed signature.  An entry `overrides[name]`, called as
     `fn(carrier name, literal nodes)` and returning a literal node,
@@ -557,8 +559,9 @@ class Machine:
                 m.steps += 1
                 if m.steps > m.budget:
                     raise _over_budget(m)
-                cv = _drive(m, cond(m, env, tag))
-                if cv is BOOL_BOTTOM:
+                try:
+                    cv = _drive(m, cond(m, env, tag))
+                except StraddledZeroTest:
                     bottom = m._template(("bottom", ty),
                                          lambda: straddled_if(ty))
                     return bottom[0], (), tag
@@ -832,10 +835,11 @@ class Machine:
 
         A run that exhausts the step budget, or the interpreter's recursion
         depth on a divergent term, ends in `BudgetExhausted` with that
-        reason; a result that is a zero test on a zero-straddling interval
-        is `Undetermined`.  An entry of `overrides` replaces its constant's
-        rule wherever that rule fires, the int/sup combine included (see
-        `ground_rules`).  A negative cost raises `ValueError`.
+        reason; a zero test on a zero-straddling interval that no
+        conditional at a continuous type tests is `Undetermined`.  An entry
+        of `overrides` replaces its constant's rule wherever that rule
+        fires, the int/sup combine included (see `ground_rules`).  A
+        negative cost raises `ValueError`.
         """
         if n < 0:
             raise ValueError(f"negative cost {n}")
@@ -848,8 +852,6 @@ class Machine:
             return BudgetExhausted(self.steps)
         except RecursionError:
             return BudgetExhausted(self.steps, "recursion depth")
-        if v is BOOL_BOTTOM:
-            return Undetermined(self.steps, _STRADDLING_ZERO_TEST)
         return Value(self.steps, v)
 
 

@@ -16,9 +16,8 @@ from .lang import (
     REAL, Type, Var, app_spine, fresh_var, spine,
 )
 from .machine import (
-    BOOL_BOTTOM, BudgetError, StuckTerm, UndeterminedSignal, _ARITY,
-    _PAYLOAD, _STRADDLING_ZERO_TEST, _lit, _rule, _unlit, ground_rules,
-    intsup_combine, l_body, straddled_if, unfold_y,
+    BudgetError, StraddledZeroTest, StuckTerm, _ARITY, _PAYLOAD, _lit, _rule,
+    _unlit, ground_rules, intsup_combine, l_body, straddled_if, unfold_y,
 )
 from .numeric import IV_ONE, IV_UNIT
 from .typecheck import is_continuous_type
@@ -157,10 +156,8 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             carrier = h.targs[0] if h.targs else None
             rule = _rule(ground_rules(overrides), name,
                          getattr(carrier, "name", carrier))
-            out = rule(*[_unlit(a) for a in args])
-            if out is BOOL_BOTTOM:
-                raise UndeterminedSignal(_STRADDLING_ZERO_TEST)
-            return _lit(out)
+            # a zero test on a straddling interval raises here
+            return _lit(rule(*[_unlit(a) for a in args]))
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Lam):
             lam, m = e.fn.expr, e.fn.n
             return CostTagged(subst(lam.body, lam.var, e.arg), m)
@@ -200,11 +197,9 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
             return e.then if cond.b else e.els
         try:
             e2 = step(cond, overrides)
-        except UndeterminedSignal as u:
-            # only the step firing the zero test raises this reason, since
-            # a conditional in cond raises its own
-            if u.reason != _STRADDLING_ZERO_TEST:
-                raise
+        except StraddledZeroTest:
+            # only the step firing the zero test raises it, since a
+            # conditional in cond catches its own
             return straddled_if(e.ty)
         if e2 is None:
             raise StuckTerm(f"stuck conditional scrutinee {e.cond}")

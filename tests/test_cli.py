@@ -86,6 +86,17 @@ class TestUnreadableFile:
         assert err == f"cannot read {path}: {reason}\n"
 
 
+class TestByteOrderMark:
+    # a FILE that starts with a UTF-8 byte-order mark reads as without it
+
+    @pytest.mark.parametrize("command,printed", [
+        ("check", "delta\n"), ("eval", "[1,1] + eps [0,0]\n")])
+    def test_the_mark_is_skipped(self, capsys, tmp_path, command, printed):
+        path = tmp_path / "bom.dpcf"
+        path.write_bytes(b"\xef\xbb\xbfin_delta 1\n")
+        assert run(capsys, [command, str(path)]) == (0, printed, "")
+
+
 class TestOptionValidation:
     # a malformed option ends in argparse's usage error, exit 2
 

@@ -1,8 +1,9 @@
 """Static checks: no module of the package, of its tests or of the
-benchmark imports a name it never uses, and no module of the package defines a helper, method or
-property that nothing names; start-up imports only what `check` and
-`eval` run; the README states the package's line count; and every source
-parses as the oldest Python that pyproject.toml admits."""
+benchmark imports a name it never uses, and no module of the package
+defines a helper, method or property that nothing names, or a slot that
+nothing reads; start-up imports only what `check` and `eval` run; the
+README states the package's line count; and every source parses as the
+oldest Python that pyproject.toml admits."""
 import ast
 import functools
 import os
@@ -80,6 +81,55 @@ def dead_helpers(module: Path):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_dead_helpers(module):
     assert dead_helpers(PACKAGE / module) == []
+
+
+@functools.lru_cache(maxsize=None)
+def attribute_reads():
+    """The attribute names the sources, tests and benchmark read: `x.name`
+    that is not a plain assignment target, and a `getattr` string."""
+    reads = set()
+    for path in [p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.AugAssign) \
+                    and isinstance(node.target, ast.Attribute):
+                reads.add(node.target.attr)
+            elif isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "getattr" \
+                    and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def dead_slots(module: Path):
+    """The `__slots__` names of `module`'s classes that nothing reads and
+    that the class does not list in `_fields`, which `Struct` reads."""
+    dead = []
+    for cls in ast.parse(module.read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        slots, fields = [], set()
+        for node in cls.body:
+            names = {t.id for t in getattr(node, "targets", ())
+                     if isinstance(t, ast.Name)}
+            if "__slots__" in names:
+                slots = ast.literal_eval(node.value)
+            if "_fields" in names:
+                parts = list(ast.walk(node.value))
+                fields = {p.value for p in parts if isinstance(p, ast.Constant)}
+                if any(getattr(p, "id", None) == "__slots__" for p in parts):
+                    fields |= set(slots)
+        dead += [f"{cls.name}.{s}" for s in slots
+                 if s not in fields and s not in attribute_reads()]
+    return dead
+
+
+def test_no_dead_slots():
+    assert [slot for p in sorted(PACKAGE.glob("*.py"))
+            for slot in dead_slots(p)] == []
 
 
 def imported_modules(source: str):

@@ -42,6 +42,14 @@ def val(src, n=0):
     return out.value
 
 
+# a zero test straddling zero that reaches a conditional at real through
+# a lambda's parameter, and through a branch of a conditional at bool
+STRADDLED_THROUGH_A_LAMBDA = \
+    "(fun b: bool. if b then in_pi 1 else in_pi 2) (0 < in_pi 0)"
+STRADDLED_THROUGH_A_BRANCH = \
+    "if (if 0 < in_pi 1 then 0 < in_pi 0 else tt) then in_pi 1 else in_pi 2"
+
+
 class TestGroundRules:
     def test_dual_arithmetic(self):
         assert val("in_delta (in_pi 2) * in_delta (in_pi 5)") == \
@@ -65,9 +73,19 @@ class TestGroundRules:
         assert val("if 0 < in_pi 1 - in_pi 2 then in_pi 10 else in_pi 20") == \
             Interval.point(20)
 
+    @pytest.mark.parametrize("iv", [Interval(-1, 1), IV_BOTTOM])
+    def test_a_straddled_zero_test_raises(self, iv):
+        with pytest.raises(machine.StraddledZeroTest) as exc:
+            GROUND_RULES[("lt0", None)](iv)
+        assert exc.value.reason == "zero test on a straddling interval"
+
     def test_undetermined_test_gives_bottom_at_real(self):
-        # the scrutinee interval contains zero, so neither branch is taken
-        assert val("if 0 < in_pi 0 then in_pi 1 else in_pi 2") == IV_BOTTOM
+        # the scrutinee interval contains zero, so neither branch is taken,
+        # also where the test reaches the conditional through a variable
+        # or a branch of the conditional's own test
+        for src in ("if 0 < in_pi 0 then in_pi 1 else in_pi 2",
+                    STRADDLED_THROUGH_A_LAMBDA, STRADDLED_THROUGH_A_BRANCH):
+            assert val(src) == IV_BOTTOM
 
     def test_undetermined_test_at_nat_is_undetermined(self):
         # in the second program the inner conditional, at bool, straddles
@@ -104,8 +122,7 @@ def test_ground_rule_maps_numbers_to_a_number(name, carrier):
     operands, _ = uncurry(SIGNATURES[name])
     out = GROUND_RULES[(name, carrier)](
         *[sample[carrier if ty is CARRIER else ty.name] for ty in operands])
-    assert out is machine.BOOL_BOTTOM or \
-        out.__class__ in (Interval, DualInterval, int, bool)
+    assert out.__class__ in (Interval, DualInterval, int, bool)
 
 
 def _mentions_carrier(ty) -> bool:
@@ -318,6 +335,8 @@ class TestSingleStep:
         # is bottom
         ("(fun x: real. if 0 < x then x else 0) 0", 0),
         ("int (fun t: real. if 0 < t - 1/2 then in_delta t else 0)", 1),
+        (STRADDLED_THROUGH_A_LAMBDA, 0),
+        (STRADDLED_THROUGH_A_BRANCH, 0),
     ] + [(name, n) for name in CORPUS for n in (0, 1, 2)])
     def test_step_agrees_with_evaluator(self, src, n):
         # src is a corpus program's name or a program's source
@@ -510,10 +529,9 @@ def _runs(e, n):
                     for b in budgets if 0 < b < out.steps]
 
 
-class TestCellKernel:
-    # The cell kernel is the integrand's own body, run on a range of cells.
+class TestRangeRuns:
     # An integrand whose evaluation ticks no step and gives a closure runs
-    # its body once per range of the cells after the first and adds each
+    # its own body once per range of the cells after the first and adds each
     # range's steps at once; a bisection the body starts ticks its cells
     # on the range.  A range that is undetermined, or stopped by the
     # budget or the recursion depth, is handed back to the ticking loop,
@@ -564,7 +582,7 @@ class TestCellKernel:
         ("(fun x: real. int (fun t: real. in_delta (x * t))) (1 / 3)",
          [(8, 8)]),
     ], ids=["nested", "sup", "int_id", "generic", "conditional", "unevaluated"])
-    def test_which_integrands_take_the_kernel(self, src, bisections):
+    def test_which_integrands_run_as_ranges(self, src, bisections):
         assert self.bisections(src) == bisections
 
     @pytest.mark.parametrize("src,bisections", [
