@@ -247,10 +247,11 @@ def check_L_soundness(f: Expr, x, xp) -> Verdict:
     inflated by ORACLE_TOL.
     """
     hull = finite_diff_oracle(f, x, xp)
-    arg = DualLit(DualInterval(Interval.point(x), Interval.point(xp)))
+    # built once: a closed application keeps its code for the later costs
+    fx = App(f, DualLit(DualInterval(Interval.point(x), Interval.point(xp))))
     checked = 0
     for n in SOUNDNESS_COSTS:
-        v = _eval_ground(App(f, arg), n)
+        v = _eval_ground(fx, n)
         padded = v.inf.inflate(ORACLE_TOL)
         if not padded.leq(hull):
             return Verdict(False, checked,

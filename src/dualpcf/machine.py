@@ -125,8 +125,8 @@ class StraddledZeroTest(UndeterminedSignal):
 
 
 class BudgetError(Exception):
-    def __init__(self, steps: int, reason: str = "step budget"):
-        super().__init__(f"{reason} exhausted after {steps} steps")
+    def __init__(self, steps: int):
+        super().__init__(f"step budget exhausted after {steps} steps")
         self.steps = steps
 
 
@@ -246,20 +246,16 @@ def _nat_iv(n: int) -> Interval:
     return iv_unchecked(n, n, 0, 1)
 
 
-def _as_iv(v) -> Interval:
-    if isinstance(v, IvLit):
-        return v.iv
-    if isinstance(v, NatLit):
-        return _nat_iv(v.n)
-    raise StuckTerm(f"expected a real value, found {v}")
-
-
 def _as_dual(v) -> DualInterval:
     """The dual number of a real or dual literal node: a helper for the
     rules passed as `overrides`, which receive literal nodes."""
     if isinstance(v, DualLit):
         return v.dv
-    return in_dual(_as_iv(v))
+    if isinstance(v, IvLit):
+        return in_dual(v.iv)
+    if isinstance(v, NatLit):
+        return in_dual(_nat_iv(v.n))
+    raise StuckTerm(f"expected a real value, found {v}")
 
 
 def _lt0(iv: Interval):
@@ -862,24 +858,6 @@ def eval_at_cost(e: Expr, n: int, budget: int = DEFAULT_BUDGET,
     return Machine(budget, overrides, arg).eval_at_cost(e, n)
 
 
-def _dual_value(v) -> DualInterval:
-    if isinstance(v, Interval):
-        return in_dual(v)
-    if not isinstance(v, DualInterval):
-        raise StuckTerm(f"expected a numeric result, found {v!r}")
-    return v
-
-
-def eval_dual(e: Expr, n: int) -> DualInterval:
-    """Evaluate a closed term of type delta (or pi, embedded) at cost n."""
-    out = eval_at_cost(e, n)
-    if isinstance(out, Undetermined):
-        raise UndeterminedSignal(out.reason)
-    if isinstance(out, BudgetExhausted):
-        raise BudgetError(out.steps, out.reason)
-    return _dual_value(out.value)
-
-
 def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
                 budget: int = DEFAULT_BUDGET, std_only: bool = False,
                 arg=None) -> Tuple[Outcome, int]:
@@ -909,7 +887,9 @@ def eval_refine(e: Expr, target_width, cost_ceiling: int = 4096,
         if not isinstance(out, Value) or \
                 not isinstance(out.value, (Interval, DualInterval)):
             return out, n
-        out.value = v = _dual_value(out.value)
+        v = out.value
+        if v.__class__ is Interval:
+            out.value = v = in_dual(v)
         if narrow(v.std) and (std_only or narrow(v.inf)):
             return out, n
         if n >= cost_ceiling:

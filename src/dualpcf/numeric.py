@@ -24,10 +24,10 @@ that comparing cross-multiplied numerators reads its ends as -inf and
 on exactly one side are rejected.
 
 Only the public constructors validate their input: `Interval(lo, hi)`,
-`Interval.point`, `Interval.parse` and `DualInterval.of`; each returns
-`IV_BOTTOM` itself for `(-inf, +inf)`.  Every result of the arithmetic is
-built by `iv_unchecked`.  Instances are immutable by convention: nothing
-assigns to them after construction, and all operations are pure.
+`Interval.point` and `DualInterval.of`; each returns `IV_BOTTOM` itself
+for `(-inf, +inf)`.  Every result of the arithmetic is built by
+`iv_unchecked`.  Instances are immutable by convention: nothing assigns
+to them after construction, and all operations are pure.
 
 The numerators may also be polynomial: `poly_cells(lo, hi, e)` is the
 cells `[i, i+1] / 2**e` for lo <= i < hi as one interval whose numerators
@@ -60,17 +60,9 @@ _new = object.__new__
 
 
 def _rational(x):
-    """An int or a Fraction as it is, a string as the rational or +-inf it
-    spells, and a float only if it is +-inf."""
+    """An int or a Fraction as it is, and a float only if it is +-inf."""
     if x.__class__ is int or x.__class__ is Fraction:
         return x
-    if isinstance(x, str):
-        s = x.strip()
-        if s in ("inf", "+inf"):
-            return inf
-        if s == "-inf":
-            return -inf
-        return Fraction(s)
     if x == inf or x == -inf or isinstance(x, (int, Fraction)):
         return x
     raise TypeError(f"not an extended rational: {x!r}")
@@ -368,14 +360,6 @@ class Interval:
         q = _rational(q)
         return _point(q) if q.__class__ is not float else cls(q, q)
 
-    @classmethod
-    def parse(cls, s: str) -> "Interval":
-        s = s.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"not an interval literal: {s!r}")
-        lo, hi = s[1:-1].split(",")
-        return cls(lo, hi)
-
     def __reduce__(self):
         # copies and pickles go through the validating constructor, so
         # a copy of bottom is IV_BOTTOM itself
@@ -606,13 +590,6 @@ class DualInterval:
         if not isinstance(inf, Interval):
             inf = Interval.point(inf)
         return cls(std, inf)
-
-    @classmethod
-    def parse(cls, s: str) -> "DualInterval":
-        std_s, _, inf_s = s.partition("+ eps")
-        if not inf_s:
-            raise ValueError(f"not a dual literal: {s!r}")
-        return cls(Interval.parse(std_s), Interval.parse(inf_s))
 
     def leq(self, other: "DualInterval") -> bool:
         return self.std.leq(other.std) and self.inf.leq(other.inf)

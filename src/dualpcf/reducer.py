@@ -152,10 +152,8 @@ def step(e: Expr, overrides=None) -> Optional[Expr]:
                         raise StuckTerm(f"stuck operand {a}")
                     return app_spine(head, args[:i] + [a2] + args[i + 1:])
             h = head.expr if isinstance(head, CostTagged) else head
-            # a hand-built term may name its carrier by a string
-            carrier = h.targs[0] if h.targs else None
             rule = _rule(ground_rules(overrides), name,
-                         getattr(carrier, "name", carrier))
+                         h.targs[0].name if h.targs else None)
             # a zero test on a straddling interval raises here
             return _lit(rule(*[_unlit(a) for a in args]))
         if isinstance(e.fn, CostTagged) and isinstance(e.fn.expr, Lam):

@@ -350,7 +350,3 @@ def elaborate(e: Expr, env: Optional[Dict[str, Type]] = None,
     if want is None:
         return _Checker().infer(e, env or {})
     return _Checker().check(e, env or {}, want), want
-
-
-def typecheck(e: Expr) -> Type:
-    return elaborate(e)[1]

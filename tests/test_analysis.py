@@ -11,7 +11,7 @@ from dualpcf.analysis import (
 )
 from dualpcf.corpus import FIRST_ORDER_FUNCTIONS, load_corpus, load_first_order
 from dualpcf.lang import App, Arrow, DUAL, DualLit, If, Lam, REAL, parse
-from dualpcf.machine import Machine, _as_dual
+from dualpcf.machine import Machine, _as_dual, eval_at_cost
 from dualpcf.numeric import DualInterval, Interval, IV_BOTTOM
 from dualpcf.typecheck import elaborate
 
@@ -113,10 +113,8 @@ class TestOracle:
         # sum of both branch envelopes; the oracle sees the exact zero
         src = "fun x: delta. max(x, 0 - x) - max(x, 0 - x)"
         assert finite_diff_oracle(_fn(src), 0, 1) == Interval(0, 0)
-        from dualpcf.machine import eval_dual
-        from dualpcf.lang import App
         arg = DualLit(DualInterval(Interval.point(0), Interval.point(1)))
-        v = eval_dual(App(_fn(src), arg), 0)
+        v = eval_at_cost(App(_fn(src), arg), 0).value
         assert v.inf == Interval(-2, 2)
 
 
@@ -132,22 +130,41 @@ def _applications(e):
     return set()
 
 
-@pytest.mark.parametrize("name", list(FIRST_ORDER_FUNCTIONS))
-def test_the_oracle_compiles_no_application_per_point(name, monkeypatch):
-    # each grid point applies f's kept code to the point's value, so the
-    # only applications compiled are f's own, each once
-    compiled, compile_app = [], Machine._compile_app
+@pytest.fixture
+def compiled(monkeypatch):
+    """The application nodes `Machine` compiles, in order; kept alive, so
+    no id is reused."""
+    nodes, compile_app = [], Machine._compile_app
 
     def spy(m, e, scope):
-        compiled.append(id(e))
+        nodes.append(e)
         return compile_app(m, e, scope)
 
-    f = load_first_order(name)
     monkeypatch.setattr(Machine, "_compile_app", spy)
+    return nodes
+
+
+@pytest.mark.parametrize("name", list(FIRST_ORDER_FUNCTIONS))
+def test_the_oracle_compiles_no_application_per_point(name, compiled):
+    # each grid point applies f's kept code to the point's value, so the
+    # only applications compiled are f's own, each once
+    f = load_first_order(name)
     hull = finite_diff_oracle(f, Fraction(1, 2), -1)
     assert finite_diff_oracle(f, Fraction(1, 2), -1) == hull
-    assert set(compiled) <= _applications(f)
-    assert len(compiled) == len(set(compiled))
+    ids = [id(e) for e in compiled]
+    assert set(ids) <= _applications(f)
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("name", list(FIRST_ORDER_FUNCTIONS))
+def test_the_soundness_check_compiles_one_application_of_f(name, compiled):
+    # the oracle compiles f's own applications, and the costs share one
+    # application of f to the dual point, which keeps its code
+    f = load_first_order(name)
+    check_L_soundness(f, Fraction(1, 2), -1)
+    ids = [id(e) for e in compiled]
+    assert len(ids) == len(set(ids))
+    assert len(set(ids) - _applications(f)) == 1
 
 
 class TestSoundness:

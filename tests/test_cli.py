@@ -1,12 +1,17 @@
 """Command-line interface tests."""
 import json
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dualpcf.cli import main
-from dualpcf.corpus import corpus_source
+from dualpcf.corpus import CORPUS, corpus_source
 from dualpcf.numeric import Interval
+
+# read only, as tests/test_golden.py does
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "corpus.json"
 
 
 @pytest.fixture
@@ -58,8 +63,14 @@ class TestCheck:
         ("(fun f: nat -> nat. f 1)\n  pr",
          "2:3: Mismatch: expected nu -> nu, found delta -> delta"),
         ("(1 + 2", "1:7: expected ')', found end of input"),
+        # an error in an L's arguments, none of which holds an L
+        ("L[delta] (fun x: real. x) 0 1",
+         "1:24: Mismatch: binder 'x' has type pi, expected delta"),
+        ("fun x: delta. (fun y: real. y) (x + 1)",
+         "1:35: Mismatch: dual operand in a real context"),
     ], ids=["generic_application", "l_admissibility", "coercion",
-            "constant_as_value", "end_of_input"])
+            "constant_as_value", "end_of_input", "l_argument",
+            "dual_in_real_context"])
     def test_error_names_its_position(self, capsys, program, src, message):
         assert run(capsys, ["check", program(src)]) == (1, "", message + "\n")
 
@@ -175,8 +186,8 @@ class TestEval:
                                     "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        std = Interval.parse(f"[{doc['std']['lo']},{doc['std']['hi']}]")
-        assert std == Interval.parse("[31/64,33/64]")
+        std = Interval(Fraction(doc["std"]["lo"]), Fraction(doc["std"]["hi"]))
+        assert std == Interval(Fraction(31, 64), Fraction(33, 64))
         assert doc["cost"] == 5 and doc["steps"] > 0
 
     def test_json_reports_the_cost_and_the_steps(self, capsys, program):
@@ -201,8 +212,8 @@ class TestEval:
         path = program("int (fun t: real. in_delta t)")
         code, out, _ = run(capsys, ["eval", path, "--width", "1/100"])
         assert code == 0
-        std = out.split("+ eps")[0].strip()
-        assert Interval.parse(std).width <= 0.01
+        lo, hi = out.split("+ eps")[0].strip()[1:-1].split(",")
+        assert Interval(Fraction(lo), Fraction(hi)).width <= 0.01
 
     def test_budget_exhaustion(self, capsys, program):
         path = program("Y[nu -> nu] (fun f: nu -> nu. fun n: nu. f n) 0")
@@ -323,6 +334,14 @@ class TestExamples:
         code, _, err = run(capsys, ["examples", "run", "nope"])
         assert code == 1
 
+    def test_run_all_prints_each_program_at_cost_4(self, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        code, out, _ = run(capsys, ["examples", "run"])
+        assert code == 0
+        assert out.splitlines() == [
+            line for name, entry in CORPUS.items() if not entry.advanced
+            for line in (f"== {name}", golden[f"{name}@4"])]
+
     def test_run_chebyshev_hits_quarter(self, capsys):
         code, out, _ = run(capsys, ["examples", "run", "chebyshev_functional",
                                     "--cost", "0"])
@@ -338,6 +357,14 @@ class TestVerify:
         assert all(l["suite"] == "refinement" for l in lines)
         assert all(l["verdict"] for l in lines)
         assert "passed" in err
+
+    def test_soundness_suite_holds_on_every_case(self, capsys):
+        code, out, err = run(capsys, ["verify", "--suite", "soundness"])
+        assert code == 0
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert len(lines) == 100
+        assert all(l["suite"] == "soundness" and l["verdict"] for l in lines)
+        assert err == "all suites passed\n"
 
     def test_relations_suite_small_fuel(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "relations",

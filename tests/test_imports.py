@@ -154,16 +154,24 @@ def test_no_dataclasses(module):
 def test_cli_start_up_loads_only_what_eval_runs():
     # `verify` and `examples` import the analysis and corpus modules
     # themselves, and only JSON output imports `json`, so `check` and
-    # `eval` never load them; only the tests run the literal reducer
-    code = ("import sys; before = set(sys.modules); import dualpcf.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+    # `eval` never load them; only the tests run the literal reducer, so
+    # the package's public names do not load it either, and the name
+    # `typecheck` is the submodule
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    loaded = set(out.stdout.split())
-    assert "dualpcf.machine" in loaded
-    assert loaded & {"dataclasses", "inspect", "json", "dualpcf.analysis",
-                     "dualpcf.corpus", "dualpcf.reducer"} == set()
+    for start in ("import dualpcf.cli", "from dualpcf import *"):
+        code = (f"import sys; before = set(sys.modules); {start}; "
+                "import dualpcf; print(dualpcf.typecheck is "
+                "sys.modules['dualpcf.typecheck'], "
+                "*sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=60)
+        submodule, *loaded = out.stdout.split()
+        assert submodule == "True", start
+        assert "dualpcf.machine" in loaded, start
+        assert set(loaded) & {"dataclasses", "inspect", "json",
+                              "dualpcf.analysis", "dualpcf.corpus",
+                              "dualpcf.reducer"} == set(), start
 
 
 def test_readme_states_the_package_line_count():

@@ -6,13 +6,12 @@ from dualpcf.lang import Arrow, BOOL, DUAL, NAT, REAL, parse
 from dualpcf.typecheck import (
     BAD_L_SHAPE, L_INSIDE_L_ARGUMENT, MISMATCH, TypeCheckError,
     ZERO_TEST_ON_DUAL, elaborate, is_continuous_type, is_l_admissible,
-    typecheck,
 )
 from dualpcf.machine import eval_at_cost
 
 
 def ty_of(src):
-    return typecheck(parse(src))
+    return elaborate(parse(src))[1]
 
 
 class TestGroundTyping:
