@@ -106,29 +106,36 @@ def cmd_check(args) -> int:
 
 
 def _eval_term(e, args) -> int:
-    t0 = time.monotonic()
-    if args.width is None:
-        cost, out = args.cost, eval_at_cost(e, args.cost, args.budget)
-    else:
-        try:
-            out, cost = eval_refine(e, args.width, cost_ceiling=args.ceiling,
-                                    budget=args.budget)
-        except CeilingReached as c:
-            print(f"ceiling reached at cost {c.cost}; best: {c.best}",
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # a result prints in full, past the limit on an int's digits
+        sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.monotonic()
+        if args.width is None:
+            cost, out = args.cost, eval_at_cost(e, args.cost, args.budget)
+        else:
+            try:
+                out, cost = eval_refine(e, args.width, budget=args.budget,
+                                        cost_ceiling=args.ceiling)
+            except CeilingReached as c:
+                print(f"ceiling reached at cost {c.cost}; best: {c.best}",
+                      file=sys.stderr)
+                return EXIT_BUDGET
+        if isinstance(out, Undetermined):
+            print("undetermined:", out.reason, file=sys.stderr)
+            print("undetermined")
+            return EXIT_UNDETERMINED
+        if isinstance(out, BudgetExhausted):
+            print(f"{out.reason} exhausted after {out.steps} steps",
                   file=sys.stderr)
             return EXIT_BUDGET
-    if isinstance(out, Undetermined):
-        print("undetermined:", out.reason, file=sys.stderr)
-        print("undetermined")
-        return EXIT_UNDETERMINED
-    if isinstance(out, BudgetExhausted):
-        print(f"{out.reason} exhausted after {out.steps} steps",
-              file=sys.stderr)
-        return EXIT_BUDGET
-    print(_render(out, cost, args.format))
-    if args.width is not None and args.format == "text":
-        print(f"# cost {cost}, {time.monotonic() - t0:.2f}s", file=sys.stderr)
-    return EXIT_OK
+        print(_render(out, cost, args.format))
+        if args.width is not None and args.format == "text":
+            print(f"# cost {cost}, {time.monotonic() - t0:.2f}s", file=sys.stderr)
+        return EXIT_OK
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_eval(args) -> int:

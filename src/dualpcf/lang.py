@@ -351,6 +351,12 @@ def _positions(src: str):
 # ---------------------------------------------------------------------------
 # Parser
 
+# How tightly each infix operator binds, for the parser and the printer;
+# all are left associative, and `<` is only the unchained zero test `0 < e`.
+# Application binds tighter than all of them.
+_PREC = {"<": 0, "+": 1, "-": 1, "*": 2, "/": 2}
+_APP = 3
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -363,7 +369,7 @@ class _Parser:
 
     def next(self):
         t = self.toks[self.i]
-        self.i += 1
+        self.i += t[0] != EOF  # the end of input stays the next token
         return t
 
     def fail(self, msg: str, t):
@@ -401,12 +407,9 @@ class _Parser:
         text = self.toks[self.i][1]
         if text in ("fun", "λ", "\\"):
             self.i += 1
-            binders = []
-            while True:
-                b = self.parse_binder()
-                binders.append(b)
-                if self.peek()[1] == ".":
-                    break
+            binders = [self.parse_binder()]
+            while self.peek()[1] != ".":
+                binders.append(self.parse_binder())
             self.expect(".")
             inner_env = env | {name for name, _ in binders}
             body = self.parse_expr(inner_env)
@@ -435,7 +438,7 @@ class _Parser:
             self.expect("else")
             els = self.parse_expr(env)
             return If(cond, then, els)
-        return self.parse_cmp(env)
+        return self.parse_ops(env)
 
     def parse_binder(self):
         t = self.next()
@@ -453,41 +456,27 @@ class _Parser:
             ty = self.parse_type()
         return (t[1], ty)
 
-    def parse_cmp(self, env) -> Expr:
-        lhs = self.parse_add(env)
-        if self.toks[self.i][1] == "<":
-            t = self.next()
-            if lhs != NatLit(0):
-                self.fail("only the zero test '0 < e' is supported", t)
-            rhs = self.parse_add(env)
-            return App(Const("lt0", pos=self.pos(t[2])), rhs)
-        return lhs
-
-    def parse_add(self, env) -> Expr:
-        lhs = self.parse_mul(env)
-        while self.toks[self.i][1] in ("+", "-"):
-            _, op, off = self.toks[self.i]
-            self.i += 1
-            rhs = self.parse_mul(env)
-            lhs = App(App(Const(op, pos=self.pos(off)), lhs), rhs)
-        return lhs
-
-    def parse_mul(self, env) -> Expr:
-        lhs = self.parse_unary(env)
-        while self.toks[self.i][1] in ("*", "/"):
-            _, op, off = self.toks[self.i]
-            self.i += 1
-            rhs = self.parse_unary(env)
-            lhs = App(App(Const(op, pos=self.pos(off)), lhs), rhs)
-        return lhs
-
-    def parse_unary(self, env) -> Expr:
+    def parse_ops(self, env, level: int = 0) -> Expr:
+        """Precedence climbing over `_PREC`: the operators binding at
+        least as tightly as level, left associative.  A leading `-` is
+        `0 - e`, where e is an application or again starts with `-`."""
         _, text, off = self.toks[self.i]
         if text == "-":
             self.i += 1
-            inner = self.parse_unary(env)
-            return App(App(Const("-", pos=self.pos(off)), NatLit(0)), inner)
-        return self.parse_app(env)
+            lhs = App(App(Const("-", pos=self.pos(off)), NatLit(0)),
+                      self.parse_ops(env, _APP))
+        else:
+            lhs = self.parse_app(env)
+        while _PREC.get(self.toks[self.i][1], -1) >= level:
+            _, op, off = t = self.next()
+            if op == "<":  # once, and only as the zero test
+                if lhs != NatLit(0):
+                    self.fail("only the zero test '0 < e' is supported", t)
+                return App(Const("lt0", pos=self.pos(off)),
+                           self.parse_ops(env, _PREC[op] + 1))
+            lhs = App(App(Const(op, pos=self.pos(off)), lhs),
+                      self.parse_ops(env, _PREC[op] + 1))
+        return lhs
 
     def parse_app(self, env) -> Expr:
         e = self.parse_atom(env)
@@ -501,8 +490,7 @@ class _Parser:
                     self.i += 1
                     args.append(self.parse_expr(env))
                 self.expect(")")
-                for a in args:
-                    e = App(e, a)
+                e = app_spine(e, args)
             elif kind == NUM or (kind == IDENT and text not in KEYWORDS
                                  and text != "λ"):
                 e = App(e, self.parse_atom(env))
@@ -514,7 +502,10 @@ class _Parser:
         self.i += 1
         kind, name, off = t
         if kind == NUM:
-            return NatLit(int(name), pos=self.pos(off))
+            try:
+                return NatLit(int(name), pos=self.pos(off))
+            except ValueError:  # past Python's limit on digits
+                self.fail(f"numeral too long: {len(name)} digits", t)
         if name == "(":
             e = self.parse_expr(env)
             self.expect(")")
@@ -562,8 +553,7 @@ def print_expr(e: Expr) -> str:
     return _pp(e, 0)
 
 
-# precedence levels: 0 top (lambda/if), 1 additive, 2 multiplicative,
-# 3 application, 4 atom
+# levels: 0 top (lambda, if), those of `_PREC` and `_APP`, and atoms above
 def _pp(e: Expr, prec: int) -> str:
     if isinstance(e, Var):
         return e.name
@@ -581,18 +571,18 @@ def _pp(e: Expr, prec: int) -> str:
         s = f"if {_pp(e.cond, 0)} then {_pp(e.then, 0)} else {_pp(e.els, 0)}"
         return f"({s})" if prec > 0 else s
     if isinstance(e, App):
-        # render binary operator applications infix
-        if isinstance(e.fn, App) and isinstance(e.fn.fn, Const) \
-                and e.fn.fn.name in ("+", "-", "*", "/"):
-            op = e.fn.fn.name
-            lvl = 1 if op in ("+", "-") else 2
-            s = f"{_pp(e.fn.arg, lvl)} {op} {_pp(e.arg, lvl + 1)}"
-            return f"({s})" if prec > lvl else s
-        if isinstance(e.fn, Const) and e.fn.name == "lt0":
-            s = f"0 < {_pp(e.arg, 1)}"
-            return f"({s})" if prec > 0 else s
-        s = f"{_pp(e.fn, 3)} {_pp(e.arg, 4)}"
-        return f"({s})" if prec > 3 else s
+        # an operator's application prints infix, and any other application
+        # is the juxtaposition at level _APP: each left associative
+        fn = e.fn
+        if isinstance(fn, Const) and fn.name == "lt0":
+            fn, sep, lvl = NatLit(0), " < ", _PREC["<"]
+        elif isinstance(fn, App) and isinstance(fn.fn, Const) \
+                and fn.fn.name in _PREC:
+            fn, sep, lvl = fn.arg, f" {fn.fn.name} ", _PREC[fn.fn.name]
+        else:
+            sep, lvl = " ", _APP
+        s = f"{_pp(fn, lvl)}{sep}{_pp(e.arg, lvl + 1)}"
+        return f"({s})" if prec > lvl else s
     if isinstance(e, CostTagged):
         return f"⟨{_pp(e.expr, 0)}, {e.n}⟩"
     if isinstance(e, IntSupAt):

@@ -65,10 +65,10 @@ def _at(ty: Type, carrier: Optional[Type]) -> Type:
 _TYPES = {(name, c): _at(ty, c) for name, ty in SIGNATURES.items()
           for c in ((REAL, DUAL) if _at(ty, REAL) != ty else (None,))}
 
-# The operand types of each overloaded constant with an operand at the
-# carrier itself, which is every one but int and sup.
-_OPERANDS = {name: uncurry(ty)[0] for name, ty in SIGNATURES.items()
-             if CARRIER in uncurry(ty)[0]}
+# Each overloaded constant but int and sup: the number of its operands at
+# the carrier, which lead, and the types of the operands after them.
+_OPERANDS = {name: (k, args[k:]) for name, ty in SIGNATURES.items()
+             for args in [uncurry(ty)[0]] if (k := args.count(CARRIER))}
 
 
 def is_continuous_type(ty: Type) -> bool:
@@ -99,10 +99,6 @@ def contains_l(e: Expr) -> bool:
     if isinstance(e, If):
         return contains_l(e.cond) or contains_l(e.then) or contains_l(e.els)
     return False
-
-
-def _numeric_rank(ty: Type) -> int:
-    return {NAT: 0, REAL: 1, DUAL: 2}[ty]
 
 
 class _Checker:
@@ -203,7 +199,7 @@ class _Checker:
 
     def _join_numeric(self, e: If, a: Type, b: Type) -> Type:
         if a in NUMERIC and b in NUMERIC:
-            return a if _numeric_rank(a) >= _numeric_rank(b) else b
+            return max(a, b, key=NUMERIC.index)
         if a == b:
             return a
         raise TypeCheckError(MISMATCH,
@@ -229,7 +225,7 @@ class _Checker:
         if isinstance(head, Const):
             name = head.name
             operands = _OPERANDS.get(name)
-            if operands is not None and len(args) == len(operands):
+            if operands and len(args) == operands[0] + len(operands[1]):
                 return self.elab_overloaded(head, operands, args, env, want)
             if name in ("int", "sup") and len(args) == 1:
                 return self.elab_intsup(head, args[0], env, want)
@@ -253,13 +249,13 @@ class _Checker:
 
     def elab_overloaded(self, c: Const, operands, args, env,
                         want: Optional[Type]) -> Tuple[Expr, Type]:
-        """An overloaded constant applied to all its operands.  Those at
-        the carrier are inferred, must be numeric and are coerced to it;
+        """An overloaded constant applied to all its operands.  The first k,
+        at the carrier, are inferred, must be numeric and are coerced to it;
         the others are checked at their types.  The carrier is the one the
         context wants, if pi or delta, and otherwise delta if an operand is
         dual and pi if none is.  Every such constant returns its carrier."""
-        inferred = [self.infer(a, env)
-                    for a, ty in zip(args, operands) if ty is CARRIER]
+        k, rest = operands
+        inferred = [self.infer(a, env) for a in args[:k]]
         carrier = REAL
         for _, ty in inferred:
             if ty not in NUMERIC:
@@ -273,13 +269,10 @@ class _Checker:
                     MISMATCH, "dual operand in a real context", c.pos)
             carrier = want
         out: Expr = Const(c.name, (carrier,), pos=c.pos)
-        inferred = iter(inferred)
-        for a, ty in zip(args, operands):
-            if ty is CARRIER:
-                arg = self.coerce(*next(inferred), carrier)
-            else:
-                arg = self.check(a, env, ty)
-            out = App(out, arg)
+        for a, ty in inferred:
+            out = App(out, self.coerce(a, ty, carrier))
+        for a, ty in zip(args[k:], rest):
+            out = App(out, self.check(a, env, ty))
         return out, carrier
 
     def elab_intsup(self, c: Const, f: Expr, env,

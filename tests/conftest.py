@@ -3,6 +3,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from dualpcf.lang import App, If, Lam, Var
 from dualpcf.machine import GROUND_RULES, Machine, _lit, _unlit
 
 
@@ -34,3 +35,18 @@ def ticking(patch):
     runs and no closed form.  `patch` is a `MonkeyPatch`."""
     patch.setattr(Machine, "_pieces",
                   lambda m, fv, total, lo, hi, n: (lo, hi))
+
+
+def alpha_eq(a, b, env=None) -> bool:
+    """Alpha-equivalence on surface terms."""
+    env = env or {}
+    if isinstance(a, Var) and isinstance(b, Var):
+        return env.get(a.name, a.name) == b.name
+    if isinstance(a, Lam) and isinstance(b, Lam):
+        return a.ty == b.ty and alpha_eq(a.body, b.body, {**env, a.var: b.var})
+    if isinstance(a, App) and isinstance(b, App):
+        return alpha_eq(a.fn, b.fn, env) and alpha_eq(a.arg, b.arg, env)
+    if isinstance(a, If) and isinstance(b, If):
+        return (alpha_eq(a.cond, b.cond, env) and alpha_eq(a.then, b.then, env)
+                and alpha_eq(a.els, b.els, env))
+    return a == b

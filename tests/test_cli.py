@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,12 +42,14 @@ class TestCheck:
         assert err
 
     def test_deeply_nested_program(self, capsys, program):
-        path = program("in_delta (" + "+".join(["1"] * 40_000) + ")")
-        for command in ("check", "eval"):
-            code, out, err = run(capsys, [command, path])
-            assert code == 1
-            assert out == ""
-            assert err == "program nested too deeply\n"
+        for src in ("in_delta (" + "+".join(["1"] * 40_000) + ")",
+                    "(" * 40_000 + "1" + ")" * 40_000):
+            path = program(src)
+            for command in ("check", "eval"):
+                code, out, err = run(capsys, [command, path])
+                assert code == 1
+                assert out == ""
+                assert err == "program nested too deeply\n"
 
     def test_type_error(self, capsys, program):
         src = "if 0 < in_delta (in_pi 1) then 1 else 2"
@@ -68,11 +71,56 @@ class TestCheck:
          "1:24: Mismatch: binder 'x' has type pi, expected delta"),
         ("fun x: delta. (fun y: real. y) (x + 1)",
          "1:35: Mismatch: dual operand in a real context"),
+        ("fun (", "1:6: expected ':', found end of input"),
+        ("succ " + "9" * 4301, "1:6: numeral too long: 4301 digits"),
     ], ids=["generic_application", "l_admissibility", "coercion",
             "constant_as_value", "end_of_input", "l_argument",
-            "dual_in_real_context"])
+            "dual_in_real_context", "end_of_input_in_a_binder",
+            "numeral_past_the_digit_limit"])
     def test_error_names_its_position(self, capsys, program, src, message):
         assert run(capsys, ["check", program(src)]) == (1, "", message + "\n")
+
+
+class TestLongNumbers:
+    # Python converts at most 4,300 digits between an int and its text by
+    # default: a numeral has at most that many (a longer one is a parse
+    # error above), and a result prints in full past them, the limit
+    # coming back once the command returns
+
+    NINES = "9" * 4300
+
+    @staticmethod
+    def text(q) -> str:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_numeral_at_the_limit(self, capsys, program):
+        src = f"succ {self.NINES}"
+        assert run(capsys, ["check", program(src)]) == (0, "nu\n", "")
+
+    def test_a_result_past_the_limit(self, capsys, program):
+        path = program(f"succ {self.NINES}")
+        assert run(capsys, ["eval", path, "--cost", "0"]) == \
+            (0, "1" + "0" * 4300 + "\n", "")
+        with pytest.raises(ValueError):
+            int("9" * 5000)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_fourteen_squares(self, capsys, program, fmt):
+        src = "(fun x: real. x * x) (" * 14 + "in_pi 3 / 7" + ")" * 14
+        code, out, err = run(capsys, ["eval", program(src), "--format", fmt])
+        assert (code, err) == (0, "")
+        q = self.text(Fraction(3, 7) ** 2 ** 14)
+        if fmt == "text":
+            assert out == f"[{q},{q}]\n"
+        else:
+            assert json.loads(out)["std"] == {"lo": q, "hi": q}
+        with pytest.raises(ValueError):
+            int("9" * 5000)
 
 
 class TestUnreadableFile:

@@ -3,8 +3,8 @@ the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
 and neither int's running sum, sup's running max nor running a
 bisection's cells as ranges, nested bisections included, changes a run.
-The front end reads every spelling of a term alike, and `eval` ends every
-run by the exit contract."""
+The front end reads every spelling of a term alike, the printed text of a
+term parses back to it, and `eval` ends every run by the exit contract."""
 import contextlib
 import io
 import re
@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from dualpcf import cli
 from dualpcf.analysis import check_monotone_refinement
-from dualpcf.lang import CostTagged, parse
+from dualpcf.lang import CostTagged, parse, print_expr
 from dualpcf.machine import (
     BudgetExhausted, Machine, Undetermined, Value, _unlit, eval_at_cost,
 )
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
-from conftest import TREE, ticking
+from conftest import TREE, alpha_eq, ticking
 
 # rationals as real terms: dyadic (over 1, 2, 4, 8) and not (over 3, 5)
 real_literals = st.builds(
@@ -398,6 +398,14 @@ def test_spellings_parse_alike(sources):
     e = parse(src)
     assert parse(other) == e
     assert elaborate(parse(other), {})[1] is elaborate(e, {})[1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(delta_terms())
+def test_printed_terms_parse_back(src):
+    # the parser and the printer read one table of operator levels
+    e = parse(src)
+    assert alpha_eq(parse(print_expr(e)), e)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,8 @@ from dualpcf.lang import (
 )
 from dualpcf.reducer import free_vars, subst
 
+from conftest import alpha_eq
+
 
 class TestParser:
     def test_application_left_assoc(self):
@@ -125,21 +127,6 @@ def test_binder_takes_only_the_zero_tests_name(name):
     assert body == (Var(name) if name == "lt0" else Const(name))
 
 
-def alpha_eq(a, b, env=None) -> bool:
-    """Alpha-equivalence on surface terms."""
-    env = env or {}
-    if isinstance(a, Var) and isinstance(b, Var):
-        return env.get(a.name, a.name) == b.name
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        return a.ty == b.ty and alpha_eq(a.body, b.body, {**env, a.var: b.var})
-    if isinstance(a, App) and isinstance(b, App):
-        return alpha_eq(a.fn, b.fn, env) and alpha_eq(a.arg, b.arg, env)
-    if isinstance(a, If) and isinstance(b, If):
-        return (alpha_eq(a.cond, b.cond, env) and alpha_eq(a.then, b.then, env)
-                and alpha_eq(a.els, b.els, env))
-    return a == b
-
-
 ROUND_TRIP_SOURCES = [
     "fun x: delta. max(x, 0 - x)",
     "L[delta] (fun x: delta. x * x) 3 1",
@@ -149,6 +136,10 @@ ROUND_TRIP_SOURCES = [
     "if 0 < in_pi 1 then in_pi 1 else in_pi 2",
     "fun g: delta -> delta. fun y: delta. g(y) * g(y)",
     "let h = fun x: delta. pr x in h 2",
+    "fun (x: delta) (y: delta). -x * y",
+    "fun (a: delta) (b: delta) (c: delta). a - (b - c)",
+    "fun a: delta. a / 2 / 3",
+    "fun (a: real) (b: real) (c: real). 0 < a - b * c",
 ]
 
 
