@@ -441,19 +441,19 @@ class _Parser:
         return self.parse_ops(env)
 
     def parse_binder(self):
+        """`x`, `x: T` or `(x: T)`."""
+        paren = self.peek()[1] == "("
+        if paren:
+            self.i += 1
         t = self.next()
-        if t[1] == "(":
-            name_tok = self.next()
-            self.expect(":")
-            ty = self.parse_type()
-            self.expect(")")
-            return (name_tok[1], ty)
         if t[0] != IDENT or t[1] in KEYWORDS:
             self.fail(f"expected a binder, found {_shown(t)}", t)
         ty = None
-        if self.peek()[1] == ":":
-            self.i += 1
+        if paren or self.peek()[1] == ":":
+            self.expect(":")
             ty = self.parse_type()
+        if paren:
+            self.expect(")")
         return (t[1], ty)
 
     def parse_ops(self, env, level: int = 0) -> Expr:

@@ -44,10 +44,10 @@ into a fold (`add(v)`, then `result(m)`) fixed when the int or sup
 constant is compiled.  On exact endpoints the rule's tree of `l/2 + r/2`
 is the cells' sum over 2^m, so int keeps one running sum, and `max` at
 `real` is associative, so sup at `real` keeps one running max.  sup at
-`delta`, whose `max` is not associative, and a run with `overrides` keep
-the literal tree (`_Tree`) of the `max` rule or of their own rules, so
-an overridden `+`, `/` or `max` acts there, as in `step`, which builds
-the combine as a term.
+`delta`, whose `max` is not associative, keeps the tree of the `max`
+rule (`numeric.DualMax`), and a run with `overrides` the literal tree of
+its own rules (`_Tree`), so an overridden `+`, `/` or `max` acts there,
+as in `step`, which builds the combine as a term.
 
 Where evaluating f ticked no step and gave a closure, the cells after
 cell 0 run that closure's own body once per range of cells
@@ -64,16 +64,22 @@ numerators over the range (Graham, Knuth and Patashnik, "Concrete
 Mathematics", ch. 2) are what the per-cell fold adds, in the same form.
 A sup takes each numerator's max at the end of the range where its
 forward difference has one sign, or halves the range where neither sign
-is decided.  A bisection the body starts ticks all its cells on the
-range's cell, so its value is a polynomial in i too, and its steps, the
-same at every i, count once per outer cell; only the outer range is
-ever halved.  Each range is folded, with its cells' steps, once its run
-succeeds.  A range whose run is undetermined or stopped by the budget
-or the recursion depth, or whose cells' steps would pass the budget, is
-undone, and its cells tick one at a time before the ranges after it
-run.  Under the literal tree, whose combine takes values, not ranges,
-every cell ticks.  So values, steps and budget stops are those of the
-ticking loop.
+is decided.  A dual sup runs on the aligned blocks of its tree, the
+ranges [2^k, 2^(k+1)) after cell 0, each a whole subtree: the std part
+of dual `max` is `iv_max`, so the subtree's is the running max's, and
+where every cell has one inf part, that is the subtree's.  A block whose
+inf part varies with the cell is undone, and it and the cells after it
+tick.  A bisection the body starts ticks all its cells on the range's
+cell, so its value is a polynomial in i too, and its steps, the same at
+every i, count once per outer cell; only the outer range is ever
+halved.  Each range is folded, with its cells' steps, once its run
+succeeds.  A range whose run is undetermined or stopped by the
+recursion depth is undone, and its cells tick one at a time before the
+ranges after it run; one whose cells' steps would pass the budget is
+halved down to the one cell where it falls, which ticks.  Under the
+literal tree of a run with `overrides`, whose combine takes values, not
+ranges, every cell ticks.  So values, steps and budget stops are those
+of the ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -92,9 +98,10 @@ from .lang import (
     uncurry,
 )
 from .numeric import (
-    DUAL_BOTTOM, DualInterval, DualSum, IV_BOTTOM, IV_ONE, IV_ZERO,
-    Interval, IntervalMax, IntervalSum, Undecided, dual_max, dual_min,
-    dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked, poly_cells,
+    DUAL_BOTTOM, DualInterval, DualMax, DualSum, IV_BOTTOM, IV_ONE,
+    IV_ZERO, Interval, IntervalMax, IntervalSum, Undecided, Varying,
+    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
+    iv_unchecked, poly_cells,
 )
 from .typecheck import is_continuous_type
 
@@ -469,27 +476,15 @@ def _applied(m, f_run, tag):
     return m._apply(fv, th, tag)
 
 
-class _Tree:
-    """The literal combining tree of a bisection's cells under `combine`:
-    dual `max`, which is not associative, or the combine of a run with
-    `overrides`, which fires its rules."""
-    __slots__ = ("combine", "pending", "i")
+class _Tree(DualMax):
+    """The literal combining tree of a bisection's cells under the combine
+    of a run with `overrides`, which fires its rules on values: each of
+    its cells ticks, and none is added as a block."""
+    __slots__ = ("combine",)
 
     def __init__(self, combine):
-        self.combine, self.pending, self.i = combine, [], 0
-
-    def add(self, v) -> None:
-        # `pending` holds finished left subtrees; cell i closes the nodes
-        # whose rightmost cell it is, as many as its trailing 1s
-        i = self.i
-        self.i = i + 1
-        while i & 1:
-            v = self.combine(self.pending.pop(), v)
-            i >>= 1
-        self.pending.append(v)
-
-    def result(self, n: int):
-        return self.pending[0]
+        super().__init__()
+        self.combine = combine
 
 
 class Machine:
@@ -634,19 +629,17 @@ class Machine:
     def _fold(self, kind: str, carrier: Type):
         """The factory of an int or sup bisection's fold at the carrier,
         fixed with the run's rules: without `overrides`, the running sum
-        of int and the running max of sup at `real`, else the tree."""
+        of int, the running max of sup at `real` and the tree of dual
+        `max` on blocks, else the literal tree."""
         rules = self._rules
         if rules is not GROUND_RULES:
             ground = lambda name, c, vals: rules[name, c.name](*vals)
             combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
                                                     ground, 2)
-        elif kind == "int":
+            return lambda: _Tree(combine)
+        if kind == "int":
             return IntervalSum if carrier.name == "pi" else DualSum
-        elif carrier.name == "pi":
-            return IntervalMax
-        else:
-            combine = dual_max
-        return lambda: _Tree(combine)
+        return IntervalMax if carrier.name == "pi" else DualMax
 
     def _compile_app(self, e: App, scope: tuple):
         fn, arg = e.fn, e.arg
@@ -742,9 +735,19 @@ class Machine:
         # does
         i, ticks_to = 0, cells if total.__class__ is _Tree \
             or self._ranging else 1
+        # The dual max tree takes aligned blocks, whole subtrees: from i to
+        # the next multiple of i's lowest set bit.  Once a block is handed
+        # back, the cells after it tick too: an inf part that varies in one
+        # block varies in the larger ones after it unless a branch changes,
+        # so trying each would cost a range run apiece for nothing; and a
+        # run stopped in the block stops there
+        blocks = total.__class__ is DualMax
         while i < cells:
             if i >= ticks_to and closure is not None:
-                i, ticks_to = self._pieces(closure, total, i, cells, n)
+                i, ticks_to = self._pieces(
+                    closure, total, i, i + (i & -i) if blocks else cells, n)
+                if blocks and i < ticks_to:
+                    ticks_to = cells
                 continue
             self.steps += (i & -i).bit_length() - 1 if i else n
             if self.steps > self.budget:
@@ -774,17 +777,19 @@ class Machine:
 
     def _pieces(self, fv: Closure, total, lo: int, hi: int, n: int):
         """Fold cells lo to hi - 1 of a bisection at cost n into the running
-        sum or max `total`, left to right, one run of the body of `fv`,
-        f's value, per range: on `poly_cells`, or on the one cell, and
-        `add_cells` sums the value's numerators or takes their peaks.  A
-        range where a sign test or a peak is `Undecided` is halved.  A
+        sum or max or the dual max tree `total`, left to right, one run of
+        the body of `fv`, f's value, per range: on `poly_cells`, or on the
+        one cell, and `add_cells` sums the value's numerators or takes
+        their peaks.  A range where a sign test or a peak is `Undecided`,
+        or whose cells' steps would pass the budget, is halved.  A
         bisection the body starts ticks its cells, whose values are then
         polynomials in the range's cell index too.  A folded range adds,
         per cell, its tree ticks, the application, and the run's steps.
         Returns `(lo, end)`, its run undone, for a range that is
-        undetermined, stopped by the budget or the recursion depth, or
-        whose cells' steps would pass the budget, and `(hi, hi)` once
-        every cell is folded."""
+        undetermined or stopped by the recursion depth, or a dual max
+        block whose inf part is `Varying`; `(lo, lo + 1)` for the one cell
+        where the budget falls; and `(hi, hi)` once every cell is
+        folded."""
         ends = [hi]
         self._ranging = True
         try:
@@ -803,13 +808,19 @@ class Machine:
                     more = cells * (2 + self.steps - steps) \
                         - (end - 1).bit_count() + (lo - 1).bit_count()
                     if steps + more > self.budget:
+                        # halved down to the one cell where it falls
+                        if cells > 1:
+                            raise Undecided
                         self.steps = steps
                         return lo, end
                     total.add_cells(v, cells)
                 except Undecided:
                     self.steps = steps
                     ends.append((lo + end) // 2)
-                except (UndeterminedSignal, BudgetError, RecursionError):
+                except BudgetError:  # so does the range's first cell
+                    self.steps = steps
+                    return lo, lo + 1
+                except (UndeterminedSignal, RecursionError, Varying):
                     self.steps = steps
                     return lo, end
                 else:

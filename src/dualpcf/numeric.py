@@ -47,7 +47,11 @@ and its `add_cells` takes the max of each polynomial numerator at the end
 of the range where its forward difference has one sign for the whole
 range, the monotonicity test of interval analysis (Moore, Kearfott and
 Cloud, "Introduction to Interval Analysis", 2009); where neither
-sign is decided it raises `Undecided` and adds nothing.
+sign is decided it raises `Undecided` and adds nothing.  `sup` at `delta`
+folds with `dual_max`, which is not associative, so `DualMax` keeps its
+tree; but the std part of `dual_max` is `iv_max`, so `add_cells` folds an
+aligned block of the tree, whose cells share one inf part, as one
+subtree, and raises `Varying` where the inf part varies with the cell.
 """
 from __future__ import annotations
 
@@ -250,6 +254,15 @@ def poly_cells(lo: int, hi: int, e: int) -> "Interval":
     return iv_unchecked(_poly([lo, 1], top), _poly([lo + 1, 1], top), e, 1)
 
 
+def _peaks(x: "Interval") -> "Interval":
+    # an interval's max over a range of cells: its numerators' peaks
+    a, b = x.a, x.b
+    if a.__class__ is not Poly and b.__class__ is not Poly:
+        return x  # bottom too
+    return iv_unchecked(a.peak() if a.__class__ is Poly else a,
+                        b.peak() if b.__class__ is Poly else b, x.e, x.d)
+
+
 def _total(x, cells: int) -> int:
     # a numerator's sum over a range of cells
     return x.sum() if x.__class__ is Poly else x * cells
@@ -305,11 +318,7 @@ class IntervalMax:
         """Add x at each of its cells: its numerators are polys over those
         cells, or ints.  `Undecided`, with nothing added, where a poly's
         peak is."""
-        if x.d:
-            a, b = x.a, x.b
-            x = iv_unchecked(a.peak() if a.__class__ is Poly else a,
-                             b.peak() if b.__class__ is Poly else b, x.e, x.d)
-        self.add(x)
+        self.add(_peaks(x))
 
     def result(self, m: int) -> "Interval":  # m, the depth, plays no part
         return self.iv
@@ -665,3 +674,49 @@ def dual_pr(a: DualInterval) -> DualInterval:
 def in_dual(iv: Interval) -> DualInterval:
     """Embed a partial real as a dual with zero infinitesimal part."""
     return DualInterval(iv, IV_ZERO)
+
+
+class Varying(ArithmeticError):
+    """A range of cells whose values a fold cannot take as one: a dual
+    max's block whose inf part varies with the cell."""
+
+
+class DualMax:
+    """The combining tree of dual `max`, which is not associative, over a
+    bisection's cells left to right: `combine` joins two subtrees,
+    `pending` holds the finished left ones, and `i` counts the cells
+    added."""
+
+    __slots__ = ("pending", "i")
+    combine = staticmethod(dual_max)
+
+    def __init__(self):
+        self.pending, self.i = [], 0
+
+    def add(self, x: "DualInterval", cells: int = 1) -> None:
+        """Add x as the subtree of the next `cells` cells, a power of two
+        that divides `i`: it closes the nodes whose rightmost subtree it
+        is, as many as the trailing 1s of its index among subtrees of its
+        size."""
+        i = self.i // cells
+        self.i += cells
+        while i & 1:
+            x = self.combine(self.pending.pop(), x)
+            i >>= 1
+        self.pending.append(x)
+
+    def add_cells(self, x: "DualInterval", cells: int) -> None:
+        """Add x at each of `cells` cells, an aligned block of the tree:
+        its numerators are polys over those cells, or ints.  The std part
+        of `dual_max` is `iv_max`, which is associative, and its inf part
+        that of an argument or the meet of both: so where every cell has
+        one inf part, the block's subtree is the peak of x's std part with
+        that inf part.  `Undecided`, with nothing added, where a std peak
+        is, and `Varying` where an inf numerator is a poly."""
+        inf = x.inf
+        if inf.a.__class__ is Poly or inf.b.__class__ is Poly:
+            raise Varying
+        self.add(DualInterval(_peaks(x.std), inf), cells)
+
+    def result(self, m: int) -> "DualInterval":
+        return self.pending[0]

@@ -71,7 +71,7 @@ class TestCheck:
          "1:24: Mismatch: binder 'x' has type pi, expected delta"),
         ("fun x: delta. (fun y: real. y) (x + 1)",
          "1:35: Mismatch: dual operand in a real context"),
-        ("fun (", "1:6: expected ':', found end of input"),
+        ("fun (", "1:6: expected a binder, found end of input"),
         ("succ " + "9" * 4301, "1:6: numeral too long: 4301 digits"),
     ], ids=["generic_application", "l_admissibility", "coercion",
             "constant_as_value", "end_of_input", "l_argument",

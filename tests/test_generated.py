@@ -1,8 +1,9 @@
 """Generated well-typed closed `delta` terms: the environment machine and
 the literal one-step reducer agree on every one of them, a run stopped by
 the step budget stops where the budget says, results refine with cost,
-and neither int's running sum, sup's running max nor running a
-bisection's cells as ranges, nested bisections included, changes a run.
+and neither int's running sum, sup's running max, dual sup's blocks of
+its tree nor running a bisection's cells as ranges, nested bisections
+included, changes a run.
 The front end reads every spelling of a term alike, the printed text of a
 term parses back to it, and `eval` ends every run by the exit contract."""
 import contextlib
@@ -18,6 +19,7 @@ from dualpcf.lang import CostTagged, parse, print_expr
 from dualpcf.machine import (
     BudgetExhausted, Machine, Undetermined, Value, _unlit, eval_at_cost,
 )
+from dualpcf.numeric import Varying
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
@@ -244,31 +246,51 @@ def cell_terms(draw, depth, cells=("t",)):
 
 
 @st.composite
-def cell_duals(draw, depth, cells=("t",)):
-    """A straight-line `delta` term in the variables `cells`: `in_delta` of
-    a cell term, and the dual `+ - *`, `max`, `min` and `pr` of such
+def cell_duals(draw, depth, cells=("t",), duals=()):
+    """A straight-line `delta` term in the `real` variables `cells` and
+    the `delta` variables `duals`: `in_delta` of a cell term, a dual
+    variable, and the dual `+ - *`, `max`, `min` and `pr` of such
     terms."""
     kind = draw(st.sampled_from(
-        ["embedded"] + (["arith", "extremum", "pr"] if depth > 0 else [])))
+        ["embedded"] + ["dual"] * (2 if duals else 0)
+        + (["arith", "extremum", "pr"] if depth > 0 else [])))
     if kind == "embedded":
         return f"in_delta ({draw(cell_terms(2, cells))})"
-    a = draw(cell_duals(depth - 1, cells))
+    if kind == "dual":
+        return draw(st.sampled_from(duals))
+    a = draw(cell_duals(depth - 1, cells, duals))
     if kind == "pr":
         return f"pr ({a})"
-    b = draw(cell_duals(depth - 1, cells))
+    b = draw(cell_duals(depth - 1, cells, duals))
     if kind == "extremum":
         return f"{draw(st.sampled_from(['max', 'min']))}({a}, {b})"
     return f"({a} {draw(st.sampled_from('+-*'))} {b})"
 
 
 @st.composite
+def dual_sups(draw):
+    """`L[delta] (fun x: delta. sup (fun t: real. b)) p d`, b a
+    straight-line `delta` term in t and x, plus x times one in t half the
+    time: the sup's inf part, the derivative along d, varies with the
+    cell where b does."""
+    body = draw(cell_duals(2, duals=("x",)))
+    if draw(st.booleans()):
+        body = f"x * ({draw(cell_duals(1))}) + {body}"
+    point, direction = draw(real_literals), draw(real_literals)
+    return (f"L[delta] (fun x: delta. sup (fun t: real. {body}))"
+            f" {point} {direction}")
+
+
+@st.composite
 def cell_integrals(draw):
     """An `int` or a `sup` of a straight-line integrand at `real` or at
-    `delta`, `L[real -> delta] int f g` with f and g straight-line, or an
-    `int` whose integrand is a conditional on a cell term, or applies a
-    lambda to a cell term that is not a variable."""
+    `delta`, `L[real -> delta] int f g` with f and g straight-line, a dual
+    sup whose inf part may vary with the cell (`dual_sups`), or an `int`
+    whose integrand is a conditional on a cell term, or applies a lambda
+    to a cell term that is not a variable."""
     form = draw(st.sampled_from(["real", "delta", "sup_real", "sup_delta",
-                                 "L", "conditional", "applied"]))
+                                 "sup_varying", "L", "conditional",
+                                 "applied"]))
     if form == "real":
         return f"int (fun t: real. {draw(cell_terms(3))})"
     if form == "delta":
@@ -277,6 +299,8 @@ def cell_integrals(draw):
         return f"sup (fun t: real. {draw(cell_terms(3))})"
     if form == "sup_delta":
         return f"sup (fun t: real. {draw(cell_duals(2))})"
+    if form == "sup_varying":
+        return draw(dual_sups())
     if form == "conditional":
         test, then, els = (draw(cell_terms(2)), draw(cell_duals(1)),
                            draw(cell_duals(1)))
@@ -308,17 +332,30 @@ def test_closed_form_agrees_with_per_cell_folds(src):
 @given(cell_integrals())
 def test_a_range_is_handed_back_only_where_the_run_stops(src):
     # a range run is handed back only when it is undetermined or stopped
-    # by the budget or the recursion depth.  These integrands recurse
-    # nowhere, and the ticking loop stops in an undetermined or
-    # over-budget range too: so the last range of a run alone is handed
-    # back, and only where the run ends undetermined or stopped
+    # by the budget or the recursion depth, or is a dual sup's block whose
+    # inf part varies, after which the sup's cells all tick.  These
+    # integrands recurse nowhere, and the ticking loop stops in an
+    # undetermined or over-budget range too: so the last range of a run
+    # alone is handed back, and only where the run ends undetermined or
+    # stopped or the inf part varies
     e, _ = elaborate(parse(src), {})
     steps = eval_at_cost(e, 4).steps
     for budget in sorted({steps // 2, steps - 1, 10_000_000}):
-        handed, pieces = [], Machine._pieces
+        handed, varied, pieces = [], [], Machine._pieces
+
+        class Watched:
+            def __init__(self, total):
+                self.total = total
+
+            def add_cells(self, x, k):
+                try:
+                    self.total.add_cells(x, k)
+                except Varying:
+                    varied.append(k)
+                    raise
 
         def spy(m, fv, total, lo, hi, n):
-            got = pieces(m, fv, total, lo, hi, n)
+            got = pieces(m, fv, Watched(total), lo, hi, n)
             handed.append(got[0] < hi)
             return got
 
@@ -326,8 +363,31 @@ def test_a_range_is_handed_back_only_where_the_run_stops(src):
             patch.setattr(Machine, "_pieces", spy)
             out = eval_at_cost(e, 4, budget)
         assert True not in handed[:-1], budget
-        if handed and handed[-1]:
+        if handed and handed[-1] and not varied:
             assert isinstance(out, (Undetermined, BudgetExhausted)), budget
+
+
+def budget_runs(e, n):
+    """The run of e at cost n, and the runs stopped by the budgets 1,
+    steps // 3, steps // 2 and steps - 1."""
+    out = eval_at_cost(e, n)
+    budgets = {1, out.steps // 3, out.steps // 2, out.steps - 1}
+    return [out] + [eval_at_cost(e, n, budget=b)
+                    for b in sorted(budgets) if 0 < b < out.steps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dual_sups())
+def test_dual_sups_agree_with_the_ticking_loop(src):
+    # blocks of the tree folded as subtrees, or handed back where their
+    # inf part varies: values, steps and budget stops are the ticking
+    # loop's
+    e, _ = elaborate(parse(src), {})
+    for n in range(7):
+        ranges = budget_runs(e, n)
+        with pytest.MonkeyPatch.context() as patch:
+            ticking(patch)
+            assert budget_runs(e, n) == ranges, n
 
 
 @st.composite
@@ -360,18 +420,11 @@ def test_nested_bisections_agree_with_the_ticking_loop(program):
     # values, steps and budget stops are the ticking loop's
     src, costs = program
     e, _ = elaborate(parse(src), {})
-
-    def runs(n):
-        out = eval_at_cost(e, n)
-        budgets = {1, out.steps // 3, out.steps // 2, out.steps - 1}
-        return [out] + [eval_at_cost(e, n, budget=b)
-                        for b in sorted(budgets) if 0 < b < out.steps]
-
     for n in costs:
-        ranges = runs(n)
+        ranges = budget_runs(e, n)
         with pytest.MonkeyPatch.context() as patch:
             ticking(patch)
-            assert runs(n) == ranges, n
+            assert budget_runs(e, n) == ranges, n
 
 
 @st.composite

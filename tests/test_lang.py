@@ -127,6 +127,24 @@ def test_binder_takes_only_the_zero_tests_name(name):
     assert body == (Var(name) if name == "lt0" else Const(name))
 
 
+@pytest.mark.parametrize("src,message,col", [
+    ("fun (1: real). 1", "expected a binder, found '1'", 6),
+    ("fun (+: real). 2", "expected a binder, found '+'", 6),
+    ("(fun (in: real). 1) 2", "expected a binder, found 'in'", 7),
+], ids=["number", "operator", "keyword"])
+def test_a_parenthesized_binder_is_checked_as_a_bare_one(src, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (message, 1, col)
+
+
+def test_a_parenthesized_binder_takes_the_bare_ones_names():
+    # `tt` is a binder in both forms, and the body's `tt` is the literal
+    assert parse("fun (tt: real). tt") == parse("fun tt: real. tt") == \
+        Lam("tt", REAL, BoolLit(True))
+
+
 ROUND_TRIP_SOURCES = [
     "fun x: delta. max(x, 0 - x)",
     "L[delta] (fun x: delta. x * x) 3 1",

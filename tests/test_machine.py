@@ -526,13 +526,19 @@ def _runs(e, n):
                     for b in budgets if 0 < b < out.steps]
 
 
+# a dual sup whose inf part varies with the cell: 16 distinct inf parts
+# in 16 cells at cost 4
+VARYING_SUP = "L[delta] (fun x: delta. sup (fun t: real. x * in_delta t)) 1 1"
+
+
 class TestRangeRuns:
     # An integrand whose evaluation ticks no step and gives a closure runs
     # its own body once per range of the cells after the first and adds each
     # range's steps at once; a bisection the body starts ticks its cells
     # on the range.  A range that is undetermined, or stopped by the
-    # budget or the recursion depth, is handed back to the ticking loop,
-    # and its cells tick.  The values, steps and budget stops are those of
+    # recursion depth, is handed back to the ticking loop, and its cells
+    # tick; one the budget stops is halved down to the cell where it
+    # falls, which ticks.  The values, steps and budget stops are those of
     # the ticking loop
 
     @staticmethod
@@ -707,17 +713,41 @@ class TestRangeRuns:
 
     @pytest.mark.parametrize("name,steps", [
         ("lagrangian_action", 252), ("nested_int_xyz", 424),
-        ("cbrt_sup", 76)])
+        ("cbrt_sup", 76), ("sup_id", 12),
+        pytest.param(VARYING_SUP, 56, id="varying_inf-56")])
     def test_every_budget_stops_one_step_past_it(self, name, steps):
-        # nested bisections ticking on the ranges, and a sup halving its
-        # ranges: each budget below the run's steps stops at the step after
-        e, _ = load_corpus(name)
+        # nested bisections ticking on the ranges, a sup halving its
+        # ranges, and dual sups folding blocks of their tree or handing
+        # back one whose inf part varies: each budget below the run's
+        # steps stops at the step after
+        e, _ = load_corpus(name) if name in CORPUS \
+            else elaborate(parse(name), {})
         full = eval_at_cost(e, 2)
         assert isinstance(full, Value) and full.steps == steps
         for b in range(steps):
             assert eval_at_cost(e, 2, budget=b) == \
                 BudgetExhausted(steps=b + 1), b
         assert eval_at_cost(e, 2, budget=steps) == full
+
+    @pytest.mark.parametrize("name", [
+        "linear_functional", "lagrangian_action", "nested_int_xyz",
+        "int_id", "sup_id", "cbrt_sup"])
+    def test_a_budget_stop_hands_back_its_one_cell(self, name):
+        # at cost 30 the cells' steps pass the default budget: the range
+        # where it falls is halved down to one cell, the only range handed
+        # back, which the loop ticks until the budget stops it
+        handed, pieces = [], Machine._pieces
+
+        def spy(m, fv, total, lo, hi, n):
+            handed.append(pieces(m, fv, total, lo, hi, n))
+            return handed[-1]
+
+        e, _ = load_corpus(name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Machine, "_pieces", spy)
+            assert eval_at_cost(e, 30) == BudgetExhausted(steps=10_000_001)
+        (lo, end), folded = handed[-1], handed[:-1]
+        assert end == lo + 1 and all(a == b for a, b in folded), handed
 
     def test_an_inner_integral_runs_once_per_outer_range(self, monkeypatch):
         # lagrangian_action's inner `int g` does not mention the outer
@@ -824,11 +854,19 @@ class TestClosedForm:
             got.append(len(cells))
         assert got == counts
 
-    def test_a_dual_sup_keeps_the_tree(self):
-        # dual max is not associative: sup_id folds no piece in closed form
+    def test_a_dual_sup_folds_aligned_blocks(self):
+        # dual max is not associative, but every cell of sup_id has the
+        # inf part [0,0]: each aligned block after cell 0, [2^k, 2^(k+1)),
+        # folds as one subtree of the literal tree
         src = corpus_source("sup_id")
         for n in range(11):
-            assert self.pieces(src, n) == [], n
+            assert self.pieces(src, n) == [1 << k for k in range(n)], n
+
+    def test_a_varying_inf_part_ticks_the_rest(self):
+        # x * in_delta t has the inf part t: cell 1 folds alone, and the
+        # block [2, 4), whose inf part varies, and every cell after it tick
+        for n in range(1, 8):
+            assert self.pieces(VARYING_SUP, n) == [1], n
 
     def test_a_bottom_factor_meets_a_polynomial(self):
         # (t / 0) * t: bottom times the cell, whose zero test on the
