@@ -45,9 +45,10 @@ constant is compiled.  On exact endpoints the rule's tree of `l/2 + r/2`
 is the cells' sum over 2^m, so int keeps one running sum, and `max` at
 `real` is associative, so sup at `real` keeps one running max.  sup at
 `delta`, whose `max` is not associative, keeps the tree of the `max`
-rule (`numeric.DualMax`), and a run with `overrides` the literal tree of
-its own rules (`_Tree`), so an overridden `+`, `/` or `max` acts there,
-as in `step`, which builds the combine as a term.
+rule (`numeric.DualMax`), and a run with `overrides` the same tree over
+the literal combine of its own rules, so an overridden `+`, `/` or `max`
+acts there, as in `step`, which builds the combine as a term.  How the
+fold takes ranges of cells is fixed with it (`Machine._fold`).
 
 Where evaluating f ticked no step and gave a closure, the cells after
 cell 0 run that closure's own body once per range of cells
@@ -68,7 +69,7 @@ is decided.  A dual sup runs on the aligned blocks of its tree, the
 ranges [2^k, 2^(k+1)) after cell 0, each a whole subtree: the std part
 of dual `max` is `iv_max`, so the subtree's is the running max's, and
 where every cell has one inf part, that is the subtree's.  A block whose
-inf part varies with the cell is undone, and it and the cells after it
+inf part varies with the cell is undone, and it and every cell after it
 tick.  A bisection the body starts ticks all its cells on the range's
 cell, so its value is a polynomial in i too, and its steps, the same at
 every i, count once per outer cell; only the outer range is ever
@@ -77,7 +78,7 @@ succeeds.  A range whose run is undetermined or stopped by the
 recursion depth is undone, and its cells tick one at a time before the
 ranges after it run; one whose cells' steps would pass the budget is
 halved down to the one cell where it falls, which ticks.  Under the
-literal tree of a run with `overrides`, whose combine takes values, not
+literal combine of a run with `overrides`, which takes values, not
 ranges, every cell ticks.  So values, steps and budget stops are those
 of the ticking loop.
 
@@ -154,17 +155,15 @@ class CeilingReached(Exception):
 # binder first.  The remaining values:
 
 
-class Thunk(Struct):
+class Thunk:
     """A call-by-name argument: the code of an unevaluated term and its
     environment.  It has no cost tag of its own: each use runs it at the
     tag in force where the variable occurs, the tag `subst` would give it.
     `run` may end in a tail transfer; `op` gives the value a primitive's
     operand needs.  A value thunk, an int/sup cell or range of cells,
-    holds its value as `env`, and its code returns it.  Thunks compare by
-    identity."""
+    holds its value as `env`, and its code returns it.  Thunks and
+    closures compare by identity."""
     __slots__ = ("run", "op", "env")
-    _fields = ("run",)  # shown by repr
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, run, op, env):
         self.run = run
@@ -177,10 +176,8 @@ class Thunk(Struct):
 _new = object.__new__
 
 
-class Closure(Struct):
+class Closure:
     __slots__ = ("body", "env", "tag")
-    _fields = ("body", "tag")  # shown by repr
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, body, env: tuple, tag: int):
         self.body = body  # the run of the lambda's body
@@ -476,15 +473,11 @@ def _applied(m, f_run, tag):
     return m._apply(fv, th, tag)
 
 
-class _Tree(DualMax):
-    """The literal combining tree of a bisection's cells under the combine
-    of a run with `overrides`, which fires its rules on values: each of
-    its cells ticks, and none is added as a block."""
-    __slots__ = ("combine",)
-
-    def __init__(self, combine):
-        super().__init__()
-        self.combine = combine
+# The end of the range of cells from i that a fold takes at once: the rest
+# of the cells for a running sum or max, and for the tree of dual max the
+# aligned block from i, a whole subtree
+_rest = lambda i, cells: cells
+_block = lambda i, cells: i + (i & -i)
 
 
 class Machine:
@@ -594,10 +587,10 @@ class Machine:
             def fire(m, args, tag, at):  # the operands' values at `at`
                 return rule(*[a.op(m, a.env, at) for a in args])
         elif name in ("int", "sup"):
-            fold, arity = self._fold(name, targs[0]), 1
+            (fold, ranges), arity = self._fold(name, targs[0]), 1
 
             def fire(m, args, tag, at):  # bisected at the constant's tag
-                return m._reduce_intsup(fold(), tag, args[0])
+                return m._reduce_intsup(fold(), ranges, tag, args[0])
         elif name == "Y":
             ty, arity = targs[0], 1
             unfold = self._template(("Y", ty),
@@ -627,19 +620,24 @@ class Machine:
         return lambda m, env, tag: ConstVal(name, arity, fire, tag, ())
 
     def _fold(self, kind: str, carrier: Type):
-        """The factory of an int or sup bisection's fold at the carrier,
-        fixed with the run's rules: without `overrides`, the running sum
-        of int, the running max of sup at `real` and the tree of dual
-        `max` on blocks, else the literal tree."""
+        """`(factory, ranges)` of an int or sup bisection at the carrier,
+        fixed with the run's rules: the factory of its fold, and
+        `ranges(i, cells)`, the end of the range of cells from i that the
+        fold takes at once.  Without `overrides`, the running sum of int
+        and the running max of sup at `real` take the rest of the cells,
+        and the tree of dual `max` an aligned block.  The literal tree of
+        a run with `overrides` combines values, so `ranges` is None and
+        each of its cells ticks."""
         rules = self._rules
         if rules is not GROUND_RULES:
             ground = lambda name, c, vals: rules[name, c.name](*vals)
             combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
                                                     ground, 2)
-            return lambda: _Tree(combine)
+            return (lambda: DualMax(combine)), None
         if kind == "int":
-            return IntervalSum if carrier.name == "pi" else DualSum
-        return IntervalMax if carrier.name == "pi" else DualMax
+            return (IntervalSum if carrier.name == "pi" else DualSum), _rest
+        return (IntervalMax, _rest) if carrier.name == "pi" \
+            else (DualMax, _block)
 
     def _compile_app(self, e: App, scope: tuple):
         fn, arg = e.fn, e.arg
@@ -715,7 +713,7 @@ class Machine:
             return ConstVal(fv.name, fv.arity, fv.fire, fv.tag, args)
         return fv.fire(self, args, fv.tag, tag)
 
-    def _reduce_intsup(self, total, n: int, f: Thunk):
+    def _reduce_intsup(self, total, ranges, n: int, f: Thunk):
         # int or sup at cost n bisects n times and runs f at n.  The
         # bisection rule rescales f with wrapper lambdas; composing those
         # affine maps sends [0,1] to an explicit dyadic cell, so each of
@@ -729,25 +727,15 @@ class Machine:
             raise _over_budget(self)
         closure = None  # f's value, once evaluating f ticked no step
         cells = 1 << n
-        # cell 0, every cell under the literal tree or inside a range run,
-        # and each range `_pieces` hands back tick here, in the loop's own
-        # frame, so the recursion depth stops them where the ticking loop
-        # does
-        i, ticks_to = 0, cells if total.__class__ is _Tree \
-            or self._ranging else 1
-        # The dual max tree takes aligned blocks, whole subtrees: from i to
-        # the next multiple of i's lowest set bit.  Once a block is handed
-        # back, the cells after it tick too: an inf part that varies in one
-        # block varies in the larger ones after it unless a branch changes,
-        # so trying each would cost a range run apiece for nothing; and a
-        # run stopped in the block stops there
-        blocks = total.__class__ is DualMax
+        # cell 0, every cell of a fold that takes no ranges or inside a
+        # range run, and each range `_pieces` hands back tick here, in the
+        # loop's own frame, so the recursion depth stops them where the
+        # ticking loop does
+        i, ticks_to = 0, cells if ranges is None or self._ranging else 1
         while i < cells:
             if i >= ticks_to and closure is not None:
-                i, ticks_to = self._pieces(
-                    closure, total, i, i + (i & -i) if blocks else cells, n)
-                if blocks and i < ticks_to:
-                    ticks_to = cells
+                i, ticks_to = self._pieces(closure, total, i,
+                                           ranges(i, cells), n)
                 continue
             self.steps += (i & -i).bit_length() - 1 if i else n
             if self.steps > self.budget:
@@ -786,10 +774,12 @@ class Machine:
         polynomials in the range's cell index too.  A folded range adds,
         per cell, its tree ticks, the application, and the run's steps.
         Returns `(lo, end)`, its run undone, for a range that is
-        undetermined or stopped by the recursion depth, or a dual max
-        block whose inf part is `Varying`; `(lo, lo + 1)` for the one cell
-        where the budget falls; and `(hi, hi)` once every cell is
-        folded."""
+        undetermined or stopped by the recursion depth; `(lo, lo + 1)` for
+        the one cell where the budget falls; `(lo, 2^n)` for a dual max
+        block whose inf part is `Varying`, whose later cells tick too (an
+        inf part that varies in one block varies in the larger ones after
+        it unless a branch changes, so trying each would cost a range run
+        apiece for nothing); and `(hi, hi)` once every cell is folded."""
         ends = [hi]
         self._ranging = True
         try:
@@ -809,18 +799,18 @@ class Machine:
                         - (end - 1).bit_count() + (lo - 1).bit_count()
                     if steps + more > self.budget:
                         # halved down to the one cell where it falls
-                        if cells > 1:
-                            raise Undecided
-                        self.steps = steps
-                        return lo, end
+                        raise Undecided if cells > 1 else BudgetError(steps)
                     total.add_cells(v, cells)
                 except Undecided:
                     self.steps = steps
                     ends.append((lo + end) // 2)
-                except BudgetError:  # so does the range's first cell
+                except BudgetError:  # it falls in the range's first cell
                     self.steps = steps
                     return lo, lo + 1
-                except (UndeterminedSignal, RecursionError, Varying):
+                except Varying:
+                    self.steps = steps
+                    return lo, 1 << n
+                except (UndeterminedSignal, RecursionError):
                     self.steps = steps
                     return lo, end
                 else:

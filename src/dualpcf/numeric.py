@@ -685,13 +685,13 @@ class DualMax:
     """The combining tree of dual `max`, which is not associative, over a
     bisection's cells left to right: `combine` joins two subtrees,
     `pending` holds the finished left ones, and `i` counts the cells
-    added."""
+    added.  A run with `overrides` passes its own combine, which fires
+    its rules on values, and adds one cell at a time."""
 
-    __slots__ = ("pending", "i")
-    combine = staticmethod(dual_max)
+    __slots__ = ("pending", "i", "combine")
 
-    def __init__(self):
-        self.pending, self.i = [], 0
+    def __init__(self, combine=dual_max):
+        self.pending, self.i, self.combine = [], 0, combine
 
     def add(self, x: "DualInterval", cells: int = 1) -> None:
         """Add x as the subtree of the next `cells` cells, a power of two

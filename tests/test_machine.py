@@ -629,7 +629,8 @@ class TestRangeRuns:
         ("L[real -> delta] int (fun t: real. in_delta ((1 / 3) + (2 / 5) * t"
          " * t * t)) (fun t: real. in_delta ((0 - 4 / 7) + (3 / 5) * t))",
          []),
-    ], ids=["nested", "sup", "L_cubics"])
+        ("sup (fun t: real. in_delta (t * t - t))", []),
+    ], ids=["nested", "sup", "L_cubics", "dual_sup"])
     @pytest.mark.parametrize("overrides", [
         TREE, {"*": lambda carrier, vals: vals[0]}], ids=["tree", "times"])
     def test_runs_with_overrides_keep_the_tree(self, src, bisections,
