@@ -15,7 +15,7 @@ from .numeric import DualInterval, Interval
 
 
 class Struct:
-    """Base of the syntax nodes and the machine's values: equality,
+    """Base of the syntax nodes and the machine's outcomes: equality,
     hashing and `repr` over the fields a class lists in `_fields`.  Its
     other slots, such as a source position, take part in none of them."""
 

@@ -69,18 +69,18 @@ is decided.  A dual sup runs on the aligned blocks of its tree, the
 ranges [2^k, 2^(k+1)) after cell 0, each a whole subtree: the std part
 of dual `max` is `iv_max`, so the subtree's is the running max's, and
 where every cell has one inf part, that is the subtree's.  A block whose
-inf part varies with the cell is undone, and it and every cell after it
-tick.  A bisection the body starts ticks all its cells on the range's
-cell, so its value is a polynomial in i too, and its steps, the same at
-every i, count once per outer cell; only the outer range is ever
-halved.  Each range is folded, with its cells' steps, once its run
-succeeds.  A range whose run is undetermined or stopped by the
-recursion depth is undone, and its cells tick one at a time before the
-ranges after it run; one whose cells' steps would pass the budget is
-halved down to the one cell where it falls, which ticks.  Under the
-literal combine of a run with `overrides`, which takes values, not
-ranges, every cell ticks.  So values, steps and budget stops are those
-of the ticking loop.
+inf part varies with the cell adds each cell's value, the run's
+polynomials at that cell.  A bisection the body starts ticks all its
+cells on the range's cell, so its value is a polynomial in i too, and
+its steps, the same at every i, count once per outer cell; only the
+outer range is ever halved.  Each range is folded, with its cells'
+steps, once its run succeeds.  A range whose run is undetermined or
+stopped by the recursion depth is undone, and its cells tick one at a
+time before the ranges after it run; one whose cells' steps would pass
+the budget is halved down to the one cell where it falls, which ticks.
+Under the literal combine of a run with `overrides`, which takes values,
+not ranges, every cell ticks.  So values, steps and budget stops are
+those of the ticking loop.
 
 The cost index bounds recursion unfolding at continuous types and the
 bisection depth of integration and supremum.  A separate global step
@@ -100,9 +100,9 @@ from .lang import (
 )
 from .numeric import (
     DUAL_BOTTOM, DualInterval, DualMax, DualSum, IV_BOTTOM, IV_ONE,
-    IV_ZERO, Interval, IntervalMax, IntervalSum, Undecided, Varying,
-    dual_max, dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr,
-    iv_unchecked, poly_cells,
+    IV_ZERO, Interval, IntervalMax, IntervalSum, Undecided, dual_max,
+    dual_min, dual_pr, in_dual, iv_max, iv_min, iv_pr, iv_unchecked,
+    poly_cells,
 )
 from .typecheck import is_continuous_type
 
@@ -185,17 +185,15 @@ class Closure:
         self.tag = tag
 
 
-class ConstVal(Struct):
+class ConstVal:
     """A constant's value, applied to the thunks `args`, fewer than its
     arity.  `fire(m, args, tag, at)`, fixed when the constant is compiled,
     applies its rule once `arity` thunks are there: `tag` is the cost tag
     the constant was evaluated at, `at` that of the saturating
     application."""
-    __slots__ = _fields = ("name", "arity", "fire", "tag", "args")
+    __slots__ = ("arity", "fire", "tag", "args")
 
-    def __init__(self, name: str, arity: int, fire, tag: int,
-                 args: Tuple[Thunk, ...]):
-        self.name = name
+    def __init__(self, arity: int, fire, tag: int, args: Tuple[Thunk, ...]):
         self.arity = arity
         self.fire = fire
         self.tag = tag
@@ -481,7 +479,7 @@ _block = lambda i, cells: i + (i & -i)
 
 
 class Machine:
-    __slots__ = ("budget", "arg", "steps", "_rules", "_cache", "_ranging")
+    __slots__ = ("budget", "arg", "steps", "_rules", "_cache", "_ticking")
 
     def __init__(self, budget: int = DEFAULT_BUDGET, overrides=None,
                  arg=None):
@@ -493,8 +491,8 @@ class Machine:
         self._rules = ground_rules(overrides)
         self._cache = _TEMPLATES if self._rules is GROUND_RULES else {}
         self.steps = 0
-        # whether a bisection is running its body on a range of cells
-        self._ranging = False
+        # every cell ticks: in a run with `overrides` and in a range run
+        self._ticking = self._rules is not GROUND_RULES
 
     def evalc(self, e: Expr, tag: int):
         """Evaluate a closed term at cost `tag`, a natural, or with `arg`,
@@ -617,23 +615,22 @@ class Machine:
 
             def fire(m, args, tag, at):
                 return _drive(m, body[0](m, args, tag)).inf
-        return lambda m, env, tag: ConstVal(name, arity, fire, tag, ())
+        return lambda m, env, tag: ConstVal(arity, fire, tag, ())
 
     def _fold(self, kind: str, carrier: Type):
         """`(factory, ranges)` of an int or sup bisection at the carrier,
         fixed with the run's rules: the factory of its fold, and
         `ranges(i, cells)`, the end of the range of cells from i that the
-        fold takes at once.  Without `overrides`, the running sum of int
-        and the running max of sup at `real` take the rest of the cells,
-        and the tree of dual `max` an aligned block.  The literal tree of
-        a run with `overrides` combines values, so `ranges` is None and
-        each of its cells ticks."""
+        fold takes at once: the rest of the cells for the running sum of
+        int and the running max of sup at `real`, and an aligned block for
+        the tree of dual `max`, the literal tree of a run with `overrides`
+        too, whose cells all tick."""
         rules = self._rules
         if rules is not GROUND_RULES:
             ground = lambda name, c, vals: rules[name, c.name](*vals)
             combine = lambda lv, rv: intsup_combine(kind, carrier, lv, rv,
                                                     ground, 2)
-            return (lambda: DualMax(combine)), None
+            return (lambda: DualMax(combine)), _block
         if kind == "int":
             return (IntervalSum if carrier.name == "pi" else DualSum), _rest
         return (IntervalMax, _rest) if carrier.name == "pi" \
@@ -710,7 +707,7 @@ class Machine:
         tail transfer."""
         args = fv.args + (th,)
         if len(args) < fv.arity:
-            return ConstVal(fv.name, fv.arity, fv.fire, fv.tag, args)
+            return ConstVal(fv.arity, fv.fire, fv.tag, args)
         return fv.fire(self, args, fv.tag, tag)
 
     def _reduce_intsup(self, total, ranges, n: int, f: Thunk):
@@ -727,11 +724,10 @@ class Machine:
             raise _over_budget(self)
         closure = None  # f's value, once evaluating f ticked no step
         cells = 1 << n
-        # cell 0, every cell of a fold that takes no ranges or inside a
-        # range run, and each range `_pieces` hands back tick here, in the
-        # loop's own frame, so the recursion depth stops them where the
-        # ticking loop does
-        i, ticks_to = 0, cells if ranges is None or self._ranging else 1
+        # cell 0, every cell while the machine is ticking, and each range
+        # `_pieces` hands back tick here, in the loop's own frame, so the
+        # recursion depth stops them where the ticking loop does
+        i, ticks_to = 0, cells if self._ticking else 1
         while i < cells:
             if i >= ticks_to and closure is not None:
                 i, ticks_to = self._pieces(closure, total, i,
@@ -767,21 +763,19 @@ class Machine:
         """Fold cells lo to hi - 1 of a bisection at cost n into the running
         sum or max or the dual max tree `total`, left to right, one run of
         the body of `fv`, f's value, per range: on `poly_cells`, or on the
-        one cell, and `add_cells` sums the value's numerators or takes
-        their peaks.  A range where a sign test or a peak is `Undecided`,
-        or whose cells' steps would pass the budget, is halved.  A
-        bisection the body starts ticks its cells, whose values are then
-        polynomials in the range's cell index too.  A folded range adds,
-        per cell, its tree ticks, the application, and the run's steps.
+        one cell, and `add_cells` sums the value's numerators, takes their
+        peaks or adds their values at each cell.  A range where a sign
+        test or a peak is `Undecided`, or whose cells' steps would pass
+        the budget, is halved.  A bisection the body starts ticks its
+        cells, whose values are then polynomials in the range's cell index
+        too.  A folded range adds, per cell, its tree ticks, the
+        application, and the run's steps.
         Returns `(lo, end)`, its run undone, for a range that is
         undetermined or stopped by the recursion depth; `(lo, lo + 1)` for
-        the one cell where the budget falls; `(lo, 2^n)` for a dual max
-        block whose inf part is `Varying`, whose later cells tick too (an
-        inf part that varies in one block varies in the larger ones after
-        it unless a branch changes, so trying each would cost a range run
-        apiece for nothing); and `(hi, hi)` once every cell is folded."""
+        the one cell where the budget falls; and `(hi, hi)` once every
+        cell is folded."""
         ends = [hi]
-        self._ranging = True
+        self._ticking = True
         try:
             while ends:
                 end = ends[-1]
@@ -807,9 +801,6 @@ class Machine:
                 except BudgetError:  # it falls in the range's first cell
                     self.steps = steps
                     return lo, lo + 1
-                except Varying:
-                    self.steps = steps
-                    return lo, 1 << n
                 except (UndeterminedSignal, RecursionError):
                     self.steps = steps
                     return lo, end
@@ -818,7 +809,7 @@ class Machine:
                     ends.pop()
                     lo = end
         finally:
-            self._ranging = False
+            self._ticking = False
         return hi, hi
 
     # -- public driver ------------------------------------------------

@@ -50,8 +50,8 @@ Cloud, "Introduction to Interval Analysis", 2009); where neither
 sign is decided it raises `Undecided` and adds nothing.  `sup` at `delta`
 folds with `dual_max`, which is not associative, so `DualMax` keeps its
 tree; but the std part of `dual_max` is `iv_max`, so `add_cells` folds an
-aligned block of the tree, whose cells share one inf part, as one
-subtree, and raises `Varying` where the inf part varies with the cell.
+aligned block of the tree whose cells share one inf part as one subtree,
+and adds each cell's value, the block's at that cell, where it varies.
 """
 from __future__ import annotations
 
@@ -179,6 +179,13 @@ class Poly:
         s = _power_sums(self.top + 1, len(self.c) - 1)
         return sum(x * y for x, y in zip(self.c, s))
 
+    def at(self, j: int) -> int:
+        """The value at j, by Horner's rule."""
+        v = 0
+        for x in reversed(self.c):
+            v = v * j + x
+        return v
+
     def peak(self) -> int:
         """The max over the range: at `top` where the forward difference
         p(j+1) - p(j) is >= 0 at every j < top, at 0 where it is < 0 at
@@ -191,10 +198,7 @@ class Poly:
                 for m in range(n - 1)]
         if not _uniform(_poly(step, top - 1), operator.ge):
             return c[0]
-        v = 0
-        for x in reversed(c):
-            v = v * top + x
-        return v
+        return self.at(top)
 
     __lt__ = lambda self, o: _uniform(self - o, operator.lt)
     __le__ = lambda self, o: _uniform(self - o, operator.le)
@@ -261,6 +265,15 @@ def _peaks(x: "Interval") -> "Interval":
         return x  # bottom too
     return iv_unchecked(a.peak() if a.__class__ is Poly else a,
                         b.peak() if b.__class__ is Poly else b, x.e, x.d)
+
+
+def _at(x: "Interval", j: int) -> "Interval":
+    # an interval over a range of cells at its cell j
+    a, b = x.a, x.b
+    if a.__class__ is not Poly and b.__class__ is not Poly:
+        return x  # bottom too
+    return iv_unchecked(a.at(j) if a.__class__ is Poly else a,
+                        b.at(j) if b.__class__ is Poly else b, x.e, x.d)
 
 
 def _total(x, cells: int) -> int:
@@ -676,11 +689,6 @@ def in_dual(iv: Interval) -> DualInterval:
     return DualInterval(iv, IV_ZERO)
 
 
-class Varying(ArithmeticError):
-    """A range of cells whose values a fold cannot take as one: a dual
-    max's block whose inf part varies with the cell."""
-
-
 class DualMax:
     """The combining tree of dual `max`, which is not associative, over a
     bisection's cells left to right: `combine` joins two subtrees,
@@ -711,12 +719,13 @@ class DualMax:
         of `dual_max` is `iv_max`, which is associative, and its inf part
         that of an argument or the meet of both: so where every cell has
         one inf part, the block's subtree is the peak of x's std part with
-        that inf part.  `Undecided`, with nothing added, where a std peak
-        is, and `Varying` where an inf numerator is a poly."""
+        that inf part (`Undecided`, with nothing added, where that peak
+        is), and elsewhere each cell adds x at that cell."""
         inf = x.inf
-        if inf.a.__class__ is Poly or inf.b.__class__ is Poly:
-            raise Varying
-        self.add(DualInterval(_peaks(x.std), inf), cells)
+        if inf.a.__class__ is not Poly and inf.b.__class__ is not Poly:
+            return self.add(DualInterval(_peaks(x.std), inf), cells)
+        for j in range(cells):
+            self.add(DualInterval(_at(x.std, j), _at(inf, j)))
 
     def result(self, m: int) -> "DualInterval":
         return self.pending[0]

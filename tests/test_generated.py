@@ -19,7 +19,6 @@ from dualpcf.lang import CostTagged, parse, print_expr
 from dualpcf.machine import (
     BudgetExhausted, Machine, Undetermined, Value, _unlit, eval_at_cost,
 )
-from dualpcf.numeric import Varying
 from dualpcf.reducer import run_steps
 from dualpcf.typecheck import elaborate
 
@@ -332,30 +331,17 @@ def test_closed_form_agrees_with_per_cell_folds(src):
 @given(cell_integrals())
 def test_a_range_is_handed_back_only_where_the_run_stops(src):
     # a range run is handed back only when it is undetermined or stopped
-    # by the budget or the recursion depth, or is a dual sup's block whose
-    # inf part varies, after which the sup's cells all tick.  These
-    # integrands recurse nowhere, and the ticking loop stops in an
-    # undetermined or over-budget range too: so the last range of a run
-    # alone is handed back, and only where the run ends undetermined or
-    # stopped or the inf part varies
+    # by the budget or the recursion depth.  These integrands recurse
+    # nowhere, and the ticking loop stops in an undetermined or
+    # over-budget range too: so the last range of a run alone is handed
+    # back, and only where the run ends undetermined or stopped
     e, _ = elaborate(parse(src), {})
     steps = eval_at_cost(e, 4).steps
     for budget in sorted({steps // 2, steps - 1, 10_000_000}):
-        handed, varied, pieces = [], [], Machine._pieces
-
-        class Watched:
-            def __init__(self, total):
-                self.total = total
-
-            def add_cells(self, x, k):
-                try:
-                    self.total.add_cells(x, k)
-                except Varying:
-                    varied.append(k)
-                    raise
+        handed, pieces = [], Machine._pieces
 
         def spy(m, fv, total, lo, hi, n):
-            got = pieces(m, fv, Watched(total), lo, hi, n)
+            got = pieces(m, fv, total, lo, hi, n)
             handed.append(got[0] < hi)
             return got
 
@@ -363,7 +349,7 @@ def test_a_range_is_handed_back_only_where_the_run_stops(src):
             patch.setattr(Machine, "_pieces", spy)
             out = eval_at_cost(e, 4, budget)
         assert True not in handed[:-1], budget
-        if handed and handed[-1] and not varied:
+        if handed and handed[-1]:
             assert isinstance(out, (Undetermined, BudgetExhausted)), budget
 
 

@@ -863,11 +863,20 @@ class TestClosedForm:
         for n in range(11):
             assert self.pieces(src, n) == [1 << k for k in range(n)], n
 
-    def test_a_varying_inf_part_ticks_the_rest(self):
-        # x * in_delta t has the inf part t: cell 1 folds alone, and the
-        # block [2, 4), whose inf part varies, and every cell after it tick
+    def test_a_varying_inf_part_folds_cell_by_cell(self):
+        # x * in_delta t has the inf part t, a different one at every
+        # cell: each aligned block adds its cells' values one by one, and
+        # cell 0 alone ticks
         for n in range(1, 8):
-            assert self.pieces(VARYING_SUP, n) == [1], n
+            assert self.pieces(VARYING_SUP, n) == [1 << k for k in range(n)]
+
+    def test_a_branch_change_ticks_cell_0_alone(self):
+        # the inf part is 1 - t's until t passes 1/2, then t's: the blocks
+        # holding 1/2 are halved, and every cell after cell 0 folds
+        src = ("L[delta] (fun x: delta. sup (fun t: real."
+               " max(x * in_delta (1 - t), in_delta t))) 1 1")
+        for n in range(1, 8):
+            assert sum(self.pieces(src, n)) == (1 << n) - 1, n
 
     def test_a_bottom_factor_meets_a_polynomial(self):
         # (t / 0) * t: bottom times the cell, whose zero test on the

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpcf.numeric import (
-    DUAL_BOTTOM, DualInterval, DualSum, InconsistentIntervals, Interval,
-    IntervalMax, IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO, dual_max,
-    dual_min, Poly, Undecided, dual_pr, in_dual, iv_max, iv_min, iv_pr,
-    iv_unchecked, poly_cells,
+    DUAL_BOTTOM, DualInterval, DualMax, DualSum, InconsistentIntervals,
+    Interval, IntervalMax, IntervalSum, IV_BOTTOM, IV_ONE, IV_UNIT, IV_ZERO,
+    dual_max, dual_min, Poly, Undecided, dual_pr, in_dual, iv_max, iv_min,
+    iv_pr, iv_unchecked, poly_cells,
 )
 
 
@@ -607,6 +607,7 @@ class TestPoly:
         top, p = args
         vp = values(p, top)
         if p.__class__ is Poly:
+            assert [p.at(j) for j in range(top + 1)] == vp
             assert p.sum() == sum(vp)
             lo, hi = p.bounds()
             assert lo <= min(vp) and max(vp) <= hi
@@ -746,3 +747,36 @@ class TestIntervalMax:
             with pytest.raises(Undecided):
                 peak.add_cells(v, 8)
             assert peak.iv is before
+
+
+# Dual cell terms whose inf part varies with the cell, in one numerator or
+# both; one has the std part bottom at every cell.
+VARYING_FORMS = [
+    lambda c: DualInterval(c, c),
+    lambda c: DualInterval(c * (IV_ONE - c), IV_ONE - c),
+    lambda c: DualInterval(IV_UNIT, c * c.div_nat(3)),
+    lambda c: DualInterval(c, IV_ZERO.meet(c)),
+    lambda c: in_dual(c) * DualInterval(c, c).div_nat(5),
+    lambda c: DualInterval(IV_BOTTOM, c),
+]
+
+
+class TestDualMaxTree:
+    @given(st.sampled_from(range(len(VARYING_FORMS))), st.integers(0, 5),
+           st.integers(0, 2))
+    def test_a_varying_block_adds_each_cell(self, form, n, extra):
+        # cell 0 and the aligned blocks [2^k, 2^(k+1)), or all 2^n cells
+        # as one block, on `poly_cells`, against one `add` per cell
+        f, e = VARYING_FORMS[form], n + extra
+        blocks, whole, cells = DualMax(), DualMax(), DualMax()
+        blocks.add(f(iv_unchecked(0, 1, e, 1)))
+        for k in range(n):
+            blocks.add_cells(f(poly_cells(1 << k, 2 << k, e)), 1 << k)
+        whole.add_cells(f(poly_cells(0, 1 << n, e)), 1 << n)
+        for i in range(1 << n):
+            cells.add(f(iv_unchecked(i, i + 1, e, 1)))
+        want = cells.result(n)
+        for got in (blocks.result(n), whole.result(n), want):
+            assert got == want
+            # bottom only as the one bottom object
+            assert (got.std is IV_BOTTOM) is (f is VARYING_FORMS[-1])
